@@ -39,8 +39,8 @@ from .hamiltonians import (
     jones_exp,
 )
 from .scattering import (
-    DIRECT_SOLVE_LIMIT,
     DecaySpec,
+    Resolvent,
     ScatteringResult,
     butterfly_scan,
     default_omega_grid,
@@ -131,8 +131,8 @@ __all__ = [
     "build_qsh",
     "jones_exp",
     # scattering
-    "DIRECT_SOLVE_LIMIT",
     "DecaySpec",
+    "Resolvent",
     "ScatteringResult",
     "butterfly_scan",
     "default_omega_grid",

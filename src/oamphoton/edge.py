@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, SiteIndex, flat_index, l_of_index, site_of
+from .lattice import LatticeSpec, SiteIndex, flat_index, l_of_index
 from .hamiltonians import HamiltonianMatrix
-from .scattering import DecaySpec, spectral_factorization, transmission
+from .scattering import DecaySpec, Resolvent, transmission
+# Unused here, but perfbench/spans.py patches this name when tracing.
+from .scattering import spectral_factorization  # noqa: F401
 
 __all__ = [
     "Side",
@@ -130,30 +132,24 @@ def displacement_spectrum(
     input_l: int = 0,
     input_spins: list[int] | None = None,
 ) -> np.ndarray:
-    """The displacement, vectorized over a probe-frequency grid."""
+    """The displacement, vectorized over a probe-frequency grid.
+
+    Each frequency takes one :class:`~oamphoton.scattering.Resolvent`
+    factorization, shared by every region input.
+    """
     spec = H.spec
     omega_grid = np.asarray(omega_grid, dtype=float)
     in_rows = _region_input_indices(spec, region, input_l, input_spins)
+    if not in_rows:
+        raise ValueError("input_spins must name at least one polarization")
     l_out = l_of_index(spec).astype(float)
-    out = np.zeros(omega_grid.size)
-    if decay.is_uniform and H.is_dense:
-        gamma = decay.gamma
-        evals, evecs = spectral_factorization(H)
-        for r in in_rows:
-            # Rows of C are the eigenbasis coefficients of the resolvent
-            # column, one row per probe frequency.
-            C = evecs[r, :].conj()[None, :] / (
-                omega_grid[:, None] - evals[None, :] + 0.5j * gamma
-            )
-            amplitudes = C @ evecs.T
-            out += gamma**2 * (np.abs(amplitudes) ** 2 @ l_out)
-        return out
-    for k, omega in enumerate(omega_grid):
-        total = 0.0
-        for r in in_rows:
-            res = transmission(H, decay, float(omega), site_of(spec, r))
-            total += float(np.sum(np.abs(res.amplitudes) ** 2 * l_out))
-        out[k] = total
+    engine = Resolvent(H, decay)
+    out = np.array([
+        float(np.sum(np.abs(engine.transmission(float(omega), in_rows)) ** 2
+                     * l_out[:, None]))
+        for omega in omega_grid
+    ])
+    engine.log(f"one LU per frequency for {len(in_rows)} region ports")
     return out
 
 
