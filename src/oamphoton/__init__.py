@@ -61,6 +61,7 @@ from .edge import (
     harper_edge_modes,
     oam_displacement,
     transmission_map,
+    transmission_maps,
 )
 from .chern import (
     BlochBandData,
@@ -152,6 +153,7 @@ __all__ = [
     "harper_edge_modes",
     "oam_displacement",
     "transmission_map",
+    "transmission_maps",
     # chern
     "BlochBandData",
     "BZPartition",

@@ -21,9 +21,9 @@ import numpy as np
 
 from .lattice import LatticeSpec, SiteIndex, flat_index, l_of_index
 from .hamiltonians import HamiltonianMatrix
-from .scattering import DecaySpec, Resolvent, transmission
-# Unused here, but perfbench/spans.py patches this name when tracing.
-from .scattering import spectral_factorization  # noqa: F401
+from .scattering import DecaySpec, Resolvent
+# Unused here, but perfbench/spans.py patches these names when tracing.
+from .scattering import spectral_factorization, transmission  # noqa: F401
 
 __all__ = [
     "Side",
@@ -31,6 +31,7 @@ __all__ = [
     "EdgeMode",
     "EdgeModeSet",
     "transmission_map",
+    "transmission_maps",
     "oam_displacement",
     "displacement_spectrum",
     "harper_edge_modes",
@@ -81,13 +82,29 @@ def transmission_map(
     ``(n_x, n_l, spin_dim)`` for spinful ones.  The input must sit in an
     edge column.
     """
+    return transmission_maps(H, decay, omega, [input])[0]
+
+
+def transmission_maps(
+    H: HamiltonianMatrix,
+    decay: DecaySpec,
+    omega: float,
+    inputs: list[SiteIndex],
+) -> list[np.ndarray]:
+    """:func:`transmission_map` for several edge inputs at once.
+
+    All inputs share one :class:`~oamphoton.scattering.Resolvent` sweep.
+    """
     spec = H.spec
-    if input.j not in (0, spec.n_x - 1):
-        raise ValueError(f"input column {input.j} is not an edge cavity")
-    result = transmission(H, decay, omega, input)
-    power = np.abs(result.amplitudes) ** 2
-    grid = power.reshape(spec.n_x, spec.n_l, spec.spin_dim)
-    return grid[:, :, 0] if spec.spin_dim == 1 else grid
+    for input in inputs:
+        if input.j not in (0, spec.n_x - 1):
+            raise ValueError(f"input column {input.j} is not an edge cavity")
+    engine = Resolvent(H, decay)
+    amplitudes = engine.transmission(omega, [flat_index(spec, s) for s in inputs])
+    engine.log(f"one frequency, {len(inputs)} edge input(s)")
+    grids = (np.abs(amplitudes.T) ** 2).reshape(len(inputs), spec.n_x, spec.n_l,
+                                               spec.spin_dim)
+    return [grid[:, :, 0] if spec.spin_dim == 1 else grid for grid in grids]
 
 
 def _region_input_indices(
@@ -134,22 +151,17 @@ def displacement_spectrum(
 ) -> np.ndarray:
     """The displacement, vectorized over a probe-frequency grid.
 
-    Each frequency takes one :class:`~oamphoton.scattering.Resolvent`
-    factorization, shared by every region input.
+    Every region input shares one :class:`~oamphoton.scattering.Resolvent`
+    sweep per frequency.
     """
     spec = H.spec
     omega_grid = np.asarray(omega_grid, dtype=float)
     in_rows = _region_input_indices(spec, region, input_l, input_spins)
     if not in_rows:
         raise ValueError("input_spins must name at least one polarization")
-    l_out = l_of_index(spec).astype(float)
     engine = Resolvent(H, decay)
-    out = np.array([
-        float(np.sum(np.abs(engine.transmission(float(omega), in_rows)) ** 2
-                     * l_out[:, None]))
-        for omega in omega_grid
-    ])
-    engine.log(f"one LU per frequency for {len(in_rows)} region ports")
+    out = engine.transmitted_power(omega_grid, in_rows, l_of_index(spec))
+    engine.log(f"{omega_grid.size} frequencies, {len(in_rows)} region ports")
     return out
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .edge import EdgeRegion, Side, transmission_map
+from .edge import EdgeRegion, Side, transmission_maps
 from .hamiltonians import HamiltonianMatrix, build_qsh
 from .lattice import Boundary, LatticeSpec, SiteIndex
 from .scattering import DecaySpec
@@ -308,14 +308,15 @@ def polarized_edge_maps(
     coupling: float = 1.0,
     probe_depth: int = PROBE_DEPTH,
 ) -> PolarizedEdgeMaps:
-    """Probe the lattice edge once per input polarization.
+    """Probe the lattice edge in both input polarizations.
 
     Sends a probe into cavity 0 at OAM 0 with polarization ``s`` for
-    each ``s`` in (0, 1) and collects the transmitted-power grid, its
-    OAM displacement over the ``probe_depth`` input-side columns, and
-    its edge-confined weight.  On the gapped side of the transition the
-    two displacements have opposite signs (counter-propagating polarized
-    edge states); past it the edge weight collapses.
+    each ``s`` in (0, 1), both from one resolvent sweep, and collects the
+    transmitted-power grid, its OAM displacement over the ``probe_depth``
+    input-side columns, and its edge-confined weight.  On the gapped side
+    of the transition the two displacements have opposite signs
+    (counter-propagating polarized edge states); past it the edge weight
+    collapses.
 
     ``coupling`` rescales every hop amplitude relative to the nominal
     coupling; ``0`` gives the decoupled-cavity limit, where each map is
@@ -342,15 +343,11 @@ def polarized_edge_maps(
         H = _scaled_coupling(H, coupling)
     columns = EdgeRegion(Side.LEFT, probe_depth).columns(spec)
 
-    maps = []
-    displacements = []
-    weights = []
-    for s in (0, 1):
-        input = SiteIndex(0, 0, s)
-        grid = transmission_map(H, decay, omega, input)
-        maps.append(grid)
-        displacements.append(_probe_displacement(grid, spec, columns))
-        weights.append(edge_confined_weight(spec, grid, input))
+    inputs = [SiteIndex(0, 0, s) for s in (0, 1)]
+    maps = transmission_maps(H, decay, omega, inputs)
+    displacements = [_probe_displacement(grid, spec, columns) for grid in maps]
+    weights = [edge_confined_weight(spec, grid, input)
+               for grid, input in zip(maps, inputs)]
     return PolarizedEdgeMaps(
         beta0=float(beta0),
         omega=float(omega),

@@ -5,7 +5,8 @@ import pytest
 
 from oamphoton.lattice import Boundary, LatticeSpec, SiteIndex
 from oamphoton.hamiltonians import build_qsh
-from oamphoton.scattering import DecaySpec
+from oamphoton.edge import transmission_map
+from oamphoton.scattering import DecaySpec, Resolvent
 from oamphoton.qsh import (
     GapReport,
     PolarizedEdgeMaps,
@@ -245,6 +246,28 @@ def test_polarized_maps_edge_weight_collapse(small_maps):
         assert w_closed[s] < 0.2 * w_open[s]
     # Past the transition the residual displacement is negligible as well.
     assert max(abs(d) for d in small_maps[0.125].displacements) < 1e-3
+
+
+def test_polarized_maps_share_one_sweep(monkeypatch):
+    """Both polarizations come from one engine sweep and equal the
+    per-polarization maps."""
+    spec = cell_spec(8, -8, 8)
+    decay = DecaySpec(gamma=0.1)
+    H = build_qsh(spec, 0.03, LAMBDA0)
+    separate = [transmission_map(H, decay, TARGET, SiteIndex(0, 0, s)) for s in (0, 1)]
+    sweeps = []
+    original = Resolvent._sweep
+
+    def counting(self, omegas, rows):
+        sweeps.append((omegas.size, rows.size))
+        return original(self, omegas, rows)
+
+    monkeypatch.setattr(Resolvent, "_sweep", counting)
+    result = polarized_edge_maps(spec, 0.03, LAMBDA0, decay)
+    assert sweeps == [(1, 2)]
+    for together, alone in zip(result.maps, separate):
+        np.testing.assert_allclose(together, alone, rtol=0,
+                                   atol=1e-12 * np.abs(alone).max())
 
 
 def test_polarized_maps_full_scale():

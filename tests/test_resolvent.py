@@ -8,6 +8,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from oamphoton import scattering
+
 from oamphoton.lattice import (
     Boundary, LatticeSpec, SiteIndex, flat_index, l_of_index, site_of,
 )
@@ -154,33 +156,47 @@ def test_optical_theorem_on_both_paths(name):
 # ------------------------------------------------------------- call counts
 
 @pytest.fixture
-def spsolve_calls(monkeypatch):
+def sweeps(monkeypatch):
+    """Every chunk sweep of the engine, as ``(frequencies, ports)``."""
     calls = []
-    original = scipy.sparse.linalg.spsolve
+    original = Resolvent._sweep
 
-    def counting(A, b, *args, **kwargs):
-        calls.append(np.shape(b))
-        return original(A, b, *args, **kwargs)
+    def counting(self, omegas, rows):
+        calls.append((omegas.size, rows.size))
+        return original(self, omegas, rows)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counting)
+    monkeypatch.setattr(Resolvent, "_sweep", counting)
     return calls
 
 
-def test_one_spsolve_per_frequency_for_a_region(spsolve_calls):
+def test_one_sweep_per_frequency_for_a_region(sweeps):
     H = LATTICES["qsh"]
     region = EdgeRegion(Side.LEFT, 2)
     grid = np.array([-1.6, -1.2, 0.5])
     displacement_spectrum(H, DecaySpec.uniform(GAMMA), grid, region)
-    # Two columns times two polarizations: four ports per factorization.
-    assert spsolve_calls == [(H.dim, 4)] * grid.size
+    # Two columns times two polarizations: four ports share every sweep.
+    assert sweeps == [(grid.size, 4)]
 
 
-def test_one_spsolve_per_frequency_for_a_spectrum(spsolve_calls):
+def test_one_sweep_per_frequency_for_a_spectrum(sweeps):
     H = LATTICES["scalar-open"]
     inputs = [SiteIndex(j, 0, 0) for j in range(H.spec.n_x)]
     grid = np.linspace(-3.0, 3.0, 5)
     total_transmission_spectrum(H, per_mode(H), inputs, grid)
-    assert spsolve_calls == [(H.dim, len(inputs))] * grid.size
+    assert sweeps == [(grid.size, len(inputs))]
+
+
+def test_chunked_sweeps_cover_the_grid_once(sweeps, monkeypatch):
+    H = LATTICES["dirac"]
+    inputs = [SiteIndex(0, 0, 1), SiteIndex(2, -2, 0), SiteIndex(1, 3, 1)]
+    grid = np.linspace(-3.0, 3.0, 11)
+    whole = total_transmission_spectrum(H, per_mode(H), inputs, grid)
+    # A budget of one frequency's working memory forces one sweep per omega.
+    monkeypatch.setattr(scattering, "_CHUNK_BYTES", 1)
+    chunked = total_transmission_spectrum(H, per_mode(H), inputs, grid)
+    np.testing.assert_allclose(chunked, whole, rtol=1e-13)
+    assert sweeps[0] == (grid.size, len(inputs))
+    assert sweeps[1:] == [(1, len(inputs))] * grid.size
 
 
 # ---------------------------------------------------------- loud failures
@@ -224,6 +240,49 @@ def test_failed_factorization_raises_instead_of_returning_nan():
                      0.0, SiteIndex(0, 0, 0))
 
 
+def test_nan_in_a_coupling_block_raises_on_both_storages():
+    H = LATTICES["qsh"]
+    broken = H.toarray().copy()
+    i = flat_index(H.spec, SiteIndex(1, 0, 0))
+    j = flat_index(H.spec, SiteIndex(1, 1, 1))
+    broken[i, j] = broken[j, i] = np.nan
+    for data in (broken, scipy.sparse.csr_matrix(broken)):
+        with pytest.raises(RuntimeError, match="residual"):
+            transmission(HamiltonianMatrix(H.spec, data), per_mode(H), -1.6,
+                         SiteIndex(0, 0, 0))
+
+
+def test_vanishing_loss_at_an_eigenvalue_raises():
+    H = build_landau_hofstadter(LatticeSpec(n_x=4, l_min=-3, l_max=3), 1.0 / 6.0)
+    evals, evecs = spectral_factorization(H)
+    row = int(np.argmax(np.abs(evecs[:, 5])))
+    with pytest.raises(RuntimeError, match="residual"):
+        greens_apply(H, DecaySpec.uniform(1e-13), float(evals[5]), site_of(H.spec, row))
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_coupling_that_skips_a_slice_is_kept(storage, caplog):
+    H = build_landau_hofstadter(LatticeSpec(n_x=4, l_min=-3, l_max=3), 1.0 / 6.0)
+    skewed = H.toarray().copy()
+    i = flat_index(H.spec, SiteIndex(1, -1, 0))
+    j = flat_index(H.spec, SiteIndex(2, 1, 0))
+    skewed[i, j] = 0.3 + 0.2j
+    skewed[j, i] = 0.3 - 0.2j
+    H2 = HamiltonianMatrix(H.spec, skewed if storage == "dense"
+                           else scipy.sparse.csr_matrix(skewed))
+    decay = per_mode(H)
+    rows = edge_rows(H) + [i]
+    engine = Resolvent(H2, decay)
+    # l and l + 2 coupled: blocks join two slices, so none is dropped.
+    assert (engine.width, engine.slices, engine.block_size) == (2, 4, 8)
+    x = engine.solve(0.7, rows)
+    ref = dense_columns(H2, decay, 0.7, rows)
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+        greens_apply(H2, decay, 0.7, SiteIndex(0, 0, 0))
+    assert "2 apart" in caplog.records[-1].solver_reason
+
+
 # ------------------------------------------------------------ observability
 
 def test_each_engine_call_logs_one_record(caplog):
@@ -238,8 +297,10 @@ def test_each_engine_call_logs_one_record(caplog):
         oam_displacement(H, decay, -2.0, EdgeRegion(Side.RIGHT, 2))
     np.testing.assert_array_equal(loud, quiet)
     records = [r for r in caplog.records if r.name == "oamphoton"]
-    assert [r.solver_path for r in records] == ["sparse-lu", "eigenbasis", "sparse-lu"]
-    assert [r.factorizations for r in records] == [3, 1, 1]
-    assert 0.0 <= records[0].worst_residual <= 1e-10
-    assert records[1].worst_residual is None
+    assert [r.solver_path for r in records] == ["oam-rgf"] * 3
+    assert [r.factorizations for r in records] == [3, 3, 1]
+    assert all(0.0 <= r.worst_residual <= 1e-10 for r in records)
     assert all(r.levelno == logging.DEBUG and r.solver_reason for r in records)
+    # Nine OAM slices on a ring fold into five blocks of two 4-cavity slices.
+    assert [(r.slices, r.block_size) for r in records] == [(5, 8)] * 3
+    assert [r.omega_chunk for r in records] == [3, 3, 1]
