@@ -14,6 +14,11 @@ distinguishes three draw granularities (:class:`DisorderScope`):
 * ``PER_SITE`` -- detunings drawn per lattice site; coupling errors are
   not defined at this granularity and are rejected.
 
+Coupling errors are rejected, too, on a periodic perturbed axis shorter
+than three sites: there a link is the diagonal (one site) or shares its
+matrix entry with the link back (two sites), so one link's error has no
+entry of its own.
+
 The optional envelope also scales the per-mode loss imbalance (evaluated
 at the mode's own ``l``); it never touches cavity-axis links or
 detunings.  :func:`saturating_oam_envelope` provides the standard choice
@@ -40,8 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse
 
-from .hamiltonians import HamiltonianMatrix, _iter_x_hops, _iter_y_hops
-from .lattice import LatticeSpec, l_of_index
+from .hamiltonians import HamiltonianMatrix
+from .lattice import Boundary, LatticeSpec, l_of_index
 from .scattering import DecaySpec
 from .edge import EdgeRegion, displacement_spectrum
 
@@ -200,6 +205,35 @@ def _resolve_base(
     return H
 
 
+def _link_entries(spec: LatticeSpec, scope: DisorderScope, rows: np.ndarray,
+                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify matrix entries ``(rows, cols)`` by the link the scope perturbs.
+
+    Returns ``(forward, backward, link)``: whether each entry lies on the
+    ``dst <- src`` hop of a link along the perturbed axis (cavity links
+    ``j -> j+1`` or OAM links ``l -> l+1``), whether it lies on the
+    Hermitian partner of one, and the link's index in the flattened draw
+    array (meaningful where ``forward``).
+    """
+    j_r, il_r = np.divmod(rows // spec.spin_dim, spec.n_l)
+    j_c, il_c = np.divmod(cols // spec.spin_dim, spec.n_l)
+    if scope is DisorderScope.PER_CAVITY_LINK:
+        axis, length, bc = "cavity", spec.n_x, spec.bc_x
+        same, step, link = il_r == il_c, j_r - j_c, j_c
+    else:
+        axis, length, bc = "OAM", spec.n_l, spec.bc_y
+        same, step, link = j_r == j_c, il_r - il_c, j_c * spec.n_l + il_c
+    back = -1
+    if bc is Boundary.PERIODIC:
+        if length < 3:
+            raise ValueError(
+                f"coupling errors need a periodic {axis} axis of at least 3 "
+                f"sites, got {length}: its links share matrix entries"
+            )
+        step, back = step % length, length - 1
+    return same & (step == 1), same & (step == back), link
+
+
 def sample_disordered_hamiltonian(
     base: "HamiltonianMatrix | Callable[[], HamiltonianMatrix]",
     model: DisorderModel,
@@ -215,65 +249,58 @@ def sample_disordered_hamiltonian(
     z_phase)`` and its Hermitian partner is rewritten as the conjugate,
     so the sample stays exactly Hermitian.  With every sigma zero the
     base matrix is returned bit-identically.
+
+    A periodic perturbed axis shorter than three sites has no distinct
+    link entries (its two links share one entry, or its link is the
+    diagonal), so coupling errors on it raise ``ValueError`` before any
+    draw.
     """
     H = _resolve_base(base)
     spec = H.spec
+    entries = H.tocsr().tocoo()
+    rows, cols, values = entries.row, entries.col, entries.data
+    coupled = model.sigma_coupling_mag > 0.0 or model.sigma_coupling_phase > 0.0
+    if coupled:  # the model admits coupling errors at link scopes only
+        forward, backward, link = _link_entries(spec, model.scope, rows, cols)
     rng = _generator(seed)
-    matrix = H.toarray().copy() if H.is_dense else H.data.tolil(copy=True)
 
-    # detunings (drawn first, applied to every diagonal entry of the unit)
+    # detunings (drawn first, added to every diagonal entry of the unit)
     if model.scope is DisorderScope.PER_SITE:
         draws = rng.standard_normal(spec.n_x * spec.n_l)
         shifts = np.repeat(model.sigma_detuning * draws, spec.spin_dim)
     else:
         draws = rng.standard_normal(spec.n_x)
         shifts = np.repeat(model.sigma_detuning * draws, spec.n_l * spec.spin_dim)
-    if model.sigma_detuning > 0.0:
-        if H.is_dense:
-            matrix[np.arange(spec.dim), np.arange(spec.dim)] += shifts
-        else:
-            matrix.setdiag(matrix.diagonal() + shifts)
 
     # couplings (magnitude draws, then phase draws, always in this order)
-    sd = spec.spin_dim
-    if model.scope is DisorderScope.PER_CAVITY_LINK:
-        mag = rng.standard_normal(spec.n_x)
-        phase = rng.standard_normal(spec.n_x)
-        if model.sigma_coupling_mag > 0.0 or model.sigma_coupling_phase > 0.0:
-            factors = (1.0 + model.sigma_coupling_mag * mag) * np.exp(
-                1j * model.sigma_coupling_phase * phase
-            )
-            for src, dst, j in _iter_x_hops(spec):
-                _scale_hop(matrix, dst, src, sd, factors[j])
-    elif model.scope is DisorderScope.PER_OAM_LINK:
-        mag = rng.standard_normal((spec.n_x, spec.n_l))
-        phase = rng.standard_normal((spec.n_x, spec.n_l))
-        if model.sigma_coupling_mag > 0.0 or model.sigma_coupling_phase > 0.0:
-            midpoints = _envelope_values(model, spec.l_values + 0.5)
-            factors = (
-                1.0 + model.sigma_coupling_mag * midpoints[None, :] * mag
-            ) * np.exp(
-                1j * model.sigma_coupling_phase * midpoints[None, :] * phase
-            )
-            for src, dst, j, l_src in _iter_y_hops(spec):
-                _scale_hop(matrix, dst, src, sd, factors[j, l_src - spec.l_min])
-
-    if not H.is_dense:
-        return HamiltonianMatrix(spec, matrix.tocsr())
-    return HamiltonianMatrix(spec, matrix)
-
-
-def _scale_hop(matrix, dst: int, src: int, sd: int, factor: complex) -> None:
-    """Scale the ``dst <- src`` hop block and rewrite its Hermitian partner."""
-    if sd == 1:
-        value = matrix[dst, src] * factor
-        matrix[dst, src] = value
-        matrix[src, dst] = np.conj(value)
-        return
-    block = matrix[dst : dst + sd, src : src + sd] * factor
-    block = block.toarray() if scipy.sparse.issparse(block) else block
-    matrix[dst : dst + sd, src : src + sd] = block
-    matrix[src : src + sd, dst : dst + sd] = block.conj().T
+    links = {DisorderScope.PER_CAVITY_LINK: (spec.n_x,),
+             DisorderScope.PER_OAM_LINK: (spec.n_x, spec.n_l)}.get(model.scope)
+    if links is not None:
+        mag = rng.standard_normal(links)
+        phase = rng.standard_normal(links)
+    if coupled:
+        scale = 1.0
+        if model.scope is DisorderScope.PER_OAM_LINK:
+            scale = _envelope_values(model, spec.l_values + 0.5)[None, :]
+        factors = (1.0 + model.sigma_coupling_mag * scale * mag) * np.exp(
+            1j * model.sigma_coupling_phase * scale * phase
+        )
+        scaled = values[forward] * factors.reshape(-1)[link[forward]]
+        values[forward] = scaled
+        # Each partner entry is dropped and written anew as the conjugate.
+        keep = ~backward
+        rows, cols, values = (
+            np.concatenate([rows[keep], cols[forward]]),
+            np.concatenate([cols[keep], rows[forward]]),
+            np.concatenate([values[keep], scaled.conj()]),
+        )
+    if model.sigma_detuning > 0.0:
+        diagonal = np.arange(spec.dim)
+        rows = np.concatenate([rows, diagonal])
+        cols = np.concatenate([cols, diagonal])
+        values = np.concatenate([values, shifts])
+    return HamiltonianMatrix(
+        spec, scipy.sparse.coo_matrix((values, (rows, cols)), shape=entries.shape))
 
 
 def loss_perturbed_decay(

@@ -23,7 +23,7 @@ Builders provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 DENSE_DIM_LIMIT = 4096
-"""Matrices up to this dimension are stored dense, larger ones sparse."""
+""":attr:`HamiltonianMatrix.data` is dense up to this dimension, CSR above."""
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -84,15 +84,16 @@ class SpinAxis:
         return sum(c * p for c, p in zip(self.n, _PAULI))
 
 
-def jones_exp(phi: float, axis: SpinAxis) -> np.ndarray:
+def jones_exp(phi: float | np.ndarray, axis: SpinAxis) -> np.ndarray:
     """Jones matrix ``exp(i*2*pi*phi*(sigma.n))`` for a phase in cycles.
 
     Equals ``cos(2*pi*phi) I + i sin(2*pi*phi) (sigma.n)``; unitary with
-    determinant 1.
+    determinant 1.  An array of phases gives a stack of matrices, shape
+    ``phi.shape + (2, 2)``.
     """
     if not isinstance(axis, SpinAxis):
         axis = SpinAxis(tuple(axis))
-    angle = 2.0 * np.pi * phi
+    angle = 2.0 * np.pi * np.asarray(phi, dtype=float)[..., None, None]
     return np.cos(angle) * np.eye(2, dtype=complex) + 1j * np.sin(angle) * axis.sigma()
 
 
@@ -142,93 +143,112 @@ class GaugeConfig:
             object.__setattr__(self, "flux", Fraction(self.flux))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class HamiltonianMatrix:
     """A Hermitian lattice Hamiltonian with its geometry.
 
-    ``data`` is a dense complex array for dimensions up to
-    :data:`DENSE_DIM_LIMIT` and a CSR sparse matrix above that.  Energies
+    The matrix is stored once, as canonical CSR (sorted indices, no
+    duplicates, no explicit zeros): the lattices here have nearest-neighbor
+    hops only, a handful of nonzeros per row.  ``HamiltonianMatrix(spec,
+    matrix)`` accepts a dense array or any scipy sparse matrix and copies
+    it.  :meth:`tocsr` and :meth:`toarray` return fresh copies, and
+    ``data`` is a view computed on each access: a dense array for
+    dimensions up to :data:`DENSE_DIM_LIMIT`, CSR above that.  Energies
     are in units of the nearest-neighbor coupling.
     """
 
     spec: LatticeSpec
-    data: np.ndarray | scipy.sparse.csr_matrix
+    _csr: scipy.sparse.csr_matrix = field(repr=False)
+
+    def __init__(self, spec: LatticeSpec, matrix) -> None:
+        csr = scipy.sparse.csr_matrix(matrix, dtype=complex, copy=True)
+        if csr.shape != (spec.dim, spec.dim):
+            raise ValueError(
+                f"matrix shape {csr.shape} does not match the lattice "
+                f"dimension {spec.dim}"
+            )
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "_csr", csr)
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self.spec.dim
 
     @property
     def is_dense(self) -> bool:
-        return isinstance(self.data, np.ndarray)
+        """Whether :attr:`data` is a dense array (else CSR)."""
+        return self.dim <= DENSE_DIM_LIMIT
+
+    @property
+    def data(self) -> np.ndarray | scipy.sparse.csr_matrix:
+        """A fresh dense array up to :data:`DENSE_DIM_LIMIT`, CSR above."""
+        return self.toarray() if self.is_dense else self.tocsr()
+
+    def tocsr(self) -> scipy.sparse.csr_matrix:
+        """A copy of the stored canonical CSR matrix."""
+        return self._csr.copy()
 
     def toarray(self) -> np.ndarray:
-        """The Hamiltonian as a dense complex array."""
-        if self.is_dense:
-            return np.asarray(self.data)
-        return self.data.toarray()
+        """The Hamiltonian as a fresh dense complex array."""
+        return self._csr.toarray()
 
     def hermiticity_defect(self) -> float:
         """Max-norm of ``H - H^dagger`` (should be < 1e-12)."""
-        delta = self.data - self.data.conj().T
-        if self.is_dense:
-            return float(np.abs(delta).max())
-        delta = scipy.sparse.coo_matrix(delta)
-        return float(np.abs(delta.data).max()) if delta.nnz else 0.0
+        delta = self._csr - self._csr.conj().T
+        return float(np.abs(delta.data).max(initial=0.0))
 
 
-class _Assembler:
-    """Accumulates hop blocks and diagonal terms, then freezes the matrix."""
+def _hops(spec: LatticeSpec, axis: str):
+    """Every hop along one axis, as index arrays ``(src, dst, j, l)``.
 
-    def __init__(self, spec: LatticeSpec):
-        self.spec = spec
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[complex] = []
-
-    def add(self, row: int, col: int, val: complex) -> None:
-        self.rows.append(row)
-        self.cols.append(col)
-        self.vals.append(val)
-
-    def add_hop(self, src: int, dst: int, block: np.ndarray) -> None:
-        """Add ``block`` mapping src -> dst and its Hermitian conjugate."""
-        sd = self.spec.spin_dim
-        for a in range(sd):
-            for b in range(sd):
-                v = block[a, b] if sd == 2 else complex(block)
-                if v != 0:
-                    self.add(dst + a, src + b, v)
-                    self.add(src + b, dst + a, np.conj(v))
-
-    def finish(self) -> HamiltonianMatrix:
-        dim = self.spec.dim
-        coo = scipy.sparse.coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(dim, dim), dtype=complex
-        )
-        if dim <= DENSE_DIM_LIMIT:
-            return HamiltonianMatrix(self.spec, coo.toarray())
-        return HamiltonianMatrix(self.spec, coo.tocsr())
+    ``axis="x"`` gives the cavity hops ``j -> j+1`` and ``axis="y"`` the
+    OAM hops ``l -> l+1``; a periodic axis adds the hop that wraps around.
+    ``src`` and ``dst`` are the flat indices of polarization 0 at either
+    end, ``j`` and ``l`` the cavity and OAM value of the source.
+    """
+    site = np.arange(spec.n_x * spec.n_l)
+    j, il = np.divmod(site, spec.n_l)
+    if axis == "x":
+        along, length, bc = j, spec.n_x, spec.bc_x
+        dst = (j + 1) % spec.n_x * spec.n_l + il
+    else:
+        along, length, bc = il, spec.n_l, spec.bc_y
+        dst = j * spec.n_l + (il + 1) % spec.n_l
+    keep = (along < length - 1) | (bc is Boundary.PERIODIC)
+    sd = spec.spin_dim
+    return site[keep] * sd, dst[keep] * sd, j[keep], il[keep] + spec.l_min
 
 
-def _iter_x_hops(spec: LatticeSpec):
-    """Yield base flat indices ``(src, dst, j_src)`` for hops ``j -> j+1``."""
-    sd, n_l = spec.spin_dim, spec.n_l
-    stride = n_l * sd
-    for j in range(spec.n_x if spec.bc_x is Boundary.PERIODIC else spec.n_x - 1):
-        jn = (j + 1) % spec.n_x
-        for il in range(n_l):
-            yield (j * n_l + il) * sd, (jn * n_l + il) * sd, j
+def _assemble(spec: LatticeSpec, hops, onsite: np.ndarray | None = None
+              ) -> HamiltonianMatrix:
+    """Sum hop blocks, their Hermitian partners and on-site terms into CSR.
 
-
-def _iter_y_hops(spec: LatticeSpec):
-    """Yield base flat indices ``(src, dst, j, l_src)`` for hops ``l -> l+1``."""
-    sd, n_l = spec.spin_dim, spec.n_l
-    n_y = n_l if spec.bc_y is Boundary.PERIODIC else n_l - 1
-    for j in range(spec.n_x):
-        for il in range(n_y):
-            iln = (il + 1) % n_l
-            yield (j * n_l + il) * sd, (j * n_l + iln) * sd, j, spec.l_min + il
+    ``hops`` holds one ``(src, dst, blocks)`` triple per axis: ``blocks``
+    (one value or ``spin_dim x spin_dim`` block, or one per hop) maps the
+    modes at ``src`` to those at ``dst``.  ``onsite`` detunes every mode of
+    cavity ``j`` by ``onsite[j]``.
+    """
+    sd = spec.spin_dim
+    spin = np.arange(sd)
+    rows, cols, vals = [], [], []
+    for src, dst, blocks in hops:
+        shape = (src.size, sd, sd)
+        blocks = np.broadcast_to(np.reshape(blocks, (-1, sd, sd)), shape)
+        into = np.broadcast_to(dst[:, None, None] + spin[:, None], shape)
+        out_of = np.broadcast_to(src[:, None, None] + spin, shape)
+        rows += [into, out_of]
+        cols += [out_of, into]
+        vals += [blocks, blocks.conj()]
+    if onsite is not None:
+        rows.append(np.arange(spec.dim))
+        cols.append(np.arange(spec.dim))
+        vals.append(np.repeat(onsite, spec.n_l * sd))
+    vals, rows, cols = (np.concatenate([a.ravel() for a in part])
+                        for part in (vals, rows, cols))
+    return HamiltonianMatrix(spec, scipy.sparse.coo_matrix(
+        (vals, (rows, cols)), shape=(spec.dim, spec.dim)))
 
 
 def build_landau_hofstadter(spec: LatticeSpec, phi0: float | Fraction) -> HamiltonianMatrix:
@@ -241,12 +261,10 @@ def build_landau_hofstadter(spec: LatticeSpec, phi0: float | Fraction) -> Hamilt
     if spec.spin_dim != 1:
         raise ValueError("scalar builder requires spin_dim = 1")
     phi0 = float(phi0)
-    asm = _Assembler(spec)
-    for src, dst, _ in _iter_x_hops(spec):
-        asm.add_hop(src, dst, -1.0)
-    for src, dst, j, _ in _iter_y_hops(spec):
-        asm.add_hop(src, dst, -np.exp(2j * np.pi * j * phi0))
-    return asm.finish()
+    x_src, x_dst, _, _ = _hops(spec, "x")
+    y_src, y_dst, j, _ = _hops(spec, "y")
+    return _assemble(spec, [(x_src, x_dst, -1.0),
+                            (y_src, y_dst, -np.exp(2j * np.pi * j * phi0))])
 
 
 def build_oam_gauge_hofstadter(spec: LatticeSpec, phi0: float | Fraction) -> HamiltonianMatrix:
@@ -262,13 +280,10 @@ def build_oam_gauge_hofstadter(spec: LatticeSpec, phi0: float | Fraction) -> Ham
     if spec.spin_dim != 1:
         raise ValueError("scalar builder requires spin_dim = 1")
     phi0 = float(phi0)
-    asm = _Assembler(spec)
-    for src, dst, j in _iter_x_hops(spec):
-        l = (src // spec.spin_dim) % spec.n_l + spec.l_min
-        asm.add_hop(src, dst, -np.exp(-2j * np.pi * l * phi0))
-    for src, dst, _, _ in _iter_y_hops(spec):
-        asm.add_hop(src, dst, -1.0)
-    return asm.finish()
+    x_src, x_dst, _, l = _hops(spec, "x")
+    y_src, y_dst, _, _ = _hops(spec, "y")
+    return _assemble(spec, [(x_src, x_dst, -np.exp(-2j * np.pi * l * phi0)),
+                            (y_src, y_dst, -1.0)])
 
 
 def build_non_abelian(spec: LatticeSpec, cfg: GaugeConfig) -> HamiltonianMatrix:
@@ -283,23 +298,12 @@ def build_non_abelian(spec: LatticeSpec, cfg: GaugeConfig) -> HamiltonianMatrix:
         raise ValueError("spinful builder requires spin_dim = 2")
     phi_y = _per_cavity(cfg.phi_y, spec.n_x)
     beta = _per_cavity(cfg.beta, spec.n_x)
-    onsite = _per_cavity(cfg.onsite, spec.n_x)
     u_x = np.exp(2j * np.pi * cfg.phi_x) * jones_exp(cfg.alpha, cfg.axis1)
-    u_y = [
-        np.exp(2j * np.pi * phi_y[j]) * jones_exp(beta[j], cfg.axis2)
-        for j in range(spec.n_x)
-    ]
-    asm = _Assembler(spec)
-    for src, dst, _ in _iter_x_hops(spec):
-        asm.add_hop(src, dst, -u_x)
-    for src, dst, j, _ in _iter_y_hops(spec):
-        asm.add_hop(src, dst, -u_y[j])
-    for j in range(spec.n_x):
-        if onsite[j] != 0.0:
-            base = j * spec.n_l * spec.spin_dim
-            for k in range(spec.n_l * spec.spin_dim):
-                asm.add(base + k, base + k, onsite[j])
-    return asm.finish()
+    u_y = np.exp(2j * np.pi * phi_y)[:, None, None] * jones_exp(beta, cfg.axis2)
+    x_src, x_dst, _, _ = _hops(spec, "x")
+    y_src, y_dst, j, _ = _hops(spec, "y")
+    return _assemble(spec, [(x_src, x_dst, -u_x), (y_src, y_dst, -u_y[j])],
+                     _per_cavity(cfg.onsite, spec.n_x))
 
 
 def build_dirac(spec: LatticeSpec, phi0: float | Fraction = 0.0) -> HamiltonianMatrix:
@@ -351,8 +355,4 @@ def apply_onsite_disorder(
         spec.n_x,
     )
     per_index = np.repeat(delta_vec, spec.n_l * spec.spin_dim)
-    if H.is_dense:
-        data = H.data + np.diag(per_index)
-    else:
-        data = (H.data + scipy.sparse.diags(per_index)).tocsr()
-    return HamiltonianMatrix(spec, data)
+    return HamiltonianMatrix(spec, H._csr + scipy.sparse.diags(per_index))

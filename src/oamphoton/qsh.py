@@ -288,14 +288,9 @@ def _probe_displacement(grid: np.ndarray, spec: LatticeSpec,
 
 def _scaled_coupling(H: HamiltonianMatrix, coupling: float) -> HamiltonianMatrix:
     """Rescale every hop amplitude, leaving the on-site terms unchanged."""
-    if H.is_dense:
-        data = H.data * coupling
-        np.fill_diagonal(data, np.diag(H.data))
-    else:
-        data = (H.data * coupling).tolil()
-        data.setdiag(H.data.diagonal())
-        data = data.tocsr()
-    return HamiltonianMatrix(H.spec, data)
+    entries = H.tocsr().tocoo()
+    entries.data[entries.row != entries.col] *= coupling
+    return HamiltonianMatrix(H.spec, entries)
 
 
 def polarized_edge_maps(

@@ -163,68 +163,33 @@ def _widen(blocks: np.ndarray, width: int) -> np.ndarray:
     return joined.reshape(-1, width * b)
 
 
-def _block_distance(H: HamiltonianMatrix, block_of: np.ndarray) -> int:
+def _block_distance(entries: scipy.sparse.coo_matrix, block_of: np.ndarray) -> int:
     """The largest block distance between two sites that ``H`` couples."""
-    if H.is_dense:
-        rows, cols = np.nonzero(H.data)
-    else:
-        coo = H.data.tocoo()
-        coupled = coo.data != 0
-        rows, cols = coo.row[coupled], coo.col[coupled]
-    return int(np.max(np.abs(block_of[rows] - block_of[cols]), initial=0))
+    return int(np.max(np.abs(block_of[entries.row] - block_of[entries.col]),
+                      initial=0))
 
 
-def _slice_blocks(H: HamiltonianMatrix, blocks: np.ndarray,
+def _slice_blocks(entries: scipy.sparse.coo_matrix, blocks: np.ndarray,
                   block_of: np.ndarray, pos_of: np.ndarray):
-    """Slice ``H`` over ``blocks`` into diagonal blocks ``D_k``, upper
-    couplings ``U_k = H[k, k+1]`` and lower ones ``L_k = H[k+1, k]``.
+    """Slice the entries of ``H`` (each ``(row, col)`` once) over ``blocks``
+    into diagonal blocks ``D_k``, upper couplings ``U_k = H[k, k+1]`` and
+    lower ones ``L_k = H[k+1, k]``.
 
-    Dense storage is fancy-indexed at the blocks only; canonical CSR is
-    assigned entry by entry.  Also returns ``H`` as CSR for residual checks:
-    the CSR input itself, or the blocks reassembled when ``H`` is dense.
-    Returns None when a nonzero entry of ``H`` lies outside the blocks,
-    found by counting: every entry of ``H`` has at most one block slot.
+    Returns None when an entry of ``H`` lies outside the blocks.
     """
     n, b = blocks.shape
-    real = blocks >= 0
-    if H.is_dense:
-        site = np.where(real, blocks, 0)
-
-        def gather(rows, cols):
-            keep = real[rows][:, :, None] & real[cols][:, None, :]
-            values = H.data[site[rows][:, :, None], site[cols][:, None, :]]
-            return np.where(keep, values, 0)
-
-        head, tail = slice(None, -1), slice(1, None)
-        D, U, L = gather(slice(None), slice(None)), gather(head, tail), gather(tail, head)
-        parts = []
-        for M, row_shift, col_shift in ((D, 0, 0), (U, 0, 1), (L, 1, 0)):
-            k, r, c = np.nonzero(M)
-            parts.append((blocks[k + row_shift, r], blocks[k + col_shift, c], M[k, r, c]))
-        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-        if np.count_nonzero(H.data) != vals.size:
-            return None
-        csr = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=H.data.shape)
-        return D, U, L, csr
-    csr = H.data
-    if not csr.has_canonical_format:
-        csr = csr.copy()
-        csr.sum_duplicates()
-    rows = np.repeat(np.arange(H.dim), np.diff(csr.indptr))
-    br, bc = block_of[rows], block_of[csr.indices]
-    pr, pc = pos_of[rows], pos_of[csr.indices]
+    br, bc = block_of[entries.row], block_of[entries.col]
+    if np.any(np.abs(br - bc) > 1):
+        return None
+    pr, pc = pos_of[entries.row], pos_of[entries.col]
     D = np.zeros((n, b, b), dtype=complex)
     U = np.zeros((n - 1, b, b), dtype=complex)
     L = np.zeros((n - 1, b, b), dtype=complex)
-    inside = np.zeros(csr.nnz, dtype=bool)
     # Canonical CSR holds each (row, col) once, so assignment is exact.
     for target, block, select in ((D, br, br == bc), (U, br, bc == br + 1),
                                   (L, bc, br == bc + 1)):
-        target[block[select], pr[select], pc[select]] = csr.data[select]
-        inside |= select
-    if np.count_nonzero(csr.data[~inside]):
-        return None
-    return D, U, L, csr
+        target[block[select], pr[select], pc[select]] = entries.data[select]
+    return D, U, L
 
 
 class Resolvent:
@@ -233,15 +198,15 @@ class Resolvent:
     The constructor slices ``H`` over OAM blocks (see :func:`_oam_blocks`)
     into diagonal blocks ``D_k`` and couplings ``U_k``/``L_k``.  A nonzero
     entry outside them (a coupling that skips OAM slices, as in an
-    arbitrary dense ``H``) is never dropped: the blocks are then widened to
+    arbitrary ``H``) is never dropped: the blocks are then widened to
     ``width`` slices each, the largest slice distance ``H`` couples.  Per
     chunk of frequencies the engine runs the left and right
     Schur-complement sweeps toward the port blocks, storing the transfer
     matrices ``h_k`` so that back-substitution costs one matmul per block;
     it solves each port block's ``G_{k0,k0}`` once for all its ports and
-    checks every returned column: ``||(omega - H + i G/2) x - e|| <=``
-    :data:`RESIDUAL_RTOL`, against ``H`` itself (CSR) or its blocks (dense;
-    the nonzero count proves they hold all of ``H``), so NaN fails too.
+    checks every returned column against ``H``'s own CSR:
+    ``||(omega - H + i G/2) x - e|| <=`` :data:`RESIDUAL_RTOL`, so NaN
+    fails too.
     ``factorizations`` (one per frequency), ``worst_residual`` and
     ``omega_chunk`` accumulate over the object's solves.
     """
@@ -249,16 +214,18 @@ class Resolvent:
     def __init__(self, H: HamiltonianMatrix, decay: DecaySpec):
         self.rates = decay.rate_vector(H.dim)
         self.dim = H.dim
+        self._H = H.tocsr()
+        entries = self._H.tocoo()
         blocks = _oam_blocks(H.spec)
         block_of, pos_of = _positions(blocks, H.dim)
-        sliced = _slice_blocks(H, blocks, block_of, pos_of)
+        sliced = _slice_blocks(entries, blocks, block_of, pos_of)
         self.width = 1
         if sliced is None:
-            self.width = _block_distance(H, block_of)
+            self.width = _block_distance(entries, block_of)
             blocks = _widen(blocks, self.width)
             block_of, pos_of = _positions(blocks, H.dim)
-            sliced = _slice_blocks(H, blocks, block_of, pos_of)
-        self._D, self._U, self._L, self._H = sliced
+            sliced = _slice_blocks(entries, blocks, block_of, pos_of)
+        self._D, self._U, self._L = sliced
         self._block_of, self._pos_of = block_of, pos_of
         self.slices, self.block_size = blocks.shape
         # A_k(omega) = omega * mask + shift - D_k; a pad site solves 1 * x = 0.
@@ -371,6 +338,9 @@ class Resolvent:
                 f"omega in [{omegas.min()}, {omegas.max()}]"
             ) from None
         self.factorizations += w
+        # Free the sweep's arrays first: the check below then reuses their
+        # memory instead of growing the heap (and faulting in fresh pages).
+        del A, X, h_left, h_right
         x = columns[0] if len(columns) == 1 else np.take(
             np.concatenate(columns, axis=2), np.argsort(np.concatenate(order)), axis=2)
         # r = e - (omega - H + i G/2) x; each e has unit norm, so the
@@ -440,7 +410,7 @@ def s_matrix_row(H: HamiltonianMatrix, decay: DecaySpec, omega: float,
 
 
 def spectral_factorization(H: HamiltonianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a dense Hermitian ``H`` (ascending).
+    """Eigenvalues and eigenvectors of ``H`` from its dense array (ascending).
 
     A reference oracle for tests; the library's solves do not use it.
     """

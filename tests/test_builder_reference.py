@@ -1,0 +1,230 @@
+"""Vectorized builders against a per-hop reference, and the storage contract.
+
+The reference assembles each Hamiltonian one hop at a time from
+:func:`oamphoton.lattice.neighbors`: every ``+x`` and ``+y`` neighbor of a
+site is one hop ``src -> dst``, whose value (or 2x2 Jones block) is written
+at ``H[dst, src]`` and whose conjugate transpose is written at
+``H[src, dst]``, both added to what is there.  The hop values are spelled
+out from the builders' docstrings.  Hypothesis draws the small lattices
+(axes of length 1-3, open or periodic, where hops wrap onto themselves or
+double up) with ``derandomize=True`` and a fixed example count.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.sparse
+from hypothesis import given, settings, strategies as st
+
+from oamphoton.edge import transmission_map
+from oamphoton.hamiltonians import (
+    DENSE_DIM_LIMIT,
+    GaugeConfig,
+    HamiltonianMatrix,
+    SpinAxis,
+    apply_onsite_disorder,
+    build_dirac,
+    build_landau_hofstadter,
+    build_non_abelian,
+    build_oam_gauge_hofstadter,
+    build_qsh,
+    jones_exp,
+)
+from oamphoton.lattice import Boundary, LatticeSpec, SiteIndex, flat_index, neighbors
+from oamphoton.scattering import DecaySpec
+
+SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+def reference(spec, x_hop, y_hop, onsite=lambda j: 0.0):
+    """Per-hop assembly: ``x_hop(site)`` / ``y_hop(site)`` give the block of
+    the hop leaving ``site`` along ``+x`` / ``+y``."""
+    sd = spec.spin_dim
+    H = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for j in range(spec.n_x):
+        for l in spec.l_values.tolist():
+            site = SiteIndex(j, l, 0)
+            src = flat_index(spec, site)
+            H[src:src + sd, src:src + sd] += onsite(j) * np.eye(sd)
+            for direction, other in neighbors(spec, site):
+                if direction not in ("+x", "+y"):
+                    continue
+                block = np.atleast_2d((x_hop if direction == "+x" else y_hop)(site))
+                dst = flat_index(spec, other)
+                H[dst:dst + sd, src:src + sd] += block
+                H[src:src + sd, dst:dst + sd] += block.conj().T
+    return H
+
+
+def check(H, expected):
+    np.testing.assert_allclose(H.toarray(), expected, rtol=0, atol=1e-15)
+
+
+@st.composite
+def specs(draw, spin_dim):
+    n_l = draw(st.integers(1, 3))
+    l_min = draw(st.integers(-2, 1))
+    return LatticeSpec(
+        n_x=draw(st.integers(1, 3)), l_min=l_min, l_max=l_min + n_l - 1,
+        spin_dim=spin_dim,
+        bc_x=draw(st.sampled_from(Boundary)), bc_y=draw(st.sampled_from(Boundary)),
+    )
+
+
+phases = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def per_cavity(draw, n_x):
+    """A per-cavity value in every accepted form: absent, constant, mapping
+    (possibly partial) or callable."""
+    kind = draw(st.sampled_from(["none", "constant", "mapping", "callable"]))
+    if kind == "none":
+        return None
+    if kind == "constant":
+        return draw(phases)
+    if kind == "mapping":
+        keys = draw(st.sets(st.integers(0, n_x - 1)))
+        return {j: draw(phases) for j in sorted(keys)}
+    a, b = draw(phases), draw(phases)
+    return lambda j: a + b * j
+
+
+def cavity_value(values, j):
+    if values is None:
+        return 0.0
+    if callable(values):
+        return values(j)
+    if isinstance(values, dict):
+        return values.get(j, 0.0)
+    return values
+
+
+def unit_axes():
+    return st.sampled_from([SpinAxis.x(), SpinAxis.y(), SpinAxis.z(),
+                            SpinAxis((0.6, 0.0, 0.8)), SpinAxis((0.0, -0.6, 0.8))])
+
+
+@SETTINGS
+@given(spec=specs(1), phi=phases)
+def test_landau_gauge_matches_reference(spec, phi):
+    expected = reference(spec, lambda s: -1.0,
+                         lambda s: -np.exp(2j * np.pi * s.j * phi))
+    check(build_landau_hofstadter(spec, phi), expected)
+
+
+@SETTINGS
+@given(spec=specs(1), phi=phases)
+def test_oam_gauge_matches_reference(spec, phi):
+    expected = reference(spec, lambda s: -np.exp(-2j * np.pi * s.l * phi),
+                         lambda s: -1.0)
+    check(build_oam_gauge_hofstadter(spec, phi), expected)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_non_abelian_matches_reference(data):
+    spec = data.draw(specs(2))
+    cfg = GaugeConfig(
+        phi_x=data.draw(phases), alpha=data.draw(phases),
+        axis1=data.draw(unit_axes()), axis2=data.draw(unit_axes()),
+        phi_y=data.draw(per_cavity(spec.n_x)), beta=data.draw(per_cavity(spec.n_x)),
+        onsite=data.draw(per_cavity(spec.n_x)),
+    )
+
+    def y_hop(s):
+        return -(np.exp(2j * np.pi * cavity_value(cfg.phi_y, s.j))
+                 * jones_exp(cavity_value(cfg.beta, s.j), cfg.axis2))
+
+    expected = reference(
+        spec, lambda s: -np.exp(2j * np.pi * cfg.phi_x) * jones_exp(cfg.alpha, cfg.axis1),
+        y_hop, lambda j: cavity_value(cfg.onsite, j),
+    )
+    check(build_non_abelian(spec, cfg), expected)
+
+
+@SETTINGS
+@given(spec=specs(2), phi=phases)
+def test_dirac_matches_reference(spec, phi):
+    expected = reference(spec, lambda s: -1j * SY,
+                         lambda s: -1j * np.exp(2j * np.pi * s.j * phi) * SX)
+    check(build_dirac(spec, phi), expected)
+
+
+@SETTINGS
+@given(spec=specs(2), beta0=phases, lambda0=phases)
+def test_qsh_matches_reference(spec, beta0, lambda0):
+    def y_hop(s):
+        angle = np.pi * s.j / 2 + 2 * np.pi * beta0
+        return -np.diag([np.exp(1j * angle), np.exp(-1j * angle)])
+
+    expected = reference(spec, lambda s: -1j * SX, y_hop,
+                         lambda j: lambda0 * ((j % 4) - 1.5))
+    check(build_qsh(spec, beta0, lambda0), expected)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_onsite_disorder_matches_reference(data):
+    spec = data.draw(specs(2))
+    beta0, lambda0 = data.draw(phases), data.draw(phases)
+    deltas = np.array(data.draw(st.lists(phases, min_size=spec.n_x,
+                                         max_size=spec.n_x)))
+    H = build_qsh(spec, beta0, lambda0)
+    expected = H.toarray() + np.diag(np.repeat(deltas, spec.n_l * spec.spin_dim))
+    check(apply_onsite_disorder(H, deltas), expected)
+    as_mapping = {j: float(d) for j, d in enumerate(deltas) if j % 2}
+    expected = H.toarray() + np.diag(np.repeat(
+        [as_mapping.get(j, 0.0) for j in range(spec.n_x)], spec.n_l * spec.spin_dim))
+    check(apply_onsite_disorder(H, as_mapping), expected)
+
+
+# ------------------------------------------------------------ storage contract
+
+def test_copies_never_alias_the_stored_matrix():
+    H = build_landau_hofstadter(LatticeSpec(n_x=3, l_min=-2, l_max=2), 1.0 / 6.0)
+    before = H.toarray().copy()
+    H.toarray()[0, 1] = 99.0
+    H.data[0, 1] = 99.0
+    np.testing.assert_array_equal(H.toarray(), before)
+    H.tocsr().data[:] = 99.0
+    np.testing.assert_array_equal(H.toarray(), before)
+
+
+def test_sparse_view_does_not_alias_the_stored_matrix():
+    spec = LatticeSpec(n_x=50, l_min=-50, l_max=50)
+    H = build_landau_hofstadter(spec, 1.0 / 6.0)
+    assert H.dim > DENSE_DIM_LIMIT and not H.is_dense
+    view = H.data
+    assert scipy.sparse.issparse(view)
+    view.data[:] = 99.0
+    assert (H.data - build_landau_hofstadter(spec, 1.0 / 6.0).data).nnz == 0
+
+
+def test_dense_and_sparse_inputs_store_the_same_matrix():
+    H = build_qsh(LatticeSpec(n_x=4, l_min=-2, l_max=2, spin_dim=2), 0.05, 0.6)
+    dense = H.toarray()
+    for matrix in (dense, scipy.sparse.coo_matrix(dense), H.tocsr()):
+        stored = HamiltonianMatrix(H.spec, matrix).tocsr()
+        assert stored.has_canonical_format
+        assert (stored != H.tocsr()).nnz == 0
+    assert H.tocsr().nnz == np.count_nonzero(dense)
+    with pytest.raises(ValueError, match="dimension"):
+        HamiltonianMatrix(H.spec, dense[1:, 1:])
+
+
+def test_edge_map_memory_stays_bounded():
+    """A 20x201 build plus one edge map; a dense 20x201 ``H`` alone is 258 MB."""
+    spec = LatticeSpec(n_x=20, l_min=-100, l_max=100)
+    tracemalloc.start()
+    try:
+        H = build_landau_hofstadter(spec, 1.0 / 6.0)
+        grid = transmission_map(H, DecaySpec.uniform(0.2), -2.2, SiteIndex(0, 0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (20, 201)
+    assert peak < 64 * 2**20

@@ -15,7 +15,7 @@ from oamphoton.disorder import (
     saturating_oam_envelope,
 )
 from oamphoton.edge import EdgeRegion, Side, displacement_spectrum
-from oamphoton.hamiltonians import build_landau_hofstadter
+from oamphoton.hamiltonians import build_landau_hofstadter, build_qsh
 from oamphoton.lattice import Boundary, LatticeSpec
 from oamphoton.scattering import DecaySpec
 
@@ -166,6 +166,77 @@ def test_oam_scope_applies_envelope_at_link_midpoints(small_lattice):
             expected[dst, src] *= factor
             expected[src, dst] = np.conj(expected[dst, src])
     np.testing.assert_allclose(sample.toarray(), expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("scope", [DisorderScope.PER_CAVITY_LINK,
+                                   DisorderScope.PER_OAM_LINK])
+def test_spinful_base_matches_documented_draw_protocol(scope):
+    spec = LatticeSpec(n_x=5, l_min=-3, l_max=3, spin_dim=2,
+                       bc_x=Boundary.PERIODIC, bc_y=Boundary.PERIODIC)
+    H = build_qsh(spec, 0.05, 0.6)
+    per_oam = scope is DisorderScope.PER_OAM_LINK
+    model = DisorderModel(
+        sigma_detuning=0.1,
+        sigma_coupling_mag=0.05,
+        sigma_coupling_phase=0.07,
+        oam_envelope=saturating_oam_envelope if per_oam else None,
+        scope=scope,
+    )
+    sample = sample_disordered_hamiltonian(H, model, 31)
+
+    rng = np.random.Generator(np.random.Philox(key=31))
+    detuning = rng.standard_normal(spec.n_x)
+    links = (spec.n_x, spec.n_l) if per_oam else (spec.n_x,)
+    mag = rng.standard_normal(links)
+    phase = rng.standard_normal(links)
+    expected = H.toarray().copy()
+    expected[np.diag_indices(spec.dim)] += np.repeat(0.1 * detuning, 2 * spec.n_l)
+    for j in range(spec.n_x):
+        for il in range(spec.n_l):  # both axes periodic: every hop is a link
+            if per_oam:
+                envelope = saturating_oam_envelope(spec.l_min + il + 0.5)
+                link = (j, il)
+                dst = j * spec.n_l + (il + 1) % spec.n_l
+            else:
+                envelope, link = 1.0, j
+                dst = (j + 1) % spec.n_x * spec.n_l + il
+            factor = (1.0 + 0.05 * envelope * mag[link]) * np.exp(
+                1j * 0.07 * envelope * phase[link])
+            s, d = 2 * (j * spec.n_l + il), 2 * dst
+            expected[d:d + 2, s:s + 2] *= factor
+            expected[s:s + 2, d:d + 2] = expected[d:d + 2, s:s + 2].conj().T
+    np.testing.assert_allclose(sample.toarray(), expected, rtol=0, atol=1e-15)
+    assert sample.hermiticity_defect() == 0.0
+
+
+@pytest.mark.parametrize("spec, scope", [
+    (LatticeSpec(3, 0, 0, bc_y=Boundary.PERIODIC), DisorderScope.PER_OAM_LINK),
+    (LatticeSpec(3, 0, 1, spin_dim=2, bc_y=Boundary.PERIODIC),
+     DisorderScope.PER_OAM_LINK),
+    (LatticeSpec(1, -2, 2, bc_x=Boundary.PERIODIC), DisorderScope.PER_CAVITY_LINK),
+    (LatticeSpec(2, -2, 2, spin_dim=2, bc_x=Boundary.PERIODIC),
+     DisorderScope.PER_CAVITY_LINK),
+])
+def test_coupling_errors_on_a_short_ring_raise_before_drawing(spec, scope):
+    """On a periodic axis of length 1 or 2 a link is the diagonal, or two
+    links share one entry, so a link has no entry of its own."""
+    H = (build_landau_hofstadter(spec, 0.2) if spec.spin_dim == 1
+         else build_qsh(spec, 0.2, 0.6))
+    rng = np.random.Generator(np.random.Philox(key=4))
+    with pytest.raises(ValueError, match="at least 3"):
+        sample_disordered_hamiltonian(
+            H, DisorderModel(sigma_coupling_phase=0.1, scope=scope), rng)
+    fresh = np.random.Generator(np.random.Philox(key=4))
+    assert np.array_equal(rng.standard_normal(4), fresh.standard_normal(4))
+    # Detunings alone, and coupling errors on the other axis, are well defined.
+    other = (DisorderScope.PER_CAVITY_LINK if scope is DisorderScope.PER_OAM_LINK
+             else DisorderScope.PER_OAM_LINK)
+    for model in (DisorderModel(sigma_detuning=0.1, scope=scope),
+                  DisorderModel(sigma_coupling_mag=0.1, sigma_coupling_phase=0.3,
+                                scope=other)):
+        sample = sample_disordered_hamiltonian(H, model, 4)
+        assert sample.hermiticity_defect() == 0.0
+        assert not np.array_equal(sample.toarray(), H.toarray())
 
 
 def test_sample_stays_exactly_hermitian(small_lattice):

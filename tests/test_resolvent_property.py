@@ -2,12 +2,16 @@
 
 Hypothesis draws lattices of up to 6 cavities and OAM windows of up to 20
 values, scalar or spinful, open or periodic on either axis, with random
-Jones axes, uniform or per-mode loss, dense or CSR storage, sometimes a
+Jones axes, uniform or per-mode loss, dense or CSR input, sometimes a
 coupling that skips OAM slices, and ports on several slices.  The engine
-must reproduce the dense ``scipy.linalg.solve`` oracle, and scalar lattices
-must be reciprocal.  ``derandomize=True`` and fixed example counts keep the
-runs identical and short.
+must reproduce the dense ``scipy.linalg.solve`` oracle, scalar lattices
+must be reciprocal, bipartite zero-flux lattices must have a total
+spectrum symmetric under ``omega -> -omega``, and on commensurate tori the
+Landau and OAM gauges must give the same ``|T|``.  ``derandomize=True`` and
+fixed example counts keep the runs identical and short.
 """
+
+import dataclasses
 
 import numpy as np
 import scipy.linalg
@@ -22,8 +26,10 @@ from oamphoton.hamiltonians import (
     build_non_abelian,
     build_oam_gauge_hofstadter,
 )
-from oamphoton.lattice import Boundary, LatticeSpec
-from oamphoton.scattering import DecaySpec, Resolvent
+from oamphoton.lattice import (
+    Boundary, LatticeSpec, SiteIndex, column_of_index, l_of_index,
+)
+from oamphoton.scattering import DecaySpec, Resolvent, total_transmission_spectrum
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -127,3 +133,51 @@ def test_scalar_lattices_are_reciprocal(data):
     backward = Resolvent(builder(spec, -phi), decay).transmission(omega, every)
     np.testing.assert_allclose(forward, backward.T, rtol=0,
                                atol=1e-12 * np.abs(forward).max())
+
+
+@SETTINGS
+@given(data=st.data())
+def test_bipartite_zero_flux_spectrum_is_mirror_symmetric(data):
+    """Chiral symmetry ``S H S = -H`` with ``S = (-1)^(j+l)`` gives
+    ``G(-omega) = -S G(omega)^dagger S``; ``H`` is real, so ``G`` is
+    symmetric and the total power is even in ``omega``."""
+    spec = data.draw(lattices(spin_dims=(1,)))
+    for name, length in (("bc_x", spec.n_x), ("bc_y", spec.n_l)):
+        if length % 2:  # an odd ring is not bipartite
+            spec = dataclasses.replace(spec, **{name: Boundary.OPEN})
+    builder = data.draw(st.sampled_from([build_landau_hofstadter,
+                                         build_oam_gauge_hofstadter]))
+    H = builder(spec, 0.0)
+    decay = decays(data.draw, spec.dim)
+    inputs = [SiteIndex(j, l) for j, l in data.draw(st.lists(
+        st.tuples(st.integers(0, spec.n_x - 1),
+                  st.integers(spec.l_min, spec.l_max)), min_size=1, max_size=3))]
+    omegas = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3)))
+    grid = np.concatenate([omegas, -omegas])
+    power = total_transmission_spectrum(H, decay, inputs, grid)
+    np.testing.assert_allclose(power[omegas.size:], power[:omegas.size],
+                               rtol=1e-10, atol=0)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_gauges_agree_on_commensurate_tori(data):
+    """``H_oam = V H_landau V^dagger`` with ``V = diag(e^{-i 2 pi j l phi})``
+    when both torus lengths are multiples of the flux denominator ``q``."""
+    q = data.draw(st.integers(1, 4))
+    phi = data.draw(st.integers(-q, q)) / q
+    n_l = q * data.draw(st.integers(1, 2))
+    l_min = data.draw(st.integers(-n_l, 0))
+    spec = LatticeSpec(n_x=q * data.draw(st.integers(1, 2)), l_min=l_min,
+                       l_max=l_min + n_l - 1, bc_x=Boundary.PERIODIC,
+                       bc_y=Boundary.PERIODIC)
+    decay = decays(data.draw, spec.dim)
+    omega = data.draw(st.floats(-5.0, 5.0))
+    rows = data.draw(st.lists(st.integers(0, spec.dim - 1), min_size=1, max_size=4))
+    landau = Resolvent(build_landau_hofstadter(spec, phi), decay).transmission(omega, rows)
+    oam = Resolvent(build_oam_gauge_hofstadter(spec, phi), decay).transmission(omega, rows)
+    gauge = np.exp(-2j * np.pi * column_of_index(spec) * l_of_index(spec) * phi)
+    scale = np.abs(landau).max()
+    np.testing.assert_allclose(np.abs(oam), np.abs(landau), rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(oam, gauge[:, None] * landau * gauge[rows].conj(),
+                               rtol=0, atol=1e-12 * scale)
