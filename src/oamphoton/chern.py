@@ -55,6 +55,9 @@ DEFAULT_ZERO_TOL = 1e-3
 #: A computed invariant must sit within this distance of an integer.
 INTEGER_TOL = 1e-6
 
+#: Bands closer than this many machine epsilons of the largest energy touch.
+_ROUNDING_EPS = 64 * np.finfo(float).eps
+
 
 def _check_reduced_flux(p: int, q: int) -> None:
     if q < 1:
@@ -96,20 +99,27 @@ class MagneticBZGrid:
         return np.linspace(0.0, TWO_PI / self.q, self.n_ky, endpoint=False)
 
 
-def magnetic_bloch_hamiltonian(p: int, q: int, kx: float, ky: float) -> np.ndarray:
+def magnetic_bloch_hamiltonian(
+    p: int, q: int, kx: float | np.ndarray, ky: float | np.ndarray
+) -> np.ndarray:
     """The ``q x q`` Bloch Hamiltonian of the flux-``p/q`` square lattice.
 
     Component ``l_q`` sees the shifted cavity-axis dispersion
     ``-2*cos(kx + 2*pi*l_q*p/q)`` and hops to ``l_q +- 1`` (cyclically)
-    with amplitude ``-exp(+-i*ky)``.  Eigenvalues over the grid of
-    :class:`MagneticBZGrid` sweep out the ``q`` magnetic bands.
+    with amplitude ``-exp(+-i*ky)``.  ``kx`` and ``ky`` may be scalars or
+    arrays; they broadcast, and the matrices fill the last two axes.
+    Eigenvalues over the grid of :class:`MagneticBZGrid` sweep out the
+    ``q`` magnetic bands.
     """
     _check_reduced_flux(p, q)
-    m = np.zeros((q, q), dtype=complex)
-    for lq in range(q):
-        m[lq, lq] += -2.0 * np.cos(kx + TWO_PI * lq * p / q)
-        m[lq, (lq + 1) % q] += -np.exp(1j * ky)
-        m[(lq + 1) % q, lq] += -np.exp(-1j * ky)
+    kx = np.asarray(kx, dtype=float)[..., None]
+    ky = np.asarray(ky, dtype=float)[..., None]
+    lq = np.arange(q)
+    up = (lq + 1) % q
+    m = np.zeros(np.broadcast(kx, ky).shape[:-1] + (q, q), dtype=complex)
+    m[..., lq, lq] = -2.0 * np.cos(kx + TWO_PI * lq * p / q)
+    m[..., lq, up] += -np.exp(1j * ky)
+    m[..., up, lq] += -np.exp(-1j * ky)
     return m
 
 
@@ -133,33 +143,36 @@ class BlochBandData:
 
 def band_structure(grid: MagneticBZGrid) -> BlochBandData:
     """Diagonalize the Bloch Hamiltonian on every grid point."""
-    p, q = grid.p, grid.q
-    kx = grid.kx_values[:, None]
-    ky = grid.ky_values[None, :]
-    blocks = np.zeros((grid.n_kx, grid.n_ky, q, q), dtype=complex)
-    for lq in range(q):
-        blocks[:, :, lq, lq] += -2.0 * np.cos(kx + TWO_PI * lq * p / q)
-        blocks[:, :, lq, (lq + 1) % q] += -np.exp(1j * ky)
-        blocks[:, :, (lq + 1) % q, lq] += -np.exp(-1j * ky)
+    blocks = magnetic_bloch_hamiltonian(
+        grid.p, grid.q, grid.kx_values[:, None], grid.ky_values[None, :]
+    )
     evals, evecs = np.linalg.eigh(blocks)
     energies = np.moveaxis(evals, -1, 0)
     vectors = np.moveaxis(evecs, -1, 0)
     return BlochBandData(grid=grid, energies=energies, vectors=vectors)
 
 
+def _gap(data: BlochBandData, m: int) -> tuple[float, float] | None:
+    """``(top of band m, bottom of band m+1)``, or None where they touch.
+
+    Bands separated by no more than rounding (a small multiple of the
+    machine epsilon times the largest energy, the accuracy of ``eigh``)
+    touch: at flux 1/2 the two bands meet at E = 0, sampled as +-1e-16.
+    """
+    lo = float(data.energies[m].max())
+    hi = float(data.energies[m + 1].min())
+    rounding = _ROUNDING_EPS * float(np.abs(data.energies).max())
+    return (lo, hi) if hi - lo > rounding else None
+
+
 def band_gaps(data: BlochBandData) -> list[tuple[float, float]]:
-    """Open energy intervals between consecutive bands (empty gaps omitted).
+    """Open energy intervals between consecutive bands (touching omitted).
 
     Returns ``(top of band m, bottom of band m+1)`` for every ``m`` where
-    that interval is nonempty, in ascending order.
+    that interval is wider than rounding, in ascending order.
     """
-    gaps = []
-    for m in range(data.q - 1):
-        lo = float(data.energies[m].max())
-        hi = float(data.energies[m + 1].min())
-        if hi > lo:
-            gaps.append((lo, hi))
-    return gaps
+    gaps = (_gap(data, m) for m in range(data.q - 1))
+    return [gap for gap in gaps if gap is not None]
 
 
 def _normalize_bands(bands: int | Sequence[int], q: int) -> tuple[int, ...]:
@@ -231,10 +244,13 @@ class BZPartition:
 
     ``B1`` is the set of kx grid columns from ``column_lo`` to ``column_hi``
     inclusive, walking in the +kx direction on the kx circle (the slab may
-    wrap through the zone edge); ``B2`` is the complement.  Inside ``B1``
-    the first vector component must never vanish, and on ``B2`` the
-    reference component ``reference_component`` must stay away from zero --
-    :func:`phase_mismatch_chern` validates both before using the partition.
+    wrap through the zone edge); ``B2`` is the complement.  A valid
+    partition has a slab of at least two columns; the zeros of the first
+    vector component lie strictly inside ``B2``; the reference component
+    ``reference_component`` stays away from zero on ``B2``; and both stay
+    clear of zero on the two slab boundary columns.
+    :func:`phase_mismatch_chern` validates a supplied partition, and
+    :func:`auto_partition` returns only partitions that pass the same check.
 
     A ``trivial`` partition (``B2`` empty) records that the first component
     never vanishes anywhere, which fixes a smooth global phase choice and
@@ -305,46 +321,45 @@ def _refined_component_minima(
     """
     p, q = data.grid.p, data.grid.q
     field = np.abs(data.vectors[m][:, :, component])
-    n_kx, n_ky = field.shape
     kxs, kys = data.grid.kx_values, data.grid.ky_values
+    shifts = [(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1) if (da, db) != (0, 0)]
+    lowest_neighbor = np.min([np.roll(field, s, axis=(0, 1)) for s in shifts], axis=0)
+    candidates = np.argwhere(
+        (field < REFINE_CANDIDATE_LEVEL) & (field <= lowest_neighbor)
+    )
 
     def magnitude(k: np.ndarray) -> float:
         _, vecs = np.linalg.eigh(magnetic_bloch_hamiltonian(p, q, k[0], k[1]))
         return float(np.abs(vecs[component, m]))
 
     found: list[tuple[float, float, float]] = []
-    for a in range(n_kx):
-        for b in range(n_ky):
-            if field[a, b] >= REFINE_CANDIDATE_LEVEL:
-                continue
-            neighbors = [
-                field[(a + da) % n_kx, (b + db) % n_ky]
-                for da in (-1, 0, 1)
-                for db in (-1, 0, 1)
-                if (da, db) != (0, 0)
-            ]
-            if field[a, b] > min(neighbors):
-                continue
-            result = minimize(
-                magnitude,
-                np.array([kxs[a], kys[b]]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-14},
-            )
-            kx = float((result.x[0] + np.pi) % TWO_PI - np.pi)
-            ky = float(result.x[1])
-            if all(
-                abs(kx - ox) > 1e-4 or abs(ky - oy) > 1e-4 for ox, oy, _ in found
-            ):
-                found.append((kx, ky, float(result.fun)))
+    for a, b in candidates:
+        result = minimize(
+            magnitude,
+            np.array([kxs[a], kys[b]]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-14},
+        )
+        kx = float((result.x[0] + np.pi) % TWO_PI - np.pi)
+        ky = float(result.x[1])
+        if all(abs(kx - ox) > 1e-4 or abs(ky - oy) > 1e-4 for ox, oy, _ in found):
+            found.append((kx, ky, float(result.fun)))
     return found
 
 
-def _columns_covering_kx(kx: float, grid: MagneticBZGrid) -> tuple[int, int]:
-    """The two grid columns bounding the cell that contains ``kx``."""
-    step = TWO_PI / grid.n_kx
-    a = int(np.floor((kx + np.pi) / step)) % grid.n_kx
-    return a, (a + 1) % grid.n_kx
+def _zero_columns(data: BlochBandData, m: int, zero_tol: float) -> np.ndarray:
+    """Mask of the kx columns touched by a zero of the first component.
+
+    A column is touched if the sampled magnitude dips below ``zero_tol`` in
+    it, or if it bounds the grid cell holding a refined off-grid zero.
+    """
+    touched = _component_minima(data.vectors[m], 0) < zero_tol
+    step = TWO_PI / data.grid.n_kx
+    for kx, _, value in _refined_component_minima(data, m, 0):
+        if value < zero_tol:
+            a = int(np.floor((kx + np.pi) / step))
+            touched[[a % data.grid.n_kx, (a + 1) % data.grid.n_kx]] = True
+    return touched
 
 
 def _arc_contains(kx: float, lo: float, hi: float) -> bool:
@@ -352,30 +367,17 @@ def _arc_contains(kx: float, lo: float, hi: float) -> bool:
     return (kx - lo) % TWO_PI <= (hi - lo) % TWO_PI
 
 
-def _refined_floor(
-    data: BlochBandData,
-    m: int,
-    component: int,
-    complement: np.ndarray,
-    refined: list[tuple[float, float, float]],
-) -> float:
-    """Smallest component magnitude over the closed complement region.
-
-    Combines the sampled minimum over the complement columns with any
-    refined off-grid minima whose kx falls within the complement arc
-    (widened by half a cell, since the gauge must stay smooth up to the
-    region boundary).
-    """
-    u = data.vectors[m]
-    floor = float(_component_minima(u[complement], component).min())
-    half_step = np.pi / data.grid.n_kx
-    kxs = data.grid.kx_values
-    lo = kxs[complement[0]] - half_step
-    hi = kxs[complement[-1]] + half_step
-    for kx, _, value in refined:
-        if _arc_contains(kx, lo, hi):
-            floor = min(floor, value)
-    return floor
+def _single_band(data: BlochBandData, band: int | Sequence[int]) -> int:
+    """The index of one band isolated from its neighbors by a gap."""
+    bands = _normalize_bands(band, data.q)
+    if len(bands) != 1:
+        raise ValueError("the phase-mismatch route handles one band at a time")
+    m = bands[0]
+    if m > 0 and _gap(data, m - 1) is None:
+        raise ValueError(f"band {m} touches band {m - 1}; treat them as a multiplet")
+    if m < data.q - 1 and _gap(data, m) is None:
+        raise ValueError(f"band {m} touches band {m + 1}; treat them as a multiplet")
+    return m
 
 
 def auto_partition(
@@ -385,123 +387,84 @@ def auto_partition(
 ) -> BZPartition:
     """Choose a valid kx-slab partition for one band automatically.
 
-    True zeros of the first vector component are located by refining
-    grid-local minima off-grid; ``B2`` is the smallest wrapping kx-arc
-    containing every column touched by a zero plus a one-column margin on
-    each side, and ``B1`` is the rest.  The reference component is the one
-    whose refined magnitude floor over ``B2`` is largest.  Raises if the
-    band is not isolated, if the zero columns leave no room for a slab, or
-    if every candidate reference component itself vanishes somewhere on
-    ``B2`` (as happens for bands whose component zeros interlock across
-    the zone -- those bands admit no slab partition at all).
+    ``B1`` is the longest wrapping kx-arc of columns untouched by zeros of
+    the first component (sampled or refined off-grid), less a one-column
+    margin on each side; with no zero at all the partition is trivial.
+    Reference components are tried in descending order of their sampled
+    magnitude floor over ``B2``, and the first partition that the
+    validator of :func:`phase_mismatch_chern` accepts is returned.  Raises
+    if the band is not isolated, if every kx column is touched by a zero,
+    or if no candidate is valid (as happens for bands whose component
+    zeros interlock across the zone -- those admit no slab partition).
     """
-    q = data.q
-    bands = _normalize_bands(band, q)
-    if len(bands) != 1:
-        raise ValueError("the phase-mismatch route handles one band at a time")
-    m = bands[0]
-    _require_isolated(data, m)
-    u = data.vectors[m]
+    m = _single_band(data, band)
+    zero_columns = _zero_columns(data, m, zero_tol)
     n_kx = data.grid.n_kx
-    zeros0 = [
-        t for t in _refined_component_minima(data, m, 0) if t[2] < zero_tol
-    ]
-    bad = _component_minima(u, 0) < zero_tol
-    for kx, _, _ in zeros0:
-        a, b = _columns_covering_kx(kx, data.grid)
-        bad[a] = bad[b] = True
-    if not bad.any():
-        return BZPartition(
-            column_lo=0, column_hi=n_kx - 1, reference_component=0, trivial=True
-        )
+    if not zero_columns.any():
+        candidates = [BZPartition(0, n_kx - 1, reference_component=0, trivial=True)]
+    else:
+        clear_lo, clear_hi = _longest_clear_arc(zero_columns)
+        lo, hi = (clear_lo + 1) % n_kx, (clear_hi - 1) % n_kx
+        complement = BZPartition(lo, hi, 0).complement_columns(n_kx)
+        floors = np.abs(data.vectors[m][complement]).min(axis=(0, 1), initial=np.inf)
+        order = sorted(range(data.q), key=lambda c: -floors[c])
+        candidates = [BZPartition(lo, hi, reference_component=lq) for lq in order]
+    reasons = []
+    for partition in candidates:
+        try:
+            _validate_partition(data, m, partition, zero_tol, zero_columns)
+            return partition
+        except ValueError as exc:
+            reasons.append(str(exc))
+    raise ValueError(
+        f"no valid slab partition for band {m}, so the phase-mismatch route "
+        "cannot evaluate it (its plaquette-sum invariant is still available); "
+        f"with reference component {candidates[0].reference_component}: {reasons[0]}"
+    )
+
+
+def _longest_clear_arc(bad: np.ndarray) -> tuple[int, int]:
+    """First and last index of the longest run of False on the circle.
+
+    Ties go to the run that starts first; a mask with no False raises.
+    """
     if bad.all():
         raise ValueError(
             "the first vector component reaches zero in every kx column; "
             "no slab partition exists for this band"
         )
-    good_lo, good_hi = _longest_clear_arc(bad)
-    # One-column margin: the slab keeps clear of the zero columns.
-    column_lo = (good_lo + 1) % n_kx
-    column_hi = (good_hi - 1) % n_kx
-    slab_span = (column_hi - column_lo) % n_kx + 1
-    if (good_hi - good_lo) % n_kx + 1 < 4 or slab_span < 2:
-        raise ValueError(
-            "zero columns of the first component are too dense along kx; "
-            "no slab with a one-column margin fits between them"
-        )
-    partition = BZPartition(
-        column_lo=column_lo, column_hi=column_hi, reference_component=0
-    )
-    complement = partition.complement_columns(n_kx)
-    sampled_floors = [
-        float(_component_minima(u[complement], lq).min()) for lq in range(q)
-    ]
-    # Try components in order of their sampled floor; accept the first whose
-    # refined floor over the closed complement clears the zero threshold.
-    for lq in sorted(range(q), key=lambda c: -sampled_floors[c]):
-        if sampled_floors[lq] <= zero_tol:
-            break
-        refined = _refined_component_minima(data, m, lq)
-        if _refined_floor(data, m, lq, complement, refined) > zero_tol:
-            return BZPartition(
-                column_lo=column_lo, column_hi=column_hi, reference_component=lq
-            )
-    raise ValueError(
-        "no component stays clear of zero over the slab complement; the "
-        "component zeros of this band interlock across the zone, so no slab "
-        "partition exists (its plaquette-sum invariant is still available)"
-    )
-
-
-def _longest_clear_arc(bad: np.ndarray) -> tuple[int, int]:
-    """First and last index of the longest run of False on the circle."""
     n = bad.size
-    ext = np.concatenate([bad, bad])
-    best = None
-    start = None
-    for i in range(2 * n):
-        if not ext[i]:
-            if start is None:
-                start = i
-            if i == 2 * n - 1 and start is not None and start < n:
-                run = (start, i)
-                if best is None or run[1] - run[0] > best[1] - best[0]:
-                    best = run
-        else:
-            if start is not None and start < n:
-                run = (start, i - 1)
-                if best is None or run[1] - run[0] > best[1] - best[0]:
-                    best = run
-            start = None
-    assert best is not None  # bad.all() was excluded by the caller
-    lo, hi = best
-    return lo % n, hi % n
-
-
-def _require_isolated(data: BlochBandData, m: int) -> None:
-    e = data.energies
-    if m > 0 and e[m].min() - e[m - 1].max() <= 0:
-        raise ValueError(f"band {m} touches band {m - 1}; treat them as a multiplet")
-    if m < data.q - 1 and e[m + 1].min() - e[m].max() <= 0:
-        raise ValueError(f"band {m} touches band {m + 1}; treat them as a multiplet")
+    # Runs of the doubled mask that start in the first copy cover every
+    # run on the circle, wrapping ones included.
+    edges = np.diff(np.concatenate([[1], np.tile(bad, 2), [1]]).astype(int))
+    starts = np.flatnonzero(edges == -1)
+    ends = np.flatnonzero(edges == 1) - 1
+    first = starts < n
+    starts, ends = starts[first], ends[first]
+    best = int(np.argmax(ends - starts))
+    return int(starts[best]) % n, int(ends[best]) % n
 
 
 def _validate_partition(
-    data: BlochBandData, m: int, partition: BZPartition, zero_tol: float
+    data: BlochBandData,
+    m: int,
+    partition: BZPartition,
+    zero_tol: float,
+    zero_columns: np.ndarray,
 ) -> None:
-    """Check the partition invariants for one band, with refined zeros."""
+    """Check the partition invariants for one band, with refined zeros.
+
+    ``zero_columns`` is the mask of :func:`_zero_columns` for band ``m``.
+    This is the one definition of a valid partition.
+    """
     u = data.vectors[m]
     n_kx = data.grid.n_kx
     q = data.q
-    if not 0 <= partition.reference_component < q:
-        raise ValueError(
-            f"reference component {partition.reference_component} out of range for q={q}"
-        )
-    zeros0 = [
-        t for t in _refined_component_minima(data, m, 0) if t[2] < zero_tol
-    ]
+    ref = partition.reference_component
+    if not 0 <= ref < q:
+        raise ValueError(f"reference component {ref} out of range for q={q}")
     if partition.trivial:
-        if zeros0 or (_component_minima(u, 0) < zero_tol).any():
+        if zero_columns.any():
             raise ValueError(
                 "trivial partition invalid: the first component has zeros"
             )
@@ -510,30 +473,36 @@ def _validate_partition(
     complement = partition.complement_columns(n_kx)
     if complement.size == 0:
         raise ValueError("partition complement is empty but not marked trivial")
-    bad = set(np.where(_component_minima(u, 0) < zero_tol)[0].tolist())
-    for kx, _, _ in zeros0:
-        a, b = _columns_covering_kx(kx, data.grid)
-        bad.update((a, b))
-    interior = set(complement[1:-1].tolist())
-    if not bad <= interior:
+    if slab.size < 2:
+        raise ValueError("the slab must span at least two kx columns")
+    offending = np.setdiff1d(np.flatnonzero(zero_columns), complement[1:-1])
+    if offending.size:
         raise ValueError(
             "zeros of the first vector component must lie strictly inside the "
-            f"slab complement; offending kx columns: {sorted(bad - interior)}"
+            f"slab complement; offending kx columns: {offending.tolist()}"
         )
-    refined = _refined_component_minima(data, m, partition.reference_component)
-    ref_floor = _refined_floor(
-        data, m, partition.reference_component, complement, refined
-    )
+    ref_floor = float(_component_minima(u[complement], ref).min())
+    if ref_floor > zero_tol:
+        # The samples clear the threshold; a zero may still hide between
+        # them.  The complement arc is widened by half a cell, since the
+        # gauge must stay smooth up to the region boundary.
+        half_step = np.pi / n_kx
+        kxs = data.grid.kx_values
+        lo = kxs[complement[0]] - half_step
+        hi = kxs[complement[-1]] + half_step
+        for kx, _, value in _refined_component_minima(data, m, ref):
+            if _arc_contains(kx, lo, hi):
+                ref_floor = min(ref_floor, value)
     if ref_floor <= zero_tol:
         raise ValueError(
-            f"reference component {partition.reference_component} reaches "
-            f"{ref_floor:.2e} on the slab complement (threshold {zero_tol:.1e}); "
-            "choose a different reference component or slab"
+            f"reference component {ref} reaches {ref_floor:.2e} on the slab "
+            f"complement (threshold {zero_tol:.1e}); choose a different "
+            "reference component or slab"
         )
     # The windings are evaluated on the slab boundary columns, so both gauge
     # references must be clear of zero there as well.
     for col in (slab[0], slab[-1]):
-        for comp in (0, partition.reference_component):
+        for comp in (0, ref):
             floor = np.abs(u[col, :, comp]).min()
             if floor <= zero_tol:
                 raise ValueError(
@@ -565,6 +534,19 @@ def _column_winding(column: np.ndarray, reference: int, q: int) -> float:
     return float((steps.sum() + TWO_PI * reference / q) / TWO_PI)
 
 
+def _winding_difference(
+    vectors: np.ndarray, column_lo: int, column_hi: int, reference: int, q: int
+) -> int:
+    """Invariant of the slab between two kx columns of ``vectors[kx, ky, :]``.
+
+    The mismatch winding along the +kx-side boundary minus the one along
+    the -kx-side boundary.
+    """
+    w_hi = _column_winding(vectors[column_hi], reference, q)
+    w_lo = _column_winding(vectors[column_lo], reference, q)
+    return _as_integer(w_hi - w_lo, "gauge-mismatch winding difference")
+
+
 def phase_mismatch_chern(
     data: BlochBandData,
     band: int,
@@ -580,23 +562,19 @@ def phase_mismatch_chern(
     omitted one is constructed by :func:`auto_partition`; a supplied
     partition is validated first.
     """
-    bands = _normalize_bands(band, data.q)
-    if len(bands) != 1:
-        raise ValueError("the phase-mismatch route handles one band at a time")
-    m = bands[0]
+    m = _single_band(data, band)
     if partition is None:
         partition = auto_partition(data, m, zero_tol)
     else:
-        _require_isolated(data, m)
-        _validate_partition(data, m, partition, zero_tol)
+        _validate_partition(
+            data, m, partition, zero_tol, _zero_columns(data, m, zero_tol)
+        )
     if partition.trivial:
         return 0
-    u = data.vectors[m]
     slab = partition.slab_columns(data.grid.n_kx)
-    q = data.q
-    w_hi = _column_winding(u[slab[-1]], partition.reference_component, q)
-    w_lo = _column_winding(u[slab[0]], partition.reference_component, q)
-    return _as_integer(w_hi - w_lo, "gauge-mismatch winding difference")
+    return _winding_difference(
+        data.vectors[m], slab[0], slab[-1], partition.reference_component, data.q
+    )
 
 
 @dataclass(frozen=True)
@@ -629,9 +607,9 @@ class TransmissionBloch:
         the slab (chosen from ideal band data or prior knowledge of where
         the first component vanishes).
         """
-        w_hi = self.column_winding(column_hi, reference_component)
-        w_lo = self.column_winding(column_lo, reference_component)
-        return _as_integer(w_hi - w_lo, "gauge-mismatch winding difference")
+        return _winding_difference(
+            self.vectors, column_lo, column_hi, reference_component, self.q
+        )
 
 
 def bloch_from_transmission(

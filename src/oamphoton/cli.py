@@ -39,7 +39,13 @@ from .chern import (
     fukui_hatsugai_chern,
     phase_mismatch_chern,
 )
-from .disorder import DisorderModel, DisorderScope, displacement_robustness, saturating_oam_envelope
+from .disorder import (
+    DisorderModel,
+    DisorderScope,
+    _check_coupling_axis,
+    displacement_robustness,
+    saturating_oam_envelope,
+)
 from .edge import EdgeRegion, Side, displacement_spectrum, transmission_map
 from .hamiltonians import (
     build_dirac,
@@ -700,6 +706,11 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
         resolved["region"] = _parse_region(raw, spec, diags)
         resolved["disorder"] = (_parse_disorder(raw, diags)
                                 if "disorder" in raw else None)
+        if spec is not None and resolved["disorder"] is not None:
+            try:
+                _check_coupling_axis(spec, resolved["disorder"]["model"])
+            except ValueError as exc:
+                _fatal(diags, "disorder", str(exc))
         if spec is not None and not spec.l_min <= 0 <= spec.l_max:
             _fatal(diags, "lattice", "probes enter at OAM 0, outside the window")
 
@@ -918,17 +929,20 @@ def _run_qsh(res: dict, threads: int):
     spec, model, block = res["spec"], res["model"], res["qsh"]
     betas = block["beta0_values"]
     target = block["energy_target"]
-    reports = qsh_gap_scan(spec, model["lambda0"], betas, target)
-    rows = [(r.beta0, r.e_low, r.e_high, r.width) for r in reports]
-    header = ("beta0", "gap_low", "gap_high", "gap_width")
     results: dict = {"energy_target": target}
+    reports = None
     if len(betas) >= 3 and all(b2 > b1 for b1, b2 in zip(betas, betas[1:])):
         try:
             estimate = transition_detector(spec, model["lambda0"], betas, target)
             results["transition_beta0"] = float(estimate.beta0)
             results["transition_uncertainty"] = float(estimate.uncertainty)
+            reports = estimate.reports
         except ValueError as exc:
             results["transition_error"] = str(exc)
+    if reports is None:  # no estimate, so no scan to reuse
+        reports = qsh_gap_scan(spec, model["lambda0"], betas, target)
+    rows = [(r.beta0, r.e_low, r.e_high, r.width) for r in reports]
+    header = ("beta0", "gap_low", "gap_high", "gap_width")
     return [("qsh.csv", "csv", (header, rows))], results
 
 

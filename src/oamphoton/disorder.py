@@ -218,20 +218,34 @@ def _link_entries(spec: LatticeSpec, scope: DisorderScope, rows: np.ndarray,
     j_r, il_r = np.divmod(rows // spec.spin_dim, spec.n_l)
     j_c, il_c = np.divmod(cols // spec.spin_dim, spec.n_l)
     if scope is DisorderScope.PER_CAVITY_LINK:
-        axis, length, bc = "cavity", spec.n_x, spec.bc_x
+        length, bc = spec.n_x, spec.bc_x
         same, step, link = il_r == il_c, j_r - j_c, j_c
     else:
-        axis, length, bc = "OAM", spec.n_l, spec.bc_y
+        length, bc = spec.n_l, spec.bc_y
         same, step, link = j_r == j_c, il_r - il_c, j_c * spec.n_l + il_c
     back = -1
     if bc is Boundary.PERIODIC:
-        if length < 3:
-            raise ValueError(
-                f"coupling errors need a periodic {axis} axis of at least 3 "
-                f"sites, got {length}: its links share matrix entries"
-            )
         step, back = step % length, length - 1
     return same & (step == 1), same & (step == back), link
+
+
+def _check_coupling_axis(spec: LatticeSpec, model: DisorderModel) -> None:
+    """Reject coupling errors on a periodic perturbed axis shorter than 3.
+
+    There a link is the diagonal (one site) or shares its matrix entry with
+    the link back (two sites), so one link's error has no entry of its own.
+    """
+    if model.sigma_coupling_mag == 0.0 and model.sigma_coupling_phase == 0.0:
+        return
+    if model.scope is DisorderScope.PER_CAVITY_LINK:
+        axis, length, bc = "cavity", spec.n_x, spec.bc_x
+    else:
+        axis, length, bc = "OAM", spec.n_l, spec.bc_y
+    if bc is Boundary.PERIODIC and length < 3:
+        raise ValueError(
+            f"coupling errors need a periodic {axis} axis of at least 3 "
+            f"sites, got {length}: its links share matrix entries"
+        )
 
 
 def sample_disordered_hamiltonian(
@@ -257,6 +271,7 @@ def sample_disordered_hamiltonian(
     """
     H = _resolve_base(base)
     spec = H.spec
+    _check_coupling_axis(spec, model)
     entries = H.tocsr().tocoo()
     rows, cols, values = entries.row, entries.col, entries.data
     coupled = model.sigma_coupling_mag > 0.0 or model.sigma_coupling_phase > 0.0

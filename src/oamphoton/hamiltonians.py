@@ -123,10 +123,6 @@ class GaugeConfig:
     ``l -> l+1`` inside cavity ``j`` carry
     ``exp(i*2*pi*(phi_y(j) + beta(j) * sigma.axis2))``; every mode of
     cavity ``j`` is detuned by ``onsite(j)``.
-
-    ``flux`` optionally records a rational flux per plaquette ``p/q``
-    (stored reduced); it is carried for bookkeeping (validation, Bloch
-    analysis), not applied implicitly by the builders.
     """
 
     phi_x: float = 0.0
@@ -136,11 +132,6 @@ class GaugeConfig:
     axis1: SpinAxis = SpinAxis.x()
     axis2: SpinAxis = SpinAxis.z()
     onsite: Mapping[int, float] | Callable[[int], float] | float | None = None
-    flux: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if self.flux is not None and not isinstance(self.flux, Fraction):
-            object.__setattr__(self, "flux", Fraction(self.flux))
 
 
 @dataclass(frozen=True, init=False, eq=False)

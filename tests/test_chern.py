@@ -135,6 +135,15 @@ def test_band_gaps_q3(data_by_q):
     assert np.allclose(centers, [-1.366, 1.366], atol=5e-3)
 
 
+def test_half_flux_bands_touch_at_rounding_level():
+    # The two bands meet at E = 0, sampled as -1.5e-16 and 0.0: that is
+    # rounding, not a gap, so neither band is isolated.
+    data = band_structure(MagneticBZGrid(1, 2))
+    assert band_gaps(data) == []
+    with pytest.raises(ValueError, match="band 0 touches band 1"):
+        phase_mismatch_chern(data, 0)
+
+
 def test_fukui_q3_band_values(data_by_q):
     data = data_by_q[(1, 3)]
     values = [fukui_hatsugai_chern(data, m) for m in range(3)]

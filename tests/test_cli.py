@@ -16,7 +16,7 @@ from oamphoton import (
     build_landau_hofstadter,
     total_transmission_spectrum,
 )
-from oamphoton import cli
+from oamphoton import cli, qsh
 from oamphoton.cli import (
     ConfigError,
     ExperimentConfig,
@@ -283,6 +283,24 @@ def test_all_zero_disorder_warns():
                for d in warnings(cfg))
 
 
+def test_coupling_disorder_on_a_short_oam_ring_fails_validation(tmp_path):
+    cfg = {
+        "kind": "disorder",
+        "lattice": {"n_x": 8, "l_min": 0, "l_max": 1, "bc_y": "periodic"},
+        "model": {"builder": "landau", "phi0": [1, 2]},
+        "decay": {"gamma": 0.2},
+        "omega": {"values": [-1.0]},
+        "disorder": {"sigma_coupling_phase": 0.1, "scope": "per_oam_link",
+                     "trials": 2},
+    }
+    found = fatals(cfg)
+    assert [d.path for d in found] == ["disorder"]
+    assert "periodic OAM axis of at least 3" in found[0].message
+    path = write_config(tmp_path, cfg)
+    assert main(["disorder", "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--validate-only"]) == 2
+
+
 def test_seed_warning_for_deterministic_kind():
     cfg = spectrum_config(seed=3)
     assert fatals(cfg) == []
@@ -531,6 +549,26 @@ def test_qsh_run_finds_transition(tmp_path):
     assert widths[0.0] > 0.3
     assert widths[0.075] < 0.05
     assert widths[0.125] > 0.2
+
+
+def test_qsh_run_scans_each_beta_once(tmp_path, monkeypatch):
+    calls = []
+    levels = qsh._torus_levels
+    monkeypatch.setattr(qsh, "_torus_levels",
+                        lambda *args: calls.append(args) or levels(*args))
+    betas = [0.0, 0.025, 0.05, 0.075, 0.1, 0.125]
+    cfg = {
+        "kind": "qsh",
+        "lattice": {"n_x": 8, "l_min": -20, "l_max": 20, "spin_dim": 2,
+                    "bc_y": "periodic"},
+        "model": {"builder": "qsh", "lambda0": 0.6},
+        "qsh": {"beta0_values": betas},
+    }
+    out = run_cli(tmp_path, cfg)
+    assert len(calls) == len(betas)
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["results"]["transition_beta0"] == pytest.approx(0.075)
+    assert len((out / "qsh.csv").read_text().splitlines()) == 1 + len(betas)
 
 
 def test_dispersion_check_outputs(tmp_path):
