@@ -404,6 +404,14 @@ def auto_partition(
         candidates = [BZPartition(0, n_kx - 1, reference_component=0, trivial=True)]
     else:
         clear_lo, clear_hi = _longest_clear_arc(zero_columns)
+        clear = (clear_hi - clear_lo) % n_kx + 1
+        if clear - 2 < 2:
+            raise ValueError(
+                f"zeros of the first vector component leave band {m} a clear "
+                f"kx-arc of only {clear} columns; less a one-column margin on "
+                "each side, that is below the two-column slab minimum (refine "
+                "the kx grid)"
+            )
         lo, hi = (clear_lo + 1) % n_kx, (clear_hi - 1) % n_kx
         complement = BZPartition(lo, hi, 0).complement_columns(n_kx)
         floors = np.abs(data.vectors[m][complement]).min(axis=(0, 1), initial=np.inf)

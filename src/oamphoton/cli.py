@@ -56,7 +56,7 @@ from .hamiltonians import (
 from .lattice import Boundary, LatticeSpec, SiteIndex, flat_index
 from .optics import OpticalParams, bloch_dispersion, coupling_strength
 from .qsh import qsh_gap_scan, transition_detector
-from .scattering import DecaySpec, total_transmission_spectrum
+from .scattering import DecaySpec, butterfly_scan, total_transmission_spectrum
 from . import __version__
 
 __all__ = [
@@ -72,18 +72,6 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-EXPERIMENT_KINDS = (
-    "spectrum",
-    "butterfly",
-    "edge-map",
-    "displacement",
-    "chern",
-    "bands",
-    "disorder",
-    "qsh",
-    "dispersion-check",
-)
-
 _UNIVERSAL_KEYS = {"kind", "seed", "out_dir"}
 
 #: Per kind: (required top-level blocks, optional top-level blocks).
@@ -92,14 +80,23 @@ _KIND_KEYS: dict[str, tuple[set[str], set[str]]] = {
     "butterfly": ({"lattice", "decay", "omega"}, {"butterfly"}),
     "edge-map": ({"lattice", "model", "decay", "omega"}, {"input"}),
     "displacement": ({"lattice", "model", "decay", "omega"}, {"region", "disorder"}),
-    "disorder": ({"lattice", "model", "decay", "omega", "disorder"}, {"region"}),
     "chern": ({"model"}, {"sampling"}),
     "bands": ({"model"}, {"sampling"}),
+    "disorder": ({"lattice", "model", "decay", "omega", "disorder"}, {"region"}),
     "qsh": ({"lattice", "model", "qsh"}, set()),
     "dispersion-check": ({"optics"}, set()),
 }
 
-_BUILDERS = ("landau", "oam-gauge", "dirac", "qsh")
+EXPERIMENT_KINDS = tuple(_KIND_KEYS)
+
+#: Builder name -> (spin_dim, lattice axis its gauge phase winds along,
+#: build).  The builds look ``build_*`` up in this module at call time.
+_BUILDERS = {
+    "landau": (1, "x", lambda spec, m: build_landau_hofstadter(spec, m["phi0"])),
+    "oam-gauge": (1, "y", lambda spec, m: build_oam_gauge_hofstadter(spec, m["phi0"])),
+    "dirac": (2, "x", lambda spec, m: build_dirac(spec, m["phi0"])),
+    "qsh": (2, "x", lambda spec, m: build_qsh(spec, m["beta0"], m["lambda0"])),
+}
 
 #: Kinds whose results depend on the seed.
 _SEEDED_KINDS = ("displacement", "disorder")
@@ -139,18 +136,24 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict, *, seed_override: int | None = None
                   ) -> "ExperimentConfig":
-        """Validate ``raw`` and resolve it; raise :class:`ConfigError` on fatals."""
-        diagnostics, resolved = _resolve(raw)
+        """Validate ``raw`` and resolve it; raise :class:`ConfigError` on fatals.
+
+        ``seed_override``, if given, replaces the config's seed.
+        """
+        raw = _with_seed(raw, seed_override)
+        return cls._from_resolved(raw, *_resolve(raw))
+
+    @classmethod
+    def _from_resolved(cls, raw: dict, diagnostics: list[Diagnostic],
+                       resolved: dict) -> "ExperimentConfig":
         fatal = [d for d in diagnostics if d.level == "fatal"]
         if fatal:
             raise ConfigError(fatal)
-        seed = seed_override if seed_override is not None else resolved["seed"]
         echo = copy.deepcopy(raw)
-        echo["seed"] = seed
-        resolved = dict(resolved, seed=seed)
+        echo["seed"] = resolved["seed"]
         return cls(
             kind=raw["kind"],
-            seed=seed,
+            seed=resolved["seed"],
             out_dir=raw.get("out_dir"),
             echo=echo,
             resolved=resolved,
@@ -193,6 +196,11 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 
 
+def _with_seed(raw, seed: int | None):
+    """``raw`` with its seed replaced by ``seed``, where one is given."""
+    return dict(raw, seed=seed) if seed is not None and isinstance(raw, dict) else raw
+
+
 def _fatal(diags: list[Diagnostic], path: str, message: str) -> None:
     diags.append(Diagnostic("fatal", path, message))
 
@@ -201,401 +209,324 @@ def _warn(diags: list[Diagnostic], path: str, message: str) -> None:
     diags.append(Diagnostic("warning", path, message))
 
 
+def _make(diags: list[Diagnostic], path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError becomes a fatal at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        _fatal(diags, path, str(exc))
+        return None
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _get_number(block: dict, key: str, path: str, diags, *,
-                required: bool = False, default=None):
-    if key not in block:
-        if required:
-            _fatal(diags, _join(path, key), "required key missing")
-        return default
-    value = block[key]
+# Readers turn one config value into its parsed form or raise ValueError
+# with the diagnostic message.
+
+
+def _number(value) -> float:
     if not _is_number(value) or not np.isfinite(value):
-        _fatal(diags, _join(path, key),
-               f"must be a finite number, got {value!r}")
-        return None
+        raise ValueError(f"must be a finite number, got {value!r}")
     return float(value)
 
 
-def _get_int(block: dict, key: str, path: str, diags, *,
-             required: bool = False, default=None, minimum=None):
-    if key not in block:
-        if required:
-            _fatal(diags, _join(path, key), "required key missing")
-        return default
-    value = block[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fatal(diags, _join(path, key), f"must be an integer, got {value!r}")
-        return None
-    if minimum is not None and value < minimum:
-        _fatal(diags, _join(path, key),
-               f"must be at least {minimum}, got {value}")
-        return None
-    return value
+def _integer(minimum: int | None = None):
+    def read(value) -> int:
+        if not _is_int(value):
+            raise ValueError(f"must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+        return value
+    return read
 
 
-def _get_choice(block: dict, key: str, path: str, diags, choices, *,
-                required: bool = False, default=None):
-    if key not in block:
-        if required:
-            _fatal(diags, _join(path, key), "required key missing")
-        return default
-    value = block[key]
-    if value not in choices:
-        _fatal(diags, _join(path, key),
-               f"must be one of {sorted(choices)}, got {value!r}")
-        return None
-    return value
+def _choice(*options: str):
+    def read(value) -> str:
+        if value not in options:
+            raise ValueError(f"must be one of {sorted(options)}, got {value!r}")
+        return value
+    return read
 
 
-def _check_block(raw: dict, name: str, allowed: set[str], diags) -> dict | None:
-    block = raw[name]
-    if not isinstance(block, dict):
-        _fatal(diags, name, "must be an object")
-        return None
-    ok = True
-    for key in block:
-        if key not in allowed:
-            _fatal(diags, f"{name}.{key}", "unknown key")
-            ok = False
-    return block if ok else None
+def _list_of(item, what: str):
+    def read(value) -> list:
+        try:
+            if isinstance(value, list) and value:
+                return [item(v) for v in value]
+        except ValueError:
+            pass
+        raise ValueError(f"must be a non-empty list of {what}, got {value!r}")
+    return read
 
 
-def _parse_lattice(raw: dict, diags) -> LatticeSpec | None:
-    block = _check_block(
-        raw, "lattice", {"n_x", "l_min", "l_max", "spin_dim", "bc_x", "bc_y"},
-        diags,
-    )
-    if block is None:
-        return None
-    n_x = _get_int(block, "n_x", "lattice", diags, required=True)
-    l_min = _get_int(block, "l_min", "lattice", diags, required=True)
-    l_max = _get_int(block, "l_max", "lattice", diags, required=True)
-    spin_dim = _get_int(block, "spin_dim", "lattice", diags, default=1)
-    bc_x = _get_choice(block, "bc_x", "lattice", diags,
-                       ("open", "periodic"), default="open")
-    bc_y = _get_choice(block, "bc_y", "lattice", diags,
-                       ("open", "periodic"), default="open")
-    if None in (n_x, l_min, l_max, spin_dim, bc_x, bc_y):
-        return None
-    try:
-        return LatticeSpec(n_x, l_min, l_max, spin_dim=spin_dim,
-                           bc_x=Boundary(bc_x), bc_y=Boundary(bc_y))
-    except ValueError as exc:
-        _fatal(diags, "lattice", str(exc))
-        return None
+def _nullable(reader):
+    return lambda value: None if value is None else reader(value)
 
 
-def _parse_phi0(value, path: str, diags):
+def _phi0(value) -> tuple[float, Fraction | None]:
     """A flux is a finite number or an exact ``[p, q]`` integer pair."""
     if _is_number(value) and np.isfinite(value):
         return float(value), None
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool)
-                    for v in value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
         p, q = value
         if q < 1:
-            _fatal(diags, path, f"denominator must be positive, got {q}")
-            return None
+            raise ValueError(f"denominator must be positive, got {q}")
         frac = Fraction(p, q)
         return float(frac), frac
-    _fatal(diags, path,
-           f"must be a finite number or a [p, q] integer pair, got {value!r}")
-    return None
+    raise ValueError(f"must be a finite number or a [p, q] integer pair, got {value!r}")
+
+
+#: Default of a key that must be given.
+_REQUIRED = object()
+
+#: Block -> key -> (reader, default), in the order the keys are checked.
+#: The README config-schema table documents the same keys and defaults.
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "lattice": {
+        "n_x": (_integer(), _REQUIRED), "l_min": (_integer(), _REQUIRED),
+        "l_max": (_integer(), _REQUIRED), "spin_dim": (_integer(), 1),
+        "bc_x": (_choice("open", "periodic"), "open"),
+        "bc_y": (_choice("open", "periodic"), "open"),
+    },
+    "model": {
+        "builder": (_choice(*_BUILDERS), _REQUIRED), "phi0": (_phi0, _REQUIRED),
+        "lambda0": (_number, _REQUIRED), "beta0": (_number, 0.0),
+    },
+    "decay": {"gamma": (_number, _REQUIRED)},
+    "omega": {
+        "start": (_number, _REQUIRED), "stop": (_number, _REQUIRED),
+        "num": (_integer(1), _REQUIRED),
+        "values": (_list_of(_number, "finite numbers"), _REQUIRED),
+    },
+    "region": {"side": (_choice("left", "right"), "right"), "depth": (_integer(1), 4)},
+    "disorder": {
+        "sigma_detuning": (_number, 0.0), "sigma_coupling_mag": (_number, 0.0),
+        "sigma_coupling_phase": (_number, 0.0), "sigma_loss": (_number, 0.0),
+        "scope": (_choice(*(s.value for s in DisorderScope)), "per_cavity_link"),
+        "envelope_width": (_nullable(_number), None),
+        "trials": (_integer(2), 100),
+        "input_l_values": (_list_of(_integer(), "integers"), (0,)),
+    },
+    "butterfly": {"q_max": (_integer(1), 12)},
+    "sampling": {"k_points": (_integer(4), 64)},
+    "qsh": {
+        "beta0_values": (_list_of(_number, "finite numbers"), _REQUIRED),
+        "energy_target": (_number, -1.6),
+    },
+    "optics": {
+        "r_values": (_list_of(_number, "finite numbers"), _REQUIRED),
+        "k_points": (_integer(2), 16), "s_c": (_number, 8.0), "s_a": (_number, 3.0),
+        "k_wave": (_number, float(np.pi)), "phi_x": (_number, 0.0),
+        "phi_y": (_number, 0.0), "omega0": (_nullable(_number), None),
+    },
+}
+
+
+def _read(raw: dict, name: str, diags, select=None) -> dict | None:
+    """Read block ``name`` of ``raw`` through its schema.
+
+    Unknown keys are fatal and stop the read.  ``select(block)``, where
+    given, names the keys that apply to this block, or raises
+    ``ValueError(path, message)`` for a key that does not.  Each key that
+    applies is read: a missing required key and a value its reader refuses
+    are fatal, and an absent key takes its default (an absent block reads
+    as all defaults).  Returns the parsed keys, or None after any fatal.
+    """
+    block = raw.get(name, {})
+    if not isinstance(block, dict):
+        _fatal(diags, name, "must be an object")
+        return None
+    schema = _SCHEMA[name]
+    unknown = [key for key in block if key not in schema]
+    for key in unknown:
+        _fatal(diags, f"{name}.{key}", "unknown key")
+    if unknown:
+        return None
+    try:
+        keys = schema if select is None else select(block)
+    except ValueError as exc:
+        _fatal(diags, *exc.args)
+        return None
+    values, ok = {}, True
+    for key in keys:
+        reader, default = schema[key]
+        try:
+            if key in block:
+                values[key] = reader(block[key])
+            elif default is _REQUIRED:
+                raise ValueError("required key missing")
+            else:
+                values[key] = default
+        except ValueError as exc:
+            _fatal(diags, f"{name}.{key}", str(exc))
+            ok = False
+    return values if ok else None
+
+
+def _parse_lattice(raw: dict, diags) -> LatticeSpec | None:
+    block = _read(raw, "lattice", diags)
+    if block is None:
+        return None
+    return _make(diags, "lattice", LatticeSpec, block["n_x"], block["l_min"],
+                 block["l_max"], spin_dim=block["spin_dim"],
+                 bc_x=Boundary(block["bc_x"]), bc_y=Boundary(block["bc_y"]))
+
+
+def _model_keys(block: dict) -> tuple[str, ...]:
+    """The model keys its builder takes; an invalid builder is read alone."""
+    builder = block.get("builder")
+    if not isinstance(builder, str) or builder not in _BUILDERS:
+        return ("builder",)
+    if builder == "qsh":
+        if "phi0" in block:
+            raise ValueError("model.phi0", "not used by the qsh builder")
+        return ("builder", "lambda0", "beta0")
+    for key in ("beta0", "lambda0"):
+        if key in block:
+            raise ValueError(f"model.{key}", f"only the qsh builder takes {key}")
+    return ("builder", "phi0")
 
 
 def _parse_model(raw: dict, kind: str, diags) -> dict | None:
-    block = _check_block(
-        raw, "model", {"builder", "phi0", "beta0", "lambda0"}, diags
-    )
-    if block is None:
+    model = _read(raw, "model", diags, _model_keys)
+    if model is None:
         return None
-    builder = _get_choice(block, "builder", "model", diags, _BUILDERS,
-                          required=True)
-    if builder is None:
-        return None
-    model: dict = {"builder": builder, "phi0": None, "phi0_frac": None,
-                   "beta0": 0.0, "lambda0": 0.0}
-    if builder == "qsh":
-        if "phi0" in block:
-            _fatal(diags, "model.phi0", "not used by the qsh builder")
-            return None
-        lambda0 = _get_number(block, "lambda0", "model", diags, required=True)
-        beta0 = _get_number(block, "beta0", "model", diags, default=0.0)
-        if lambda0 is None or beta0 is None:
-            return None
-        model["lambda0"] = lambda0
-        model["beta0"] = beta0
+    if model["builder"] == "qsh":
+        # Its OAM hops thread flux +-1/4 per polarization along the cavities.
+        model["phi0"], model["phi0_frac"] = 0.25, Fraction(1, 4)
     else:
-        for key in ("beta0", "lambda0"):
-            if key in block:
-                _fatal(diags, f"model.{key}",
-                       f"only the qsh builder takes {key}")
-                return None
-        if "phi0" not in block:
-            _fatal(diags, "model.phi0", "required key missing")
-            return None
-        parsed = _parse_phi0(block["phi0"], "model.phi0", diags)
-        if parsed is None:
-            return None
-        model["phi0"], model["phi0_frac"] = parsed
+        model["phi0"], model["phi0_frac"] = model["phi0"]
     if kind in ("chern", "bands"):
-        if builder not in ("landau", "oam-gauge"):
-            _fatal(diags, "model.builder",
-                   f"bulk band analysis needs a scalar-flux builder, got {builder!r}")
+        if model["builder"] not in ("landau", "oam-gauge"):
+            _fatal(diags, "model.builder", "bulk band analysis needs a scalar-flux "
+                   f"builder, got {model['builder']!r}")
             return None
         if model["phi0_frac"] is None:
-            _fatal(diags, "model.phi0",
-                   "bulk band analysis needs rational flux [p, q]")
+            _fatal(diags, "model.phi0", "bulk band analysis needs rational flux [p, q]")
             return None
     return model
 
 
 def _parse_decay(raw: dict, diags) -> DecaySpec | None:
-    block = _check_block(raw, "decay", {"gamma"}, diags)
+    block = _read(raw, "decay", diags)
     if block is None:
         return None
-    gamma = _get_number(block, "gamma", "decay", diags, required=True)
-    if gamma is None:
-        return None
-    if gamma <= 0:
+    if block["gamma"] <= 0:
         _fatal(diags, "decay.gamma", "loss must be positive")
         return None
-    return DecaySpec(gamma=gamma)
+    return DecaySpec(gamma=block["gamma"])
+
+
+def _omega_keys(block: dict) -> tuple[str, ...]:
+    """Either listed ``values`` or a ``start``/``stop``/``num`` range."""
+    span = ("start", "stop", "num")
+    if "values" not in block:
+        return span
+    if any(key in block for key in span):
+        raise ValueError("omega", "give either 'values' or 'start'/'stop'/'num'")
+    return ("values",)
 
 
 def _parse_omega(raw: dict, diags) -> np.ndarray | None:
-    block = _check_block(raw, "omega", {"start", "stop", "num", "values"}, diags)
+    block = _read(raw, "omega", diags, _omega_keys)
     if block is None:
         return None
-    has_values = "values" in block
-    has_range = any(k in block for k in ("start", "stop", "num"))
-    if has_values and has_range:
-        _fatal(diags, "omega", "give either 'values' or 'start'/'stop'/'num'")
-        return None
-    if has_values:
-        values = block["values"]
-        if (not isinstance(values, list) or not values
-                or not all(_is_number(v) and np.isfinite(v) for v in values)):
-            _fatal(diags, "omega.values",
-                   "must be a non-empty list of finite numbers")
-            return None
-        return np.asarray([float(v) for v in values])
-    start = _get_number(block, "start", "omega", diags, required=True)
-    stop = _get_number(block, "stop", "omega", diags, required=True)
-    num = _get_int(block, "num", "omega", diags, required=True, minimum=1)
-    if None in (start, stop, num):
-        return None
-    return np.linspace(start, stop, num)
+    if "values" in block:
+        return np.asarray(block["values"])
+    return np.linspace(block["start"], block["stop"], block["num"])
 
 
-def _parse_site(value, path: str, spec: LatticeSpec | None, diags
-                ) -> SiteIndex | None:
+def _parse_site(value, path: str, spec: LatticeSpec, diags) -> SiteIndex | None:
     if (not isinstance(value, list) or len(value) not in (2, 3)
-            or not all(isinstance(v, int) and not isinstance(v, bool)
-                       for v in value)):
+            or not all(map(_is_int, value))):
         _fatal(diags, path, f"must be [j, l] or [j, l, s] integers, got {value!r}")
         return None
     site = SiteIndex(value[0], value[1], value[2] if len(value) == 3 else 0)
-    if spec is not None:
-        try:
-            flat_index(spec, site)
-        except (ValueError, IndexError) as exc:
-            _fatal(diags, path, str(exc))
-            return None
+    try:
+        flat_index(spec, site)
+    except (ValueError, IndexError) as exc:
+        _fatal(diags, path, str(exc))
+        return None
     return site
 
 
-def _parse_region(raw: dict, spec: LatticeSpec | None, diags
-                  ) -> EdgeRegion | None:
-    if "region" not in raw:
-        region = EdgeRegion(Side.RIGHT, 4)
-    else:
-        block = _check_block(raw, "region", {"side", "depth"}, diags)
-        if block is None:
-            return None
-        side = _get_choice(block, "side", "region", diags,
-                           ("left", "right"), default="right")
-        depth = _get_int(block, "depth", "region", diags, default=4, minimum=1)
-        if side is None or depth is None:
-            return None
-        region = EdgeRegion(Side(side), depth)
-    if spec is not None:
-        try:
-            region.columns(spec)
-        except ValueError as exc:
-            _fatal(diags, "region.depth", str(exc))
-            return None
+def _parse_region(raw: dict, spec: LatticeSpec | None, diags) -> EdgeRegion | None:
+    block = _read(raw, "region", diags)
+    if block is None:
+        return None
+    region = EdgeRegion(Side(block["side"]), block["depth"])
+    if spec is not None and _make(diags, "region.depth", region.columns, spec) is None:
+        return None
     return region
 
 
 def _parse_disorder(raw: dict, diags) -> dict | None:
-    block = _check_block(
-        raw, "disorder",
-        {"sigma_detuning", "sigma_coupling_mag", "sigma_coupling_phase",
-         "sigma_loss", "scope", "envelope_width", "trials", "input_l_values"},
-        diags,
-    )
+    block = _read(raw, "disorder", diags)
     if block is None:
         return None
-    sigmas = {
-        key: _get_number(block, key, "disorder", diags, default=0.0)
-        for key in ("sigma_detuning", "sigma_coupling_mag",
-                    "sigma_coupling_phase", "sigma_loss")
-    }
-    scope = _get_choice(block, "scope", "disorder", diags,
-                        tuple(s.value for s in DisorderScope),
-                        default=DisorderScope.PER_CAVITY_LINK.value)
-    width = None
-    if "envelope_width" in block and block["envelope_width"] is not None:
-        width = _get_number(block, "envelope_width", "disorder", diags)
-        if width is not None and width <= 0:
-            _fatal(diags, "disorder.envelope_width",
-                   f"must be positive, got {width}")
-            return None
-    trials = _get_int(block, "trials", "disorder", diags, default=100, minimum=2)
-    input_l_values = block.get("input_l_values", [0])
-    if (not isinstance(input_l_values, list) or not input_l_values
-            or not all(isinstance(v, int) and not isinstance(v, bool)
-                       for v in input_l_values)):
-        _fatal(diags, "disorder.input_l_values",
-               f"must be a non-empty list of integers, got {input_l_values!r}")
+    width = block["envelope_width"]
+    if width is not None and width <= 0:
+        _fatal(diags, "disorder.envelope_width", f"must be positive, got {width}")
         return None
-    if None in sigmas.values() or scope is None or trials is None:
-        return None
-    envelope = None
-    if width is not None:
-        envelope = lambda x, w=width: saturating_oam_envelope(x, w)
-    try:
-        model = DisorderModel(
-            sigma_detuning=sigmas["sigma_detuning"],
-            sigma_coupling_mag=sigmas["sigma_coupling_mag"],
-            sigma_coupling_phase=sigmas["sigma_coupling_phase"],
-            sigma_loss=sigmas["sigma_loss"],
-            oam_envelope=envelope,
-            scope=DisorderScope(scope),
-        )
-    except ValueError as exc:
-        _fatal(diags, "disorder", str(exc))
+    sigmas = {k: v for k, v in block.items() if k.startswith("sigma_")}
+    envelope = None if width is None else lambda x: saturating_oam_envelope(x, width)
+    block["model"] = _make(diags, "disorder", DisorderModel, **sigmas,
+                           oam_envelope=envelope, scope=DisorderScope(block["scope"]))
+    if block["model"] is None:
         return None
     if all(v == 0.0 for v in sigmas.values()):
         _warn(diags, "disorder", "all sigmas are zero; the model is a no-op")
-    return {"model": model, "trials": trials,
-            "input_l_values": list(input_l_values)}
-
-
-def _parse_butterfly(raw: dict, diags) -> int | None:
-    if "butterfly" not in raw:
-        return 12
-    block = _check_block(raw, "butterfly", {"q_max"}, diags)
-    if block is None:
-        return None
-    return _get_int(block, "q_max", "butterfly", diags, default=12, minimum=1)
-
-
-def _parse_qsh_block(raw: dict, diags) -> dict | None:
-    block = _check_block(raw, "qsh", {"beta0_values", "energy_target"}, diags)
-    if block is None:
-        return None
-    values = block.get("beta0_values")
-    if (not isinstance(values, list) or not values
-            or not all(_is_number(v) and np.isfinite(v) for v in values)):
-        _fatal(diags, "qsh.beta0_values",
-               "must be a non-empty list of finite numbers")
-        return None
-    target = _get_number(block, "energy_target", "qsh", diags, default=-1.6)
-    if target is None:
-        return None
-    return {"beta0_values": [float(v) for v in values],
-            "energy_target": target}
-
-
-def _parse_sampling(raw: dict, diags) -> int | None:
-    if "sampling" not in raw:
-        return 64
-    block = _check_block(raw, "sampling", {"k_points"}, diags)
-    if block is None:
-        return None
-    return _get_int(block, "k_points", "sampling", diags, default=64, minimum=4)
+    return block
 
 
 def _parse_optics(raw: dict, diags) -> dict | None:
-    block = _check_block(
-        raw, "optics",
-        {"r_values", "k_points", "s_c", "s_a", "k_wave", "omega0",
-         "phi_x", "phi_y"},
-        diags,
-    )
+    block = _read(raw, "optics", diags)
     if block is None:
         return None
-    r_values = block.get("r_values")
-    if (not isinstance(r_values, list) or not r_values
-            or not all(_is_number(v) for v in r_values)):
-        _fatal(diags, "optics.r_values",
-               "must be a non-empty list of numbers")
+    if not all(0 < v < 1 for v in block["r_values"]):
+        _fatal(diags, "optics.r_values", "reflection magnitudes must lie strictly "
+               "between 0 and 1")
         return None
-    if not all(0 < v < 1 for v in r_values):
-        _fatal(diags, "optics.r_values",
-               "reflection magnitudes must lie strictly between 0 and 1")
-        return None
-    out = {
-        "r_values": [float(v) for v in r_values],
-        "k_points": _get_int(block, "k_points", "optics", diags,
-                             default=16, minimum=2),
-        "s_c": _get_number(block, "s_c", "optics", diags, default=8.0),
-        "s_a": _get_number(block, "s_a", "optics", diags, default=3.0),
-        "k_wave": _get_number(block, "k_wave", "optics", diags,
-                              default=float(np.pi)),
-        "phi_x": _get_number(block, "phi_x", "optics", diags, default=0.0),
-        "phi_y": _get_number(block, "phi_y", "optics", diags, default=0.0),
-        "omega0": None,
-    }
-    if any(out[k] is None
-           for k in ("k_points", "s_c", "s_a", "k_wave", "phi_x", "phi_y")):
-        return None
-    if "omega0" in block and block["omega0"] is not None:
-        out["omega0"] = _get_number(block, "omega0", "optics", diags)
-        if out["omega0"] is None:
-            return None
-    try:
-        OpticalParams(out["r_values"][0], out["k_wave"], s_c=out["s_c"],
-                      s_a=out["s_a"], phi_x=out["phi_x"], phi_y=out["phi_y"],
-                      omega0=out["omega0"])
-    except ValueError as exc:
-        _fatal(diags, "optics", str(exc))
-        return None
-    return out
+    params = _make(diags, "optics", OpticalParams, block["r_values"][0], block["k_wave"],
+                   s_c=block["s_c"], s_a=block["s_a"], phi_x=block["phi_x"],
+                   phi_y=block["phi_y"], omega0=block["omega0"])
+    return None if params is None else block
 
 
-def _make_builder(model: dict, spec: LatticeSpec):
-    name = model["builder"]
-    if name == "landau":
-        return lambda: build_landau_hofstadter(spec, model["phi0"])
-    if name == "oam-gauge":
-        return lambda: build_oam_gauge_hofstadter(spec, model["phi0"])
-    if name == "dirac":
-        return lambda: build_dirac(spec, model["phi0"])
-    return lambda: build_qsh(spec, model["beta0"], model["lambda0"])
+def _check_seam(spec: LatticeSpec, model: dict, diags) -> None:
+    """A periodic axis the gauge phase winds along needs length * phi0 in Z.
+
+    Otherwise the plaquettes across the seam hold a flux unlike the rest.
+    """
+    axis = _BUILDERS[model["builder"]][1]
+    if axis == "x":
+        bc, length, ring = spec.bc_x, "n_x", "cavity ring"
+    else:
+        bc, length, ring = spec.bc_y, "n_l", "OAM ring (window not multiple of q)"
+    total = getattr(spec, length) * model["phi0"]
+    if bc is Boundary.PERIODIC and abs(total - round(total)) > 1e-9:
+        _fatal(diags, "lattice", f"{ring} needs integer total flux, "
+               f"got {length} * phi0 = {total}")
 
 
-def _builder_spin_check(model: dict, spec: LatticeSpec, diags) -> None:
-    needed = 2 if model["builder"] in ("dirac", "qsh") else 1
-    if spec.spin_dim != needed:
-        _fatal(diags, "lattice.spin_dim",
-               f"builder '{model['builder']}' needs spin_dim={needed}, "
-               f"got {spec.spin_dim}")
+def _probe_window(spec: LatticeSpec, ls, path: str, diags) -> None:
+    """The probes enter at the OAM values ``ls``; each must be in the window."""
+    outside = [l for l in ls if not spec.l_min <= l <= spec.l_max]
+    if outside:
+        _fatal(diags, path, f"probes enter at OAM {', '.join(map(str, outside))}, "
+               f"outside the window [{spec.l_min}, {spec.l_max}]")
 
 
 def _resolve(raw) -> tuple[list[Diagnostic], dict]:
     """Validate a raw config dict and resolve the library objects it names."""
     diags: list[Diagnostic] = []
-    resolved: dict = {"seed": 0}
+    resolved: dict = {}
     if not isinstance(raw, dict):
         _fatal(diags, "", "config must be a JSON object")
         return diags, resolved
@@ -607,25 +538,16 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
         _fatal(diags, "kind",
                f"unknown kind {kind!r}; expected one of {list(EXPERIMENT_KINDS)}")
         return diags, resolved
-    resolved["kind"] = kind
 
     required, optional = _KIND_KEYS[kind]
-    allowed = _UNIVERSAL_KEYS | required | optional
     every_key = _UNIVERSAL_KEYS.union(*(r | o for r, o in _KIND_KEYS.values()))
     for key in raw:
-        if key in allowed:
-            continue
-        if key in every_key:
-            _fatal(diags, key, f"does not apply to kind '{kind}'")
-        else:
-            _fatal(diags, key, "unknown key")
-    for key in sorted(required):
-        if key not in raw:
-            _fatal(diags, key, f"required for kind '{kind}'")
-
-    seed = _get_int(raw, "seed", "", diags, default=0, minimum=0)
-    if seed is not None:
-        resolved["seed"] = seed
+        if key not in _UNIVERSAL_KEYS | required | optional:
+            _fatal(diags, key, f"does not apply to kind '{kind}'" if key in every_key
+                   else "unknown key")
+    for key in sorted(required - raw.keys()):
+        _fatal(diags, key, f"required for kind '{kind}'")
+    resolved["seed"] = _make(diags, "seed", _integer(0), raw.get("seed", 0))
     if "out_dir" in raw and not isinstance(raw["out_dir"], str):
         _fatal(diags, "out_dir", "must be a string path")
     if "seed" in raw and kind not in _SEEDED_KINDS:
@@ -636,52 +558,35 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
     decay = _parse_decay(raw, diags) if "decay" in raw else None
     omega = _parse_omega(raw, diags) if "omega" in raw else None
     resolved.update(spec=spec, model=model, decay=decay, omega_grid=omega)
-
     if spec is not None and model is not None:
-        _builder_spin_check(model, spec, diags)
-        resolved["build"] = _make_builder(model, spec)
-        if (model["builder"] == "landau" and spec.bc_x is Boundary.PERIODIC):
-            total = spec.n_x * model["phi0"]
-            if abs(total - round(total)) > 1e-9:
-                _fatal(diags, "model.phi0",
-                       f"cavity ring needs integer total flux, "
-                       f"got n_x * phi0 = {total}")
-        # The magnetic unit cell spans q OAM sites: a periodic OAM axis
-        # must hold an integer number of cells.
-        if (model["phi0_frac"] is not None and spec.bc_y is Boundary.PERIODIC
-                and spec.n_l % model["phi0_frac"].denominator != 0):
-            q = model["phi0_frac"].denominator
-            _fatal(diags, "lattice",
-                   f"window not multiple of q (window length {spec.n_l}, q={q})")
+        spin_dim, _, build = _BUILDERS[model["builder"]]
+        if spec.spin_dim != spin_dim:
+            _fatal(diags, "lattice.spin_dim", f"builder '{model['builder']}' needs "
+                   f"spin_dim={spin_dim}, got {spec.spin_dim}")
+        resolved["build"] = lambda: build(spec, model)
+        _check_seam(spec, model, diags)
 
     if kind == "spectrum" and spec is not None:
-        if "inputs" in raw:
-            entries = raw["inputs"]
-            if not isinstance(entries, list) or not entries:
-                _fatal(diags, "inputs", "must be a non-empty list of sites")
-            else:
-                sites = [
-                    _parse_site(entry, f"inputs[{i}]", spec, diags)
-                    for i, entry in enumerate(entries)
-                ]
-                if all(s is not None for s in sites):
-                    resolved["inputs"] = sites
-        elif not spec.l_min <= 0 <= spec.l_max:
-            _fatal(diags, "lattice",
-                   "default probes enter at OAM 0, outside the window")
+        entries = raw.get("inputs")
+        if "inputs" not in raw:
+            _probe_window(spec, [0], "lattice", diags)
+            resolved["inputs"] = [SiteIndex(j, 0, s) for j in range(spec.n_x)
+                                  for s in range(spec.spin_dim)]
+        elif not isinstance(entries, list) or not entries:
+            _fatal(diags, "inputs", "must be a non-empty list of sites")
         else:
-            resolved["inputs"] = [
-                SiteIndex(j, 0, s)
-                for j in range(spec.n_x) for s in range(spec.spin_dim)
-            ]
+            sites = [_parse_site(entry, f"inputs[{i}]", spec, diags)
+                     for i, entry in enumerate(entries)]
+            if all(s is not None for s in sites):
+                resolved["inputs"] = sites
 
     if kind == "butterfly":
         if spec is not None and spec.spin_dim != 1:
             _fatal(diags, "lattice.spin_dim",
                    "the flux sweep uses the scalar cavity-phase lattice")
-        if spec is not None and not spec.l_min <= 0 <= spec.l_max:
-            _fatal(diags, "lattice", "probes enter at OAM 0, outside the window")
-        resolved["q_max"] = _parse_butterfly(raw, diags)
+        if spec is not None:
+            _probe_window(spec, [0], "lattice", diags)
+        resolved["butterfly"] = _read(raw, "butterfly", diags)
 
     if kind == "edge-map":
         if omega is not None and omega.size != 1:
@@ -689,58 +594,45 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
                    f"edge-map needs exactly one omega value, got {omega.size}")
         if spec is not None:
             if "input" in raw:
-                resolved["input"] = _parse_site(raw["input"], "input", spec,
-                                                diags)
+                site = _parse_site(raw["input"], "input", spec, diags)
             else:
-                if not spec.l_min <= 0 <= spec.l_max:
-                    _fatal(diags, "lattice",
-                           "default input sits at OAM 0, outside the window")
-                else:
-                    resolved["input"] = SiteIndex(0, 0, 0)
-            if resolved.get("input") is not None \
-                    and resolved["input"].j not in (0, spec.n_x - 1):
-                _fatal(diags, "input",
-                       f"input column {resolved['input'].j} is not an edge cavity")
+                _probe_window(spec, [0], "lattice", diags)
+                site = SiteIndex(0, 0, 0)
+            if site is not None and site.j not in (0, spec.n_x - 1):
+                _fatal(diags, "input", f"input column {site.j} is not an edge cavity")
+            resolved["input"] = site
 
     if kind in ("displacement", "disorder"):
         resolved["region"] = _parse_region(raw, spec, diags)
-        resolved["disorder"] = (_parse_disorder(raw, diags)
-                                if "disorder" in raw else None)
-        if spec is not None and resolved["disorder"] is not None:
-            try:
-                _check_coupling_axis(spec, resolved["disorder"]["model"])
-            except ValueError as exc:
-                _fatal(diags, "disorder", str(exc))
-        if spec is not None and not spec.l_min <= 0 <= spec.l_max:
-            _fatal(diags, "lattice", "probes enter at OAM 0, outside the window")
+        disorder = _parse_disorder(raw, diags) if "disorder" in raw else None
+        resolved["disorder"] = disorder
+        if spec is not None and disorder is not None:
+            _make(diags, "disorder", _check_coupling_axis, spec, disorder["model"])
+            _probe_window(spec, disorder["input_l_values"], "disorder.input_l_values",
+                          diags)
+        elif spec is not None and "disorder" not in raw:
+            # The clean displacement probes enter at OAM 0.
+            _probe_window(spec, [0], "lattice", diags)
 
     if kind in ("chern", "bands") and model is not None:
-        k_points = _parse_sampling(raw, diags)
-        resolved["k_points"] = k_points
-        if k_points is not None:
-            frac = model["phi0_frac"]
-            try:
-                resolved["bz_grid"] = MagneticBZGrid(
-                    frac.numerator, frac.denominator, k_points, k_points
-                )
-            except ValueError as exc:
-                _fatal(diags, "model.phi0", str(exc))
+        sampling = _read(raw, "sampling", diags)
+        if sampling is not None:
+            frac, k = model["phi0_frac"], sampling["k_points"]
+            resolved["bz_grid"] = _make(diags, "model.phi0", MagneticBZGrid,
+                                        frac.numerator, frac.denominator, k, k)
 
     if kind == "qsh":
         if "qsh" in raw:
-            resolved["qsh"] = _parse_qsh_block(raw, diags)
+            resolved["qsh"] = _read(raw, "qsh", diags)
         if model is not None and model["builder"] != "qsh":
             _fatal(diags, "model.builder",
                    f"kind 'qsh' needs the qsh builder, got {model['builder']!r}")
-        if spec is not None:
-            if spec.spin_dim != 2:
-                _fatal(diags, "lattice.spin_dim",
-                       f"polarization-pair analysis needs spin_dim=2, "
-                       f"got {spec.spin_dim}")
-            if spec.n_x % 4 != 0:
-                _fatal(diags, "lattice.n_x",
-                       f"cavity count must be a multiple of 4 "
-                       f"(four-cavity unit cell), got {spec.n_x}")
+        if spec is not None and spec.spin_dim != 2:
+            _fatal(diags, "lattice.spin_dim", "polarization-pair analysis needs "
+                   f"spin_dim=2, got {spec.spin_dim}")
+        if spec is not None and spec.n_x % 4 != 0:
+            _fatal(diags, "lattice.n_x", "cavity count must be a multiple of 4 "
+                   f"(four-cavity unit cell), got {spec.n_x}")
 
     if kind == "dispersion-check" and "optics" in raw:
         resolved["optics"] = _parse_optics(raw, diags)
@@ -750,8 +642,7 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
 
 def validate_config(raw) -> list[Diagnostic]:
     """Schema and physics checks; returns diagnostics, performs no computation."""
-    diagnostics, _ = _resolve(raw)
-    return diagnostics
+    return _resolve(raw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +667,8 @@ def _csv_bytes(header: tuple[str, ...], rows) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
-def _grid_bytes(grid: np.ndarray, l_min: int, j_min: int) -> bytes:
-    lines = [f"{grid.shape[0]} {grid.shape[1]} {l_min} {j_min}"]
+def _grid_bytes(grid: np.ndarray, l_min: int) -> bytes:
+    lines = [f"{grid.shape[0]} {grid.shape[1]} {l_min} 0"]
     for row in grid:
         lines.append(" ".join(format(float(v), ".17g") for v in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -816,8 +707,8 @@ def _run_spectrum(res: dict, threads: int):
     H = res["build"]()
     grid = res["omega_grid"]
     values = total_transmission_spectrum(H, res["decay"], res["inputs"], grid)
-    rows = list(zip(grid.tolist(), values.tolist()))
-    return [("spectrum.csv", "csv", (("omega", "transmission"), rows))], {}
+    rows = zip(grid.tolist(), values.tolist())
+    return [("spectrum.csv", _csv_bytes(("omega", "transmission"), rows))], {}
 
 
 def _farey_fluxes(q_max: int) -> list[Fraction]:
@@ -830,21 +721,18 @@ def _farey_fluxes(q_max: int) -> list[Fraction]:
 
 def _run_butterfly(res: dict, threads: int):
     spec, decay, grid = res["spec"], res["decay"], res["omega_grid"]
-    fluxes = _farey_fluxes(res["q_max"])
-    inputs = [SiteIndex(j, 0, 0) for j in range(spec.n_x)]
-
-    def one_flux(frac: Fraction) -> np.ndarray:
-        H = build_landau_hofstadter(spec, float(frac))
-        return total_transmission_spectrum(H, decay, inputs, grid)
-
-    spectra = _ordered_map(one_flux, fluxes, threads)
-    rows = []
-    for frac, values in zip(fluxes, spectra):
-        for omega, value in zip(grid.tolist(), values.tolist()):
-            rows.append((frac.numerator, frac.denominator, omega, value))
+    fluxes = _farey_fluxes(res["butterfly"]["q_max"])
+    spectra = _ordered_map(
+        lambda frac: butterfly_scan(spec, [frac], grid, decay)[0], fluxes, threads
+    )
+    rows = (
+        (frac.numerator, frac.denominator, omega, value)
+        for frac, values in zip(fluxes, spectra)
+        for omega, value in zip(grid.tolist(), values.tolist())
+    )
     header = ("phi0_num", "phi0_den", "omega", "transmission")
     results = {"flux_count": len(fluxes)}
-    return [("butterfly.csv", "csv", (header, rows))], results
+    return [("butterfly.csv", _csv_bytes(header, rows))], results
 
 
 def _run_edge_map(res: dict, threads: int):
@@ -853,14 +741,11 @@ def _run_edge_map(res: dict, threads: int):
     omega = float(res["omega_grid"][0])
     input = res["input"]
     grid = transmission_map(H, res["decay"], omega, input)
-    files = []
     if grid.ndim == 2:
-        files.append(("edge-map.grid", "grid", (grid, spec.l_min, 0)))
+        files = [("edge-map.grid", _grid_bytes(grid, spec.l_min))]
     else:
-        for s in range(grid.shape[2]):
-            files.append(
-                (f"edge-map_s{s}.grid", "grid", (grid[:, :, s], spec.l_min, 0))
-            )
+        files = [(f"edge-map_s{s}.grid", _grid_bytes(grid[:, :, s], spec.l_min))
+                 for s in range(grid.shape[2])]
     results = {"omega": omega, "input": [input.j, input.l, input.s],
                "total_power": float(grid.sum())}
     return files, results
@@ -875,54 +760,46 @@ def _run_displacement(res: dict, threads: int):
     if disorder is None:
         values = displacement_spectrum(H, res["decay"], grid, region)
         rows = [(w, v, 0.0) for w, v in zip(grid.tolist(), values.tolist())]
-        results = {"trials": 1, "region": [region.side.value, region.depth]}
     else:
         summary = displacement_robustness(
             H, disorder["model"], res["decay"], grid, region,
             trials=disorder["trials"], seed=res["seed"],
             input_l_values=tuple(disorder["input_l_values"]),
         )
-        rows = list(zip(grid.tolist(), summary.mean.tolist(),
-                        summary.std.tolist()))
-        results = {"trials": disorder["trials"],
-                   "region": [region.side.value, region.depth]}
-    return [("displacement.csv", "csv", (header, rows))], results
+        rows = zip(grid.tolist(), summary.mean.tolist(), summary.std.tolist())
+    results = {"trials": disorder["trials"] if disorder else 1,
+               "region": [region.side.value, region.depth]}
+    return [("displacement.csv", _csv_bytes(header, rows))], results
+
+
+def _chern_or_none(route, data, m: int) -> int | None:
+    """Band ``m``'s invariant by ``route``; None where the route refuses it."""
+    try:
+        return int(route(data, m))
+    except ValueError:
+        return None
 
 
 def _run_chern(res: dict, threads: int):
     data = band_structure(res["bz_grid"])
-    q = data.q
-    fukui: list[int | None] = []
-    mismatch: list[int | None] = []
-    for m in range(q):
-        try:
-            fukui.append(int(fukui_hatsugai_chern(data, m)))
-        except ValueError:
-            fukui.append(None)
-        try:
-            mismatch.append(int(phase_mismatch_chern(data, m)))
-        except ValueError:
-            mismatch.append(None)
-    rows = [(m + 1, fukui[m], mismatch[m]) for m in range(q)]
+    fukui = [_chern_or_none(fukui_hatsugai_chern, data, m) for m in range(data.q)]
+    mismatch = [_chern_or_none(phase_mismatch_chern, data, m) for m in range(data.q)]
+    rows = [(m + 1, f, p) for m, (f, p) in enumerate(zip(fukui, mismatch))]
     header = ("band", "chern_fukui_hatsugai", "chern_phase_mismatch")
-    band_1 = fukui[0] if fukui[0] is not None else mismatch[0]
     results = {"fukui_hatsugai": fukui, "phase_mismatch": mismatch,
-               "band_1": band_1}
-    return [("chern.csv", "csv", (header, rows))], results
+               "band_1": fukui[0] if fukui[0] is not None else mismatch[0]}
+    return [("chern.csv", _csv_bytes(header, rows))], results
 
 
 def _run_bands(res: dict, threads: int):
-    data = band_structure(res["bz_grid"])
     grid = res["bz_grid"]
-    kxs, kys = grid.kx_values, grid.ky_values
-    rows = []
-    for band in range(data.q):
-        energies = data.energies[band]
-        for a, kx in enumerate(kxs.tolist()):
-            for b, ky in enumerate(kys.tolist()):
-                rows.append((kx, ky, band + 1, energies[a, b]))
+    data = band_structure(grid)
+    rows = [(kx, ky, band + 1, data.energies[band][a, b])
+            for band in range(data.q)
+            for a, kx in enumerate(grid.kx_values.tolist())
+            for b, ky in enumerate(grid.ky_values.tolist())]
     header = ("kx", "ky", "band", "energy")
-    return [("bands.csv", "csv", (header, rows))], {"bands": data.q}
+    return [("bands.csv", _csv_bytes(header, rows))], {"bands": data.q}
 
 
 def _run_qsh(res: dict, threads: int):
@@ -943,7 +820,7 @@ def _run_qsh(res: dict, threads: int):
         reports = qsh_gap_scan(spec, model["lambda0"], betas, target)
     rows = [(r.beta0, r.e_low, r.e_high, r.width) for r in reports]
     header = ("beta0", "gap_low", "gap_high", "gap_width")
-    return [("qsh.csv", "csv", (header, rows))], results
+    return [("qsh.csv", _csv_bytes(header, rows))], results
 
 
 def _run_dispersion_check(res: dict, threads: int):
@@ -970,19 +847,14 @@ def _run_dispersion_check(res: dict, threads: int):
                 rows.append((r_mag, kx, ky, detuning, reference, deviation))
         return rows, kappa, worst
 
-    outputs = _ordered_map(one_r, opt["r_values"], threads)
-    rows = [row for chunk, _, _ in outputs for row in chunk]
+    chunks, kappas, worsts = zip(*_ordered_map(one_r, opt["r_values"], threads))
+    rows = [row for chunk in chunks for row in chunk]
     header = ("r_mag", "kx_bloch", "ky_bloch", "detuning",
               "cosine_reference", "abs_deviation")
-    results = {
-        "coupling_strength": {
-            str(r): kappa for r, (_, kappa, _) in zip(opt["r_values"], outputs)
-        },
-        "max_rel_deviation": {
-            str(r): worst for r, (_, _, worst) in zip(opt["r_values"], outputs)
-        },
-    }
-    return [("dispersion-check.csv", "csv", (header, rows))], results
+    keys = [str(r) for r in opt["r_values"]]
+    results = {"coupling_strength": dict(zip(keys, kappas)),
+               "max_rel_deviation": dict(zip(keys, worsts))}
+    return [("dispersion-check.csv", _csv_bytes(header, rows))], results
 
 
 _RUNNERS = {
@@ -1009,34 +881,16 @@ def run(config: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
         raise ValueError(f"threads must be at least 1, got {threads}")
     start = time.perf_counter()
     files, results = _RUNNERS[config.kind](config.resolved, threads)
-
-    payloads: list[tuple[str, bytes]] = []
-    records = []
-    for name, payload_kind, payload in files:
-        if payload_kind == "csv":
-            data = _csv_bytes(*payload)
-        else:
-            data = _grid_bytes(*payload)
-        payloads.append((name, data))
-        records.append({
-            "path": name,
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        })
-
+    records = tuple({"path": name, "sha256": hashlib.sha256(data).hexdigest(),
+                     "bytes": len(data)} for name, data in files)
     manifest = RunManifest(
-        kind=config.kind,
-        artifact_version=__version__,
-        config=config.echo,
-        seed=config.seed,
-        threads=threads,
+        kind=config.kind, artifact_version=__version__, config=config.echo,
+        seed=config.seed, threads=threads, outputs=records, results=results,
         wall_time_seconds=round(time.perf_counter() - start, 6),
-        outputs=tuple(records),
-        results=results,
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, data in payloads:
+    for name, data in files:
         _atomic_write(out / name, data)
     _atomic_write(out / "manifest.json", manifest.to_json_bytes())
     return manifest
@@ -1080,7 +934,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
 
-    diagnostics = validate_config(raw)
+    raw = _with_seed(raw, args.seed)
+    diagnostics, resolved = _resolve(raw)
     for diagnostic in diagnostics:
         print(diagnostic, file=sys.stderr)
     fatal = any(d.level == "fatal" for d in diagnostics)
@@ -1098,22 +953,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if fatal else 0
     if fatal:
         return 2
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         print("config error: --threads must be at least 1", file=sys.stderr)
         return 2
-    if args.seed is not None and args.seed < 0:
-        print("config error: --seed must be nonnegative", file=sys.stderr)
-        return 2
-    if args.seed is not None and args.command not in _SEEDED_KINDS:
-        print(
-            Diagnostic(
-                "warning", "seed",
-                f"seed has no effect for kind '{args.command}'",
-            ),
-            file=sys.stderr,
-        )
 
-    config = ExperimentConfig.from_dict(raw, seed_override=args.seed)
+    config = ExperimentConfig._from_resolved(raw, diagnostics, resolved)
     out_dir = args.out if args.out is not None else config.out_dir
     if out_dir is None:
         print("config error: no output directory (give --out or out_dir)",

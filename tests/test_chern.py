@@ -228,6 +228,15 @@ def test_auto_partition_q6_lowest_band(data_by_q):
     assert phase_mismatch_chern(data, 0, partition) == 1
 
 
+@pytest.mark.parametrize("p", [1, 6])
+def test_auto_partition_names_a_clear_arc_too_short_for_a_slab(p):
+    # On a 16-point grid the zeros of band 3's first component at flux p/7
+    # leave a clear kx-arc of 2 columns; the margins leave no slab.
+    data = band_structure(MagneticBZGrid(p, 7, 16, 16))
+    with pytest.raises(ValueError, match="clear kx-arc of only 2 columns"):
+        auto_partition(data, 3)
+
+
 def test_methods_agree_on_edge_bands(data_by_q):
     for (p, q), bands in [((1, 3), (0, 2)), ((1, 4), (0, 3)), ((1, 6), (0, 5))]:
         data = data_by_q[(p, q)]

@@ -1,6 +1,7 @@
 """Config validation, output formats, exit codes, and rerun determinism."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,8 @@ from oamphoton import (
     LatticeSpec,
     SiteIndex,
     build_landau_hofstadter,
+    build_oam_gauge_hofstadter,
+    flat_index,
     total_transmission_spectrum,
 )
 from oamphoton import cli, qsh
@@ -738,3 +741,155 @@ def test_invalid_thread_and_seed_arguments(tmp_path):
                  "--threads", "0"]) == 2
     assert main(["spectrum", "--config", str(path), "--out", out,
                  "--seed", "-1"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Probe windows, seams and the config schema
+# ---------------------------------------------------------------------------
+
+
+def disorder_config(l_min, l_max, **disorder):
+    return {
+        "kind": "disorder",
+        "lattice": {"n_x": 8, "l_min": l_min, "l_max": l_max},
+        "model": {"builder": "landau", "phi0": [1, 6]},
+        "decay": {"gamma": 0.2},
+        "omega": {"values": [-2.2]},
+        "disorder": dict({"sigma_detuning": 0.1, "trials": 2}, **disorder),
+    }
+
+
+def validate_only(tmp_path, cfg):
+    path = write_config(tmp_path, cfg)
+    return main([cfg["kind"], "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--validate-only"])
+
+
+def test_disorder_probes_outside_the_window_fail_validation(tmp_path):
+    cfg = disorder_config(-6, 6, input_l_values=[99])
+    assert [d.path for d in fatals(cfg)] == ["disorder.input_l_values"]
+    assert validate_only(tmp_path, cfg) == 2
+
+
+def test_disorder_probes_need_not_enter_at_oam_zero(tmp_path):
+    cfg = disorder_config(1, 6, input_l_values=[2])
+    assert fatals(cfg) == []
+    assert validate_only(tmp_path, cfg) == 0
+    # without input_l_values the probes enter at OAM 0
+    cfg = disorder_config(1, 6)
+    assert [d.path for d in fatals(cfg)] == ["disorder.input_l_values"]
+
+
+def plaquette_flux_is_uniform(H):
+    """Whether every plaquette (seams included) carries the same phase."""
+    spec, A = H.spec, H.toarray()
+
+    def site(j, il):
+        return flat_index(spec, SiteIndex(j % spec.n_x, spec.l_min + il % spec.n_l))
+
+    wraps_x = spec.bc_x is Boundary.PERIODIC
+    wraps_y = spec.bc_y is Boundary.PERIODIC
+    loops = []
+    for j in range(spec.n_x if wraps_x else spec.n_x - 1):
+        for il in range(spec.n_l if wraps_y else spec.n_l - 1):
+            a, b = site(j, il), site(j + 1, il)
+            c, d = site(j + 1, il + 1), site(j, il + 1)
+            loops.append(A[b, a] * A[c, b] * A[d, c] * A[a, d])
+    phases = np.array(loops) / np.abs(loops)
+    return bool(np.allclose(phases, phases[0], atol=1e-9))
+
+
+def test_seam_rule_accepts_exactly_the_uniform_flux_lattices():
+    fluxes = [[p, q] for q in range(1, 5) for p in range(q + 1)] + [0.25, 0.3, 0.5]
+    builders = {"landau": build_landau_hofstadter,
+                "oam-gauge": build_oam_gauge_hofstadter}
+    checked = 0
+    for name, build in builders.items():
+        for n_x, n_l in itertools.product(range(3, 7), repeat=2):
+            for bc_x, bc_y in itertools.product(("open", "periodic"), repeat=2):
+                l_min = -(n_l // 2)
+                lattice = {"n_x": n_x, "l_min": l_min, "l_max": l_min + n_l - 1,
+                           "bc_x": bc_x, "bc_y": bc_y}
+                spec = LatticeSpec(n_x, l_min, l_min + n_l - 1,
+                                   bc_x=Boundary(bc_x), bc_y=Boundary(bc_y))
+                for phi0 in fluxes:
+                    cfg = spectrum_config(lattice=lattice,
+                                          model={"builder": name, "phi0": phi0})
+                    flux = Fraction(*phi0) if isinstance(phi0, list) else phi0
+                    uniform = plaquette_flux_is_uniform(build(spec, flux))
+                    assert (fatals(cfg) == []) == uniform, (name, lattice, phi0)
+                    checked += 1
+    assert checked == 2 * 16 * 4 * len(fluxes)
+
+
+def test_dirac_cavity_ring_needs_integer_total_flux():
+    cfg = spectrum_config(
+        lattice={"n_x": 3, "l_min": -2, "l_max": 2, "spin_dim": 2,
+                 "bc_x": "periodic"},
+        model={"builder": "dirac", "phi0": [1, 4]},
+    )
+    assert [d.message for d in fatals(cfg)] == [
+        "cavity ring needs integer total flux, got n_x * phi0 = 0.75"]
+    cfg["lattice"]["n_x"] = 4
+    assert fatals(cfg) == []
+
+
+def test_qsh_builder_on_a_cavity_ring_needs_whole_cells():
+    cfg = spectrum_config(
+        lattice={"n_x": 6, "l_min": -2, "l_max": 2, "spin_dim": 2,
+                 "bc_x": "periodic"},
+        model={"builder": "qsh", "lambda0": 0.6},
+    )
+    found = fatals(cfg)
+    assert [d.path for d in found] == ["lattice"]
+    assert "integer total flux" in found[0].message
+    for n_x, bc_x in ((8, "periodic"), (6, "open")):
+        cfg["lattice"].update(n_x=n_x, bc_x=bc_x)
+        assert fatals(cfg) == []
+
+
+def schema_base_configs():
+    """A valid config for every kind that takes a schema block."""
+    return [
+        spectrum_config(),
+        dict(disorder_config(-6, 6, input_l_values=[0], envelope_width=10.0),
+             region={"side": "right", "depth": 2}),
+        {"kind": "butterfly", "lattice": {"n_x": 4, "l_min": -4, "l_max": 4},
+         "decay": {"gamma": 0.1}, "omega": {"values": [0.0]},
+         "butterfly": {"q_max": 3}},
+        {"kind": "chern", "model": {"builder": "landau", "phi0": [1, 4]},
+         "sampling": {"k_points": 8}},
+        {"kind": "qsh",
+         "lattice": {"n_x": 8, "l_min": -8, "l_max": 7, "spin_dim": 2},
+         "model": {"builder": "qsh", "lambda0": 0.6, "beta0": 0.0},
+         "qsh": {"beta0_values": [0.0, 0.1]}},
+        {"kind": "dispersion-check", "optics": {"r_values": [0.3]}},
+    ]
+
+
+def test_every_schema_key_rejects_a_malformed_value():
+    bases = schema_base_configs()
+    assert all(fatals(cfg) == [] for cfg in bases)
+    for block, keys in cli._SCHEMA.items():
+        for key in keys:
+            # A base that gives the key, else any that takes the block: keys
+            # that exclude each other (omega values or range, the builder
+            # parameters) apply only next to their own kind of neighbours.
+            base = next((cfg for cfg in bases if key in cfg.get(block, {})),
+                        next(cfg for cfg in bases if block in cfg))
+            cfg = json.loads(json.dumps(base))
+            cfg[block][key] = "x"
+            paths = [d.path for d in fatals(cfg)]
+            assert f"{block}.{key}" in paths, (block, key, paths)
+
+
+def test_readme_schema_table_names_every_block_and_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("### Config schema")[1].split("Cross-checks")[0]
+    rows = {line.split("|")[1].strip().strip("`"): line
+            for line in table.splitlines() if line.startswith("| `")}
+    for block, keys in cli._SCHEMA.items():
+        assert block in rows, block
+        for key in keys:
+            assert f"`{key}`" in rows[block], (block, key)
