@@ -564,7 +564,8 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
             _fatal(diags, "lattice.spin_dim", f"builder '{model['builder']}' needs "
                    f"spin_dim={spin_dim}, got {spec.spin_dim}")
         resolved["build"] = lambda: build(spec, model)
-        _check_seam(spec, model, diags)
+        if kind != "qsh":  # there the whole-cell rule on n_x covers the seam
+            _check_seam(spec, model, diags)
 
     if kind == "spectrum" and spec is not None:
         entries = raw.get("inputs")
@@ -627,9 +628,6 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
         if model is not None and model["builder"] != "qsh":
             _fatal(diags, "model.builder",
                    f"kind 'qsh' needs the qsh builder, got {model['builder']!r}")
-        if spec is not None and spec.spin_dim != 2:
-            _fatal(diags, "lattice.spin_dim", "polarization-pair analysis needs "
-                   f"spin_dim=2, got {spec.spin_dim}")
         if spec is not None and spec.n_x % 4 != 0:
             _fatal(diags, "lattice.n_x", "cavity count must be a multiple of 4 "
                    f"(four-cavity unit cell), got {spec.n_x}")
@@ -816,7 +814,8 @@ def _run_qsh(res: dict, threads: int):
             reports = estimate.reports
         except ValueError as exc:
             results["transition_error"] = str(exc)
-    if reports is None:  # no estimate, so no scan to reuse
+            reports = getattr(exc, "reports", None)
+    if reports is None:  # the detector did not scan
         reports = qsh_gap_scan(spec, model["lambda0"], betas, target)
     rows = [(r.beta0, r.e_low, r.e_high, r.width) for r in reports]
     header = ("beta0", "gap_low", "gap_high", "gap_width")
@@ -826,6 +825,7 @@ def _run_qsh(res: dict, threads: int):
 def _run_dispersion_check(res: dict, threads: int):
     opt = res["optics"]
     k_bloch = np.linspace(-np.pi, np.pi, opt["k_points"], endpoint=False)
+    kx, ky = (k.ravel().tolist() for k in np.meshgrid(k_bloch, k_bloch, indexing="ij"))
 
     def one_r(r_mag: float):
         params = OpticalParams(
@@ -833,19 +833,16 @@ def _run_dispersion_check(res: dict, threads: int):
             phi_x=opt["phi_x"], phi_y=opt["phi_y"], omega0=opt["omega0"],
         )
         kappa = float(coupling_strength(params))
-        rows = []
-        worst = 0.0
-        for kx in k_bloch.tolist():
-            for ky in k_bloch.tolist():
-                detuning = float(bloch_dispersion(params, kx, ky))
-                reference = -2.0 * kappa * (
-                    float(np.cos(kx - TWO_PI * opt["phi_x"]))
-                    + float(np.cos(ky - TWO_PI * opt["phi_y"]))
-                )
-                deviation = abs(detuning - reference)
-                worst = max(worst, deviation / (4.0 * kappa))
-                rows.append((r_mag, kx, ky, detuning, reference, deviation))
-        return rows, kappa, worst
+        # One call per kx row keeps the root scan at k_points x SCAN_SAMPLES.
+        detuning = np.array([bloch_dispersion(params, row, k_bloch) for row in k_bloch])
+        reference = -2.0 * kappa * np.add.outer(
+            np.cos(k_bloch - TWO_PI * opt["phi_x"]),
+            np.cos(k_bloch - TWO_PI * opt["phi_y"]),
+        )
+        deviation = np.abs(detuning - reference)
+        columns = (a.ravel().tolist() for a in (detuning, reference, deviation))
+        rows = list(zip([r_mag] * len(kx), kx, ky, *columns))
+        return rows, kappa, float(np.max(deviation / (4.0 * kappa)))
 
     chunks, kappas, worsts = zip(*_ordered_map(one_r, opt["r_values"], threads))
     rows = [row for chunk in chunks for row in chunk]

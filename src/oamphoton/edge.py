@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeSpec, SiteIndex, flat_index, l_of_index
+from .optics import _refine_brackets
 from .hamiltonians import HamiltonianMatrix
 from .scattering import DecaySpec, Resolvent
 # Unused here, but perfbench/spans.py patches these names when tracing.
@@ -201,11 +202,13 @@ class EdgeModeSet:
         return int(sum(np.sign(m.velocity) for m in self.on_side(side)))
 
 
-def _harper_matrix(phi0: float, n_x: int, ky: float) -> np.ndarray:
+def _harper_matrix(phi0: float, n_x: int, ky: np.ndarray | float) -> np.ndarray:
+    """The cylinder-chain matrices, shape ``np.shape(ky) + (n_x, n_x)``."""
     js = np.arange(n_x)
-    m = np.diag(-2.0 * np.cos(ky - 2.0 * np.pi * js * phi0)).astype(float)
-    hop = np.full(n_x - 1, -1.0)
-    return m + np.diag(hop, 1) + np.diag(hop, -1)
+    m = np.zeros(np.shape(ky) + (n_x, n_x))
+    m[..., js, js] = -2.0 * np.cos(np.asarray(ky)[..., None] - 2.0 * np.pi * js * phi0)
+    m[..., js[1:], js[:-1]] = m[..., js[:-1], js[1:]] = -1.0
+    return m
 
 
 def harper_edge_modes(
@@ -219,57 +222,53 @@ def harper_edge_modes(
 
     Diagonalizes the ``n_x`` x ``n_x`` transverse-momentum chain
     ``-(psi_{j+1} + psi_{j-1}) - 2 cos(ky - 2*pi*j*phi0) psi_j = E psi_j``
-    per ``ky``, locates branch crossings ``E_n(ky) = omega`` within the
-    window ``|E - omega| < gamma``, and classifies each crossing by the
-    localization side of its profile (weight > 0.5 on the outer 20% of
-    columns; unlocalized branches are dropped).  Group velocities come
-    from a centered difference with step ``2*pi/512``.
+    over the whole ``ky`` grid in one stacked call, and locates every
+    branch crossing ``E_n(ky) = omega`` of a branch that comes within
+    ``gamma`` of ``omega``, ordered by branch, then by ``ky``.  All
+    crossings are refined together, eightfold per step, for 20 steps: the
+    final bracket is ``8**-20`` of a grid step, below ``optics.ROOT_TOL``
+    and at the float spacing of ``ky``.  Each crossing within the window
+    ``|E - omega| < gamma`` is classified by the localization side of its
+    profile (weight > 0.5 on the outer 20% of columns; unlocalized
+    branches are dropped).  Group velocities come from a centered
+    difference with step ``2*pi/512``.
     """
     if ky_grid is None:
         ky_grid = np.linspace(-np.pi, np.pi, 513)[:-1]
+    ky_grid = np.asarray(ky_grid, dtype=float)
     dky = 2.0 * np.pi / 512.0
-    energies = np.stack([
-        np.linalg.eigvalsh(_harper_matrix(phi0, n_x, ky)) for ky in ky_grid
-    ])
+    f = np.linalg.eigvalsh(_harper_matrix(phi0, n_x, ky_grid)).T - omega
+    near = np.abs(f).min(axis=1) < gamma
+    crossing = (f == 0.0) | (f * np.roll(f, -1, axis=1) < 0.0)
+    branch, a = np.nonzero(near[:, None] & crossing)
+
+    def level(ky: np.ndarray) -> np.ndarray:
+        """``E_n(ky) - omega`` on branch ``branch[i]`` at the points ``ky[i]``."""
+        evals = np.linalg.eigvalsh(_harper_matrix(phi0, n_x, ky))
+        return np.take_along_axis(evals, branch[:, None, None], axis=2)[..., 0] - omega
+
+    ky_star = _refine_brackets(
+        level, ky_grid[a], ky_grid[a] + (ky_grid[1] - ky_grid[0]), f[branch, a], 20
+    )
+    rows = np.arange(branch.size)
+    evals, evecs = np.linalg.eigh(_harper_matrix(phi0, n_x, ky_star))
+    profiles = evecs[rows, :, branch]
+    shifted = np.linalg.eigvalsh(
+        _harper_matrix(phi0, n_x, ky_star[:, None] + np.array([dky, -dky]))
+    )
+    velocity = (shifted[rows, 0, branch] - shifted[rows, 1, branch]) / (2.0 * dky)
     n_outer = max(1, int(np.ceil(0.2 * n_x)))
-    modes: list[EdgeMode] = []
-    n_k = len(ky_grid)
-    for n in range(n_x):
-        f = energies[:, n] - omega
-        if np.abs(f).min() >= gamma:
-            continue
-        for a in range(n_k):
-            b = (a + 1) % n_k
-            if not (f[a] == 0.0 or f[a] * f[b] < 0.0):
-                continue
-            lo, f_lo = ky_grid[a], f[a]
-            hi = ky_grid[a] + (ky_grid[1] - ky_grid[0])
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                f_mid = np.linalg.eigvalsh(_harper_matrix(phi0, n_x, mid))[n] - omega
-                if f_lo * f_mid <= 0.0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-            ky_star = 0.5 * (lo + hi)
-            evals, evecs = np.linalg.eigh(_harper_matrix(phi0, n_x, ky_star))
-            if abs(evals[n] - omega) >= gamma:
-                continue
-            profile = evecs[:, n]
-            w_left = float(np.sum(np.abs(profile[:n_outer]) ** 2))
-            w_right = float(np.sum(np.abs(profile[-n_outer:]) ** 2))
-            velocity = float(
-                np.linalg.eigvalsh(_harper_matrix(phi0, n_x, ky_star + dky))[n]
-                - np.linalg.eigvalsh(_harper_matrix(phi0, n_x, ky_star - dky))[n]
-            ) / (2.0 * dky)
-            if w_left > 0.5:
-                side, weight = Side.LEFT, w_left
-            elif w_right > 0.5:
-                side, weight = Side.RIGHT, w_right
-            else:
-                continue
-            modes.append(EdgeMode(ky_star, velocity, side, weight, profile))
-    return EdgeModeSet(omega=omega, modes=tuple(modes))
+    w_left = np.sum(np.abs(profiles[:, :n_outer]) ** 2, axis=1)
+    w_right = np.sum(np.abs(profiles[:, -n_outer:]) ** 2, axis=1)
+    left = w_left > 0.5
+    weight = np.where(left, w_left, w_right)
+    keep = (np.abs(evals[rows, branch] - omega) < gamma) & (weight > 0.5)
+    modes = tuple(
+        EdgeMode(float(k), float(v), Side.LEFT if on_left else Side.RIGHT, float(w), p)
+        for k, v, on_left, w, p in zip(ky_star[keep], velocity[keep], left[keep],
+                                       weight[keep], profiles[keep])
+    )
+    return EdgeModeSet(omega=omega, modes=modes)
 
 
 def analytic_gap_transmission(

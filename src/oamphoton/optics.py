@@ -200,23 +200,26 @@ def field_transfer_y(params: OpticalParams) -> np.ndarray:
 
 
 def _mode_condition(
-    params: OpticalParams, k: np.ndarray, kx: float, ky: float
+    params: OpticalParams, k: np.ndarray, kx: np.ndarray | float, ky: np.ndarray | float
 ) -> np.ndarray:
     """Determinant whose zeros in ``k`` are the Bloch modes at ``(kx, ky)``.
 
-    The four traveling-wave amplitudes ``(a, b, c, d)`` in one unit cell
-    satisfy four linear relations through the x- and y-arm transfer
-    matrices and the Bloch phases; a nontrivial solution exists where the
-    4x4 system matrix is singular.  The determinant is rescaled by
-    ``r_mag**4`` so its magnitude stays of order one as ``r_mag -> 0``.
+    ``k`` is 1-D; ``kx`` and ``ky`` broadcast against it, so one call
+    evaluates many wave numbers at one Bloch point or one wave number per
+    Bloch point.  The four traveling-wave amplitudes ``(a, b, c, d)`` in
+    one unit cell satisfy four linear relations through the x- and y-arm
+    transfer matrices and the Bloch phases; a nontrivial solution exists
+    where the 4x4 system matrix is singular.  The determinant is rescaled
+    by ``r_mag**4`` so its magnitude stays of order one as ``r_mag -> 0``.
     """
     k = np.asarray(k, dtype=float)
     splitter = bs_transfer_matrix(params.r_mag)
     m_x = _arm_transfer(k, params.s_c, params.s_a, params.phi_x, splitter)
     m_y = _arm_transfer(k, params.s_c, params.s_a, params.phi_y, splitter)
-    bloch_x = np.exp(1j * kx * params.spacing)
-    bloch_y = np.exp(1j * ky * params.spacing)
-    system = np.zeros(k.shape + (4, 4), dtype=complex)
+    bloch_x = np.exp(1j * np.asarray(kx) * params.spacing)
+    bloch_y = np.exp(1j * np.asarray(ky) * params.spacing)
+    shape = np.broadcast_shapes(k.shape, bloch_x.shape, bloch_y.shape)
+    system = np.zeros(shape + (4, 4), dtype=complex)
     system[..., 0, 0] = 1.0
     system[..., 0, 1] = -bloch_x * m_x[..., 0, 0]
     system[..., 0, 2] = -bloch_x * m_x[..., 0, 1]
@@ -232,111 +235,86 @@ def _mode_condition(
     return np.linalg.det(system) * params.r_mag**4
 
 
-def _refine_root(
-    params: OpticalParams,
-    kx: float,
-    ky: float,
-    k_lo: float,
-    k_hi: float,
-    f_lo: complex,
-    f_hi: complex,
-) -> float:
-    """Polish one bracketed zero of the mode condition.
+def _refine_brackets(g, lo, hi, g_lo, steps: int) -> np.ndarray:
+    """Shrink every bracket ``[lo[i], hi[i]]`` around a zero of ``g`` at once.
 
-    The determinant carries a smooth overall phase in ``k``, so plain sign
-    tests do not apply.  Bisection instead compares each midpoint value
-    against the current lower endpoint: a relative phase near pi marks the
-    sign change.  The last bracket is polished by secant iteration on the
-    real part after rotating by the phase of the secant slope, which makes
-    the local linearization real and increasing.
+    ``g`` maps an ``(n, 7)`` array whose row ``i`` holds points of bracket
+    ``i`` to the values there; ``g_lo`` holds the values at ``lo``.  Each
+    step evaluates ``g`` once, at the 7 interior points that cut every
+    bracket into eighths, and keeps the first eighth whose upper end
+    satisfies ``Re(g * conj(g_lo)) <= 0`` against the value at its lower
+    end.  For real ``g`` that is a sign change; for a complex ``g`` with a
+    smooth overall phase it is the phase flip of a zero.  After ``steps``
+    steps each bracket is ``8**-steps`` of its width; the midpoints are
+    returned.
     """
-
-    def evaluate(k: float) -> complex:
-        return complex(_mode_condition(params, np.array([k]), kx, ky)[0])
-
-    for _ in range(80):
-        if k_hi - k_lo <= 1e-10:
-            break
-        k_mid = 0.5 * (k_lo + k_hi)
-        f_mid = evaluate(k_mid)
-        if f_mid == 0.0:
-            return k_mid
-        if (f_mid / f_lo).real < 0.0:
-            k_hi, f_hi = k_mid, f_mid
-        else:
-            k_lo, f_lo = k_mid, f_mid
-    slope_phase = np.angle(f_hi - f_lo)
-    rotation = np.exp(-1j * slope_phase)
-
-    def rotated(k: float) -> float:
-        return (evaluate(k) * rotation).real
-
-    x_prev, x_curr = k_lo, k_hi
-    u_prev, u_curr = rotated(x_prev), rotated(x_curr)
-    for _ in range(60):
-        if u_curr == u_prev:
-            break
-        x_next = x_curr - u_curr * (x_curr - x_prev) / (u_curr - u_prev)
-        x_prev, u_prev = x_curr, u_curr
-        x_curr = x_next
-        u_curr = rotated(x_curr)
-        if abs(x_curr - x_prev) < ROOT_TOL:
-            break
-    return x_curr
+    cuts = np.arange(1, 8) / 8.0
+    rows = np.arange(lo.size)
+    for _ in range(steps):
+        points = np.column_stack([lo, lo[:, None] + (hi - lo)[:, None] * cuts, hi])
+        values = np.column_stack([g_lo, g(points[:, 1:-1])])
+        flip = (values[:, 1:] * np.conj(g_lo)[:, None]).real <= 0.0
+        eighth = np.where(flip.any(axis=1), flip.argmax(axis=1), 7)
+        lo, hi = points[rows, eighth], points[rows, eighth + 1]
+        g_lo = values[rows, eighth]
+    return 0.5 * (lo + hi)
 
 
-def bloch_dispersion(params: OpticalParams, kx: float, ky: float) -> float:
+def bloch_dispersion(
+    params: OpticalParams, kx: np.ndarray | float, ky: np.ndarray | float
+) -> np.ndarray | float:
     """Detuning of the network Bloch mode nearest the carrier.
 
     Scans one free spectral range centered on ``params.k_wave`` for zeros
     of the mode condition at Bloch phases ``(kx, ky)`` (radians per site),
-    refines each to ``ROOT_TOL``, and returns the detuning
-    ``(k_root - k_wave)`` converted to angular frequency through
-    ``omega0`` (with the default ``omega0`` the two coincide).  In the
+    refines every bracket at once eightfold per step until it is at most
+    ``ROOT_TOL`` wide, and returns the detuning ``(k_root - k_wave)`` of
+    the bracket midpoint nearest the carrier, converted to angular
+    frequency through ``omega0`` (with the default ``omega0`` the two
+    coincide).  ``kx`` and ``ky`` broadcast against each other: scalars
+    give a ``float``, arrays an array of their broadcast shape.  In the
     weak-coupling regime this reproduces the tight-binding band
     ``-2*kappa*(cos(kx - 2*pi*phi_x) + cos(ky - 2*pi*phi_y))`` with
     ``kappa = coupling_strength(params)``.
 
     Raises :class:`ValueError` if no mode lies within the scanned free
-    spectral range.
+    spectral range of some Bloch point.
     """
+    kx, ky = np.broadcast_arrays(np.asarray(kx, float), np.asarray(ky, float))
+    shape = kx.shape
+    kx, ky = kx.ravel(), ky.ravel()
     fsr_k = TWO_PI / params.s_c
     k_grid = np.linspace(
         params.k_wave - 0.5 * fsr_k, params.k_wave + 0.5 * fsr_k, SCAN_SAMPLES
     )
-    values = _mode_condition(params, k_grid, kx, ky)
-    roots: list[float] = []
-    magnitudes = np.abs(values)
-    exact = magnitudes == 0.0
-    roots.extend(float(k) for k in k_grid[exact])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = values[1:] / values[:-1]
-    usable = ~(exact[1:] | exact[:-1])
-    for index in np.nonzero((ratios.real < 0.0) & usable)[0]:
-        roots.append(
-            _refine_root(
-                params,
-                kx,
-                ky,
-                float(k_grid[index]),
-                float(k_grid[index + 1]),
-                complex(values[index]),
-                complex(values[index + 1]),
-            )
-        )
-    if not roots:
+    values = np.broadcast_to(  # one scan row per Bloch point
+        _mode_condition(params, k_grid, kx[:, None], ky[:, None]),
+        (kx.size, SCAN_SAMPLES),
+    )
+    # "<= 0" also brackets a sample that is an exact zero, from both sides.
+    point, index = np.nonzero((values[:, 1:] * np.conj(values[:, :-1])).real <= 0.0)
+    missing = np.setdiff1d(np.arange(kx.size), point)
+    if missing.size:
         raise ValueError(
             "no dispersion root in the free spectral range around the carrier "
-            f"(k_wave={params.k_wave!r}, kx={kx!r}, ky={ky!r})"
+            f"(k_wave={params.k_wave!r}, kx={float(kx[missing[0]])!r}, "
+            f"ky={float(ky[missing[0]])!r})"
         )
-    roots.sort()
-    distinct = [roots[0]]
-    for root in roots[1:]:
-        if root - distinct[-1] > 1e-8:
-            distinct.append(root)
-    nearest = min(distinct, key=lambda root: abs(root - params.k_wave))
+
+    def condition(k: np.ndarray) -> np.ndarray:
+        """The mode condition at ``k[i, :]`` for Bloch point ``point[i]``."""
+        at = np.repeat(point, k.shape[1])
+        return _mode_condition(params, k.ravel(), kx[at], ky[at]).reshape(k.shape)
+
+    steps = math.ceil(math.log((k_grid[1] - k_grid[0]) / ROOT_TOL, 8))
+    roots = _refine_brackets(condition, k_grid[index], k_grid[index + 1],
+                             values[point, index], steps)
+    order = np.lexsort((np.abs(roots - params.k_wave), point))
+    first = np.r_[True, np.diff(point[order]) != 0]
+    nearest = roots[order][first]
     scale = params.omega0 * params.s_c / TWO_PI
-    return float((nearest - params.k_wave) * scale)
+    detuning = ((nearest - params.k_wave) * scale).reshape(shape)
+    return float(detuning) if detuning.ndim == 0 else detuning
 
 
 def coupling_strength(params: OpticalParams) -> float:

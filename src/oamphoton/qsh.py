@@ -366,7 +366,8 @@ def transition_detector(
     point of minimum gap width, with the local grid spacing as the
     uncertainty; refining the grid tightens the estimate accordingly.
     The minimum must be interior — a width profile that is monotone
-    toward an endpoint means the grid does not bracket the closing.
+    toward an endpoint means the grid does not bracket the closing; the
+    ``ValueError`` raised then carries the scan as its ``reports``.
     """
     grid = np.asarray(list(beta0_grid), dtype=float)
     if grid.size < 3:
@@ -382,10 +383,12 @@ def transition_detector(
     widths = np.array([r.width for r in reports])
     i = int(np.argmin(widths))
     if i == 0 or i == grid.size - 1:
-        raise ValueError(
+        error = ValueError(
             f"no local minimum in the scanned range [{grid[0]}, {grid[-1]}]: "
             f"gap width is smallest at an endpoint"
         )
+        error.reports = tuple(reports)
+        raise error
     return TransitionEstimate(
         beta0=float(grid[i]),
         uncertainty=float(max(grid[i] - grid[i - 1], grid[i + 1] - grid[i])),

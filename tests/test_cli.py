@@ -329,6 +329,29 @@ def test_qsh_kind_structure_checks():
                for d in found)
 
 
+def test_qsh_kind_reports_each_fault_once():
+    cfg = {
+        "kind": "qsh",
+        "lattice": {"n_x": 6, "l_min": -8, "l_max": 7, "spin_dim": 1,
+                    "bc_x": "periodic"},
+        "model": {"builder": "qsh", "lambda0": 0.6},
+        "qsh": {"beta0_values": [0, 0.05, 0.1, 0.15]},
+    }
+    assert [d.path for d in fatals(cfg)] == ["lattice.spin_dim", "lattice.n_x"]
+
+
+def test_qsh_kind_needs_the_qsh_builder():
+    cfg = {
+        "kind": "qsh",
+        "lattice": {"n_x": 8, "l_min": -8, "l_max": 7},
+        "model": {"builder": "landau", "phi0": 0.25},
+        "qsh": {"beta0_values": [0.0, 0.1]},
+    }
+    found = fatals(cfg)
+    assert [d.path for d in found] == ["model.builder"]
+    assert "needs the qsh builder" in found[0].message
+
+
 def test_optics_reflection_must_be_in_unit_interval():
     for bad in ([0.0], [1.0], [0.5, -0.1]):
         cfg = {"kind": "dispersion-check", "optics": {"r_values": bad}}
@@ -398,6 +421,23 @@ def test_spectrum_output_matches_library(tmp_path):
     parsed = [float(line.split(",")[1]) for line in lines[1:]]
     # 17 significant digits round-trip doubles exactly
     assert parsed == expected.tolist()
+
+
+def test_spectrum_inputs_list_matches_library(tmp_path):
+    out = run_cli(tmp_path, spectrum_config(inputs=[[0, 0], [3, 2], [3, -5, 0]]))
+    lines = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()
+    H = build_landau_hofstadter(LatticeSpec(4, -5, 5), 0.25)
+    inputs = [SiteIndex(0, 0, 0), SiteIndex(3, 2, 0), SiteIndex(3, -5, 0)]
+    expected = total_transmission_spectrum(
+        H, DecaySpec(gamma=0.2), inputs, np.linspace(-3.0, 3.0, 5)
+    )
+    assert [float(line.split(",")[1]) for line in lines[1:]] == expected.tolist()
+
+
+def test_spectrum_inputs_must_be_sites_in_the_window():
+    assert [d.path for d in fatals(spectrum_config(inputs=[]))] == ["inputs"]
+    found = fatals(spectrum_config(inputs=[[0, 0], [1, 9]]))
+    assert [d.path for d in found] == ["inputs[1]"]
 
 
 def test_manifest_contents_and_digests(tmp_path):
@@ -571,6 +611,26 @@ def test_qsh_run_scans_each_beta_once(tmp_path, monkeypatch):
     assert len(calls) == len(betas)
     man = json.loads((out / "manifest.json").read_text())
     assert man["results"]["transition_beta0"] == pytest.approx(0.075)
+    assert len((out / "qsh.csv").read_text().splitlines()) == 1 + len(betas)
+
+
+def test_qsh_run_scans_each_beta_once_when_the_detector_fails(tmp_path, monkeypatch):
+    calls = []
+    levels = qsh._torus_levels
+    monkeypatch.setattr(qsh, "_torus_levels",
+                        lambda *args: calls.append(args) or levels(*args))
+    betas = [0.0, 0.05, 0.1, 0.15]
+    cfg = {
+        "kind": "qsh",
+        "lattice": {"n_x": 8, "l_min": -50, "l_max": 50, "spin_dim": 2,
+                    "bc_y": "periodic"},
+        "model": {"builder": "qsh", "lambda0": 0.6},
+        "qsh": {"beta0_values": betas},
+    }
+    out = run_cli(tmp_path, cfg)
+    assert len(calls) == len(betas)
+    man = json.loads((out / "manifest.json").read_text())
+    assert "no local minimum" in man["results"]["transition_error"]
     assert len((out / "qsh.csv").read_text().splitlines()) == 1 + len(betas)
 
 

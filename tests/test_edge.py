@@ -1,8 +1,11 @@
 """Edge-transport tests: displacement plateaus, chain oracle, analytic profile."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from oamphoton.chern import MagneticBZGrid, band_structure, fukui_hatsugai_chern
 from oamphoton.lattice import Boundary, LatticeSpec, SiteIndex
 from oamphoton.hamiltonians import HamiltonianMatrix, build_landau_hofstadter
 from oamphoton.scattering import DecaySpec
@@ -178,6 +181,50 @@ def test_harper_prediction_matches_direct_displacement(sixth_flux_cylinder):
         for side in (Side.LEFT, Side.RIGHT):
             measured = oam_displacement(H, decay, omega, EdgeRegion(side, 2))
             assert modes.predicted_displacement(side) == round(measured)
+
+
+def test_harper_crossings_sit_on_the_probe_frequency():
+    for omega in (-2.2, -1.0):
+        for m in harper_edge_modes(PHI0, 10, omega=omega, gamma=0.2).modes:
+            js = np.arange(10)
+            chain = (np.diag(-2.0 * np.cos(m.ky - 2.0 * np.pi * js * PHI0))
+                     - np.eye(10, k=1) - np.eye(10, k=-1))
+            assert np.abs(np.linalg.eigvalsh(chain) - omega).min() < 1e-12
+            np.testing.assert_allclose(chain @ m.profile, omega * m.profile,
+                                       atol=1e-12)
+
+
+def test_three_routes_agree_on_every_open_gap():
+    """Bulk Chern sum, TKNN Diophantine integer and edge chirality coincide.
+
+    For flux p/q the gap above r bands carries t_r from r = s*q + t*p with
+    |t| <= q/2 (Thouless et al. 1982); the Chern numbers of the bands below
+    it sum to t_r, and the cylinder chain's edge branches at mid-gap have
+    net chirality t_r on the right edge and -t_r on the left (Hatsugai
+    1993).  Gaps narrower than 0.1 are left out: the closed central gaps
+    of even q, and the four 0.02-wide gaps at q = 7, where no edge crossing
+    falls within the selection window.
+    """
+    checked = 0
+    for q in range(3, 8):
+        for p in range(1, q):
+            if Fraction(p, q).denominator != q:
+                continue
+            data = band_structure(MagneticBZGrid(p, q, 32, 32))
+            for r in range(1, q):
+                lo = data.energies[r - 1].max()
+                hi = data.energies[r].min()
+                if hi - lo < 0.1:
+                    continue
+                fukui = fukui_hatsugai_chern(data, range(r))
+                (tknn,) = [t for t in range(-(q // 2), q // 2 + 1)
+                           if (r - t * p) % q == 0]
+                modes = harper_edge_modes(p / q, 4 * q, 0.5 * (lo + hi), (hi - lo) / 6)
+                right = modes.predicted_displacement(Side.RIGHT)
+                assert fukui == tknn == right, (p, q, r)
+                assert modes.predicted_displacement(Side.LEFT) == -right, (p, q, r)
+                checked += 1
+    assert checked == 64
 
 
 def test_harper_zero_flux_outside_band_empty():

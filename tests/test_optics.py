@@ -239,6 +239,32 @@ def test_dispersion_root_satisfies_mode_condition():
     assert residual < 1e-9 * scale
 
 
+def test_dispersion_broadcasts_like_scalar_calls():
+    params = default_params(0.3, phi_x=0.15, phi_y=0.35)
+    kx = np.array([-2.0, 0.0, 0.9])
+    ky = np.array([-0.4, 1.1])
+    surface = bloch_dispersion(params, kx[:, None], ky)
+    assert surface.shape == (3, 2)
+    scalar = [[bloch_dispersion(params, a, b) for b in ky] for a in kx]
+    assert surface.tolist() == scalar
+    assert type(scalar[0][0]) is float
+
+
+def test_refine_brackets_finds_sign_changes_and_phase_flips():
+    cos_roots = optics._refine_brackets(
+        np.cos, np.array([1.5, 4.5]), np.array([1.6, 4.8]), np.cos([1.5, 4.5]), 18
+    )
+    np.testing.assert_allclose(cos_roots, [np.pi / 2, 3 * np.pi / 2], atol=1e-15)
+
+    def turning(k):  # a zero at 0.7 under a smooth overall phase
+        return np.exp(0.3j * k) * (k - 0.7)
+
+    root = optics._refine_brackets(
+        turning, np.array([0.6]), np.array([0.8]), turning(np.array([0.6])), 18
+    )
+    assert abs(root[0] - 0.7) < 1e-15
+
+
 def test_dispersion_is_deterministic():
     params = default_params(0.1)
     assert bloch_dispersion(params, 0.3, 0.7) == bloch_dispersion(params, 0.3, 0.7)
