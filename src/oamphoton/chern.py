@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .lattice import Boundary, LatticeSpec
 
@@ -319,6 +318,10 @@ def _refined_component_minima(
     a derivative-free descent on the exact Bloch eigenvector.  Returns
     ``(kx, ky, |u|)`` triples; kx is reduced to ``[-pi, pi)``.
     """
+    # Imported here: scipy.optimize costs about 0.3 s and 27 MB on import,
+    # and nothing else in the package needs it.
+    from scipy.optimize import minimize
+
     p, q = data.grid.p, data.grid.q
     field = np.abs(data.vectors[m][:, :, component])
     kxs, kys = data.grid.kx_values, data.grid.ky_values

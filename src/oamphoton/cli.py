@@ -667,8 +667,8 @@ def _csv_bytes(header: tuple[str, ...], rows) -> bytes:
 
 def _grid_bytes(grid: np.ndarray, l_min: int) -> bytes:
     lines = [f"{grid.shape[0]} {grid.shape[1]} {l_min} 0"]
-    for row in grid:
-        lines.append(" ".join(format(float(v), ".17g") for v in row))
+    fmt = " ".join(["%.17g"] * grid.shape[1])
+    lines.extend(fmt % tuple(row) for row in grid)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

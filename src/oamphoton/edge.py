@@ -224,10 +224,15 @@ def harper_edge_modes(
     ``-(psi_{j+1} + psi_{j-1}) - 2 cos(ky - 2*pi*j*phi0) psi_j = E psi_j``
     over the whole ``ky`` grid in one stacked call, and locates every
     branch crossing ``E_n(ky) = omega`` of a branch that comes within
-    ``gamma`` of ``omega``, ordered by branch, then by ``ky``.  All
-    crossings are refined together, eightfold per step, for 20 steps: the
-    final bracket is ``8**-20`` of a grid step, below ``optics.ROOT_TOL``
-    and at the float spacing of ``ky``.  Each crossing within the window
+    ``gamma`` of ``omega``, ordered by branch, then by ``ky``.  The grid
+    must be strictly increasing.  Each crossing is bracketed by the two
+    samples it lies between; the last sample is paired with the first
+    (at ``ky_grid[0] + 2*pi``) only when the grid covers one period, that
+    is when the arc from its last sample round to its first is positive
+    and no wider than its widest step.  All crossings are refined
+    together, eightfold per step, for 20 steps: the final bracket is
+    ``8**-20`` of a grid step, below ``optics.ROOT_TOL`` and at the float
+    spacing of ``ky``.  Each crossing within the window
     ``|E - omega| < gamma`` is classified by the localization side of its
     profile (weight > 0.5 on the outer 20% of columns; unlocalized
     branches are dropped).  Group velocities come from a centered
@@ -236,10 +241,18 @@ def harper_edge_modes(
     if ky_grid is None:
         ky_grid = np.linspace(-np.pi, np.pi, 513)[:-1]
     ky_grid = np.asarray(ky_grid, dtype=float)
+    if ky_grid.ndim != 1 or ky_grid.size < 2 or not np.all(np.diff(ky_grid) > 0.0):
+        raise ValueError("ky_grid must be a strictly increasing 1-D grid of at least 2 points")
     dky = 2.0 * np.pi / 512.0
     f = np.linalg.eigvalsh(_harper_matrix(phi0, n_x, ky_grid)).T - omega
+    gap = ky_grid[0] + 2.0 * np.pi - ky_grid[-1]
+    if 0.0 < gap <= np.diff(ky_grid).max() * (1.0 + 1e-9):
+        ky_ends = np.append(ky_grid, ky_grid[0] + 2.0 * np.pi)
+        f_ends = np.column_stack([f, f[:, 0]])
+    else:
+        ky_ends, f_ends = ky_grid, f
     near = np.abs(f).min(axis=1) < gamma
-    crossing = (f == 0.0) | (f * np.roll(f, -1, axis=1) < 0.0)
+    crossing = (f_ends[:, :-1] == 0.0) | (f_ends[:, :-1] * f_ends[:, 1:] < 0.0)
     branch, a = np.nonzero(near[:, None] & crossing)
 
     def level(ky: np.ndarray) -> np.ndarray:
@@ -247,9 +260,7 @@ def harper_edge_modes(
         evals = np.linalg.eigvalsh(_harper_matrix(phi0, n_x, ky))
         return np.take_along_axis(evals, branch[:, None, None], axis=2)[..., 0] - omega
 
-    ky_star = _refine_brackets(
-        level, ky_grid[a], ky_grid[a] + (ky_grid[1] - ky_grid[0]), f[branch, a], 20
-    )
+    ky_star = _refine_brackets(level, ky_ends[a], ky_ends[a + 1], f[branch, a], 20)
     rows = np.arange(branch.size)
     evals, evecs = np.linalg.eigh(_harper_matrix(phi0, n_x, ky_star))
     profiles = evecs[rows, :, branch]

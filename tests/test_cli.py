@@ -499,6 +499,16 @@ def test_edge_map_grid_format(tmp_path):
     assert man["results"]["total_power"] == pytest.approx(grid.sum())
 
 
+def test_grid_bytes_equal_the_per_value_formatter():
+    values = [0.0, -0.0, 5e-324, 2.5e-310, 1e-300, 0.1, 1.0 / 3.0, 2.0, 123456.789,
+              1e17, 6.02214076e23, np.nextafter(1.0, 2.0)]
+    for grid in (np.array(values).reshape(3, 4), np.array(values).reshape(12, 1)):
+        want = "".join(" ".join(format(float(v), ".17g") for v in row) + "\n"
+                       for row in grid)
+        head = f"{grid.shape[0]} {grid.shape[1]} -3 0\n"
+        assert cli._grid_bytes(grid, -3) == (head + want).encode("utf-8")
+
+
 def test_edge_map_spinful_writes_one_grid_per_component(tmp_path):
     cfg = {
         "kind": "edge-map",

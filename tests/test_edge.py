@@ -194,6 +194,36 @@ def test_harper_crossings_sit_on_the_probe_frequency():
                                        atol=1e-12)
 
 
+def test_harper_partial_grid_finds_only_its_own_crossings():
+    """A grid short of a period is not wrapped round from its last sample."""
+    modes = harper_edge_modes(PHI0, 10, omega=-2.2, gamma=0.2,
+                              ky_grid=np.linspace(-2.0, -0.5, 40))
+    assert [m.side for m in modes.modes] == [Side.LEFT]
+    assert modes.modes[0].ky == pytest.approx(-0.5564, abs=1e-4)
+    assert modes.predicted_displacement(Side.LEFT) == -1
+
+
+@pytest.mark.parametrize("warp", [0.1, -0.1])
+def test_harper_non_uniform_grid_matches_the_default_grid(warp):
+    """Each crossing is bracketed by its own samples, whatever the steps."""
+    t = np.linspace(0.0, 1.0, 301)[:-1]
+    grid = -np.pi + 2.0 * np.pi * (t + warp * np.sin(2.0 * np.pi * t))
+    for omega in (-2.2, -1.0):
+        want = harper_edge_modes(PHI0, 10, omega=omega, gamma=0.2).modes
+        got = harper_edge_modes(PHI0, 10, omega=omega, gamma=0.2, ky_grid=grid).modes
+        assert [m.side for m in got] == [m.side for m in want]
+        np.testing.assert_allclose([m.ky for m in got], [m.ky for m in want], atol=1e-12)
+    partial = harper_edge_modes(PHI0, 10, omega=-2.2, gamma=0.2,
+                                ky_grid=-2.0 + 1.5 * np.linspace(0.0, 1.0, 31) ** 2)
+    assert [m.side for m in partial.modes] == [Side.LEFT]
+    assert partial.modes[0].ky == pytest.approx(-0.5564, abs=1e-4)
+
+
+def test_harper_rejects_a_grid_that_is_not_increasing():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        harper_edge_modes(PHI0, 10, omega=-2.2, gamma=0.2, ky_grid=np.array([0.5, 0.1, 0.2]))
+
+
 def test_three_routes_agree_on_every_open_gap():
     """Bulk Chern sum, TKNN Diophantine integer and edge chirality coincide.
 
