@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .hamiltonians import HamiltonianMatrix
 from .lattice import Boundary, LatticeSpec, l_of_index
@@ -272,8 +271,7 @@ def sample_disordered_hamiltonian(
     H = _resolve_base(base)
     spec = H.spec
     _check_coupling_axis(spec, model)
-    entries = H.tocsr().tocoo()
-    rows, cols, values = entries.row, entries.col, entries.data
+    rows, cols, values = H.rows, H.cols, H.values.copy()
     coupled = model.sigma_coupling_mag > 0.0 or model.sigma_coupling_phase > 0.0
     if coupled:  # the model admits coupling errors at link scopes only
         forward, backward, link = _link_entries(spec, model.scope, rows, cols)
@@ -314,8 +312,7 @@ def sample_disordered_hamiltonian(
         rows = np.concatenate([rows, diagonal])
         cols = np.concatenate([cols, diagonal])
         values = np.concatenate([values, shifts])
-    return HamiltonianMatrix(
-        spec, scipy.sparse.coo_matrix((values, (rows, cols)), shape=entries.shape))
+    return HamiltonianMatrix.from_entries(spec, rows, cols, values)
 
 
 def loss_perturbed_decay(

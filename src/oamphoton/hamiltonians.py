@@ -24,11 +24,11 @@ Builders provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.sparse
 
 from .lattice import Boundary, LatticeSpec
 
@@ -48,6 +48,9 @@ __all__ = [
 
 DENSE_DIM_LIMIT = 4096
 """:attr:`HamiltonianMatrix.data` is dense up to this dimension, CSR above."""
+
+_MATVEC_TILE_BYTES = 256 * 2**10
+"""Rows of :meth:`HamiltonianMatrix.matvec` output handled at once (bytes)."""
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -134,34 +137,99 @@ class GaugeConfig:
     onsite: Mapping[int, float] | Callable[[int], float] | float | None = None
 
 
+def _canonical(dim: int, rows, cols, values
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO triples in canonical order: row-major, each ``(row, col)`` once,
+    no zeros.
+
+    A stable sort keeps duplicates in input order, and each is added to the
+    running sum in that order, as scipy's ``sum_duplicates`` does.
+    """
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+    values = np.asarray(values, dtype=complex).reshape(-1)
+    if not rows.size == cols.size == values.size:
+        raise ValueError(f"entry arrays differ in length: {rows.size} rows, "
+                         f"{cols.size} columns, {values.size} values")
+    if rows.size and not (0 <= min(rows.min(), cols.min())
+                          and max(rows.max(), cols.max()) < dim):
+        raise ValueError(f"entry index outside the lattice dimension {dim}")
+    key = rows * dim + cols
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values[order]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    later = np.flatnonzero(~first)
+    if later.size:
+        group = np.cumsum(first)[later] - 1
+        rank = later - np.flatnonzero(first)[group]
+        key, summed = key[first], values[first]
+        # One pass per duplicate rank: the r-th copy of every entry at once.
+        for r in range(1, int(rank.max()) + 1):
+            at = rank == r
+            summed[group[at]] += values[later[at]]
+        values = summed
+    keep = values != 0
+    if not keep.all():
+        key, values = key[keep], values[keep]
+    rows, cols = np.divmod(key, dim)
+    return rows, cols, values
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class HamiltonianMatrix:
     """A Hermitian lattice Hamiltonian with its geometry.
 
-    The matrix is stored once, as canonical CSR (sorted indices, no
-    duplicates, no explicit zeros): the lattices here have nearest-neighbor
-    hops only, a handful of nonzeros per row.  ``HamiltonianMatrix(spec,
-    matrix)`` accepts a dense array or any scipy sparse matrix and copies
-    it.  :meth:`tocsr` and :meth:`toarray` return fresh copies, and
-    ``data`` is a view computed on each access: a dense array for
-    dimensions up to :data:`DENSE_DIM_LIMIT`, CSR above that.  Energies
-    are in units of the nearest-neighbor coupling.
+    The matrix is stored once, as canonical COO arrays ``rows``, ``cols``
+    and ``values``: row-major order, each ``(row, col)`` once, no explicit
+    zeros.  The lattices here have nearest-neighbor hops only, a handful of
+    nonzeros per row.  The arrays are read-only, so consumers share them;
+    one that rewrites values works on a copy.  ``HamiltonianMatrix(spec,
+    matrix)`` accepts a dense array or any scipy sparse matrix (through its
+    ``tocoo()``) and copies it; :meth:`from_entries` takes COO triples.
+    :meth:`tocsr` exports a fresh scipy CSR matrix, importing scipy only
+    then, and :meth:`toarray` a fresh dense array.  ``data`` is a view
+    computed on each access: a dense array for dimensions up to
+    :data:`DENSE_DIM_LIMIT`, CSR above that.  Energies are in units of the
+    nearest-neighbor coupling.
     """
 
     spec: LatticeSpec
-    _csr: scipy.sparse.csr_matrix = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     def __init__(self, spec: LatticeSpec, matrix) -> None:
-        csr = scipy.sparse.csr_matrix(matrix, dtype=complex, copy=True)
-        if csr.shape != (spec.dim, spec.dim):
+        if hasattr(matrix, "tocoo"):  # any scipy sparse matrix or array
+            matrix = matrix.tocoo()
+        else:
+            matrix = np.asarray(matrix, dtype=complex)
+        if matrix.shape != (spec.dim, spec.dim):
             raise ValueError(
-                f"matrix shape {csr.shape} does not match the lattice "
+                f"matrix shape {matrix.shape} does not match the lattice "
                 f"dimension {spec.dim}"
             )
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
+        if isinstance(matrix, np.ndarray):
+            rows, cols = np.nonzero(matrix)
+            entries = rows, cols, matrix[rows, cols]
+        else:
+            entries = matrix.row, matrix.col, matrix.data
+        self._store(spec, *entries)
+
+    @classmethod
+    def from_entries(cls, spec: LatticeSpec, rows, cols, values
+                     ) -> "HamiltonianMatrix":
+        """From COO triples: duplicates are summed in order, zeros dropped."""
+        H = cls.__new__(cls)
+        H._store(spec, rows, cols, values)
+        return H
+
+    def _store(self, spec: LatticeSpec, rows, cols, values) -> None:
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "_csr", csr)
+        for name, array in zip(("rows", "cols", "values"),
+                               _canonical(spec.dim, rows, cols, values)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def dim(self) -> int:
@@ -173,22 +241,85 @@ class HamiltonianMatrix:
         return self.dim <= DENSE_DIM_LIMIT
 
     @property
-    def data(self) -> np.ndarray | scipy.sparse.csr_matrix:
+    def data(self):
         """A fresh dense array up to :data:`DENSE_DIM_LIMIT`, CSR above."""
         return self.toarray() if self.is_dense else self.tocsr()
 
-    def tocsr(self) -> scipy.sparse.csr_matrix:
-        """A copy of the stored canonical CSR matrix."""
-        return self._csr.copy()
+    def tocsr(self):
+        """The matrix as a fresh canonical ``scipy.sparse.csr_matrix``."""
+        import scipy.sparse  # an export format only: the library never needs it
+
+        indptr = np.zeros(self.dim + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.rows, minlength=self.dim), out=indptr[1:])
+        csr = scipy.sparse.csr_matrix((self.values, self.cols, indptr),
+                                      shape=(self.dim, self.dim), copy=True)
+        csr.has_canonical_format = True
+        return csr
 
     def toarray(self) -> np.ndarray:
         """The Hamiltonian as a fresh dense complex array."""
-        return self._csr.toarray()
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[self.rows, self.cols] = self.values
+        return out
+
+    def matvec(self, x: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+        """``H @ x`` for a vector or a block of columns (``x.shape[0] == dim``).
+
+        With ``shift``, ``H @ x - shift * x``: a diagonal shift, broadcast
+        against ``x`` (one value per row, or per row and column), such as
+        ``omega + i G/2`` in a residual.  Works over tiles of rows sized to
+        stay in cache, one scaled slice of ``x`` per offset diagonal.
+        """
+        x = np.asarray(x)
+        if x.ndim == 0 or x.shape[0] != self.dim:
+            raise ValueError(f"operand shape {x.shape} does not match the "
+                             f"dimension {self.dim}")
+        y = np.empty(x.shape, dtype=np.result_type(x, complex))
+        if shift is not None:
+            shift = np.broadcast_to(-np.asarray(shift), x.shape)
+        tile = max(1, _MATVEC_TILE_BYTES // (y.itemsize * max(1, y[:1].size)))
+        scratch = np.empty((min(tile, self.dim),) + x.shape[1:], dtype=y.dtype)
+        column = (slice(None),) + (None,) * (x.ndim - 1)
+        offsets, diagonals = self._diagonals
+        for a in range(0, self.dim, tile):
+            b = min(a + tile, self.dim)
+            if shift is None:
+                y[a:b] = 0.0
+            else:
+                np.multiply(shift[a:b], x[a:b], out=y[a:b])
+            for offset, diagonal in zip(offsets, diagonals):
+                lo, hi = max(a, -offset), min(b, self.dim - offset)
+                if lo < hi:
+                    part = scratch[: hi - lo]
+                    np.multiply(diagonal[lo:hi][column], x[lo + offset: hi + offset],
+                                out=part)
+                    y[lo:hi] += part
+        return y
+
+    @cached_property
+    def _diagonals(self) -> tuple[list[int], np.ndarray]:
+        """The offsets ``col - row`` that hold entries, and one row per
+        offset: ``diagonals[k][i] = H[i, i + offsets[k]]``, zero where ``H``
+        has no entry, so :meth:`matvec` works on slices only."""
+        shifted = self.cols - self.rows + self.dim - 1
+        present = np.flatnonzero(np.bincount(shifted, minlength=2 * self.dim - 1))
+        index = np.zeros(2 * self.dim - 1, dtype=np.intp)
+        index[present] = np.arange(present.size)
+        diagonals = np.zeros((present.size, self.dim), dtype=complex)
+        diagonals[index[shifted], self.rows] = self.values
+        return (present - (self.dim - 1)).tolist(), diagonals
 
     def hermiticity_defect(self) -> float:
-        """Max-norm of ``H - H^dagger`` (should be < 1e-12)."""
-        delta = self._csr - self._csr.conj().T
-        return float(np.abs(delta.data).max(initial=0.0))
+        """Max-norm of ``H - H^dagger`` (should be < 1e-12).
+
+        Each entry meets its partner ``(col, row)``, found by a search in
+        the canonical order; an absent partner counts as zero.
+        """
+        key = self.rows * self.dim + self.cols
+        mirror = self.cols * self.dim + self.rows
+        at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+        partner = np.where(key[at] == mirror, self.values[at].conj(), 0.0)
+        return float(np.abs(self.values - partner).max(initial=0.0))
 
 
 def _hops(spec: LatticeSpec, axis: str):
@@ -214,7 +345,7 @@ def _hops(spec: LatticeSpec, axis: str):
 
 def _assemble(spec: LatticeSpec, hops, onsite: np.ndarray | None = None
               ) -> HamiltonianMatrix:
-    """Sum hop blocks, their Hermitian partners and on-site terms into CSR.
+    """Sum hop blocks, their Hermitian partners and on-site terms into ``H``.
 
     ``hops`` holds one ``(src, dst, blocks)`` triple per axis: ``blocks``
     (one value or ``spin_dim x spin_dim`` block, or one per hop) maps the
@@ -236,10 +367,9 @@ def _assemble(spec: LatticeSpec, hops, onsite: np.ndarray | None = None
         rows.append(np.arange(spec.dim))
         cols.append(np.arange(spec.dim))
         vals.append(np.repeat(onsite, spec.n_l * sd))
-    vals, rows, cols = (np.concatenate([a.ravel() for a in part])
-                        for part in (vals, rows, cols))
-    return HamiltonianMatrix(spec, scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(spec.dim, spec.dim)))
+    rows, cols, vals = (np.concatenate([a.ravel() for a in part])
+                        for part in (rows, cols, vals))
+    return HamiltonianMatrix.from_entries(spec, rows, cols, vals)
 
 
 def build_landau_hofstadter(spec: LatticeSpec, phi0: float | Fraction) -> HamiltonianMatrix:
@@ -345,5 +475,7 @@ def apply_onsite_disorder(
         deltas if not isinstance(deltas, np.ndarray) else dict(enumerate(deltas)),
         spec.n_x,
     )
-    per_index = np.repeat(delta_vec, spec.n_l * spec.spin_dim)
-    return HamiltonianMatrix(spec, H._csr + scipy.sparse.diags(per_index))
+    diagonal = np.arange(spec.dim)
+    return HamiltonianMatrix.from_entries(
+        spec, np.concatenate([H.rows, diagonal]), np.concatenate([H.cols, diagonal]),
+        np.concatenate([H.values, np.repeat(delta_vec, spec.n_l * spec.spin_dim)]))

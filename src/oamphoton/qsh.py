@@ -288,9 +288,8 @@ def _probe_displacement(grid: np.ndarray, spec: LatticeSpec,
 
 def _scaled_coupling(H: HamiltonianMatrix, coupling: float) -> HamiltonianMatrix:
     """Rescale every hop amplitude, leaving the on-site terms unchanged."""
-    entries = H.tocsr().tocoo()
-    entries.data[entries.row != entries.col] *= coupling
-    return HamiltonianMatrix(H.spec, entries)
+    values = np.where(H.rows != H.cols, H.values * coupling, H.values)
+    return HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols, values)
 
 
 def polarized_edge_maps(

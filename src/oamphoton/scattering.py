@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .lattice import Boundary, LatticeSpec, SiteIndex, flat_index
 from .hamiltonians import HamiltonianMatrix
@@ -63,7 +62,9 @@ _LOG = logging.getLogger("oamphoton")
 class DecaySpec:
     """Input/output coupling rates, uniform or per mode (units of the hop).
 
-    Use :meth:`uniform` or :meth:`per_mode`; all rates must be positive.
+    Use :meth:`uniform` or :meth:`per_mode`; all rates must be positive and
+    finite.  A rate vector is copied and stored read-only, so the caller's
+    array and the spec never share memory.
     """
 
     gamma: float | None = None
@@ -72,12 +73,13 @@ class DecaySpec:
     def __post_init__(self) -> None:
         if (self.gamma is None) == (self.rates is None):
             raise ValueError("specify exactly one of a uniform rate or a rate vector")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"decay rate must be positive, got {self.gamma}")
+        if self.gamma is not None and not 0 < self.gamma < np.inf:
+            raise ValueError(f"decay rate must be positive and finite, got {self.gamma}")
         if self.rates is not None:
-            rates = np.asarray(self.rates, dtype=float)
-            if rates.ndim != 1 or not np.all(rates > 0):
-                raise ValueError("per-mode rates must be a vector of positive values")
+            rates = np.array(self.rates, dtype=float)
+            if rates.ndim != 1 or not np.all((rates > 0) & (rates < np.inf)):
+                raise ValueError("per-mode rates must be a vector of positive finite values")
+            rates.flags.writeable = False
             object.__setattr__(self, "rates", rates)
 
     @classmethod
@@ -86,7 +88,7 @@ class DecaySpec:
 
     @classmethod
     def per_mode(cls, rates: np.ndarray) -> "DecaySpec":
-        return cls(rates=np.asarray(rates, dtype=float))
+        return cls(rates=rates)
 
     @property
     def is_uniform(self) -> bool:
@@ -163,13 +165,12 @@ def _widen(blocks: np.ndarray, width: int) -> np.ndarray:
     return joined.reshape(-1, width * b)
 
 
-def _block_distance(entries: scipy.sparse.coo_matrix, block_of: np.ndarray) -> int:
+def _block_distance(H: HamiltonianMatrix, block_of: np.ndarray) -> int:
     """The largest block distance between two sites that ``H`` couples."""
-    return int(np.max(np.abs(block_of[entries.row] - block_of[entries.col]),
-                      initial=0))
+    return int(np.max(np.abs(block_of[H.rows] - block_of[H.cols]), initial=0))
 
 
-def _slice_blocks(entries: scipy.sparse.coo_matrix, blocks: np.ndarray,
+def _slice_blocks(H: HamiltonianMatrix, blocks: np.ndarray,
                   block_of: np.ndarray, pos_of: np.ndarray):
     """Slice the entries of ``H`` (each ``(row, col)`` once) over ``blocks``
     into diagonal blocks ``D_k``, upper couplings ``U_k = H[k, k+1]`` and
@@ -178,17 +179,17 @@ def _slice_blocks(entries: scipy.sparse.coo_matrix, blocks: np.ndarray,
     Returns None when an entry of ``H`` lies outside the blocks.
     """
     n, b = blocks.shape
-    br, bc = block_of[entries.row], block_of[entries.col]
+    br, bc = block_of[H.rows], block_of[H.cols]
     if np.any(np.abs(br - bc) > 1):
         return None
-    pr, pc = pos_of[entries.row], pos_of[entries.col]
+    pr, pc = pos_of[H.rows], pos_of[H.cols]
     D = np.zeros((n, b, b), dtype=complex)
     U = np.zeros((n - 1, b, b), dtype=complex)
     L = np.zeros((n - 1, b, b), dtype=complex)
-    # Canonical CSR holds each (row, col) once, so assignment is exact.
+    # H holds each (row, col) once, so assignment is exact.
     for target, block, select in ((D, br, br == bc), (U, br, bc == br + 1),
                                   (L, bc, br == bc + 1)):
-        target[block[select], pr[select], pc[select]] = entries.data[select]
+        target[block[select], pr[select], pc[select]] = H.values[select]
     return D, U, L
 
 
@@ -204,7 +205,7 @@ class Resolvent:
     Schur-complement sweeps toward the port blocks, storing the transfer
     matrices ``h_k`` so that back-substitution costs one matmul per block;
     it solves each port block's ``G_{k0,k0}`` once for all its ports and
-    checks every returned column against ``H``'s own CSR:
+    checks every returned column against ``H``'s own entries:
     ``||(omega - H + i G/2) x - e|| <=`` :data:`RESIDUAL_RTOL`, so NaN
     fails too.
     ``factorizations`` (one per frequency), ``worst_residual`` and
@@ -214,17 +215,16 @@ class Resolvent:
     def __init__(self, H: HamiltonianMatrix, decay: DecaySpec):
         self.rates = decay.rate_vector(H.dim)
         self.dim = H.dim
-        self._H = H.tocsr()
-        entries = self._H.tocoo()
+        self._H = H
         blocks = _oam_blocks(H.spec)
         block_of, pos_of = _positions(blocks, H.dim)
-        sliced = _slice_blocks(entries, blocks, block_of, pos_of)
+        sliced = _slice_blocks(H, blocks, block_of, pos_of)
         self.width = 1
         if sliced is None:
-            self.width = _block_distance(entries, block_of)
+            self.width = _block_distance(H, block_of)
             blocks = _widen(blocks, self.width)
             block_of, pos_of = _positions(blocks, H.dim)
-            sliced = _slice_blocks(entries, blocks, block_of, pos_of)
+            sliced = _slice_blocks(H, blocks, block_of, pos_of)
         self._D, self._U, self._L = sliced
         self._block_of, self._pos_of = block_of, pos_of
         self.slices, self.block_size = blocks.shape
@@ -345,8 +345,7 @@ class Resolvent:
             np.concatenate(columns, axis=2), np.argsort(np.concatenate(order)), axis=2)
         # r = e - (omega - H + i G/2) x; each e has unit norm, so the
         # column norms of r are relative residuals.
-        r = (self._H @ x.reshape(self.dim, -1)).reshape(x.shape)
-        r -= (omegas[:, None] + 0.5j * self.rates[:, None, None]) * x
+        r = self._H.matvec(x, shift=omegas[:, None] + 0.5j * self.rates[:, None, None])
         r[rows, :, np.arange(rows.size)] += 1.0
         parts = r.reshape(self.dim, -1).view(float)
         squares = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)

@@ -216,6 +216,82 @@ def test_dense_and_sparse_inputs_store_the_same_matrix():
         HamiltonianMatrix(H.spec, dense[1:, 1:])
 
 
+@st.composite
+def coo_triples(draw):
+    """A small lattice and COO triples in random order, with duplicates,
+    explicit zeros and duplicates that cancel to zero.
+
+    Rows keep at most 16 entries: scipy sorts a row's indices with
+    ``std::sort``, which keeps duplicates in input order only up to 16
+    entries, so longer rows could sum their duplicates in another order.
+    """
+    spec = LatticeSpec(n_x=draw(st.integers(1, 3)), l_min=0,
+                       l_max=draw(st.integers(0, 3)),
+                       spin_dim=draw(st.integers(1, 2)))
+    index = st.integers(0, spec.dim - 1)
+    part = st.floats(-2.0, 2.0)
+    value = st.one_of(st.just(0j), st.sampled_from([1.0, -1j, 0.5 + 0.25j]),
+                      st.builds(complex, part, part))
+    entries = draw(st.lists(st.tuples(index, index, value), max_size=3 * spec.dim))
+    if entries:
+        cancel = draw(st.lists(st.sampled_from(entries), max_size=4))
+        entries += [(r, c, -v) for r, c, v in cancel]
+        entries += draw(st.lists(st.sampled_from(entries), max_size=4))
+    entries = draw(st.permutations(entries))
+    per_row = np.zeros(spec.dim, dtype=int)
+    kept = []
+    for entry in entries:
+        per_row[entry[0]] += 1
+        if per_row[entry[0]] <= 16:
+            kept.append(entry)
+    return (spec, np.array([e[0] for e in kept], dtype=int),
+            np.array([e[1] for e in kept], dtype=int),
+            np.array([e[2] for e in kept], dtype=complex))
+
+
+@SETTINGS
+@given(coo_triples())
+def test_canonical_arrays_equal_scipy_csr(case):
+    spec, rows, cols, values = case
+    shape = (spec.dim, spec.dim)
+    ref = scipy.sparse.csr_matrix((values, (rows, cols)), shape=shape)
+    ref.sum_duplicates()
+    ref.eliminate_zeros()
+    coo = scipy.sparse.coo_matrix((values, (rows, cols)), shape=shape)
+    for H in (HamiltonianMatrix.from_entries(spec, rows, cols, values),
+              HamiltonianMatrix(spec, coo)):
+        csr = H.tocsr()
+        np.testing.assert_array_equal(csr.indptr, ref.indptr)
+        np.testing.assert_array_equal(csr.indices, ref.indices)
+        np.testing.assert_array_equal(csr.data, ref.data)
+        assert csr.has_canonical_format
+        np.testing.assert_array_equal(H.rows, np.repeat(np.arange(spec.dim),
+                                                        np.diff(ref.indptr)))
+        assert not any(a.flags.writeable for a in (H.rows, H.cols, H.values))
+
+
+@SETTINGS
+@given(coo_triples(), st.sampled_from([(), (1,), (5,), (3, 4)]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_matvec_equals_the_csr_product(case, tail, shifted, seed):
+    """Non-Hermitian matrices coupling any two sites, against vectors and
+    column blocks shaped like the engine's ``(dim, omegas, ports)``, with
+    and without a diagonal shift per row and frequency."""
+    spec, rows, cols, values = case
+    H = HamiltonianMatrix.from_entries(spec, rows, cols, values)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((spec.dim, *tail)) + 1j * rng.standard_normal((spec.dim, *tail))
+    shift = np.zeros(X.shape[:2] + (1,) * (X.ndim - 2), dtype=complex)
+    if shifted:
+        shift += rng.standard_normal(shift.shape) + 0.5j
+    flat = X.reshape(spec.dim, -1)
+    ref = (H.tocsr() @ flat).reshape(X.shape) - shift * X
+    bound = (np.abs(H.toarray()) @ np.abs(flat)).reshape(X.shape) + np.abs(shift * X)
+    got = H.matvec(X, shift) if shifted else H.matvec(X)
+    assert got.shape == X.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * bound + 1e-300)
+
+
 def test_edge_map_memory_stays_bounded():
     """A 20x201 build plus one edge map; a dense 20x201 ``H`` alone is 258 MB."""
     spec = LatticeSpec(n_x=20, l_min=-100, l_max=100)

@@ -6,6 +6,7 @@ import pytest
 from oamphoton.lattice import Boundary, LatticeSpec, SiteIndex, flat_index
 from oamphoton.hamiltonians import (
     GaugeConfig,
+    HamiltonianMatrix,
     SpinAxis,
     apply_onsite_disorder,
     build_dirac,
@@ -255,6 +256,20 @@ def test_builders_hermitian_spinful():
     spec = LatticeSpec(n_x=6, l_min=-4, l_max=4, spin_dim=2, bc_y=Boundary.PERIODIC)
     assert build_dirac(spec, 0.05).hermiticity_defect() < 1e-12
     assert build_qsh(spec, 0.075, 0.6).hermiticity_defect() < 1e-12
+
+
+def test_hermiticity_defect_of_an_entry_without_partner():
+    # H[2, 0] = 3 + 4i has no H[0, 2], so (H - H^dagger)[2, 0] = 3 + 4i.
+    A = np.array([[1.0, 2 - 1j, 0], [2 + 1j, 0, 0], [3 + 4j, 0, -1.0]])
+    H = HamiltonianMatrix(LatticeSpec(n_x=3, l_min=0, l_max=0), A)
+    assert H.hermiticity_defect() == 5.0 == np.abs(A - A.conj().T).max()
+
+
+def test_hermiticity_defect_of_a_partner_with_the_wrong_value():
+    # H[1, 0] should be conj(2 - i) = 2 + i; 2 + 3i leaves 2i either side.
+    A = np.array([[1.0, 2 - 1j, 0], [2 + 3j, 0, 0], [0, 0, -1.0]])
+    H = HamiltonianMatrix(LatticeSpec(n_x=3, l_min=0, l_max=0), A)
+    assert H.hermiticity_defect() == 2.0 == np.abs(A - A.conj().T).max()
 
 
 def test_only_nearest_neighbor_blocks_nonzero():

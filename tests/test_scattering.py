@@ -48,6 +48,25 @@ def test_decay_spec_validation():
         DecaySpec.per_mode(np.array([0.1, 0.2])).rate_vector(3)
 
 
+def test_decay_spec_copies_the_rate_vector():
+    rates = np.array([0.1, 0.2])
+    for decay in (DecaySpec.per_mode(rates), DecaySpec(rates=rates)):
+        rates[0] = -5.0
+        assert decay.rates.tolist() == [0.1, 0.2]
+        assert decay.rate_vector(2).tolist() == [0.1, 0.2]
+        with pytest.raises(ValueError, match="read-only"):
+            decay.rates[0] = -5.0
+        rates[0] = 0.1
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_decay_spec_rejects_non_finite_rates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DecaySpec.uniform(bad)
+    with pytest.raises(ValueError, match="finite"):
+        DecaySpec.per_mode(np.array([0.1, bad]))
+
+
 # -------------------------------------------------------------- greens_apply
 
 def test_greens_single_site_scalar_inverse():
