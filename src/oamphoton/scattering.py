@@ -18,10 +18,12 @@ J. Phys. C 14, 235 (1981); Lewenkopf & Mucciolo, J. Comput. Electron. 12,
 203 (2013)): Schur-complement sweeps from both ends toward the port
 slices, batched over a chunk of frequencies, then back-substitution for
 full resolvent columns.  The cost is linear in the number of slices and
-exact, with a residual bound on every returned column.  Each engine call
+exact, with a residual bound on every returned column; the memory is
+``H``'s entries plus one work array per frequency chunk.  Each engine call
 logs one DEBUG record to the ``oamphoton`` logger: the path and why, the
-number of frequencies solved, the slice count, block size and frequency
-chunk, and the worst relative residual.
+number of frequencies solved, the slice count, block size, coupling block
+and frequency chunk, the bytes of one chunk's work array, and the worst
+relative residual.
 """
 
 from __future__ import annotations
@@ -133,19 +135,20 @@ def _oam_blocks(spec: LatticeSpec) -> np.ndarray:
 
     Block ``k`` is OAM slice ``k``, its sites ordered by cavity, then
     polarization.  A periodic OAM axis of three or more slices is folded:
-    block ``k`` holds slices ``k`` and ``n_l - 1 - k``, which puts the ring
-    coupling inside block 0 and keeps the chain block-tridiagonal; the
-    middle slice of an odd ring is padded with ``-1`` (decoupled sites).
+    block ``k`` holds slices ``k`` and ``n_l - 1 - k``, side by side within
+    each cavity, which puts the ring coupling inside block 0 and keeps the
+    chain block-tridiagonal with every OAM hop inside one cavity's sites;
+    the middle slice of an odd ring is padded with ``-1`` (decoupled sites).
     """
     n_l, sd = spec.n_l, spec.spin_dim
     cavity_base = np.arange(spec.n_x)[:, None] * n_l * sd + np.arange(sd)
-    slices = (np.arange(n_l)[:, None, None] * sd + cavity_base).reshape(n_l, -1)
+    slices = np.arange(n_l)[:, None, None] * sd + cavity_base
     if spec.bc_y is not Boundary.PERIODIC or n_l < 3:
-        return slices
+        return slices.reshape(n_l, -1)
     half = (n_l + 1) // 2
-    mirror = np.full((half, slices.shape[1]), -1)
+    mirror = np.full((half, spec.n_x, sd), -1)
     mirror[: n_l // 2] = slices[::-1][: n_l // 2]
-    return np.concatenate([slices[:half], mirror], axis=1)
+    return np.concatenate([slices[:half], mirror], axis=2).reshape(half, -1)
 
 
 def _positions(blocks: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,51 +168,44 @@ def _widen(blocks: np.ndarray, width: int) -> np.ndarray:
     return joined.reshape(-1, width * b)
 
 
-def _block_distance(H: HamiltonianMatrix, block_of: np.ndarray) -> int:
-    """The largest block distance between two sites that ``H`` couples."""
-    return int(np.max(np.abs(block_of[H.rows] - block_of[H.cols]), initial=0))
-
-
-def _slice_blocks(H: HamiltonianMatrix, blocks: np.ndarray,
-                  block_of: np.ndarray, pos_of: np.ndarray):
-    """Slice the entries of ``H`` (each ``(row, col)`` once) over ``blocks``
-    into diagonal blocks ``D_k``, upper couplings ``U_k = H[k, k+1]`` and
-    lower ones ``L_k = H[k+1, k]``.
-
-    Returns None when an entry of ``H`` lies outside the blocks.
-    """
-    n, b = blocks.shape
-    br, bc = block_of[H.rows], block_of[H.cols]
-    if np.any(np.abs(br - bc) > 1):
-        return None
-    pr, pc = pos_of[H.rows], pos_of[H.cols]
-    D = np.zeros((n, b, b), dtype=complex)
-    U = np.zeros((n - 1, b, b), dtype=complex)
-    L = np.zeros((n - 1, b, b), dtype=complex)
-    # H holds each (row, col) once, so assignment is exact.
-    for target, block, select in ((D, br, br == bc), (U, br, bc == br + 1),
-                                  (L, bc, br == bc + 1)):
-        target[block[select], pr[select], pc[select]] = H.values[select]
-    return D, U, L
+def _coupling_block(b: int, pr: np.ndarray, pc: np.ndarray) -> int:
+    """The smallest ``c`` dividing ``b`` for which every coupling entry, at
+    positions ``pr``, ``pc`` of its two blocks, joins two sites of one
+    ``c``-block: the couplings are then block-diagonal in ``c x c`` blocks."""
+    return next(c for c in range(1, b + 1)
+                if b % c == 0 and np.array_equal(pr // c, pc // c))
 
 
 class Resolvent:
     """The resolvent ``(omega - H + i G/2)^{-1}`` of one ``(H, decay)`` pair.
 
-    The constructor slices ``H`` over OAM blocks (see :func:`_oam_blocks`)
-    into diagonal blocks ``D_k`` and couplings ``U_k``/``L_k``.  A nonzero
-    entry outside them (a coupling that skips OAM slices, as in an
-    arbitrary ``H``) is never dropped: the blocks are then widened to
-    ``width`` slices each, the largest slice distance ``H`` couples.  Per
-    chunk of frequencies the engine runs the left and right
-    Schur-complement sweeps toward the port blocks, storing the transfer
-    matrices ``h_k`` so that back-substitution costs one matmul per block;
-    it solves each port block's ``G_{k0,k0}`` once for all its ports and
-    checks every returned column against ``H``'s own entries:
+    The constructor reads ``H``'s entries over OAM blocks (see
+    :func:`_oam_blocks`).  A nonzero entry that skips blocks (a coupling
+    between OAM slices ``width`` apart, as in an arbitrary ``H``) is never
+    dropped: each block then joins ``width`` slices.  The engine keeps no
+    dense copy of ``H``: the diagonal blocks ``D_k`` stay COO entries
+    (block, position in the block, value), and the couplings
+    ``U_k = H[k, k+1]`` and ``L_k = H[k+1, k]`` are stored as per-cavity
+    ``c x c`` blocks, shape ``(slices - 1, block_size / c, c, c)``.  The
+    ``coupling_block`` ``c`` is read from ``H`` (see
+    :func:`_coupling_block`): an OAM hop never leaves its cavity, so ``c``
+    is 1 for scalar hops, 2 for 2x2 Jones blocks and twice that on a folded
+    odd ring; a coupling that joins two cavities (or widened blocks) makes
+    ``c`` the ``block_size``, one dense block per slice.
+
+    Per chunk of frequencies the engine allocates one work array of shape
+    ``(slices, chunk, block_size, block_size)`` holding
+    ``A_k = omega + i G/2 - D_k``.  The left and right Schur-complement
+    sweeps toward the port blocks overwrite slot ``k`` with its transfer
+    matrix ``h_k``, so that back-substitution costs one matmul per block;
+    the port blocks' ``A_k`` are copied aside first.  Each port block's
+    ``G_{k0,k0}`` is solved once for all its ports, and every returned
+    column is checked against ``H``'s own entries:
     ``||(omega - H + i G/2) x - e|| <=`` :data:`RESIDUAL_RTOL`, so NaN
     fails too.
-    ``factorizations`` (one per frequency), ``worst_residual`` and
-    ``omega_chunk`` accumulate over the object's solves.
+    ``factorizations`` (one per frequency), ``worst_residual``,
+    ``omega_chunk`` and ``work_bytes`` (the largest work array)
+    accumulate over the object's solves.
     """
 
     def __init__(self, H: HamiltonianMatrix, decay: DecaySpec):
@@ -218,16 +214,32 @@ class Resolvent:
         self._H = H
         blocks = _oam_blocks(H.spec)
         block_of, pos_of = _positions(blocks, H.dim)
-        sliced = _slice_blocks(H, blocks, block_of, pos_of)
-        self.width = 1
-        if sliced is None:
-            self.width = _block_distance(H, block_of)
+        br, bc = block_of[H.rows], block_of[H.cols]
+        # The largest block distance between two sites that H couples.
+        self.width = int(np.max(np.abs(br - bc), initial=1))
+        if self.width > 1:
             blocks = _widen(blocks, self.width)
             block_of, pos_of = _positions(blocks, H.dim)
-            sliced = _slice_blocks(H, blocks, block_of, pos_of)
-        self._D, self._U, self._L = sliced
+            br, bc = block_of[H.rows], block_of[H.cols]
         self._block_of, self._pos_of = block_of, pos_of
-        self.slices, self.block_size = blocks.shape
+        self.slices, self.block_size = n, b = blocks.shape
+        pr, pc = pos_of[H.rows], pos_of[H.cols]
+        inside = br == bc
+        # A chunk scatters -D_k, so the values are negated once here.
+        self._diagonal = br[inside], pr[inside], pc[inside], -H.values[inside]
+        off = ~inside
+        pr, pc = pr[off], pc[off]
+        self.coupling_block = c = _coupling_block(b, pr, pc)
+        # U_k = H[k, k+1] and L_k = H[k+1, k], each entry at its block k,
+        # c-group and place in the c x c block; H holds each (row, col)
+        # once, so assignment is exact.
+        lower = br[off] > bc[off]
+        group, row = np.divmod(pr, c)
+        flat = (((lower * (n - 1) + np.minimum(br[off], bc[off])) * (b // c)
+                 + group) * c + row) * c + pc % c
+        couplings = np.zeros((2, n - 1, b // c, c, c), dtype=complex)
+        couplings.reshape(-1)[flat] = H.values[off]
+        self._U, self._L = couplings
         # A_k(omega) = omega * mask + shift - D_k; a pad site solves 1 * x = 0.
         real = blocks >= 0
         self._mask = real.astype(float)
@@ -235,6 +247,19 @@ class Resolvent:
         self.factorizations = 0
         self.worst_residual = 0.0
         self.omega_chunk = 0
+        self.work_bytes = 0
+
+    def _port_rows(self, rows: Sequence[int]) -> np.ndarray:
+        """``rows`` as a flat index array, each an integer in ``[0, dim)``."""
+        rows = np.asarray(rows).reshape(-1)
+        if rows.size == 0:
+            raise ValueError("need at least one input port")
+        if not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"port rows must be integers, got {rows.tolist()}")
+        bad = rows[(rows < 0) | (rows >= self.dim)]
+        if bad.size:
+            raise ValueError(f"port row {bad[0]} outside 0..{self.dim - 1}")
+        return rows.astype(np.intp)
 
     def columns(self, omegas: np.ndarray, rows: Sequence[int]
                 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -242,15 +267,14 @@ class Resolvent:
 
         Yields ``(part, x)`` per frequency chunk, where ``x[:, i, p]`` is the
         column for ``omegas[part][i]`` and ``rows[p]``: shape
-        ``(dim, chunk, len(rows))``, C-contiguous.
+        ``(dim, chunk, len(rows))``, C-contiguous.  Each row must be an
+        integer index into ``H``.
         """
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
         bad = omegas[~np.isfinite(omegas)]
         if bad.size:
             raise ValueError(f"omega must be finite, got {bad[0]!r}")
-        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-        if rows.size == 0:
-            raise ValueError("need at least one input port")
+        rows = self._port_rows(rows)
         n, b = self.slices, self.block_size
         per_omega = 16 * n * b * (b + 6 * rows.size)
         chunk = max(1, min(_CHUNK_BYTES // per_omega, omegas.size))
@@ -268,24 +292,33 @@ class Resolvent:
 
         Column ``k`` holds every output for input ``rows[k]``.
         """
+        rows = self._port_rows(rows)
         scale = np.sqrt(self.rates)
-        return -1j * scale[:, None] * self.solve(omega, rows) * scale[np.asarray(rows)]
+        return -1j * scale[:, None] * self.solve(omega, rows) * scale[rows]
 
     def transmitted_power(self, omegas: np.ndarray, rows: Sequence[int],
                           weights: np.ndarray | None = None) -> np.ndarray:
         """``sum_r sum_n' weights[n'] |T_{n', r}|^2`` at each frequency.
 
         The power sums over every input in ``rows`` and every output mode
-        (unit weights by default), reduced from the resolvent columns.
+        (unit weights by default), reduced from the resolvent columns in
+        one fixed order per frequency, so the bits do not depend on how
+        the grid is chunked.
         """
-        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        rows = self._port_rows(rows)
         out_weight = self.rates if weights is None else self.rates * weights
         # |T|^2 = gamma_n' gamma_r (Re^2 + Im^2) of the column entries.
         in_weight = np.repeat(self.rates[rows], 2)
         power = np.empty(np.size(omegas))
         for part, x in self.columns(omegas, rows):
             parts = x.view(float)
-            power[part] = out_weight @ ((parts * parts) @ in_weight)
+            np.multiply(parts, parts, out=parts)
+            # Each sum runs along a contiguous last axis, first over the
+            # ports of one site and frequency, then over the sites of one
+            # frequency: the order is the same whatever the chunk holds.
+            per_site = np.einsum("ijk,k->ij", parts, in_weight)
+            per_site *= out_weight[:, None]
+            power[part] = np.ascontiguousarray(per_site.T).sum(axis=1)
         return power
 
     def _sweep(self, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -293,56 +326,20 @@ class Resolvent:
 
         Returns the columns in flat order, shape ``(dim, len(omegas), ports)``.
         """
-        n, b, w = self.slices, self.block_size, omegas.size
-        D, U, L = self._D, self._U, self._L
-        # A[k] = omega + i G/2 - D_k for every block and frequency.
-        A = np.repeat(-D[:, None], w, axis=1)
-        diagonal = omegas[:, None] * self._mask[:, None] + self._shift[:, None]
-        A.reshape(n, w, b * b)[..., :: b + 1] += diagonal
-        upper = np.broadcast_to(U[:, None], (n - 1, w, b, b))
-        lower = np.broadcast_to(L[:, None], (n - 1, w, b, b))
         port_block = self._block_of[rows]
-        first, last = int(port_block.min()), int(port_block.max())
-        # Transfer matrices: h_left[k] = -g^L_k A_{k,k+1} carries X_{k+1} to
-        # X_k left of the ports, h_right[k] = -g^R_k A_{k,k-1} carries X_{k-1}
-        # to X_k right of them (g^L, g^R: left- and right-connected blocks).
-        h_left, h_right = [None] * n, [None] * n
-        columns, order = [], []
+        order = np.argsort(port_block, kind="stable")
         try:
-            for k in range(last):
-                S = A[k] - L[k - 1] @ h_left[k - 1] if k else A[k]
-                h_left[k] = np.linalg.solve(S, upper[k])
-            for k in range(n - 1, first, -1):
-                S = A[k] - U[k] @ h_right[k + 1] if k < n - 1 else A[k]
-                h_right[k] = np.linalg.solve(S, lower[k - 1])
-            for k0 in np.unique(port_block):
-                ports = np.flatnonzero(port_block == k0)
-                S = A[k0].copy()
-                if k0:
-                    S -= L[k0 - 1] @ h_left[k0 - 1]
-                if k0 < n - 1:
-                    S -= U[k0] @ h_right[k0 + 1]
-                E = np.zeros((w, b, ports.size))
-                E[:, self._pos_of[rows[ports]], np.arange(ports.size)] = 1.0
-                X = np.empty((n, w, b, ports.size), dtype=complex)
-                X[k0] = np.linalg.solve(S, E)  # the columns of G_{k0,k0}
-                for k in range(k0 + 1, n):
-                    np.matmul(h_right[k], X[k - 1], out=X[k])
-                for k in range(k0 - 1, -1, -1):
-                    np.matmul(h_left[k], X[k + 1], out=X[k])
-                columns.append(X[self._block_of, :, self._pos_of])
-                order.append(ports)
+            X = self._block_columns(omegas, port_block[order], rows[order])
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 f"solve residual unbounded: singular slice block ({exc}) at "
                 f"omega in [{omegas.min()}, {omegas.max()}]"
             ) from None
-        self.factorizations += w
-        # Free the sweep's arrays first: the check below then reuses their
-        # memory instead of growing the heap (and faulting in fresh pages).
-        del A, X, h_left, h_right
-        x = columns[0] if len(columns) == 1 else np.take(
-            np.concatenate(columns, axis=2), np.argsort(np.concatenate(order)), axis=2)
+        self.factorizations += omegas.size
+        x = X[self._block_of, :, self._pos_of]
+        del X
+        if np.any(order != np.arange(rows.size)):
+            x = np.take(x, np.argsort(order), axis=2)
         # r = e - (omega - H + i G/2) x; each e has unit norm, so the
         # column norms of r are relative residuals.
         r = self._H.matvec(x, shift=omegas[:, None] + 0.5j * self.rates[:, None, None])
@@ -358,6 +355,90 @@ class Resolvent:
         self.worst_residual = max(self.worst_residual, residual)
         return x
 
+    def _block_columns(self, omegas: np.ndarray, port_block: np.ndarray,
+                       ports: np.ndarray) -> np.ndarray:
+        """The columns of one frequency chunk block by block, shape
+        ``(slices, len(omegas), block_size, len(ports))``.
+
+        ``ports`` are sorted by their blocks ``port_block``.  The chunk's
+        work array lives only inside this call, so it is freed before the
+        caller gathers the columns.
+        """
+        n, b, w = self.slices, self.block_size, omegas.size
+        U, L, c = self._U, self._L, self.coupling_block
+        m = b // c
+        # work[k] = A_k = omega + i G/2 - D_k for every block and frequency.
+        work = np.zeros((n, w, b, b), dtype=complex)
+        block, row, col, value = self._diagonal
+        work[block, :, row, col] = value[:, None]
+        diagonal = omegas[:, None] * self._mask[:, None] + self._shift[:, None]
+        work.reshape(n, w, b * b)[..., :: b + 1] += diagonal
+        self.work_bytes = max(self.work_bytes, work.nbytes)
+        # Rows in groups of c: a block-diagonal coupling times slot k is one
+        # matmul over its c x c blocks, coupling @ grouped[k].
+        grouped = work.reshape(n, w, m, c, b)
+        # One dense right-hand side for every sweep solve: the coupling is
+        # written into its diagonal c x c blocks, the rest stays zero.
+        rhs = np.zeros((b, b), dtype=complex)
+        rhs_blocks = np.lib.stride_tricks.as_strided(
+            rhs, shape=(m, c, c), strides=((b + 1) * c * 16, b * 16, 16))
+        # Broadcast explicitly: NumPy 1.x solve reads a 2-D b as a stack of vectors.
+        rhs_stack = np.broadcast_to(rhs, (w, b, b))
+
+        def dense(coupling):
+            rhs_blocks[...] = coupling
+            return rhs_stack
+
+        first, last = int(port_block[0]), int(port_block[-1])
+        # The sweeps overwrite slot k with its transfer matrix: h_left[k] =
+        # -g^L_k A_{k,k+1} carries X_{k+1} to X_k left of the ports (k < last),
+        # h_right[k] = -g^R_k A_{k,k-1} carries X_{k-1} to X_k right of them
+        # (k > first; g^L, g^R: left- and right-connected blocks).  A_k of
+        # the port span is kept aside first.
+        span = work[first:last + 1].copy()
+        for k in range(last):
+            if k:
+                grouped[k] -= np.matmul(L[k - 1], grouped[k - 1])
+            work[k] = np.linalg.solve(work[k], dense(U[k]))
+        for k in range(n - 1, last, -1):
+            if k < n - 1:
+                grouped[k] -= np.matmul(U[k], grouped[k + 1])
+            work[k] = np.linalg.solve(work[k], dense(L[k - 1]))
+        # Between two port blocks slot k holds h_left[k]: h_right[k] goes to
+        # `between`, and the Schur complement starts from the span's A_k.
+        between = np.empty((last - first, w, b, b), dtype=complex)
+
+        def h_right(k):
+            return work[k] if k > last else between[k - first - 1]
+
+        def coupled(coupling, h):
+            """``coupling @ h``, one matmul over the c x c blocks."""
+            return np.matmul(coupling, h.reshape(w, m, c, b)).reshape(w, b, b)
+
+        for k in range(last, first, -1):
+            S = span[k - first]
+            if k < n - 1:
+                S = S - coupled(U[k], h_right(k + 1))
+            between[k - first - 1] = np.linalg.solve(S, dense(L[k - 1]))
+        X = np.empty((n, w, b, ports.size), dtype=complex)
+        starts = np.flatnonzero(np.diff(port_block, prepend=-1))
+        for lo, hi in zip(starts, [*starts[1:], ports.size]):
+            k0 = int(port_block[lo])
+            S = span[k0 - first]
+            if k0:
+                S -= coupled(L[k0 - 1], work[k0 - 1])
+            if k0 < n - 1:
+                S -= coupled(U[k0], h_right(k0 + 1))
+            E = np.zeros((b, hi - lo))
+            E[self._pos_of[ports[lo:hi]], np.arange(hi - lo)] = 1.0
+            Xp = X[..., lo:hi]
+            Xp[k0] = np.linalg.solve(S, E)  # the columns of G_{k0,k0}
+            for k in range(k0 + 1, n):
+                np.matmul(h_right(k), Xp[k - 1], out=Xp[k])
+            for k in range(k0 - 1, -1, -1):
+                np.matmul(work[k], Xp[k + 1], out=Xp[k])
+        return X
+
     def log(self, reason: str) -> None:
         """One DEBUG record for this engine call (path ``oam-rgf``)."""
         if self.width > 1:
@@ -365,14 +446,18 @@ class Resolvent:
                        f"block joins {self.width} slices")
         _LOG.debug(
             "resolvent path=oam-rgf (%s): %d factorization(s) over %d slices "
-            "of size %d in chunks of %d, worst relative residual %.3e",
+            "of size %d with %dx%d coupling blocks, in chunks of %d on a "
+            "%d-byte work array, worst relative residual %.3e",
             reason, self.factorizations, self.slices, self.block_size,
-            self.omega_chunk, self.worst_residual,
+            self.coupling_block, self.coupling_block, self.omega_chunk,
+            self.work_bytes, self.worst_residual,
             extra={"solver_path": "oam-rgf", "solver_reason": reason,
                    "factorizations": self.factorizations,
                    "worst_residual": self.worst_residual,
                    "slices": self.slices, "block_size": self.block_size,
-                   "omega_chunk": self.omega_chunk},
+                   "omega_chunk": self.omega_chunk,
+                   "coupling_block": self.coupling_block,
+                   "work_bytes": self.work_bytes},
         )
 
 

@@ -1,6 +1,8 @@
-"""Resolvent-engine tests: block solves, oracles, identities, call counts, errors."""
+"""Resolvent-engine tests: block solves, oracles, identities, call counts, errors,
+storage, bits and memory."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,13 +24,16 @@ from oamphoton.hamiltonians import (
 from oamphoton.scattering import (
     DecaySpec,
     Resolvent,
+    default_omega_grid,
     eig_transmission_vector,
     greens_apply,
     spectral_factorization,
     total_transmission_spectrum,
     transmission,
 )
-from oamphoton.edge import EdgeRegion, Side, displacement_spectrum, oam_displacement
+from oamphoton.edge import (
+    EdgeRegion, Side, displacement_spectrum, oam_displacement, transmission_map,
+)
 
 GAMMA = 0.2
 
@@ -304,3 +309,125 @@ def test_each_engine_call_logs_one_record(caplog):
     # Nine OAM slices on a ring fold into five blocks of two 4-cavity slices.
     assert [(r.slices, r.block_size) for r in records] == [(5, 8)] * 3
     assert [r.omega_chunk for r in records] == [3, 3, 1]
+
+
+def test_each_engine_record_explains_its_storage(caplog):
+    decay = DecaySpec.uniform(GAMMA)
+    grid = np.array([-1.0, 0.2, 1.5])
+    scalar = LATTICES["scalar-open"]
+    skewed = scalar.toarray().copy()
+    i = flat_index(scalar.spec, SiteIndex(1, -1, 0))
+    j = flat_index(scalar.spec, SiteIndex(2, 1, 0))
+    skewed[i, j], skewed[j, i] = 0.3 + 0.2j, 0.3 - 0.2j
+    dirac_open = build_dirac(LatticeSpec(n_x=3, l_min=-3, l_max=3, spin_dim=2), 1.0 / 6.0)
+    cases = [scalar, LATTICES["qsh"], dirac_open, LATTICES["dirac"],
+             HamiltonianMatrix(scalar.spec, skewed)]
+    with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+        for H in cases:
+            total_transmission_spectrum(H, decay, [SiteIndex(0, 0, 0)], grid)
+    records = [r for r in caplog.records if r.name == "oamphoton"]
+    # OAM hops stay in their cavity: scalar hops (the qsh hops keep the
+    # polarization too) or 2x2 Jones blocks, and both slices of a cavity on
+    # a folded odd ring, whose middle slice couples to both.  A hop that
+    # joins two cavities two slices apart widens the blocks, and the
+    # couplings then fill whole blocks.
+    assert [r.coupling_block for r in records] == [1, 1, 2, 4, 8]
+    for r in records:
+        assert r.work_bytes == 16 * r.slices * r.omega_chunk * r.block_size ** 2
+        assert f"{r.coupling_block}x{r.coupling_block} coupling blocks" in r.getMessage()
+        assert f"{r.work_bytes}-byte work array" in r.getMessage()
+
+
+# ---------------------------------------------------------------- port rows
+
+@pytest.mark.parametrize("bad", [[-1], [1.7], [0, 3.0], ["1"], [True]])
+def test_port_rows_must_be_integer_indices(bad):
+    H = LATTICES["qsh"]
+    engine = Resolvent(H, DecaySpec.uniform(GAMMA))
+    for call in (lambda: engine.solve(0.3, bad),
+                 lambda: engine.transmission(0.3, bad),
+                 lambda: engine.transmitted_power(np.array([0.3]), bad)):
+        with pytest.raises(ValueError, match="port row"):
+            call()
+    with pytest.raises(ValueError, match="outside"):
+        engine.solve(0.3, [0, H.dim])
+    assert engine.factorizations == 0
+
+
+# ------------------------------------------------------------------- bits
+
+def _spin_sites(H):
+    return [SiteIndex(j, 0, s) for j in range(H.spec.n_x) for s in range(H.spec.spin_dim)]
+
+
+@pytest.mark.parametrize("name", ["scalar-open", "qsh"])
+def test_power_bits_do_not_depend_on_the_chunk(name, monkeypatch):
+    # Larger lattices than LATTICES, so that a default chunk holds the grid.
+    if name == "qsh":
+        H = build_qsh(LatticeSpec(n_x=4, l_min=-10, l_max=10, spin_dim=2), 0.05, 0.6)
+    else:
+        H = build_landau_hofstadter(LatticeSpec(n_x=6, l_min=-12, l_max=12), 1.0 / 6.0)
+    grid = np.linspace(-3.0, 3.0, 41)
+    region = EdgeRegion(Side.RIGHT, 2)
+    runs = []
+    for budget in (scattering._CHUNK_BYTES, 1):
+        monkeypatch.setattr(scattering, "_CHUNK_BYTES", budget)
+        runs.append([
+            total_transmission_spectrum(H, DecaySpec.uniform(GAMMA), _spin_sites(H), grid),
+            total_transmission_spectrum(H, per_mode(H), _spin_sites(H), grid),
+            displacement_spectrum(H, DecaySpec.uniform(GAMMA), grid, region),
+        ])
+    for whole, chunked in zip(*runs):
+        np.testing.assert_array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_one_engine_called_twice_returns_the_same_bits(blocks):
+    H = LATTICES["dirac"]
+    decay = per_mode(H)
+    # Ports on one OAM block, or on three (out of order, so the port span
+    # between them is copied aside and the columns are put back in order).
+    sites = ([SiteIndex(0, 1, 0), SiteIndex(2, 1, 1)] if blocks == 1 else
+             [SiteIndex(1, 2, 1), SiteIndex(0, 0, 0), SiteIndex(2, 1, 0), SiteIndex(0, 2, 0)])
+    rows = [flat_index(H.spec, s) for s in sites]
+    engine = Resolvent(H, decay)
+    assert np.unique(engine._block_of[rows]).size == blocks
+    grid = np.array([-2.2, -0.4, 0.9])
+    first = np.concatenate([x for _, x in engine.columns(grid, rows)], axis=1)
+    again = np.concatenate([x for _, x in engine.columns(grid, rows)], axis=1)
+    np.testing.assert_array_equal(again, first)
+    ref = dense_columns(H, decay, 0.9, rows)
+    np.testing.assert_allclose(first[:, 2], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    one, two, three = (engine.solve(w, rows) for w in (-2.2, 0.9, -2.2))
+    np.testing.assert_array_equal(three, one)
+    assert not np.array_equal(two, one)
+
+
+# ----------------------------------------------------------------- memory
+
+def _traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_edge_map_memory_grows_with_h_not_dense_slices():
+    # 30 x 301 sites: dense (slices, b, b) copies of H's blocks took 22.8 MB.
+    spec = LatticeSpec(n_x=30, l_min=-150, l_max=150)
+    decay = DecaySpec.uniform(GAMMA)
+    peak = _traced_peak_mb(lambda: transmission_map(
+        build_landau_hofstadter(spec, 1.0 / 6.0), decay, -2.2, SiteIndex(0, 0, 0)))
+    assert peak <= 10.0
+
+
+def test_desk_spectrum_memory_holds_one_work_array_per_chunk():
+    # 10 x 101 sites, 400 frequencies, 10 ports: the dense-block engine took 11.7 MB.
+    spec = LatticeSpec(n_x=10, l_min=-50, l_max=50)
+    inputs = [SiteIndex(j, 0, 0) for j in range(spec.n_x)]
+    peak = _traced_peak_mb(lambda: total_transmission_spectrum(
+        build_landau_hofstadter(spec, 1.0 / 6.0), DecaySpec.uniform(0.1), inputs,
+        default_omega_grid()))
+    assert peak <= 9.0
