@@ -135,20 +135,19 @@ def _oam_blocks(spec: LatticeSpec) -> np.ndarray:
 
     Block ``k`` is OAM slice ``k``, its sites ordered by cavity, then
     polarization.  A periodic OAM axis of three or more slices is folded:
-    block ``k`` holds slices ``k`` and ``n_l - 1 - k``, side by side within
-    each cavity, which puts the ring coupling inside block 0 and keeps the
-    chain block-tridiagonal with every OAM hop inside one cavity's sites;
-    the middle slice of an odd ring is padded with ``-1`` (decoupled sites).
+    block ``k`` holds slices ``k`` and ``n_l - 1 - k``, which puts the ring
+    coupling inside block 0 and keeps the chain block-tridiagonal; the
+    middle slice of an odd ring is padded with ``-1`` (decoupled sites).
     """
     n_l, sd = spec.n_l, spec.spin_dim
     cavity_base = np.arange(spec.n_x)[:, None] * n_l * sd + np.arange(sd)
-    slices = np.arange(n_l)[:, None, None] * sd + cavity_base
+    slices = (np.arange(n_l)[:, None, None] * sd + cavity_base).reshape(n_l, -1)
     if spec.bc_y is not Boundary.PERIODIC or n_l < 3:
-        return slices.reshape(n_l, -1)
+        return slices
     half = (n_l + 1) // 2
-    mirror = np.full((half, spec.n_x, sd), -1)
+    mirror = np.full((half, slices.shape[1]), -1)
     mirror[: n_l // 2] = slices[::-1][: n_l // 2]
-    return np.concatenate([slices[:half], mirror], axis=2).reshape(half, -1)
+    return np.concatenate([slices[:half], mirror], axis=1)
 
 
 def _positions(blocks: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +188,10 @@ class Resolvent:
     ``c x c`` blocks, shape ``(slices - 1, block_size / c, c, c)``.  The
     ``coupling_block`` ``c`` is read from ``H`` (see
     :func:`_coupling_block`): an OAM hop never leaves its cavity, so ``c``
-    is 1 for scalar hops, 2 for 2x2 Jones blocks and twice that on a folded
-    odd ring; a coupling that joins two cavities (or widened blocks) makes
-    ``c`` the ``block_size``, one dense block per slice.
+    is 1 for scalar hops and 2 for 2x2 Jones blocks (on a folded even ring
+    too); a coupling that joins two cavities, the middle slice of a folded
+    odd ring or widened blocks make ``c`` the ``block_size``, one dense
+    block per slice.
 
     Per chunk of frequencies the engine allocates one work array of shape
     ``(slices, chunk, block_size, block_size)`` holding
@@ -268,13 +268,17 @@ class Resolvent:
         Yields ``(part, x)`` per frequency chunk, where ``x[:, i, p]`` is the
         column for ``omegas[part][i]`` and ``rows[p]``: shape
         ``(dim, chunk, len(rows))``, C-contiguous.  Each row must be an
-        integer index into ``H``.
+        integer index into ``H``; the rows are checked on the call.
         """
+        return self._chunks(omegas, self._port_rows(rows))
+
+    def _chunks(self, omegas: np.ndarray, rows: np.ndarray
+                ) -> Iterator[tuple[slice, np.ndarray]]:
+        """:meth:`columns` for rows already checked by :meth:`_port_rows`."""
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
         bad = omegas[~np.isfinite(omegas)]
         if bad.size:
             raise ValueError(f"omega must be finite, got {bad[0]!r}")
-        rows = self._port_rows(rows)
         n, b = self.slices, self.block_size
         per_omega = 16 * n * b * (b + 6 * rows.size)
         chunk = max(1, min(_CHUNK_BYTES // per_omega, omegas.size))
@@ -292,9 +296,9 @@ class Resolvent:
 
         Column ``k`` holds every output for input ``rows[k]``.
         """
-        rows = self._port_rows(rows)
+        x = self.solve(omega, rows)  # checks the rows
         scale = np.sqrt(self.rates)
-        return -1j * scale[:, None] * self.solve(omega, rows) * scale[rows]
+        return -1j * scale[:, None] * x * scale[np.asarray(rows)]
 
     def transmitted_power(self, omegas: np.ndarray, rows: Sequence[int],
                           weights: np.ndarray | None = None) -> np.ndarray:
@@ -310,7 +314,7 @@ class Resolvent:
         # |T|^2 = gamma_n' gamma_r (Re^2 + Im^2) of the column entries.
         in_weight = np.repeat(self.rates[rows], 2)
         power = np.empty(np.size(omegas))
-        for part, x in self.columns(omegas, rows):
+        for part, x in self._chunks(omegas, rows):
             parts = x.view(float)
             np.multiply(parts, parts, out=parts)
             # Each sum runs along a contiguous last axis, first over the
@@ -432,7 +436,8 @@ class Resolvent:
             E = np.zeros((b, hi - lo))
             E[self._pos_of[ports[lo:hi]], np.arange(hi - lo)] = 1.0
             Xp = X[..., lo:hi]
-            Xp[k0] = np.linalg.solve(S, E)  # the columns of G_{k0,k0}
+            # The columns of G_{k0,k0}; E is broadcast as for the sweeps.
+            Xp[k0] = np.linalg.solve(S, np.broadcast_to(E, (w, b, hi - lo)))
             for k in range(k0 + 1, n):
                 np.matmul(h_right(k), Xp[k - 1], out=Xp[k])
             for k in range(k0 - 1, -1, -1):

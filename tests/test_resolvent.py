@@ -320,22 +320,49 @@ def test_each_engine_record_explains_its_storage(caplog):
     j = flat_index(scalar.spec, SiteIndex(2, 1, 0))
     skewed[i, j], skewed[j, i] = 0.3 + 0.2j, 0.3 - 0.2j
     dirac_open = build_dirac(LatticeSpec(n_x=3, l_min=-3, l_max=3, spin_dim=2), 1.0 / 6.0)
-    cases = [scalar, LATTICES["qsh"], dirac_open, LATTICES["dirac"],
+    dirac_even_ring = build_dirac(LatticeSpec(n_x=3, l_min=-3, l_max=4, spin_dim=2,
+                                              bc_y=Boundary.PERIODIC), 1.0 / 6.0)
+    cases = [scalar, LATTICES["qsh"], dirac_open, dirac_even_ring, LATTICES["dirac"],
              HamiltonianMatrix(scalar.spec, skewed)]
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
         for H in cases:
             total_transmission_spectrum(H, decay, [SiteIndex(0, 0, 0)], grid)
     records = [r for r in caplog.records if r.name == "oamphoton"]
     # OAM hops stay in their cavity: scalar hops (the qsh hops keep the
-    # polarization too) or 2x2 Jones blocks, and both slices of a cavity on
-    # a folded odd ring, whose middle slice couples to both.  A hop that
-    # joins two cavities two slices apart widens the blocks, and the
-    # couplings then fill whole blocks.
-    assert [r.coupling_block for r in records] == [1, 1, 2, 4, 8]
+    # polarization too) or 2x2 Jones blocks, also on a folded even ring.
+    # The middle slice of a folded odd ring couples to both halves of its
+    # neighbour block, and a hop that joins two cavities two slices apart
+    # widens the blocks: the couplings then fill whole blocks.
+    assert [r.coupling_block for r in records] == [1, 1, 2, 2, 12, 8]
+    assert [r.block_size for r in records] == [4, 8, 6, 12, 12, 8]
     for r in records:
         assert r.work_bytes == 16 * r.slices * r.omega_chunk * r.block_size ** 2
         assert f"{r.coupling_block}x{r.coupling_block} coupling blocks" in r.getMessage()
         assert f"{r.work_bytes}-byte work array" in r.getMessage()
+
+
+def test_every_engine_solve_stacks_its_right_hand_sides(monkeypatch):
+    # NumPy 1.x reads a right-hand side with one dimension fewer than its
+    # matrices as a stack of vectors, NumPy 2.x as one matrix: each solve
+    # passes one right-hand side per frequency, which both read alike.
+    solve, calls = np.linalg.solve, []
+
+    def stacked(a, b):
+        calls.append(b.shape)
+        assert b.ndim == a.ndim and b.shape[:-1] == a.shape[:-1]
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", stacked)
+    H = LATTICES["dirac"]
+    sites = [SiteIndex(1, 2, 1), SiteIndex(0, 0, 0), SiteIndex(2, 1, 0)]
+    rows = [flat_index(H.spec, s) for s in sites]
+    engine = Resolvent(H, per_mode(H))
+    x = engine.solve(0.9, rows)
+    ref = dense_columns(H, per_mode(H), 0.9, rows)
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    # Ports on blocks 0, 1 and 2 of four: three sweep solves, two between
+    # the port blocks and one per port block, each for one frequency.
+    assert len(calls) == 8 and all(shape[0] == 1 for shape in calls)
 
 
 # ---------------------------------------------------------------- port rows
