@@ -350,16 +350,17 @@ def _refined_component_minima(
     return found
 
 
-def _zero_columns(data: BlochBandData, m: int, zero_tol: float) -> np.ndarray:
+def _zero_columns(data: BlochBandData, m: int) -> np.ndarray:
     """Mask of the kx columns touched by a zero of the first component.
 
-    A column is touched if the sampled magnitude dips below ``zero_tol`` in
-    it, or if it bounds the grid cell holding a refined off-grid zero.
+    A column is touched if the sampled magnitude dips below
+    :data:`DEFAULT_ZERO_TOL` in it, or if it bounds the grid cell holding a
+    refined off-grid zero.
     """
-    touched = _component_minima(data.vectors[m], 0) < zero_tol
+    touched = _component_minima(data.vectors[m], 0) < DEFAULT_ZERO_TOL
     step = TWO_PI / data.grid.n_kx
     for kx, _, value in _refined_component_minima(data, m, 0):
-        if value < zero_tol:
+        if value < DEFAULT_ZERO_TOL:
             a = int(np.floor((kx + np.pi) / step))
             touched[[a % data.grid.n_kx, (a + 1) % data.grid.n_kx]] = True
     return touched
@@ -383,11 +384,7 @@ def _single_band(data: BlochBandData, band: int | Sequence[int]) -> int:
     return m
 
 
-def auto_partition(
-    data: BlochBandData,
-    band: int,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> BZPartition:
+def auto_partition(data: BlochBandData, band: int) -> BZPartition:
     """Choose a valid kx-slab partition for one band automatically.
 
     ``B1`` is the longest wrapping kx-arc of columns untouched by zeros of
@@ -401,7 +398,7 @@ def auto_partition(
     zeros interlock across the zone -- those admit no slab partition).
     """
     m = _single_band(data, band)
-    zero_columns = _zero_columns(data, m, zero_tol)
+    zero_columns = _zero_columns(data, m)
     n_kx = data.grid.n_kx
     if not zero_columns.any():
         candidates = [BZPartition(0, n_kx - 1, reference_component=0, trivial=True)]
@@ -423,7 +420,7 @@ def auto_partition(
     reasons = []
     for partition in candidates:
         try:
-            _validate_partition(data, m, partition, zero_tol, zero_columns)
+            _validate_partition(data, m, partition, zero_columns)
             return partition
         except ValueError as exc:
             reasons.append(str(exc))
@@ -460,7 +457,6 @@ def _validate_partition(
     data: BlochBandData,
     m: int,
     partition: BZPartition,
-    zero_tol: float,
     zero_columns: np.ndarray,
 ) -> None:
     """Check the partition invariants for one band, with refined zeros.
@@ -493,7 +489,7 @@ def _validate_partition(
             f"slab complement; offending kx columns: {offending.tolist()}"
         )
     ref_floor = float(_component_minima(u[complement], ref).min())
-    if ref_floor > zero_tol:
+    if ref_floor > DEFAULT_ZERO_TOL:
         # The samples clear the threshold; a zero may still hide between
         # them.  The complement arc is widened by half a cell, since the
         # gauge must stay smooth up to the region boundary.
@@ -504,18 +500,18 @@ def _validate_partition(
         for kx, _, value in _refined_component_minima(data, m, ref):
             if _arc_contains(kx, lo, hi):
                 ref_floor = min(ref_floor, value)
-    if ref_floor <= zero_tol:
+    if ref_floor <= DEFAULT_ZERO_TOL:
         raise ValueError(
             f"reference component {ref} reaches {ref_floor:.2e} on the slab "
-            f"complement (threshold {zero_tol:.1e}); choose a different "
-            "reference component or slab"
+            f"complement (threshold {DEFAULT_ZERO_TOL:.1e}); choose a "
+            "different reference component or slab"
         )
     # The windings are evaluated on the slab boundary columns, so both gauge
     # references must be clear of zero there as well.
     for col in (slab[0], slab[-1]):
         for comp in (0, ref):
             floor = np.abs(u[col, :, comp]).min()
-            if floor <= zero_tol:
+            if floor <= DEFAULT_ZERO_TOL:
                 raise ValueError(
                     f"component {comp} dips to {floor:.2e} on slab boundary "
                     f"column {col}; move the slab boundary"
@@ -562,7 +558,6 @@ def phase_mismatch_chern(
     data: BlochBandData,
     band: int,
     partition: BZPartition | None = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> int:
     """Chern number of one isolated band from gauge-mismatch windings.
 
@@ -575,11 +570,9 @@ def phase_mismatch_chern(
     """
     m = _single_band(data, band)
     if partition is None:
-        partition = auto_partition(data, m, zero_tol)
+        partition = auto_partition(data, m)
     else:
-        _validate_partition(
-            data, m, partition, zero_tol, _zero_columns(data, m, zero_tol)
-        )
+        _validate_partition(data, m, partition, _zero_columns(data, m))
     if partition.trivial:
         return 0
     slab = partition.slab_columns(data.grid.n_kx)

@@ -300,17 +300,16 @@ def polarized_edge_maps(
     omega: float = DEFAULT_ENERGY_TARGET,
     *,
     coupling: float = 1.0,
-    probe_depth: int = PROBE_DEPTH,
 ) -> PolarizedEdgeMaps:
     """Probe the lattice edge in both input polarizations.
 
     Sends a probe into cavity 0 at OAM 0 with polarization ``s`` for
     each ``s`` in (0, 1), both from one resolvent sweep, and collects the
-    transmitted-power grid, its OAM displacement over the ``probe_depth``
-    input-side columns, and its edge-confined weight.  On the gapped side
-    of the transition the two displacements have opposite signs
-    (counter-propagating polarized edge states); past it the edge weight
-    collapses.
+    transmitted-power grid, its OAM displacement over the
+    :data:`PROBE_DEPTH` input-side columns, and its edge-confined weight.
+    On the gapped side of the transition the two displacements have
+    opposite signs (counter-propagating polarized edge states); past it the
+    edge weight collapses.
 
     ``coupling`` rescales every hop amplitude relative to the nominal
     coupling; ``0`` gives the decoupled-cavity limit, where each map is
@@ -335,7 +334,7 @@ def polarized_edge_maps(
     H = build_qsh(spec, beta0, lambda0)
     if coupling != 1.0:
         H = _scaled_coupling(H, coupling)
-    columns = EdgeRegion(Side.LEFT, probe_depth).columns(spec)
+    columns = EdgeRegion(Side.LEFT, PROBE_DEPTH).columns(spec)
 
     inputs = [SiteIndex(0, 0, s) for s in (0, 1)]
     maps = transmission_maps(H, decay, omega, inputs)

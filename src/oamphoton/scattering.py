@@ -15,9 +15,10 @@ Every builder couples OAM ``l`` only to ``l +- 1``, so over OAM slices
 block-tridiagonal; a periodic OAM axis is folded into the same form.  The
 engine solves it by recursive Green's functions (Thouless & Kirkpatrick,
 J. Phys. C 14, 235 (1981); Lewenkopf & Mucciolo, J. Comput. Electron. 12,
-203 (2013)): Schur-complement sweeps from both ends toward the port
-slices, batched over a chunk of frequencies, then back-substitution for
-full resolvent columns.  The cost is linear in the number of slices and
+203 (2013)): Schur-complement sweeps from both ends toward the last port
+slice, the left one carrying the ports below it, batched over a chunk of
+frequencies; one solve there, then back-substitution outward for full
+resolvent columns.  The cost is linear in the number of slices and
 exact, with a residual bound on every returned column; the memory is
 ``H``'s entries plus one work array per frequency chunk.  Each engine call
 logs one DEBUG record to the ``oamphoton`` logger: the path and why, the
@@ -195,12 +196,14 @@ class Resolvent:
 
     Per chunk of frequencies the engine allocates one work array of shape
     ``(slices, chunk, block_size, block_size)`` holding
-    ``A_k = omega + i G/2 - D_k``.  The left and right Schur-complement
-    sweeps toward the port blocks overwrite slot ``k`` with its transfer
-    matrix ``h_k``, so that back-substitution costs one matmul per block;
-    the port blocks' ``A_k`` are copied aside first.  Each port block's
-    ``G_{k0,k0}`` is solved once for all its ports, and every returned
-    column is checked against ``H``'s own entries:
+    ``A_k = omega + i G/2 - D_k``.  With ``k0`` the last block holding a
+    port, Schur-complement sweeps from block 0 and from the last block
+    toward ``k0`` overwrite slot ``k`` with its transfer matrix ``h_k``, so
+    that back-substitution costs one matmul per block; from the first port
+    block on, the left sweep also carries the unit columns of the ports
+    below ``k0``.  One solve at ``k0`` serves every port, back-substitution
+    runs outward from it, and every returned column is checked against
+    ``H``'s own entries:
     ``||(omega - H + i G/2) x - e|| <=`` :data:`RESIDUAL_RTOL`, so NaN
     fails too.
     ``factorizations`` (one per frequency), ``worst_residual``,
@@ -253,7 +256,7 @@ class Resolvent:
         """``rows`` as a flat index array, each an integer in ``[0, dim)``."""
         rows = np.asarray(rows).reshape(-1)
         if rows.size == 0:
-            raise ValueError("need at least one input port")
+            raise ValueError("input port list must be nonempty")
         if not np.issubdtype(rows.dtype, np.integer):
             raise ValueError(f"port rows must be integers, got {rows.tolist()}")
         bad = rows[(rows < 0) | (rows >= self.dim)]
@@ -268,7 +271,8 @@ class Resolvent:
         Yields ``(part, x)`` per frequency chunk, where ``x[:, i, p]`` is the
         column for ``omegas[part][i]`` and ``rows[p]``: shape
         ``(dim, chunk, len(rows))``, C-contiguous.  Each row must be an
-        integer index into ``H``; the rows are checked on the call.
+        integer index into ``H``; the rows are checked on the call, the
+        frequencies (nonempty and finite) when the first chunk is drawn.
         """
         return self._chunks(omegas, self._port_rows(rows))
 
@@ -276,6 +280,8 @@ class Resolvent:
                 ) -> Iterator[tuple[slice, np.ndarray]]:
         """:meth:`columns` for rows already checked by :meth:`_port_rows`."""
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
+        if omegas.size == 0:
+            raise ValueError("frequency grid must be nonempty")
         bad = omegas[~np.isfinite(omegas)]
         if bad.size:
             raise ValueError(f"omega must be finite, got {bad[0]!r}")
@@ -326,14 +332,13 @@ class Resolvent:
         return power
 
     def _sweep(self, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """One frequency chunk: sweeps, port solves, back-substitution, check.
+        """One frequency chunk: sweeps, the solve at the last port block,
+        back-substitution and the residual check.
 
         Returns the columns in flat order, shape ``(dim, len(omegas), ports)``.
         """
-        port_block = self._block_of[rows]
-        order = np.argsort(port_block, kind="stable")
         try:
-            X = self._block_columns(omegas, port_block[order], rows[order])
+            X = self._block_columns(omegas, rows)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 f"solve residual unbounded: singular slice block ({exc}) at "
@@ -342,8 +347,6 @@ class Resolvent:
         self.factorizations += omegas.size
         x = X[self._block_of, :, self._pos_of]
         del X
-        if np.any(order != np.arange(rows.size)):
-            x = np.take(x, np.argsort(order), axis=2)
         # r = e - (omega - H + i G/2) x; each e has unit norm, so the
         # column norms of r are relative residuals.
         r = self._H.matvec(x, shift=omegas[:, None] + 0.5j * self.rates[:, None, None])
@@ -359,16 +362,14 @@ class Resolvent:
         self.worst_residual = max(self.worst_residual, residual)
         return x
 
-    def _block_columns(self, omegas: np.ndarray, port_block: np.ndarray,
-                       ports: np.ndarray) -> np.ndarray:
+    def _block_columns(self, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The columns of one frequency chunk block by block, shape
-        ``(slices, len(omegas), block_size, len(ports))``.
+        ``(slices, len(omegas), block_size, len(rows))``.
 
-        ``ports`` are sorted by their blocks ``port_block``.  The chunk's
-        work array lives only inside this call, so it is freed before the
-        caller gathers the columns.
+        The chunk's work array lives only inside this call, so it is freed
+        before the caller gathers the columns.
         """
-        n, b, w = self.slices, self.block_size, omegas.size
+        n, b, w, p = self.slices, self.block_size, omegas.size, rows.size
         U, L, c = self._U, self._L, self.coupling_block
         m = b // c
         # work[k] = A_k = omega + i G/2 - D_k for every block and frequency.
@@ -393,55 +394,52 @@ class Resolvent:
             rhs_blocks[...] = coupling
             return rhs_stack
 
-        first, last = int(port_block[0]), int(port_block[-1])
-        # The sweeps overwrite slot k with its transfer matrix: h_left[k] =
-        # -g^L_k A_{k,k+1} carries X_{k+1} to X_k left of the ports (k < last),
-        # h_right[k] = -g^R_k A_{k,k-1} carries X_{k-1} to X_k right of them
-        # (k > first; g^L, g^R: left- and right-connected blocks).  A_k of
-        # the port span is kept aside first.
-        span = work[first:last + 1].copy()
-        for k in range(last):
+        def coupled(coupling, h):
+            """``coupling @ h``, one matmul over the c x c blocks."""
+            return np.matmul(coupling, h.reshape(w, m, c, -1)).reshape(w, b, -1)
+
+        # E[k] holds the unit columns of the ports on block k.
+        port_block = self._block_of[rows]
+        first, k0 = int(port_block.min()), int(port_block.max())
+        E = np.zeros((n, b, p))
+        E[port_block, self._pos_of[rows], np.arange(p)] = 1.0
+        X = np.empty((n, w, b, p), dtype=complex)
+
+        def carried(k):
+            """E_k plus the ports carried up from below, L_{k-1} X[k-1]."""
+            if k == first:
+                return np.broadcast_to(E[k], (w, b, p))
+            return E[k] + coupled(L[k - 1], X[k - 1])
+
+        # The sweeps eliminate toward k0, the last port block, and overwrite
+        # slot k with its transfer matrix: h_left[k] = S_k^-1 U_k carries
+        # X_{k+1} to X_k below k0, h_right[k] = S_k^-1 L_{k-1} carries X_{k-1}
+        # to X_k above it (S_k: the Schur complement of block k).  From the
+        # first port block on, the left sweep also keeps X[k] =
+        # S_k^-1 carried(k), the part of X_k that the ports at and below
+        # block k drive; back-substitution adds h_left[k] X_{k+1} to it.
+        for k in range(k0):
             if k:
                 grouped[k] -= np.matmul(L[k - 1], grouped[k - 1])
+            if k >= first:
+                X[k] = np.linalg.solve(work[k], carried(k))
             work[k] = np.linalg.solve(work[k], dense(U[k]))
-        for k in range(n - 1, last, -1):
+        for k in range(n - 1, k0, -1):
             if k < n - 1:
                 grouped[k] -= np.matmul(U[k], grouped[k + 1])
             work[k] = np.linalg.solve(work[k], dense(L[k - 1]))
-        # Between two port blocks slot k holds h_left[k]: h_right[k] goes to
-        # `between`, and the Schur complement starts from the span's A_k.
-        between = np.empty((last - first, w, b, b), dtype=complex)
-
-        def h_right(k):
-            return work[k] if k > last else between[k - first - 1]
-
-        def coupled(coupling, h):
-            """``coupling @ h``, one matmul over the c x c blocks."""
-            return np.matmul(coupling, h.reshape(w, m, c, b)).reshape(w, b, b)
-
-        for k in range(last, first, -1):
-            S = span[k - first]
-            if k < n - 1:
-                S = S - coupled(U[k], h_right(k + 1))
-            between[k - first - 1] = np.linalg.solve(S, dense(L[k - 1]))
-        X = np.empty((n, w, b, ports.size), dtype=complex)
-        starts = np.flatnonzero(np.diff(port_block, prepend=-1))
-        for lo, hi in zip(starts, [*starts[1:], ports.size]):
-            k0 = int(port_block[lo])
-            S = span[k0 - first]
-            if k0:
-                S -= coupled(L[k0 - 1], work[k0 - 1])
-            if k0 < n - 1:
-                S -= coupled(U[k0], h_right(k0 + 1))
-            E = np.zeros((b, hi - lo))
-            E[self._pos_of[ports[lo:hi]], np.arange(hi - lo)] = 1.0
-            Xp = X[..., lo:hi]
-            # The columns of G_{k0,k0}; E is broadcast as for the sweeps.
-            Xp[k0] = np.linalg.solve(S, np.broadcast_to(E, (w, b, hi - lo)))
-            for k in range(k0 + 1, n):
-                np.matmul(h_right(k), Xp[k - 1], out=Xp[k])
-            for k in range(k0 - 1, -1, -1):
-                np.matmul(work[k], Xp[k + 1], out=Xp[k])
+        S = work[k0]
+        if k0:
+            S -= coupled(L[k0 - 1], work[k0 - 1])
+        if k0 < n - 1:
+            S -= coupled(U[k0], work[k0 + 1])
+        X[k0] = np.linalg.solve(S, carried(k0))
+        for k in range(k0 + 1, n):
+            np.matmul(work[k], X[k - 1], out=X[k])
+        for k in range(k0 - 1, first - 1, -1):
+            X[k] += np.matmul(work[k], X[k + 1])
+        for k in range(first - 1, -1, -1):
+            np.matmul(work[k], X[k + 1], out=X[k])
         return X
 
     def log(self, reason: str) -> None:
@@ -531,12 +529,6 @@ def total_transmission_spectrum(
     if omega_grid is None:
         omega_grid = default_omega_grid()
     omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.size == 0:
-        raise ValueError("probe grid must be nonempty")
-    if not np.all(np.isfinite(omega_grid)):
-        raise ValueError("probe grid must hold finite frequencies")
-    if len(inputs) == 0:
-        raise ValueError("input port list must be nonempty")
     in_rows = [flat_index(H.spec, s) for s in inputs]
     engine = Resolvent(H, decay)
     out = engine.transmitted_power(omega_grid, in_rows)

@@ -17,7 +17,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oamphoton.chern import (
-    DEFAULT_ZERO_TOL,
     BlochBandData,
     MagneticBZGrid,
     _longest_clear_arc,
@@ -67,10 +66,7 @@ def test_chern_routes_ignore_per_k_phases(flux, n, seed):
         assert outcome(auto_partition, rotated, m) == partition
         if partition is ValueError:  # the slab route refuses both alike
             continue
-        _validate_partition(
-            data, m, partition, DEFAULT_ZERO_TOL,
-            _zero_columns(data, m, DEFAULT_ZERO_TOL),
-        )
+        _validate_partition(data, m, partition, _zero_columns(data, m))
         assert phase_mismatch_chern(rotated, m, partition) == phase_mismatch_chern(
             data, m, partition
         )

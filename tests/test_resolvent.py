@@ -223,6 +223,20 @@ def test_non_finite_omega_rejected(bad):
             displacement_spectrum(H_in, decay, np.array([bad]), region)
 
 
+def test_empty_frequency_grids_rejected():
+    H = LATTICES["qsh"]
+    decay = DecaySpec.uniform(GAMMA)
+    region = EdgeRegion(Side.LEFT, 1)
+    with pytest.raises(ValueError, match="nonempty"):
+        displacement_spectrum(H, decay, np.array([]), region)
+    engine = Resolvent(H, decay)
+    with pytest.raises(ValueError, match="nonempty"):
+        engine.transmitted_power(np.array([]), [0])
+    with pytest.raises(ValueError, match="nonempty"):
+        next(engine.columns(np.array([]), [0]))
+    assert engine.factorizations == 0
+
+
 def test_empty_port_lists_rejected():
     H = LATTICES["qsh"]
     grid = np.array([0.0])
@@ -360,9 +374,33 @@ def test_every_engine_solve_stacks_its_right_hand_sides(monkeypatch):
     x = engine.solve(0.9, rows)
     ref = dense_columns(H, per_mode(H), 0.9, rows)
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-    # Ports on blocks 0, 1 and 2 of four: three sweep solves, two between
-    # the port blocks and one per port block, each for one frequency.
-    assert len(calls) == 8 and all(shape[0] == 1 for shape in calls)
+    # Ports on blocks 1, 2 and 3 of four, each solve for one frequency: the
+    # left sweep solves once on block 0 and twice on blocks 1 and 2 (the
+    # transfer matrix and the ports carried up), then one solve on block 3.
+    assert len(calls) == 6 and all(shape[0] == 1 for shape in calls)
+
+
+def test_ports_on_one_block_take_one_solve_per_slice(monkeypatch):
+    solve, calls = np.linalg.solve, []
+
+    def counted(a, b):
+        calls.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    H = LATTICES["qsh"]
+    rows = edge_rows(H)
+    engine = Resolvent(H, per_mode(H))
+    assert len({int(engine._block_of[r]) for r in rows}) == 1
+    omegas = np.array([-0.4, 0.9])
+    x = np.concatenate([x for _, x in engine.columns(omegas, rows)], axis=1)
+    for i, omega in enumerate(omegas):
+        ref = dense_columns(H, per_mode(H), omega, rows)
+        np.testing.assert_allclose(x[:, i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    # Sweeps from both ends meet at the port block: one solve per slice,
+    # the port block's for every port at once.
+    assert len(calls) == engine.slices
+    assert calls.count((omegas.size, engine.block_size, len(rows))) == 1
 
 
 # ---------------------------------------------------------------- port rows
