@@ -46,8 +46,10 @@ import numpy as np
 
 from .hamiltonians import HamiltonianMatrix
 from .lattice import Boundary, LatticeSpec, l_of_index
-from .scattering import DecaySpec
-from .edge import EdgeRegion, displacement_spectrum
+from .scattering import DecaySpec, Resolvent, _trials_per_chunk
+from .edge import EdgeRegion, _region_input_indices
+# Unused here, but perfbench/spans.py patches this name when tracing.
+from .edge import displacement_spectrum  # noqa: F401
 
 __all__ = [
     "DisorderScope",
@@ -358,11 +360,17 @@ def displacement_robustness(
 
     For each trial an independent ``Philox(key=seed).jumped(trial)``
     stream perturbs the Hamiltonian and, when ``sigma_loss > 0``, the
-    decay rates; the displacement spectrum is then averaged over the
-    requested input OAM values (more than one models a source that is
-    itself spread over OAM).  Means and sample standard deviations
-    (``ddof=1``) are taken trialwise in fixed order, so identical
-    arguments give bitwise-identical summaries.
+    decay rates; the displacement spectrum (as
+    :func:`~oamphoton.edge.displacement_spectrum` computes it) is then
+    averaged over the requested input OAM values (more than one models a
+    source that is itself spread over OAM).  Trials are sampled in order,
+    in groups that fill one :class:`~oamphoton.scattering.Resolvent`
+    chunk; each group takes one engine call per input OAM, with its
+    (trial, frequency) pairs on the engine's batch axis.  Every row is
+    reduced in the same order as a one-trial call, so the grouping does
+    not change any bit.  Means and sample standard deviations (``ddof=1``)
+    are taken trialwise in fixed order, so identical arguments give
+    bitwise-identical summaries.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a spread, got {trials!r}")
@@ -374,19 +382,26 @@ def displacement_robustness(
             "DecaySpec when sigma_loss > 0"
         )
     H0 = _resolve_base(base)
+    spec = H0.spec
     omega_grid = np.asarray(omega_grid, dtype=float)
+    ports = [_region_input_indices(spec, region, input_l, None)
+             for input_l in input_l_values]
+    weights = l_of_index(spec)
+    group = _trials_per_chunk(H0, max(map(len, ports)), omega_grid.size)
     samples = np.empty((trials, omega_grid.size))
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(trial))
-        H = sample_disordered_hamiltonian(H0, model, rng)
-        trial_decay = decay
-        if model.sigma_loss > 0.0:
-            trial_decay = loss_perturbed_decay(decay.gamma, H0.spec, model, rng)
-        spectra = [
-            displacement_spectrum(H, trial_decay, omega_grid, region, input_l)
-            for input_l in input_l_values
-        ]
-        samples[trial] = np.mean(spectra, axis=0)
+    for first in range(0, trials, group):
+        batch = range(first, min(first + group, trials))
+        Hs, decays = [], []
+        for trial in batch:
+            rng = np.random.Generator(np.random.Philox(key=seed).jumped(trial))
+            Hs.append(sample_disordered_hamiltonian(H0, model, rng))
+            decays.append(loss_perturbed_decay(decay.gamma, spec, model, rng)
+                          if model.sigma_loss > 0.0 else decay)
+        engine = Resolvent(Hs, decays)
+        spectra = [engine.transmitted_power(omega_grid, rows, weights) for rows in ports]
+        engine.log(f"{len(batch)} trials x {omega_grid.size} frequencies, "
+                   f"{len(ports)} input OAM value(s) of {len(ports[0])} region ports")
+        samples[batch.start:batch.stop] = np.mean(spectra, axis=0)
     return MonteCarloSummary(
         omega_grid=omega_grid,
         mean=samples.mean(axis=0),

@@ -58,6 +58,9 @@ _PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0])
+"""``cos(k*pi/2)`` for ``k = 0..3``."""
+
 
 @dataclass(frozen=True)
 class SpinAxis:
@@ -91,13 +94,20 @@ def jones_exp(phi: float | np.ndarray, axis: SpinAxis) -> np.ndarray:
     """Jones matrix ``exp(i*2*pi*phi*(sigma.n))`` for a phase in cycles.
 
     Equals ``cos(2*pi*phi) I + i sin(2*pi*phi) (sigma.n)``; unitary with
-    determinant 1.  An array of phases gives a stack of matrices, shape
-    ``phi.shape + (2, 2)``.
+    determinant 1.  At quarter turns (``4*phi`` an integer) the cosine and
+    sine are exactly 0 and +-1, so a coupling the model sets to zero is not
+    stored as a rounding residue of ``cos(pi/2)``.  An array of phases
+    gives a stack of matrices, shape ``phi.shape + (2, 2)``.
     """
     if not isinstance(axis, SpinAxis):
         axis = SpinAxis(tuple(axis))
-    angle = 2.0 * np.pi * np.asarray(phi, dtype=float)[..., None, None]
-    return np.cos(angle) * np.eye(2, dtype=complex) + 1j * np.sin(angle) * axis.sigma()
+    turns = 4.0 * np.asarray(phi, dtype=float)[..., None, None]
+    quarter = np.isfinite(turns) & (turns == np.round(turns))
+    k = np.mod(np.where(quarter, turns, 0.0), 4.0).astype(int)
+    angle = 0.5 * np.pi * turns  # the product 2 pi phi, rounded once as before
+    cos = np.where(quarter, _QUARTER_COS[k], np.cos(angle))
+    sin = np.where(quarter, _QUARTER_COS[(k - 1) % 4], np.sin(angle))
+    return cos * np.eye(2, dtype=complex) + 1j * sin * axis.sigma()
 
 
 def _per_cavity(values: Mapping[int, float] | Callable[[int], float] | float | None,

@@ -16,14 +16,18 @@ block-tridiagonal; a periodic OAM axis is folded into the same form.  The
 engine solves it by recursive Green's functions (Thouless & Kirkpatrick,
 J. Phys. C 14, 235 (1981); Lewenkopf & Mucciolo, J. Comput. Electron. 12,
 203 (2013)): Schur-complement sweeps from both ends toward the last port
-slice, the left one carrying the ports below it, batched over a chunk of
-frequencies; one solve there, then back-substitution outward for full
-resolvent columns.  The cost is linear in the number of slices and
-exact, with a residual bound on every returned column; the memory is
-``H``'s entries plus one work array per frequency chunk.  Each engine call
-logs one DEBUG record to the ``oamphoton`` logger: the path and why, the
-number of frequencies solved, the slice count, block size, coupling block
-and frequency chunk, the bytes of one chunk's work array, and the worst
+slice, run as one loop over a side axis, the left one carrying the ports
+below it; one solve there, then back-substitution outward for full
+resolvent columns.  Each solve is batched over (trial, frequency) pairs:
+one ``H`` over a chunk of frequencies, or a stack of Monte Carlo trials
+on one lattice, each with its own decay rates, over their frequencies.
+The cost is linear in the number of slices and exact, with a residual
+bound on every returned column, checked against its own trial's ``H``;
+the memory is the trials' entries plus one work array per chunk.  Each
+engine call logs one DEBUG record to the ``oamphoton`` logger: the path
+and why, the factorizations (one per trial and frequency), the trials,
+the ``np.linalg.solve`` calls, the slice count, block size, coupling
+block and chunk, the bytes of one chunk's work array, and the worst
 relative residual.
 """
 
@@ -176,78 +180,154 @@ def _coupling_block(b: int, pr: np.ndarray, pc: np.ndarray) -> int:
                 if b % c == 0 and np.array_equal(pr // c, pc // c))
 
 
-class Resolvent:
-    """The resolvent ``(omega - H + i G/2)^{-1}`` of one ``(H, decay)`` pair.
+def _row_bytes(slices: int, block_size: int, ports: int) -> int:
+    """Working memory of one (trial, frequency) row of a chunk."""
+    return 16 * slices * block_size * (block_size + 6 * ports)
 
-    The constructor reads ``H``'s entries over OAM blocks (see
+
+def _trials_per_chunk(H: HamiltonianMatrix, ports: int, omegas: int) -> int:
+    """How many trials sampled from ``H``, each with ``omegas`` frequencies
+    and ``ports`` ports, fill one chunk budget (at least one).
+
+    A trial takes its rows of the chunk and the storage of its own ``H``:
+    the sample's entries, the engine's copy of them and the sample's
+    matvec diagonals, about three times ``H``'s entry bytes.  Counts plain
+    OAM slices (see :func:`_oam_blocks`); an ``H`` whose couplings skip
+    slices has larger blocks, so its trials then take more than one chunk.
+    """
+    n, b = _oam_blocks(H.spec).shape
+    trial = 3 * (H.rows.nbytes + H.cols.nbytes + H.values.nbytes)
+    return max(1, _CHUNK_BYTES // (omegas * _row_bytes(n, b, ports) + trial))
+
+
+def _shared_pattern(Hs: Sequence[HamiltonianMatrix]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trials' entries on one pattern: ``rows``, ``cols`` and values of
+    shape ``(trials, entries)``.
+
+    Trials sampled from one lattice share its pattern; otherwise the
+    pattern is the union of theirs, with zeros where a trial has no entry.
+    """
+    rows, cols = Hs[0].rows, Hs[0].cols
+    if all(np.array_equal(h.rows, rows) and np.array_equal(h.cols, cols) for h in Hs):
+        return rows, cols, np.stack([h.values for h in Hs])
+    dim = Hs[0].dim
+    keys = [h.rows * dim + h.cols for h in Hs]
+    union = np.sort(np.concatenate(keys))
+    union = union[np.append(True, union[1:] != union[:-1])]
+    values = np.zeros((len(Hs), union.size), dtype=complex)
+    for t, (h, key) in enumerate(zip(Hs, keys)):
+        values[t, np.searchsorted(union, key)] = h.values
+    rows, cols = np.divmod(union, dim)
+    return rows, cols, values
+
+
+class Resolvent:
+    """The resolvents ``(omega - H_t + i G_t/2)^{-1}`` of a stack of
+    ``(H_t, decay_t)`` trials on one lattice.
+
+    ``H`` is one :class:`~oamphoton.hamiltonians.HamiltonianMatrix` (one
+    trial) or a sequence of them on one lattice; ``decay`` is one
+    :class:`DecaySpec` for every trial or a sequence of one per trial.  The
+    batch axis of every solve holds (trial, frequency) pairs, trial-major.
+    Results for a single ``H`` have no trial axis.
+
+    The constructor reads every trial's entries over OAM blocks (see
     :func:`_oam_blocks`).  A nonzero entry that skips blocks (a coupling
     between OAM slices ``width`` apart, as in an arbitrary ``H``) is never
     dropped: each block then joins ``width`` slices.  The engine keeps no
-    dense copy of ``H``: the diagonal blocks ``D_k`` stay COO entries
-    (block, position in the block, value), and the couplings
+    dense copy of any ``H``.  The trials share one pattern of entries (see
+    :func:`_shared_pattern`): the diagonal blocks ``D_k`` stay COO entries
+    (block, position in the block, one value per trial), and the couplings
     ``U_k = H[k, k+1]`` and ``L_k = H[k+1, k]`` are stored as per-cavity
-    ``c x c`` blocks, shape ``(slices - 1, block_size / c, c, c)``.  The
-    ``coupling_block`` ``c`` is read from ``H`` (see
+    ``c x c`` blocks, each trial's in its own contiguous slots.  The
+    ``coupling_block`` ``c`` is read from the entries of all trials (see
     :func:`_coupling_block`): an OAM hop never leaves its cavity, so ``c``
     is 1 for scalar hops and 2 for 2x2 Jones blocks (on a folded even ring
     too); a coupling that joins two cavities, the middle slice of a folded
     odd ring or widened blocks make ``c`` the ``block_size``, one dense
     block per slice.
 
-    Per chunk of frequencies the engine allocates one work array of shape
-    ``(slices, chunk, block_size, block_size)`` holding
-    ``A_k = omega + i G/2 - D_k``.  With ``k0`` the last block holding a
-    port, Schur-complement sweeps from block 0 and from the last block
-    toward ``k0`` overwrite slot ``k`` with its transfer matrix ``h_k``, so
-    that back-substitution costs one matmul per block; from the first port
+    The batch is cut into chunks of whole trials (or of one trial's
+    frequencies, where its grid alone overflows a chunk), each with one
+    work array of shape ``(slices, trials, frequencies, block_size,
+    block_size)`` holding ``A_k = omega + i G/2 - D_k``.  With ``k0`` the
+    last block holding a port, Schur-complement sweeps from block 0 and
+    from the last block toward ``k0`` overwrite slot ``k`` with its
+    transfer matrix, so that back-substitution costs one matmul per block.
+    The two sweeps run as one loop over a side axis: while both have
+    blocks left, each step makes one solve, one Schur matmul and, on the
+    way back, one back-substitution matmul for both.  From the first port
     block on, the left sweep also carries the unit columns of the ports
-    below ``k0``.  One solve at ``k0`` serves every port, back-substitution
-    runs outward from it, and every returned column is checked against
-    ``H``'s own entries:
+    below ``k0``, stacked beside its coupling in the same solve.  One solve
+    at ``k0`` serves every port, back-substitution runs outward from it,
+    and every returned column is checked against its own trial's ``H``:
     ``||(omega - H + i G/2) x - e|| <=`` :data:`RESIDUAL_RTOL`, so NaN
-    fails too.
-    ``factorizations`` (one per frequency), ``worst_residual``,
-    ``omega_chunk`` and ``work_bytes`` (the largest work array)
-    accumulate over the object's solves.
+    fails too.  ``factorizations`` (one per trial and frequency),
+    ``solves`` (``np.linalg.solve`` calls), ``worst_residual``,
+    ``omega_chunk`` (the (trial, frequency) rows of the largest chunk) and
+    ``work_bytes`` (the largest work array) accumulate over the object's
+    solves.
     """
 
-    def __init__(self, H: HamiltonianMatrix, decay: DecaySpec):
-        self.rates = decay.rate_vector(H.dim)
-        self.dim = H.dim
-        self._H = H
-        blocks = _oam_blocks(H.spec)
-        block_of, pos_of = _positions(blocks, H.dim)
-        br, bc = block_of[H.rows], block_of[H.cols]
+    def __init__(self, H: HamiltonianMatrix | Sequence[HamiltonianMatrix],
+                 decay: DecaySpec | Sequence[DecaySpec]):
+        self._single = isinstance(H, HamiltonianMatrix)
+        self._Hs = Hs = [H] if self._single else list(H)
+        if not Hs:
+            raise ValueError("need at least one Hamiltonian")
+        spec = Hs[0].spec
+        if any(h.spec != spec for h in Hs):
+            raise ValueError("every Hamiltonian of one engine must share one lattice")
+        self.trials = T = len(Hs)
+        self.dim = dim = spec.dim
+        if isinstance(decay, DecaySpec):
+            self.rates = np.broadcast_to(decay.rate_vector(dim), (T, dim))
+        else:
+            decays = list(decay)
+            if len(decays) != T:
+                raise ValueError(f"{len(decays)} decay specs for {T} Hamiltonians")
+            self.rates = np.array([d.rate_vector(dim) for d in decays])
+        rows, cols, values = _shared_pattern(Hs)
+        blocks = _oam_blocks(spec)
+        block_of, pos_of = _positions(blocks, dim)
+        br, bc = block_of[rows], block_of[cols]
         # The largest block distance between two sites that H couples.
         self.width = int(np.max(np.abs(br - bc), initial=1))
         if self.width > 1:
             blocks = _widen(blocks, self.width)
-            block_of, pos_of = _positions(blocks, H.dim)
-            br, bc = block_of[H.rows], block_of[H.cols]
+            block_of, pos_of = _positions(blocks, dim)
+            br, bc = block_of[rows], block_of[cols]
         self._block_of, self._pos_of = block_of, pos_of
         self.slices, self.block_size = n, b = blocks.shape
-        pr, pc = pos_of[H.rows], pos_of[H.cols]
-        inside = br == bc
+        pr, pc = pos_of[rows], pos_of[cols]
+        inside = np.flatnonzero(br == bc)
+        off = np.flatnonzero(br != bc)
         # A chunk scatters -D_k, so the values are negated once here.
-        self._diagonal = br[inside], pr[inside], pc[inside], -H.values[inside]
-        off = ~inside
-        pr, pc = pr[off], pc[off]
+        self._diagonal = br[inside], pr[inside], pc[inside], -values[:, inside]
+        br, bc, pr, pc = br[off], bc[off], pr[off], pc[off]
         self.coupling_block = c = _coupling_block(b, pr, pc)
-        # U_k = H[k, k+1] and L_k = H[k+1, k], each entry at its block k,
-        # c-group and place in the c x c block; H holds each (row, col)
-        # once, so assignment is exact.
-        lower = br[off] > bc[off]
+        m = b // c
+        # down[k] = H[k, k-1] and up[k] = H[k, k+1] (zero past the ends),
+        # each entry at its block, trial, c-group and place in the c x c
+        # block; the pattern holds each (row, col) once, so assignment is
+        # exact.
         group, row = np.divmod(pr, c)
-        flat = (((lower * (n - 1) + np.minimum(br[off], bc[off])) * (b // c)
-                 + group) * c + row) * c + pc % c
-        couplings = np.zeros((2, n - 1, b // c, c, c), dtype=complex)
-        couplings.reshape(-1)[flat] = H.values[off]
-        self._U, self._L = couplings
+        down_up = np.zeros((2 * n, T, m * c * c), dtype=complex)
+        down_up[(br < bc) * n + br, :, (group * c + row) * c + pc % c] = values[:, off].T
+        down, up = down_up.reshape(2, n, T, m, c, c)
+        # Side 0 is the left sweep at block s, side 1 the right sweep at
+        # block n - 1 - s: _outer[side, s] couples that block to the one
+        # its sweep comes from, _inner[side, s] to the one toward the pivot.
+        self._outer = np.stack([down, up[::-1]])
+        self._inner = np.stack([up, down[::-1]])
         # A_k(omega) = omega * mask + shift - D_k; a pad site solves 1 * x = 0.
         real = blocks >= 0
         self._mask = real.astype(float)
-        self._shift = np.where(real, 0.5j * self.rates[np.where(real, blocks, 0)], 1.0)
+        self._shift = np.where(real[:, None], 0.5j * np.moveaxis(
+            self.rates[:, np.where(real, blocks, 0)], 0, 1), 1.0)
         self.factorizations = 0
+        self.solves = 0
         self.worst_residual = 0.0
         self.omega_chunk = 0
         self.work_bytes = 0
@@ -266,150 +346,187 @@ class Resolvent:
 
     def columns(self, omegas: np.ndarray, rows: Sequence[int]
                 ) -> Iterator[tuple[slice, np.ndarray]]:
-        """Resolvent columns ``G(omega) e_r`` over a frequency grid.
+        """Resolvent columns ``G_t(omega) e_r`` over a frequency grid.
 
-        Yields ``(part, x)`` per frequency chunk, where ``x[:, i, p]`` is the
-        column for ``omegas[part][i]`` and ``rows[p]``: shape
-        ``(dim, chunk, len(rows))``, C-contiguous.  Each row must be an
-        integer index into ``H``; the rows are checked on the call, the
-        frequencies (nonempty and finite) when the first chunk is drawn.
+        Yields ``(part, x)`` per chunk, where ``part`` slices the trial-major
+        batch (row ``t * len(omegas) + i`` is trial ``t`` at ``omegas[i]``;
+        for one trial, the grid itself) and ``x[:, j, p]`` is the column for
+        batch row ``part.start + j`` and ``rows[p]``: shape ``(dim, rows in
+        part, len(rows))``, C-contiguous.  Each row must be an integer index
+        into ``H``; the rows are checked on the call, the frequencies
+        (nonempty and finite) when the first chunk is drawn.
         """
-        return self._chunks(omegas, self._port_rows(rows))
+        rows = self._port_rows(rows)
+        size = np.size(omegas)
+        return ((slice(trials.start * size + part.start,
+                       (trials.stop - 1) * size + part.stop), x)
+                for trials, part, x in self._chunks(omegas, rows))
 
     def _chunks(self, omegas: np.ndarray, rows: np.ndarray
-                ) -> Iterator[tuple[slice, np.ndarray]]:
-        """:meth:`columns` for rows already checked by :meth:`_port_rows`."""
+                ) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """``(trials, part, x)`` per chunk for rows already checked by
+        :meth:`_port_rows`: the columns of ``trials`` at ``omegas[part]``."""
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
         if omegas.size == 0:
             raise ValueError("frequency grid must be nonempty")
         bad = omegas[~np.isfinite(omegas)]
         if bad.size:
             raise ValueError(f"omega must be finite, got {bad[0]!r}")
-        n, b = self.slices, self.block_size
-        per_omega = 16 * n * b * (b + 6 * rows.size)
-        chunk = max(1, min(_CHUNK_BYTES // per_omega, omegas.size))
-        self.omega_chunk = max(self.omega_chunk, chunk)
-        for start in range(0, omegas.size, chunk):
-            part = slice(start, min(start + chunk, omegas.size))
-            yield part, self._sweep(omegas[part], rows)
+        batch = max(1, _CHUNK_BYTES // _row_bytes(self.slices, self.block_size,
+                                                  rows.size))
+        if batch >= omegas.size:  # whole trials per chunk
+            per_chunk, chunk = min(self.trials, batch // omegas.size), omegas.size
+        else:  # one trial's grid in parts
+            per_chunk, chunk = 1, batch
+        self.omega_chunk = max(self.omega_chunk, per_chunk * chunk)
+        for first in range(0, self.trials, per_chunk):
+            trials = slice(first, min(first + per_chunk, self.trials))
+            for start in range(0, omegas.size, chunk):
+                part = slice(start, min(start + chunk, omegas.size))
+                yield trials, part, self._sweep(trials, omegas[part], rows)
+
+    def _at(self, omega: float, rows: Sequence[int]) -> np.ndarray:
+        """Resolvent columns at one frequency, shape ``(dim, trials, len(rows))``."""
+        return np.concatenate([x for _, x in self.columns(np.array([omega]), rows)],
+                              axis=1)
 
     def solve(self, omega: float, rows: Sequence[int]) -> np.ndarray:
-        """Resolvent columns at one frequency, shape ``(dim, len(rows))``."""
-        return next(self.columns(np.array([omega]), rows))[1][:, 0]
+        """Resolvent columns at one frequency, shape ``(dim, trials,
+        len(rows))``, or ``(dim, len(rows))`` for a single ``H``."""
+        x = self._at(omega, rows)
+        return x[:, 0] if self._single else x
 
     def transmission(self, omega: float, rows: Sequence[int]) -> np.ndarray:
         """Amplitudes ``T_{n', r} = -i sqrt(gamma_n') G_{n' r} sqrt(gamma_r)``.
 
-        Column ``k`` holds every output for input ``rows[k]``.
+        Shaped as :meth:`solve`: the last axis holds every output for input
+        ``rows[k]``.
         """
-        x = self.solve(omega, rows)  # checks the rows
         scale = np.sqrt(self.rates)
-        return -1j * scale[:, None] * x * scale[np.asarray(rows)]
+        # _at checks the rows before they index the scales.
+        t = -1j * scale.T[:, :, None] * self._at(omega, rows) * scale[:, np.asarray(rows)]
+        return t[:, 0] if self._single else t
 
     def transmitted_power(self, omegas: np.ndarray, rows: Sequence[int],
                           weights: np.ndarray | None = None) -> np.ndarray:
-        """``sum_r sum_n' weights[n'] |T_{n', r}|^2`` at each frequency.
+        """``sum_r sum_n' weights[n'] |T_{n', r}|^2`` per trial and frequency.
 
-        The power sums over every input in ``rows`` and every output mode
-        (unit weights by default), reduced from the resolvent columns in
-        one fixed order per frequency, so the bits do not depend on how
-        the grid is chunked.
+        Shape ``(trials, len(omegas))``, ``(len(omegas),)`` for a single
+        ``H``.  The power sums over every input in ``rows`` and every output
+        mode (unit weights by default), reduced from the resolvent columns
+        in one fixed order per (trial, frequency) row, so the bits do not
+        depend on how the batch is chunked.
         """
         rows = self._port_rows(rows)
         out_weight = self.rates if weights is None else self.rates * weights
         # |T|^2 = gamma_n' gamma_r (Re^2 + Im^2) of the column entries.
-        in_weight = np.repeat(self.rates[rows], 2)
-        power = np.empty(np.size(omegas))
-        for part, x in self._chunks(omegas, rows):
+        in_weight = np.repeat(self.rates[:, rows], 2, axis=1)
+        power = np.empty((self.trials, np.size(omegas)))
+        for trials, part, x in self._chunks(omegas, rows):
             parts = x.view(float)
             np.multiply(parts, parts, out=parts)
             # Each sum runs along a contiguous last axis, first over the
-            # ports of one site and frequency, then over the sites of one
-            # frequency: the order is the same whatever the chunk holds.
-            per_site = np.einsum("ijk,k->ij", parts, in_weight)
-            per_site *= out_weight[:, None]
-            power[part] = np.ascontiguousarray(per_site.T).sum(axis=1)
-        return power
+            # ports of one site and row, then over the sites of one row:
+            # the order is the same whatever the chunk holds.
+            count = trials.stop - trials.start
+            per_site = np.einsum("itwk,tk->itw",
+                                 parts.reshape(self.dim, count, -1, parts.shape[-1]),
+                                 in_weight[trials])
+            per_site *= out_weight[trials].T[:, :, None]
+            power[trials, part] = np.ascontiguousarray(
+                per_site.reshape(self.dim, -1).T).sum(axis=1).reshape(count, -1)
+        return power[0] if self._single else power
 
-    def _sweep(self, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """One frequency chunk: sweeps, the solve at the last port block,
-        back-substitution and the residual check.
+    def _sweep(self, trials: slice, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """One chunk: sweeps, the solve at the last port block,
+        back-substitution and each trial's residual check.
 
-        Returns the columns in flat order, shape ``(dim, len(omegas), ports)``.
+        Returns the columns in flat order, shape ``(dim, trials x
+        len(omegas), ports)``.
         """
         try:
-            X = self._block_columns(omegas, rows)
+            X = self._block_columns(trials, omegas, rows)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
-                f"solve residual unbounded: singular slice block ({exc}) at "
-                f"omega in [{omegas.min()}, {omegas.max()}]"
+                f"solve residual unbounded: singular slice block ({exc}) in "
+                f"trials {trials.start}..{trials.stop - 1} at omega in "
+                f"[{omegas.min()}, {omegas.max()}]"
             ) from None
-        self.factorizations += omegas.size
-        x = X[self._block_of, :, self._pos_of]
+        w = omegas.size
+        self.factorizations += (trials.stop - trials.start) * w
+        x = X.reshape(self.slices, -1, self.block_size, rows.size)[
+            self._block_of, :, self._pos_of]
         del X
-        # r = e - (omega - H + i G/2) x; each e has unit norm, so the
-        # column norms of r are relative residuals.
-        r = self._H.matvec(x, shift=omegas[:, None] + 0.5j * self.rates[:, None, None])
-        r[rows, :, np.arange(rows.size)] += 1.0
-        parts = r.reshape(self.dim, -1).view(float)
-        squares = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
-        residual = float(np.sqrt(np.max(squares)))
-        if not residual <= RESIDUAL_RTOL:
-            raise RuntimeError(
-                f"solve residual {residual:.3e} exceeds {RESIDUAL_RTOL:.3e} "
-                f"(dim={self.dim}, omega in [{omegas.min()}, {omegas.max()}])"
-            )
-        self.worst_residual = max(self.worst_residual, residual)
+        for i, t in enumerate(range(trials.start, trials.stop)):
+            # r = e - (omega - H + i G/2) x; each e has unit norm, so the
+            # column norms of r are relative residuals.
+            r = self._Hs[t].matvec(x[:, i * w:(i + 1) * w], shift=omegas[:, None]
+                                   + 0.5j * self.rates[t][:, None, None])
+            r[rows, :, np.arange(rows.size)] += 1.0
+            parts = r.reshape(self.dim, -1).view(float)
+            squares = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
+            residual = float(np.sqrt(np.max(squares)))
+            if not residual <= RESIDUAL_RTOL:
+                raise RuntimeError(
+                    f"solve residual {residual:.3e} exceeds {RESIDUAL_RTOL:.3e} in "
+                    f"trial {t} (dim={self.dim}, omega in "
+                    f"[{omegas.min()}, {omegas.max()}])"
+                )
+            self.worst_residual = max(self.worst_residual, residual)
         return x
 
-    def _block_columns(self, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The columns of one frequency chunk block by block, shape
-        ``(slices, len(omegas), block_size, len(rows))``.
+    def _block_columns(self, trials: slice, omegas: np.ndarray, rows: np.ndarray
+                       ) -> np.ndarray:
+        """The columns of one chunk block by block, shape ``(slices,
+        trials, len(omegas), block_size, len(rows))``.
 
         The chunk's work array lives only inside this call, so it is freed
         before the caller gathers the columns.
         """
-        n, b, w, p = self.slices, self.block_size, omegas.size, rows.size
-        U, L, c = self._U, self._L, self.coupling_block
+        n, b, p = self.slices, self.block_size, rows.size
+        count, w, c = trials.stop - trials.start, omegas.size, self.coupling_block
         m = b // c
-        # work[k] = A_k = omega + i G/2 - D_k for every block and frequency.
-        work = np.zeros((n, w, b, b), dtype=complex)
+        # work[k] = A_k = omega + i G/2 - D_k for every block, trial and frequency.
+        work = np.zeros((n, count, w, b, b), dtype=complex)
         block, row, col, value = self._diagonal
-        work[block, :, row, col] = value[:, None]
-        diagonal = omegas[:, None] * self._mask[:, None] + self._shift[:, None]
-        work.reshape(n, w, b * b)[..., :: b + 1] += diagonal
+        work[block, :, :, row, col] = value[trials].T[:, :, None]
+        diagonal = omegas[:, None] * self._mask[:, None, None] + self._shift[:, trials, None]
+        work.reshape(n, count, w, b * b)[..., :: b + 1] += diagonal
         self.work_bytes = max(self.work_bytes, work.nbytes)
         # Rows in groups of c: a block-diagonal coupling times slot k is one
         # matmul over its c x c blocks, coupling @ grouped[k].
-        grouped = work.reshape(n, w, m, c, b)
-        # One dense right-hand side for every sweep solve: the coupling is
-        # written into its diagonal c x c blocks, the rest stays zero.
-        rhs = np.zeros((b, b), dtype=complex)
+        grouped = work.reshape(n, count, w, m, c, b)
+        outer = self._outer[:, :, trials, None]
+        inner = self._inner[:, :, trials, None]
+        down, up = outer[0], inner[0]  # H[k, k-1] and H[k, k+1] by block
+        # One dense right-hand side per side and trial for every sweep
+        # solve: the coupling is written into its diagonal c x c blocks,
+        # the rest stays zero.  Broadcast explicitly: NumPy 1.x solve reads
+        # a right-hand side of fewer dimensions than its matrices as a
+        # stack of vectors.
+        rhs = np.zeros((2, count, 1, b, b), dtype=complex)
         rhs_blocks = np.lib.stride_tricks.as_strided(
-            rhs, shape=(m, c, c), strides=((b + 1) * c * 16, b * 16, 16))
-        # Broadcast explicitly: NumPy 1.x solve reads a 2-D b as a stack of vectors.
-        rhs_stack = np.broadcast_to(rhs, (w, b, b))
-
-        def dense(coupling):
-            rhs_blocks[...] = coupling
-            return rhs_stack
+            rhs, shape=(2, count, 1, m, c, c),
+            strides=rhs.strides[:3] + ((b + 1) * c * 16, b * 16, 16))
+        rhs_stack = np.broadcast_to(rhs, (2, count, w, b, b))
 
         def coupled(coupling, h):
             """``coupling @ h``, one matmul over the c x c blocks."""
-            return np.matmul(coupling, h.reshape(w, m, c, -1)).reshape(w, b, -1)
+            return np.matmul(coupling, h.reshape(count, w, m, c, -1)).reshape(
+                count, w, b, -1)
 
         # E[k] holds the unit columns of the ports on block k.
         port_block = self._block_of[rows]
         first, k0 = int(port_block.min()), int(port_block.max())
         E = np.zeros((n, b, p))
         E[port_block, self._pos_of[rows], np.arange(p)] = 1.0
-        X = np.empty((n, w, b, p), dtype=complex)
+        X = np.empty((n, count, w, b, p), dtype=complex)
 
         def carried(k):
             """E_k plus the ports carried up from below, L_{k-1} X[k-1]."""
             if k == first:
-                return np.broadcast_to(E[k], (w, b, p))
-            return E[k] + coupled(L[k - 1], X[k - 1])
+                return np.broadcast_to(E[k], (count, w, b, p))
+            return E[k] + coupled(down[k], X[k - 1])
 
         # The sweeps eliminate toward k0, the last port block, and overwrite
         # slot k with its transfer matrix: h_left[k] = S_k^-1 U_k carries
@@ -417,29 +534,54 @@ class Resolvent:
         # to X_k above it (S_k: the Schur complement of block k).  From the
         # first port block on, the left sweep also keeps X[k] =
         # S_k^-1 carried(k), the part of X_k that the ports at and below
-        # block k drive; back-substitution adds h_left[k] X_{k+1} to it.
-        for k in range(k0):
-            if k:
-                grouped[k] -= np.matmul(L[k - 1], grouped[k - 1])
-            if k >= first:
-                X[k] = np.linalg.solve(work[k], carried(k))
-            work[k] = np.linalg.solve(work[k], dense(U[k]))
-        for k in range(n - 1, k0, -1):
-            if k < n - 1:
-                grouped[k] -= np.matmul(U[k], grouped[k + 1])
-            work[k] = np.linalg.solve(work[k], dense(L[k - 1]))
+        # block k drive, from the same solve (the right side's columns
+        # there are zero); back-substitution adds h_left[k] X_{k+1} to it.
+        # Step s eliminates block s of the left sweep and block n - 1 - s of
+        # the right one, each while it lies before k0.  Per step: the sides
+        # still sweeping, their blocks, the blocks they come from and the
+        # blocks toward k0, as slices over the block axis (one block where
+        # a side has finished, or where both sides' next block is k0).
+        steps = []
+        for s in range(max(k0, n - 1 - k0)):
+            if s < k0 < n - 1 - s:
+                gap = n - 1 - 2 * s
+                steps.append((slice(0, 2), slice(s, n - s, gap),
+                              slice(s - 1, n - s + 1, gap + 2),
+                              slice(s + 1, n - 1 - s, max(gap - 2, 1))))
+            elif s < k0:
+                steps.append((slice(0, 1), slice(s, s + 1), slice(s - 1, s),
+                              slice(s + 1, s + 2)))
+            else:
+                k = n - 1 - s
+                steps.append((slice(1, 2), slice(k, k + 1), slice(k + 1, k + 2),
+                              slice(k - 1, k)))
+        for s, (sides, blocks, behind, _) in enumerate(steps):
+            if s:
+                grouped[blocks] -= np.matmul(outer[sides, s], grouped[behind])
+            rhs_blocks[sides] = inner[sides, s]
+            if first <= s < k0:
+                stacked = np.zeros(rhs_stack[sides].shape[:-1] + (b + p,), dtype=complex)
+                stacked[..., :b] = rhs_stack[sides]
+                stacked[0, ..., b:] = carried(s)
+                solved = np.linalg.solve(work[blocks], stacked)
+                work[blocks], X[s] = solved[..., :b], solved[0, ..., b:]
+            else:
+                work[blocks] = np.linalg.solve(work[blocks], rhs_stack[sides])
         S = work[k0]
         if k0:
-            S -= coupled(L[k0 - 1], work[k0 - 1])
+            S -= coupled(down[k0], work[k0 - 1])
         if k0 < n - 1:
-            S -= coupled(U[k0], work[k0 + 1])
+            S -= coupled(up[k0], work[k0 + 1])
         X[k0] = np.linalg.solve(S, carried(k0))
-        for k in range(k0 + 1, n):
-            np.matmul(work[k], X[k - 1], out=X[k])
-        for k in range(k0 - 1, first - 1, -1):
-            X[k] += np.matmul(work[k], X[k + 1])
-        for k in range(first - 1, -1, -1):
-            np.matmul(work[k], X[k + 1], out=X[k])
+        self.solves += len(steps) + 1
+        for s in reversed(range(len(steps))):
+            _, blocks, _, ahead = steps[s]
+            if first <= s < k0:
+                product = np.matmul(work[blocks], X[ahead])
+                X[s] += product[0]
+                X[blocks][1:] = product[1:]
+            else:
+                np.matmul(work[blocks], X[ahead], out=X[blocks])
         return X
 
     def log(self, reason: str) -> None:
@@ -448,14 +590,16 @@ class Resolvent:
             reason += (f"; H couples OAM slices {self.width} apart, so each "
                        f"block joins {self.width} slices")
         _LOG.debug(
-            "resolvent path=oam-rgf (%s): %d factorization(s) over %d slices "
-            "of size %d with %dx%d coupling blocks, in chunks of %d on a "
-            "%d-byte work array, worst relative residual %.3e",
-            reason, self.factorizations, self.slices, self.block_size,
-            self.coupling_block, self.coupling_block, self.omega_chunk,
-            self.work_bytes, self.worst_residual,
+            "resolvent path=oam-rgf (%s): %d factorization(s) for %d trial(s) "
+            "in %d solve call(s) over %d slices of size %d with %dx%d coupling "
+            "blocks, in chunks of %d on a %d-byte work array, worst relative "
+            "residual %.3e",
+            reason, self.factorizations, self.trials, self.solves, self.slices,
+            self.block_size, self.coupling_block, self.coupling_block,
+            self.omega_chunk, self.work_bytes, self.worst_residual,
             extra={"solver_path": "oam-rgf", "solver_reason": reason,
                    "factorizations": self.factorizations,
+                   "trials": self.trials, "solves": self.solves,
                    "worst_residual": self.worst_residual,
                    "slices": self.slices, "block_size": self.block_size,
                    "omega_chunk": self.omega_chunk,

@@ -17,6 +17,7 @@ from oamphoton.disorder import (
 from oamphoton.edge import EdgeRegion, Side, displacement_spectrum
 from oamphoton.hamiltonians import build_landau_hofstadter, build_qsh
 from oamphoton.lattice import Boundary, LatticeSpec
+from oamphoton import disorder, scattering
 from oamphoton.scattering import DecaySpec
 
 SIXTH = 1.0 / 6.0
@@ -386,6 +387,57 @@ def test_input_averaging_over_oam_window(small_lattice):
         for input_l in (-1, 0, 1)
     ]
     assert averaged.mean[0] == pytest.approx(np.mean(spectra), rel=1e-12)
+
+
+def _per_trial_loop(H0, model, decay, omegas, region, trials, seed, input_l_values):
+    """The summary from one engine call per trial and input OAM."""
+    samples = np.empty((trials, omegas.size))
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(trial))
+        H = sample_disordered_hamiltonian(H0, model, rng)
+        trial_decay = decay
+        if model.sigma_loss > 0.0:
+            trial_decay = loss_perturbed_decay(decay.gamma, H0.spec, model, rng)
+        samples[trial] = np.mean([displacement_spectrum(H, trial_decay, omegas, region, l)
+                                  for l in input_l_values], axis=0)
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1)
+
+
+@pytest.mark.parametrize("model, input_l_values", [
+    (DisorderModel.cavity_detuning(0.1), (0, 2)),
+    (DisorderModel.oam_link_errors(0.05, 0.02), (0,)),
+    (DisorderModel(sigma_detuning=0.1, sigma_coupling_phase=0.05, sigma_loss=0.05),
+     (-1, 2)),
+])
+def test_summary_equals_the_per_trial_loop_bitwise(small_lattice, monkeypatch,
+                                                    model, input_l_values):
+    _, H = small_lattice
+    decay = DecaySpec.uniform(0.2)
+    region = EdgeRegion(Side.RIGHT, depth=3)
+    omegas = np.array([-2.2, -1.5034, 0.4])
+    mean, std = _per_trial_loop(H, model, decay, omegas, region, 7, 4, input_l_values)
+    engines = []
+
+    def recorded(Hs, decays):
+        engines.append(len(Hs))
+        return scattering.Resolvent(Hs, decays)
+
+    monkeypatch.setattr(disorder, "Resolvent", recorded)
+    # The default chunk holds all seven trials, a budget of one byte makes
+    # one group per trial and splits its grid, and groups of two leave the
+    # last trial alone.
+    runs = [([7], lambda: None),
+            ([1] * 7, lambda: monkeypatch.setattr(scattering, "_CHUNK_BYTES", 1)),
+            ([2, 2, 2, 1], lambda: monkeypatch.setattr(disorder, "_trials_per_chunk",
+                                                       lambda *args: 2))]
+    for groups, setup in runs:
+        setup()
+        engines.clear()
+        summary = displacement_robustness(H, model, decay, omegas, region, trials=7,
+                                          seed=4, input_l_values=input_l_values)
+        assert engines == groups
+        np.testing.assert_array_equal(summary.mean, mean)
+        np.testing.assert_array_equal(summary.std, std)
 
 
 def test_driver_validation_errors(small_lattice):

@@ -64,6 +64,33 @@ def test_jones_exp_inverse_phase():
     np.testing.assert_allclose(u, np.eye(2), atol=1e-14)
 
 
+def test_jones_exp_is_exact_at_quarter_turns():
+    cos, sin = [1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]
+    turns = np.arange(-5, 6)
+    for axis in (SpinAxis.x(), SpinAxis.y(), SpinAxis.z(), SpinAxis((0.6, 0.0, 0.8))):
+        expected = np.array([cos[k % 4] * np.eye(2) + 1j * sin[k % 4] * axis.sigma()
+                             for k in turns])
+        np.testing.assert_array_equal(jones_exp(turns / 4, axis), expected)
+        for k in turns:
+            np.testing.assert_array_equal(jones_exp(k / 4, axis), expected[k + 5])
+    # Other phases keep the rounded cosine and sine of 2 pi phi.
+    for phi in (0.3, -0.1, 0.126, 1.0 / 6.0):
+        angle = 2.0 * np.pi * phi
+        np.testing.assert_array_equal(
+            jones_exp(phi, SpinAxis.y()),
+            np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * SpinAxis.y().sigma())
+
+
+def test_spinful_builders_store_no_rounding_residue():
+    # Quarter-turn Jones blocks (i sigma) have exactly zero entries where
+    # cos(pi/2) used to leave 6.1e-17 couplings.
+    qsh_spec = LatticeSpec(n_x=12, l_min=-50, l_max=50, spin_dim=2)
+    dirac_spec = LatticeSpec(n_x=10, l_min=-50, l_max=50, spin_dim=2)
+    for H in (build_qsh(qsh_spec, 0.0, 0.6), build_qsh(qsh_spec, 0.03, 0.6),
+              build_dirac(dirac_spec), build_dirac(dirac_spec, 1.0 / 6.0)):
+        assert np.abs(H.values).min() > 1e-12
+
+
 def test_non_unit_axis_rejected():
     with pytest.raises(ValueError):
         SpinAxis((1.0, 1.0, 0.0))

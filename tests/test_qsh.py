@@ -258,9 +258,9 @@ def test_polarized_maps_share_one_sweep(monkeypatch):
     sweeps = []
     original = Resolvent._sweep
 
-    def counting(self, omegas, rows):
+    def counting(self, trials, omegas, rows):
         sweeps.append((omegas.size, rows.size))
-        return original(self, omegas, rows)
+        return original(self, trials, omegas, rows)
 
     monkeypatch.setattr(Resolvent, "_sweep", counting)
     result = polarized_edge_maps(spec, 0.03, LAMBDA0, decay)

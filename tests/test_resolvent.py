@@ -1,5 +1,5 @@
 """Resolvent-engine tests: block solves, oracles, identities, call counts, errors,
-storage, bits and memory."""
+storage, bits, Monte Carlo trials and memory."""
 
 import logging
 import tracemalloc
@@ -33,6 +33,9 @@ from oamphoton.scattering import (
 )
 from oamphoton.edge import (
     EdgeRegion, Side, displacement_spectrum, oam_displacement, transmission_map,
+)
+from oamphoton.disorder import (
+    DisorderModel, displacement_robustness, sample_disordered_hamiltonian,
 )
 
 GAMMA = 0.2
@@ -166,9 +169,9 @@ def sweeps(monkeypatch):
     calls = []
     original = Resolvent._sweep
 
-    def counting(self, omegas, rows):
+    def counting(self, trials, omegas, rows):
         calls.append((omegas.size, rows.size))
-        return original(self, omegas, rows)
+        return original(self, trials, omegas, rows)
 
     monkeypatch.setattr(Resolvent, "_sweep", counting)
     return calls
@@ -355,10 +358,38 @@ def test_each_engine_record_explains_its_storage(caplog):
         assert f"{r.work_bytes}-byte work array" in r.getMessage()
 
 
+def test_each_engine_record_counts_trials_and_solves(caplog):
+    H = LATTICES["qsh"]
+    Hs, decays = _trials(H)
+    grid = np.array([-1.0, 0.2])
+    with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+        for stack, decay in ((Hs, decays), (Hs[0], decays[0])):
+            engine = Resolvent(stack, decay)
+            engine.transmitted_power(grid, edge_rows(H))
+            engine.log("edge ports")
+        displacement_robustness(H, DisorderModel.cavity_detuning(0.1),
+                                DecaySpec.uniform(GAMMA), grid, EdgeRegion(Side.LEFT, 2),
+                                trials=3, seed=1, input_l_values=(0, 1))
+    records = [r for r in caplog.records if r.name == "oamphoton"]
+    # One factorization per trial and frequency.  Seven OAM slices: ports
+    # on the middle one take three sweep steps and the port solve; ports
+    # on the next one take four steps (the left sweep alone for the last)
+    # and the port solve.  The Monte Carlo driver makes one engine for its
+    # three trials and calls it once per input OAM.
+    assert [r.trials for r in records] == [3, 1, 3]
+    assert [r.factorizations for r in records] == [6, 2, 12]
+    assert [r.solves for r in records] == [4, 4, 9]
+    for r in records:
+        message = r.getMessage()
+        assert f"{r.trials} trial(s) in {r.solves} solve call(s)" in message
+        assert r.work_bytes == 16 * r.slices * r.omega_chunk * r.block_size ** 2
+
+
 def test_every_engine_solve_stacks_its_right_hand_sides(monkeypatch):
     # NumPy 1.x reads a right-hand side with one dimension fewer than its
     # matrices as a stack of vectors, NumPy 2.x as one matrix: each solve
-    # passes one right-hand side per frequency, which both read alike.
+    # passes one right-hand side per side, trial and frequency, which both
+    # read alike.
     solve, calls = np.linalg.solve, []
 
     def stacked(a, b):
@@ -374,13 +405,17 @@ def test_every_engine_solve_stacks_its_right_hand_sides(monkeypatch):
     x = engine.solve(0.9, rows)
     ref = dense_columns(H, per_mode(H), 0.9, rows)
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-    # Ports on blocks 1, 2 and 3 of four, each solve for one frequency: the
-    # left sweep solves once on block 0 and twice on blocks 1 and 2 (the
-    # transfer matrix and the ports carried up), then one solve on block 3.
-    assert len(calls) == 6 and all(shape[0] == 1 for shape in calls)
+    # Ports on blocks 1, 2 and 3 of four, so only the left sweep runs: one
+    # solve on block 0, one on each of blocks 1 and 2 for the transfer
+    # matrix and the ports carried up together ([U_k | carried(k)]), then
+    # one solve on block 3.  Each solve is for one trial and one frequency.
+    b, p = engine.block_size, len(rows)
+    assert calls == [(1, 1, 1, b, b), (1, 1, 1, b, b + p), (1, 1, 1, b, b + p),
+                     (1, 1, b, p)]
+    assert engine.solves == 4
 
 
-def test_ports_on_one_block_take_one_solve_per_slice(monkeypatch):
+def test_ports_on_one_block_take_one_solve_per_sweep_step(monkeypatch):
     solve, calls = np.linalg.solve, []
 
     def counted(a, b):
@@ -397,10 +432,13 @@ def test_ports_on_one_block_take_one_solve_per_slice(monkeypatch):
     for i, omega in enumerate(omegas):
         ref = dense_columns(H, per_mode(H), omega, rows)
         np.testing.assert_allclose(x[:, i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-    # Sweeps from both ends meet at the port block: one solve per slice,
-    # the port block's for every port at once.
-    assert len(calls) == engine.slices
-    assert calls.count((omegas.size, engine.block_size, len(rows))) == 1
+    # Seven OAM slices, the ports on the middle one: both sweeps take three
+    # steps toward it, each step one solve for both sides, then one solve
+    # at the port block for every port at once.
+    b = engine.block_size
+    assert engine.slices == 7
+    assert calls == [(2, 1, omegas.size, b, b)] * 3 + [(1, omegas.size, b, len(rows))]
+    assert engine.solves == 4
 
 
 # ---------------------------------------------------------------- port rows
@@ -466,6 +504,93 @@ def test_one_engine_called_twice_returns_the_same_bits(blocks):
     one, two, three = (engine.solve(w, rows) for w in (-2.2, 0.9, -2.2))
     np.testing.assert_array_equal(three, one)
     assert not np.array_equal(two, one)
+
+
+# ------------------------------------------------------------------ trials
+
+def _trials(H, count=3):
+    """Disordered copies of ``H`` with their own per-mode rates.  The first
+    trial is ``H`` itself: where ``H`` has no on-site terms it lacks the
+    others' detuning entries, so the engine joins two patterns."""
+    model = DisorderModel(sigma_detuning=0.3, sigma_coupling_mag=0.1,
+                          sigma_coupling_phase=0.1)
+    Hs = [H] + [sample_disordered_hamiltonian(H, model, seed) for seed in range(1, count)]
+    return Hs, [per_mode(H, seed) for seed in range(count)]
+
+
+def _multi_block_rows(H):
+    # Edge ports on the OAM-0 block plus one port two slices below it.
+    return edge_rows(H) + [flat_index(H.spec, SiteIndex(1, -2, 0))]
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("ports", ["one block", "several blocks"])
+def test_trials_in_one_engine_equal_one_trial_engines_bitwise(name, ports):
+    H = LATTICES[name]
+    Hs, decays = _trials(H)
+    rows = edge_rows(H) if ports == "one block" else _multi_block_rows(H)
+    grid = np.array([-1.6, -0.3, 0.9])
+    weights = l_of_index(H.spec)
+    for shared in (False, True):
+        rates = decays[0] if shared else decays
+        engine = Resolvent(Hs, rates)
+        singles = [Resolvent(h, decays[0] if shared else d) for h, d in zip(Hs, decays)]
+        power = engine.transmitted_power(grid, rows, weights)
+        assert power.shape == (len(Hs), grid.size)
+        for t, single in enumerate(singles):
+            np.testing.assert_array_equal(
+                power[t], single.transmitted_power(grid, rows, weights))
+            np.testing.assert_array_equal(
+                engine.transmission(0.4, rows)[:, t], single.transmission(0.4, rows))
+        (part, x), = engine.columns(grid, rows)
+        assert part == slice(0, len(Hs) * grid.size)
+        for t, single in enumerate(singles):
+            (_, alone), = single.columns(grid, rows)
+            np.testing.assert_array_equal(x[:, t * grid.size:(t + 1) * grid.size], alone)
+        ref = dense_columns(Hs[2], decays[0] if shared else decays[2], 0.9, rows)
+        np.testing.assert_allclose(x[:, 2 * grid.size + 2], ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
+def test_trial_bits_do_not_depend_on_the_chunk(sweeps, monkeypatch):
+    H = LATTICES["qsh"]
+    Hs, decays = _trials(H, count=4)
+    rows, grid = edge_rows(H), np.linspace(-2.0, 2.0, 3)
+    engine = Resolvent(Hs, decays)
+    row_bytes = scattering._row_bytes(engine.slices, engine.block_size, len(rows))
+    runs = []
+    # The whole batch, two trials per chunk, one trial per chunk, a trial
+    # split in two chunks, and one (trial, frequency) row per chunk.
+    for budget in (scattering._CHUNK_BYTES, 7 * row_bytes, 5 * row_bytes,
+                   2 * row_bytes, 1):
+        monkeypatch.setattr(scattering, "_CHUNK_BYTES", budget)
+        sweeps.clear()
+        runs.append((Resolvent(Hs, decays).transmitted_power(grid, rows), list(sweeps)))
+    for power, _ in runs[1:]:
+        np.testing.assert_array_equal(power, runs[0][0])
+    assert [calls for _, calls in runs] == [
+        [(3, 4)], [(3, 4)] * 2, [(3, 4)] * 4, [(2, 4), (1, 4)] * 4, [(1, 4)] * 12]
+
+
+def test_nan_in_one_trial_names_that_trial():
+    H = LATTICES["scalar-open"]
+    values = H.values.copy()
+    values[5] = np.nan
+    broken = HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols, values)
+    engine = Resolvent([H, broken, H], DecaySpec.uniform(GAMMA))
+    with pytest.raises(RuntimeError, match="residual .* in trial 1 "):
+        engine.transmitted_power(np.array([0.3, 1.1]), edge_rows(H))
+
+
+def test_a_stack_of_hamiltonians_is_checked():
+    H, other = LATTICES["scalar-open"], LATTICES["scalar-periodic"]
+    decay = DecaySpec.uniform(GAMMA)
+    with pytest.raises(ValueError, match="at least one"):
+        Resolvent([], decay)
+    with pytest.raises(ValueError, match="one lattice"):
+        Resolvent([H, other], decay)
+    with pytest.raises(ValueError, match="2 decay specs for 3"):
+        Resolvent([H, H, H], [decay, decay])
 
 
 # ----------------------------------------------------------------- memory

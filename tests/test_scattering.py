@@ -1,5 +1,7 @@
 """Input-output solver tests: closed forms, unitarity, and solver cross-checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from oamphoton.hamiltonians import (
     HamiltonianMatrix,
     build_dirac,
     build_landau_hofstadter,
+    build_oam_gauge_hofstadter,
 )
 from oamphoton.scattering import (
     DecaySpec,
@@ -168,6 +171,56 @@ def test_reciprocity_for_real_hop_lattice():
         t_ab = transmission(H, decay, omega, a).amplitudes[flat_index(spec, b)]
         t_ba = transmission(H, decay, omega, b).amplitudes[flat_index(spec, a)]
         np.testing.assert_allclose(abs(t_ab), abs(t_ba), rtol=1e-10)
+
+
+# -------------------------------------------------------- physics identities
+
+FLUX_BUILDERS = {"landau": (build_landau_hofstadter, 1),
+                 "oam-gauge": (build_oam_gauge_hofstadter, 1),
+                 "dirac": (build_dirac, 2)}
+
+
+def _identity_lattice(name, bc_y):
+    build, spin_dim = FLUX_BUILDERS[name]
+    spec = LatticeSpec(n_x=6, l_min=-15, l_max=16, spin_dim=spin_dim, bc_y=bc_y)
+    inputs = [SiteIndex(j, l, s) for j in (0, 2, 5) for l in (0, 3) for s in range(spin_dim)]
+    rng = np.random.default_rng(11)
+    decays = (DecaySpec.uniform(0.2),
+              DecaySpec.per_mode(0.2 * (1.0 + 0.3 * rng.random(spec.dim))))
+    return build, spec, inputs, decays
+
+
+@pytest.mark.parametrize("name", sorted(FLUX_BUILDERS))
+@pytest.mark.parametrize("bc_y", [Boundary.OPEN, Boundary.PERIODIC])
+def test_flux_mirror_leaves_the_spectrum(name, bc_y):
+    """``H(1 - phi) = conj H(phi)`` for the scalar builders (and the Dirac
+    lattice up to a gauge), so ``G(1 - phi)`` has the diagonal of
+    ``G(phi)``; with the optical theorem the total power from any inputs
+    is the same: ``T(1 - phi, omega) = T(phi, omega)``."""
+    build, spec, inputs, decays = _identity_lattice(name, bc_y)
+    grid = np.linspace(-4.5, 4.5, 41)
+    for phi in (Fraction(1, 6), Fraction(2, 5), Fraction(3, 7)):
+        for decay in decays:
+            power = total_transmission_spectrum(build(spec, phi), decay, inputs, grid)
+            mirror = total_transmission_spectrum(build(spec, 1 - phi), decay, inputs, grid)
+            np.testing.assert_allclose(mirror, power, rtol=0, atol=1e-13 * power.max())
+
+
+@pytest.mark.parametrize("name", sorted(FLUX_BUILDERS))
+@pytest.mark.parametrize("bc_y", [Boundary.OPEN, Boundary.PERIODIC])
+def test_frequency_mirror_at_nonzero_flux(name, bc_y):
+    """Every builder hops between the two sublattices of ``(-1)^(j+l)``
+    (an even ring keeps them), so ``S H S = -H`` at any flux and
+    ``G(-omega) = -S G(omega)^dagger S``.  The optical theorem,
+    ``sum_n' gamma_n' |G_n'r|^2 = sum_n' gamma_n' |G_rn'|^2 = -2 Im G_rr``
+    for any rates, then makes the total power even in ``omega``."""
+    build, spec, inputs, decays = _identity_lattice(name, bc_y)
+    half = np.linspace(0.05, 4.5, 20)
+    grid = np.concatenate([-half[::-1], half])
+    for phi in (Fraction(1, 6), Fraction(2, 5)):
+        for decay in decays:
+            power = total_transmission_spectrum(build(spec, phi), decay, inputs, grid)
+            np.testing.assert_allclose(power[::-1], power, rtol=0, atol=1e-13 * power.max())
 
 
 # -------------------------------------------------------------- s_matrix_row
