@@ -210,17 +210,16 @@ def fukui_hatsugai_chern(data: BlochBandData, bands: int | Sequence[int]) -> int
         overlap = np.einsum("xycm,xycn->xymn", a.conj(), b)
         return np.linalg.det(overlap)
 
-    l1 = link(u[:-1, :-1], u[1:, :-1])
-    l2 = link(u[1:, :-1], u[1:, 1:])
-    l3 = link(u[:-1, 1:], u[1:, 1:])
-    l4 = link(u[:-1, :-1], u[:-1, 1:])
-    modulus = np.stack([np.abs(l1), np.abs(l2), np.abs(l3), np.abs(l4)])
-    if modulus.min() < 1e-12:
+    # The x-links and y-links of the closed grid; each plaquette takes two
+    # of each.
+    x_link = link(u[:-1], u[1:])
+    y_link = link(u[:, :-1], u[:, 1:])
+    if min(np.abs(x_link).min(), np.abs(y_link).min()) < 1e-12:
         raise ValueError(
             "vanishing link overlap: the multiplet is degenerate with a band "
             "outside it (enlarge the multiplet) or the grid hits a singularity"
         )
-    field = np.angle(l1 * l2 / (l3 * l4))
+    field = np.angle(x_link[:, :-1] * y_link[1:] / (x_link[:, 1:] * y_link[:-1]))
     if np.abs(field).max() >= np.pi * (1.0 - 1e-9):
         raise ValueError(
             "grid too coarse: a plaquette field strength reached pi, so the "
@@ -597,10 +596,6 @@ class TransmissionBloch:
     kx_values: np.ndarray
     ky_values: np.ndarray
     vectors: np.ndarray
-
-    def column_winding(self, column: int, reference_component: int) -> float:
-        """Gauge-mismatch winding along ky at one kx column."""
-        return _column_winding(self.vectors[column], reference_component, self.q)
 
     def chern(
         self, column_lo: int, column_hi: int, reference_component: int

@@ -2,7 +2,7 @@
 
 One experiment per run, selected by the config's ``kind`` and mirrored by
 the subcommand: transmission spectra, flux-sweep butterflies, edge maps,
-OAM-displacement spectra (clean or disorder-averaged), Chern numbers,
+clean OAM-displacement spectra and their disorder averages, Chern numbers,
 bulk bands, polarization-pair gap scans, and the resonator dispersion
 check.  Every run emits CSV tables (RFC-4180 quoting, 17 significant
 digits) and/or plain-text grids, plus a JSON manifest with the config
@@ -55,7 +55,9 @@ from .hamiltonians import (
 )
 from .lattice import Boundary, LatticeSpec, SiteIndex, flat_index
 from .optics import OpticalParams, bloch_dispersion, coupling_strength
-from .qsh import qsh_gap_scan, transition_detector
+from .qsh import _locate_transition, qsh_gap_scan
+# Unused here, but perfbench/spans.py patches this name when tracing.
+from .qsh import transition_detector  # noqa: F401
 from .scattering import DecaySpec, butterfly_scan, total_transmission_spectrum
 from . import __version__
 
@@ -79,7 +81,7 @@ _KIND_KEYS: dict[str, tuple[set[str], set[str]]] = {
     "spectrum": ({"lattice", "model", "decay", "omega"}, {"inputs"}),
     "butterfly": ({"lattice", "decay", "omega"}, {"butterfly"}),
     "edge-map": ({"lattice", "model", "decay", "omega"}, {"input"}),
-    "displacement": ({"lattice", "model", "decay", "omega"}, {"region", "disorder"}),
+    "displacement": ({"lattice", "model", "decay", "omega"}, {"region"}),
     "chern": ({"model"}, {"sampling"}),
     "bands": ({"model"}, {"sampling"}),
     "disorder": ({"lattice", "model", "decay", "omega", "disorder"}, {"region"}),
@@ -97,10 +99,6 @@ _BUILDERS = {
     "dirac": (2, "x", lambda spec, m: build_dirac(spec, m["phi0"])),
     "qsh": (2, "x", lambda spec, m: build_qsh(spec, m["beta0"], m["lambda0"])),
 }
-
-#: Kinds whose results depend on the seed.
-_SEEDED_KINDS = ("displacement", "disorder")
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -540,17 +538,17 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
         return diags, resolved
 
     required, optional = _KIND_KEYS[kind]
-    every_key = _UNIVERSAL_KEYS.union(*(r | o for r, o in _KIND_KEYS.values()))
     for key in raw:
         if key not in _UNIVERSAL_KEYS | required | optional:
-            _fatal(diags, key, f"does not apply to kind '{kind}'" if key in every_key
-                   else "unknown key")
+            users = [k for k, (r, o) in _KIND_KEYS.items() if key in r | o]
+            _fatal(diags, key, f"does not apply to kind '{kind}'; kinds that take "
+                   f"it: {', '.join(map(repr, users))}" if users else "unknown key")
     for key in sorted(required - raw.keys()):
         _fatal(diags, key, f"required for kind '{kind}'")
     resolved["seed"] = _make(diags, "seed", _integer(0), raw.get("seed", 0))
     if "out_dir" in raw and not isinstance(raw["out_dir"], str):
         _fatal(diags, "out_dir", "must be a string path")
-    if "seed" in raw and kind not in _SEEDED_KINDS:
+    if "seed" in raw and kind != "disorder":
         _warn(diags, "seed", f"seed has no effect for kind '{kind}'")
 
     spec = _parse_lattice(raw, diags) if "lattice" in raw else None
@@ -605,15 +603,15 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
 
     if kind in ("displacement", "disorder"):
         resolved["region"] = _parse_region(raw, spec, diags)
-        disorder = _parse_disorder(raw, diags) if "disorder" in raw else None
-        resolved["disorder"] = disorder
+    if kind == "displacement" and spec is not None:
+        # The clean displacement probes enter at OAM 0.
+        _probe_window(spec, [0], "lattice", diags)
+    if kind == "disorder" and "disorder" in raw:
+        disorder = resolved["disorder"] = _parse_disorder(raw, diags)
         if spec is not None and disorder is not None:
             _make(diags, "disorder", _check_coupling_axis, spec, disorder["model"])
             _probe_window(spec, disorder["input_l_values"], "disorder.input_l_values",
                           diags)
-        elif spec is not None and "disorder" not in raw:
-            # The clean displacement probes enter at OAM 0.
-            _probe_window(spec, [0], "lattice", diags)
 
     if kind in ("chern", "bands") and model is not None:
         sampling = _read(raw, "sampling", diags)
@@ -749,25 +747,28 @@ def _run_edge_map(res: dict, threads: int):
     return files, results
 
 
-def _run_displacement(res: dict, threads: int):
-    H = res["build"]()
-    grid = res["omega_grid"]
+def _displacement_file(res: dict, mean, std, trials: int):
     region = res["region"]
-    disorder = res["disorder"]
+    rows = zip(res["omega_grid"].tolist(), mean.tolist(), std.tolist())
     header = ("omega", "l_e_mean", "l_e_std")
-    if disorder is None:
-        values = displacement_spectrum(H, res["decay"], grid, region)
-        rows = [(w, v, 0.0) for w, v in zip(grid.tolist(), values.tolist())]
-    else:
-        summary = displacement_robustness(
-            H, disorder["model"], res["decay"], grid, region,
-            trials=disorder["trials"], seed=res["seed"],
-            input_l_values=tuple(disorder["input_l_values"]),
-        )
-        rows = zip(grid.tolist(), summary.mean.tolist(), summary.std.tolist())
-    results = {"trials": disorder["trials"] if disorder else 1,
-               "region": [region.side.value, region.depth]}
+    results = {"trials": trials, "region": [region.side.value, region.depth]}
     return [("displacement.csv", _csv_bytes(header, rows))], results
+
+
+def _run_displacement(res: dict, threads: int):
+    values = displacement_spectrum(res["build"](), res["decay"], res["omega_grid"],
+                                   res["region"])
+    return _displacement_file(res, values, np.zeros_like(values), 1)
+
+
+def _run_disorder(res: dict, threads: int):
+    disorder = res["disorder"]
+    summary = displacement_robustness(
+        res["build"](), disorder["model"], res["decay"], res["omega_grid"],
+        res["region"], trials=disorder["trials"], seed=res["seed"],
+        input_l_values=tuple(disorder["input_l_values"]),
+    )
+    return _displacement_file(res, summary.mean, summary.std, disorder["trials"])
 
 
 def _chern_or_none(route, data, m: int) -> int | None:
@@ -805,18 +806,14 @@ def _run_qsh(res: dict, threads: int):
     betas = block["beta0_values"]
     target = block["energy_target"]
     results: dict = {"energy_target": target}
-    reports = None
+    reports = qsh_gap_scan(spec, model["lambda0"], betas, target)
     if len(betas) >= 3 and all(b2 > b1 for b1, b2 in zip(betas, betas[1:])):
         try:
-            estimate = transition_detector(spec, model["lambda0"], betas, target)
+            estimate = _locate_transition(reports)
             results["transition_beta0"] = float(estimate.beta0)
             results["transition_uncertainty"] = float(estimate.uncertainty)
-            reports = estimate.reports
         except ValueError as exc:
             results["transition_error"] = str(exc)
-            reports = getattr(exc, "reports", None)
-    if reports is None:  # the detector did not scan
-        reports = qsh_gap_scan(spec, model["lambda0"], betas, target)
     rows = [(r.beta0, r.e_low, r.e_high, r.width) for r in reports]
     header = ("beta0", "gap_low", "gap_high", "gap_width")
     return [("qsh.csv", _csv_bytes(header, rows))], results
@@ -859,7 +856,7 @@ _RUNNERS = {
     "butterfly": _run_butterfly,
     "edge-map": _run_edge_map,
     "displacement": _run_displacement,
-    "disorder": _run_displacement,
+    "disorder": _run_disorder,
     "chern": _run_chern,
     "bands": _run_bands,
     "qsh": _run_qsh,

@@ -47,7 +47,7 @@ import numpy as np
 from .hamiltonians import HamiltonianMatrix
 from .lattice import Boundary, LatticeSpec, l_of_index
 from .scattering import DecaySpec, Resolvent, _trials_per_chunk
-from .edge import EdgeRegion, _region_input_indices
+from .edge import EdgeRegion
 # Unused here, but perfbench/spans.py patches this name when tracing.
 from .edge import displacement_spectrum  # noqa: F401
 
@@ -130,17 +130,6 @@ class DisorderModel:
     def cavity_detuning(cls, sigma: float) -> "DisorderModel":
         """Resonance-shift disorder only: one draw per cavity."""
         return cls(sigma_detuning=sigma)
-
-    @classmethod
-    def cavity_link_errors(
-        cls, sigma_mag: float = 0.05, sigma_phase: float = 0.05
-    ) -> "DisorderModel":
-        """Amplitude and phase errors on the cavity-axis couplings."""
-        return cls(
-            sigma_coupling_mag=sigma_mag,
-            sigma_coupling_phase=sigma_phase,
-            scope=DisorderScope.PER_CAVITY_LINK,
-        )
 
     @classmethod
     def oam_link_errors(
@@ -363,14 +352,16 @@ def displacement_robustness(
     decay rates; the displacement spectrum (as
     :func:`~oamphoton.edge.displacement_spectrum` computes it) is then
     averaged over the requested input OAM values (more than one models a
-    source that is itself spread over OAM).  Trials are sampled in order,
-    in groups that fill one :class:`~oamphoton.scattering.Resolvent`
-    chunk; each group takes one engine call per input OAM, with its
-    (trial, frequency) pairs on the engine's batch axis.  Every row is
-    reduced in the same order as a one-trial call, so the grouping does
-    not change any bit.  Means and sample standard deviations (``ddof=1``)
-    are taken trialwise in fixed order, so identical arguments give
-    bitwise-identical summaries.
+    source that is itself spread over OAM).  The power is linear in the
+    inputs, so that average is the power of the region ports of every
+    input OAM together, divided by their number.  Trials are sampled in
+    order, in groups that fill one :class:`~oamphoton.scattering.Resolvent`
+    chunk with all those ports; each group takes one engine call, with
+    its (trial, frequency) pairs on the engine's batch axis.  Every row
+    is reduced in the same order as a one-trial call, so the grouping
+    does not change any bit.  Means and sample standard deviations
+    (``ddof=1``) are taken trialwise in fixed order, so identical
+    arguments give bitwise-identical summaries.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a spread, got {trials!r}")
@@ -384,10 +375,9 @@ def displacement_robustness(
     H0 = _resolve_base(base)
     spec = H0.spec
     omega_grid = np.asarray(omega_grid, dtype=float)
-    ports = [_region_input_indices(spec, region, input_l, None)
-             for input_l in input_l_values]
+    ports = [row for input_l in input_l_values for row in region.ports(spec, input_l)]
     weights = l_of_index(spec)
-    group = _trials_per_chunk(H0, max(map(len, ports)), omega_grid.size)
+    group = _trials_per_chunk(H0, len(ports), omega_grid.size)
     samples = np.empty((trials, omega_grid.size))
     for first in range(0, trials, group):
         batch = range(first, min(first + group, trials))
@@ -398,10 +388,10 @@ def displacement_robustness(
             decays.append(loss_perturbed_decay(decay.gamma, spec, model, rng)
                           if model.sigma_loss > 0.0 else decay)
         engine = Resolvent(Hs, decays)
-        spectra = [engine.transmitted_power(omega_grid, rows, weights) for rows in ports]
+        power = engine.transmitted_power(omega_grid, ports, weights)
         engine.log(f"{len(batch)} trials x {omega_grid.size} frequencies, "
-                   f"{len(ports)} input OAM value(s) of {len(ports[0])} region ports")
-        samples[batch.start:batch.stop] = np.mean(spectra, axis=0)
+                   f"{len(ports)} region ports at {len(input_l_values)} input OAM")
+        samples[batch.start:batch.stop] = power / len(input_l_values)
     return MonteCarloSummary(
         omega_grid=omega_grid,
         mean=samples.mean(axis=0),

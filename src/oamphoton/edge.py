@@ -54,7 +54,9 @@ class EdgeRegion:
     The default side is RIGHT, where (with this package's hop-phase sign
     conventions) the in-gap displacement below the spectrum center comes
     out positive; the LEFT region gives the same magnitudes with the
-    opposite sign.
+    opposite sign.  :meth:`ports` names the probe modes at one input OAM;
+    the displacement spectrum and the Monte Carlo driver both take their
+    ports from it.
     """
 
     side: Side = Side.RIGHT
@@ -69,6 +71,17 @@ class EdgeRegion:
         if self.side is Side.LEFT:
             return list(range(self.depth))
         return list(range(spec.n_x - self.depth, spec.n_x))
+
+    def ports(self, spec: LatticeSpec, input_l: int,
+              spins: list[int] | None = None) -> list[int]:
+        """Flat indices of the probes entering at OAM ``input_l``.
+
+        One per region column and polarization (all polarizations unless
+        ``spins`` restricts them), cavity-major, then polarization.
+        """
+        spins = range(spec.spin_dim) if spins is None else spins
+        return [flat_index(spec, SiteIndex(j, input_l, s))
+                for j in self.columns(spec) for s in spins]
 
 
 def transmission_map(
@@ -108,20 +121,6 @@ def transmission_maps(
     return [grid[:, :, 0] if spec.spin_dim == 1 else grid for grid in grids]
 
 
-def _region_input_indices(
-    spec: LatticeSpec,
-    region: EdgeRegion,
-    input_l: int,
-    input_spins: list[int] | None,
-) -> list[int]:
-    spins = list(range(spec.spin_dim)) if input_spins is None else list(input_spins)
-    return [
-        flat_index(spec, SiteIndex(j, input_l, s))
-        for j in region.columns(spec)
-        for s in spins
-    ]
-
-
 def oam_displacement(
     H: HamiltonianMatrix,
     decay: DecaySpec,
@@ -157,7 +156,7 @@ def displacement_spectrum(
     """
     spec = H.spec
     omega_grid = np.asarray(omega_grid, dtype=float)
-    in_rows = _region_input_indices(spec, region, input_l, input_spins)
+    in_rows = region.ports(spec, input_l, input_spins)
     if not in_rows:
         raise ValueError("input_spins must name at least one polarization")
     engine = Resolvent(H, decay)

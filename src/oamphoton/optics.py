@@ -65,9 +65,8 @@ class OpticalParams:
     round-trip path lengths of the main cavity and of one coupling arm.
     ``phi_x`` and ``phi_y`` are the arm phase biases in cycles.  ``omega0``
     is the free spectral range of the main cavity as an angular frequency;
-    by default it is ``2*pi/s_c`` (speed of light = 1).  ``spacing`` is the
-    lattice constant multiplying the Bloch phases (unit spacing by
-    default).
+    by default it is ``2*pi/s_c`` (speed of light = 1).  Bloch momenta are
+    in units of the inverse lattice constant.
 
     ``r_mag = 0`` is accepted as the decoupled limit -- the coupling
     strength is then zero -- but the transfer matrices themselves diverge
@@ -81,7 +80,6 @@ class OpticalParams:
     phi_x: float = 0.0
     phi_y: float = 0.0
     omega0: float | None = None
-    spacing: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.r_mag < 1.0) or not math.isfinite(self.r_mag):
@@ -89,7 +87,7 @@ class OpticalParams:
                 "beam-splitter reflection magnitude must lie in [0, 1), "
                 f"got {self.r_mag!r}"
             )
-        for name in ("k_wave", "s_c", "s_a", "spacing"):
+        for name in ("k_wave", "s_c", "s_a"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -216,8 +214,8 @@ def _mode_condition(
     splitter = bs_transfer_matrix(params.r_mag)
     m_x = _arm_transfer(k, params.s_c, params.s_a, params.phi_x, splitter)
     m_y = _arm_transfer(k, params.s_c, params.s_a, params.phi_y, splitter)
-    bloch_x = np.exp(1j * np.asarray(kx) * params.spacing)
-    bloch_y = np.exp(1j * np.asarray(ky) * params.spacing)
+    bloch_x = np.exp(1j * np.asarray(kx))
+    bloch_y = np.exp(1j * np.asarray(ky))
     shape = np.broadcast_shapes(k.shape, bloch_x.shape, bloch_y.shape)
     system = np.zeros(shape + (4, 4), dtype=complex)
     system[..., 0, 0] = 1.0

@@ -78,7 +78,6 @@ class GapReport:
     e_low: float
     e_high: float
     energy_target: float
-    method: str = "torus-band-extrema"
 
     def __post_init__(self) -> None:
         for name in ("beta0", "e_low", "e_high", "energy_target"):
@@ -361,11 +360,9 @@ def transition_detector(
     """Locate the ``beta0`` that minimizes the bulk gap on a grid.
 
     Scans ``beta0_grid`` with :func:`qsh_gap_scan` and returns the grid
-    point of minimum gap width, with the local grid spacing as the
-    uncertainty; refining the grid tightens the estimate accordingly.
-    The minimum must be interior — a width profile that is monotone
-    toward an endpoint means the grid does not bracket the closing; the
-    ``ValueError`` raised then carries the scan as its ``reports``.
+    point of minimum gap width (see :func:`_locate_transition`), with the
+    local grid spacing as the uncertainty; refining the grid tightens the
+    estimate accordingly.
     """
     grid = np.asarray(list(beta0_grid), dtype=float)
     if grid.size < 3:
@@ -375,18 +372,25 @@ def transition_detector(
     if not np.all(np.diff(grid) > 0):
         raise ValueError("beta0 grid must be strictly increasing")
 
-    reports = qsh_gap_scan(
-        spec, lambda0, grid, energy_target, k_samples=k_samples
+    return _locate_transition(
+        qsh_gap_scan(spec, lambda0, grid, energy_target, k_samples=k_samples)
     )
-    widths = np.array([r.width for r in reports])
-    i = int(np.argmin(widths))
+
+
+def _locate_transition(reports: Sequence[GapReport]) -> TransitionEstimate:
+    """The minimum gap width of a scan over a strictly increasing grid.
+
+    The minimum must be interior: a width profile that is monotone toward
+    an endpoint means the grid does not bracket the closing, and raises
+    ``ValueError``.
+    """
+    grid = np.array([r.beta0 for r in reports])
+    i = int(np.argmin([r.width for r in reports]))
     if i == 0 or i == grid.size - 1:
-        error = ValueError(
+        raise ValueError(
             f"no local minimum in the scanned range [{grid[0]}, {grid[-1]}]: "
             f"gap width is smallest at an endpoint"
         )
-        error.reports = tuple(reports)
-        raise error
     return TransitionEstimate(
         beta0=float(grid[i]),
         uncertainty=float(max(grid[i] - grid[i - 1], grid[i + 1] - grid[i])),

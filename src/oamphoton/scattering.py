@@ -116,14 +116,13 @@ class DecaySpec:
 class ScatteringResult:
     """Transmission amplitudes from one input mode to every mode at one ``omega``.
 
-    ``amplitudes[n']`` is ``T_{n', input}``; the direct-reflection delta is
-    excluded when ``includes_reflection_delta`` is False (the default).
+    ``amplitudes[n']`` is ``T_{n', input}``, without the direct-reflection
+    delta (:func:`s_matrix_row` adds it).
     """
 
     omega: float
     input: SiteIndex
     amplitudes: np.ndarray
-    includes_reflection_delta: bool = False
 
 
 def default_omega_grid(n: int = 400, span: float = 4.5) -> np.ndarray:

@@ -304,6 +304,24 @@ def test_coupling_disorder_on_a_short_oam_ring_fails_validation(tmp_path):
                  str(tmp_path / "out"), "--validate-only"]) == 2
 
 
+def test_displacement_is_clean_only_and_takes_no_seed():
+    cfg = {
+        "kind": "displacement",
+        "lattice": {"n_x": 8, "l_min": -6, "l_max": 6},
+        "model": {"builder": "landau", "phi0": [1, 6]},
+        "decay": {"gamma": 0.2},
+        "omega": {"values": [-2.2]},
+        "seed": 3,
+    }
+    assert fatals(cfg) == []
+    assert any(d.path == "seed" and "no effect for kind 'displacement'" in d.message
+               for d in warnings(cfg))
+    cfg["disorder"] = {"sigma_detuning": 0.1, "trials": 2}
+    found = fatals(cfg)
+    assert [d.path for d in found] == ["disorder"]
+    assert "kinds that take it: 'disorder'" in found[0].message
+
+
 def test_seed_warning_for_deterministic_kind():
     cfg = spectrum_config(seed=3)
     assert fatals(cfg) == []

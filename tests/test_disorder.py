@@ -16,7 +16,7 @@ from oamphoton.disorder import (
 )
 from oamphoton.edge import EdgeRegion, Side, displacement_spectrum
 from oamphoton.hamiltonians import build_landau_hofstadter, build_qsh
-from oamphoton.lattice import Boundary, LatticeSpec
+from oamphoton.lattice import Boundary, LatticeSpec, l_of_index
 from oamphoton import disorder, scattering
 from oamphoton.scattering import DecaySpec
 
@@ -389,17 +389,24 @@ def test_input_averaging_over_oam_window(small_lattice):
     assert averaged.mean[0] == pytest.approx(np.mean(spectra), rel=1e-12)
 
 
-def _per_trial_loop(H0, model, decay, omegas, region, trials, seed, input_l_values):
-    """The summary from one engine call per trial and input OAM."""
-    samples = np.empty((trials, omegas.size))
+def _trials(H0, model, decay, trials, seed):
+    """Each trial's Hamiltonian and decay, drawn as the driver draws them."""
     for trial in range(trials):
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(trial))
         H = sample_disordered_hamiltonian(H0, model, rng)
-        trial_decay = decay
-        if model.sigma_loss > 0.0:
-            trial_decay = loss_perturbed_decay(decay.gamma, H0.spec, model, rng)
-        samples[trial] = np.mean([displacement_spectrum(H, trial_decay, omegas, region, l)
-                                  for l in input_l_values], axis=0)
+        yield H, (loss_perturbed_decay(decay.gamma, H0.spec, model, rng)
+                  if model.sigma_loss > 0.0 else decay)
+
+
+def _per_trial_loop(H0, model, decay, omegas, region, trials, seed, input_l_values):
+    """The summary from one engine call per trial over every input OAM's ports."""
+    spec = H0.spec
+    ports = [r for l in input_l_values for r in region.ports(spec, l)]
+    samples = np.array([
+        scattering.Resolvent(H, trial_decay).transmitted_power(omegas, ports,
+                                                               l_of_index(spec))
+        / len(input_l_values)
+        for H, trial_decay in _trials(H0, model, decay, trials, seed)])
     return samples.mean(axis=0), samples.std(axis=0, ddof=1)
 
 
@@ -438,6 +445,57 @@ def test_summary_equals_the_per_trial_loop_bitwise(small_lattice, monkeypatch,
         assert engines == groups
         np.testing.assert_array_equal(summary.mean, mean)
         np.testing.assert_array_equal(summary.std, std)
+
+
+# Model A detunes the cavities under uniform loss; model B perturbs the OAM
+# links and the loss of each mode.
+MODELS = {"A": DisorderModel.cavity_detuning(0.1),
+          "B": DisorderModel.oam_link_errors(0.05, 0.02)}
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_summary_is_the_mean_of_per_oam_spectra(small_lattice, name):
+    _, H = small_lattice
+    model, decay = MODELS[name], DecaySpec.uniform(0.2)
+    region = EdgeRegion(Side.RIGHT, depth=3)
+    omegas = np.array([-2.2, -1.5034, 0.4])
+    input_l_values = (-2, 0, 2)
+    samples = np.array([
+        np.mean([displacement_spectrum(H_t, decay_t, omegas, region, l)
+                 for l in input_l_values], axis=0)
+        for H_t, decay_t in _trials(H, model, decay, 6, 8)])
+    summary = displacement_robustness(H, model, decay, omegas, region, trials=6,
+                                      seed=8, input_l_values=input_l_values)
+    for got, want in ((summary.mean, samples.mean(axis=0)),
+                      (summary.std, samples.std(axis=0, ddof=1))):
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("input_l_values", [(0,), (-2, 0, 2)])
+def test_each_trial_group_makes_one_engine_call(small_lattice, monkeypatch,
+                                                input_l_values):
+    spec, H = small_lattice
+    region = EdgeRegion(Side.RIGHT, depth=3)
+    calls, sized = [], []
+
+    class Counted(scattering.Resolvent):
+        def __init__(self, Hs, decays):
+            calls.append("engine")
+            super().__init__(Hs, decays)
+
+        def transmitted_power(self, *args):
+            calls.append("power")
+            return super().transmitted_power(*args)
+
+    monkeypatch.setattr(disorder, "Resolvent", Counted)
+    monkeypatch.setattr(disorder, "_trials_per_chunk",
+                        lambda H0, ports, omegas: sized.append(ports) or 2)
+    displacement_robustness(H, DisorderModel.cavity_detuning(0.1), DecaySpec.uniform(0.2),
+                            np.array([-2.2, 0.4]), region, trials=5, seed=1,
+                            input_l_values=input_l_values)
+    assert calls == ["engine", "power"] * 3
+    assert sized == [len(region.columns(spec)) * len(input_l_values)]
 
 
 def test_driver_validation_errors(small_lattice):

@@ -46,6 +46,17 @@ def test_region_columns_both_sides():
         EdgeRegion(Side.LEFT, 0).columns(spec)
 
 
+def test_region_ports_are_cavity_major_then_polarization():
+    spec = LatticeSpec(n_x=4, l_min=-2, l_max=2, spin_dim=2)
+    # flat index (j * 5 + l + 2) * 2 + s
+    assert EdgeRegion(Side.RIGHT, 2).ports(spec, -1) == [22, 23, 32, 33]
+    assert EdgeRegion(Side.RIGHT, 2).ports(spec, -1, [1]) == [23, 33]
+    assert EdgeRegion(Side.LEFT, 1).ports(spec, 2) == [8, 9]
+    assert EdgeRegion(Side.LEFT, 2).ports(spec, 0, []) == []
+    scalar = LatticeSpec(n_x=6, l_min=0, l_max=3)
+    assert EdgeRegion(Side.RIGHT, 3).ports(scalar, 1) == [13, 17, 21]
+
+
 # ---------------------------------------------------------- transmission_map
 
 def test_map_requires_edge_input():

@@ -61,7 +61,6 @@ def test_optical_params_defaults_and_transmission():
     params = default_params(0.6)
     assert params.omega0 == pytest.approx(TWO_PI / params.s_c, rel=1e-15)
     assert params.r_mag**2 + params.t_mag**2 == pytest.approx(1.0, abs=1e-15)
-    assert params.spacing == 1.0
 
 
 @pytest.mark.parametrize(
@@ -74,7 +73,7 @@ def test_optical_params_defaults_and_transmission():
         {"k_wave": -1.0},
         {"s_c": -8.0},
         {"s_a": 0.0},
-        {"spacing": -1.0},
+        {"s_c": float("inf")},
         {"omega0": -5.0},
     ],
 )

@@ -89,7 +89,6 @@ def test_gap_windows_contain_target():
         assert report.width >= 0
         if report.width > 0:
             assert report.e_low <= TARGET <= report.e_high
-        assert report.method == "torus-band-extrema"
         assert report.energy_target == TARGET
 
 

@@ -372,13 +372,14 @@ def test_each_engine_record_counts_trials_and_solves(caplog):
                                 trials=3, seed=1, input_l_values=(0, 1))
     records = [r for r in caplog.records if r.name == "oamphoton"]
     # One factorization per trial and frequency.  Seven OAM slices: ports
-    # on the middle one take three sweep steps and the port solve; ports
-    # on the next one take four steps (the left sweep alone for the last)
-    # and the port solve.  The Monte Carlo driver makes one engine for its
-    # three trials and calls it once per input OAM.
+    # on the middle one take three sweep steps and the port solve.  The
+    # Monte Carlo driver makes one engine for its three trials and calls it
+    # once for the ports of both input OAM values: ports on the middle
+    # slice and the next take four steps (the left sweep alone for the
+    # last) and one port solve.
     assert [r.trials for r in records] == [3, 1, 3]
-    assert [r.factorizations for r in records] == [6, 2, 12]
-    assert [r.solves for r in records] == [4, 4, 9]
+    assert [r.factorizations for r in records] == [6, 2, 6]
+    assert [r.solves for r in records] == [4, 4, 5]
     for r in records:
         message = r.getMessage()
         assert f"{r.trials} trial(s) in {r.solves} solve call(s)" in message
