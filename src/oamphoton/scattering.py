@@ -18,15 +18,19 @@ J. Phys. C 14, 235 (1981); Lewenkopf & Mucciolo, J. Comput. Electron. 12,
 203 (2013)): Schur-complement sweeps from both ends toward the last port
 slice, run as one loop over a side axis, the left one carrying the ports
 below it; one solve there, then back-substitution outward for full
-resolvent columns.  Each solve is batched over (trial, frequency) pairs:
+resolvent columns.  Where ``omega - H + i G/2`` is its own transpose up to
+reversing the slice order (uniform loss on the flux lattices), the right
+sweep is the transpose of the left one, and only the left blocks are
+factorized.  Each solve is batched over (trial, frequency) pairs:
 one ``H`` over a chunk of frequencies, or a stack of Monte Carlo trials
 on one lattice, each with its own decay rates, over their frequencies.
 The cost is linear in the number of slices and exact, with a residual
 bound on every returned column, checked against its own trial's ``H``;
 the memory is the trials' entries plus one work array per chunk.  Each
 engine call logs one DEBUG record to the ``oamphoton`` logger: the path
-and why, the factorizations (one per trial and frequency), the trials,
-the ``np.linalg.solve`` calls, the slice count, block size, coupling
+and why, whether the sweeps were mirrored and why, the factorizations
+(one per trial and frequency) and of slice blocks, the trials, the
+``np.linalg.solve`` calls, the slice count, block size, coupling
 block and chunk, the bytes of one chunk's work array, and the worst
 relative residual.
 """
@@ -61,6 +65,11 @@ RESIDUAL_RTOL = 1e-10
 
 _CHUNK_BYTES = 16 * 2**20
 """Working memory of one frequency chunk: its slice solves and columns."""
+
+_COUPLING_COND_LIMIT = 1e3
+"""Bound on ``max|U| max|U^-1|`` for each ``c x c`` coupling block ``U`` that
+the mirrored sweep inverts, a product within a factor ``c^2`` of ``U``'s
+condition number; a block beyond it counts as singular."""
 
 _LOG = logging.getLogger("oamphoton")
 
@@ -262,11 +271,33 @@ class Resolvent:
     at ``k0`` serves every port, back-substitution runs outward from it,
     and every returned column is checked against its own trial's ``H``:
     ``||(omega - H + i G/2) x - e|| <=`` :data:`RESIDUAL_RTOL`, so NaN
-    fails too.  ``factorizations`` (one per trial and frequency),
-    ``solves`` (``np.linalg.solve`` calls), ``worst_residual``,
-    ``omega_chunk`` (the (trial, frequency) rows of the largest chunk) and
-    ``work_bytes`` (the largest work array) accumulate over the object's
-    solves.
+    fails too.
+
+    Mirror: with ``J`` the reversal of the block order (each block's sites
+    kept in place), ``M = omega + i G/2 - H`` satisfies ``J M J = M^T``
+    when ``A_{n-1-k} = A_k^T``, ``L_k = L_{n-k}^T`` and ``U_k =
+    U_{n-2-k}^T``, where ``L_k = H[k, k-1]`` and ``U_k = H[k, k+1]``.  The
+    right sweep's Schur complements are then the transposes of the left
+    sweep's, so ``h_right[n-1-s] = (L_{s+1} h_left[s] U_s^-1)^T`` needs no
+    factorization.  The constructor decides this once for all trials, by
+    exact comparison of the stored couplings, rates and diagonal-block
+    entries, and inverts the ``c x c`` blocks of ``U_s`` once; a block
+    beyond :data:`_COUPLING_COND_LIMIT` counts as singular.  It holds for
+    ``landau`` and ``dirac`` on any window (a folded even ring too) and
+    ``oam-gauge`` on a symmetric one, under uniform loss, clean or with
+    per-cavity detuning; per-mode random loss, coupling disorder, ``qsh``
+    and folded odd rings fail it (``mirrored``, ``mirror_reason``).  While
+    both sweeps are active, a mirrored engine's steps factorize the left
+    block alone and skip building the right blocks, which one product
+    then writes whole; the rest (left sweep, the solve at ``k0``,
+    back-substitution, chunks and the residual check) is unchanged, and
+    an engine that fails the test runs exactly the unmirrored steps.
+
+    ``factorizations`` (one per trial and frequency),
+    ``block_factorizations`` (slice blocks factorized), ``solves``
+    (``np.linalg.solve`` calls), ``worst_residual``, ``omega_chunk`` (the
+    (trial, frequency) rows of the largest chunk) and ``work_bytes`` (the
+    largest work array) accumulate over the object's solves.
     """
 
     def __init__(self, H: HamiltonianMatrix | Sequence[HamiltonianMatrix],
@@ -325,11 +356,63 @@ class Resolvent:
         self._mask = real.astype(float)
         self._shift = np.where(real[:, None], 0.5j * np.moveaxis(
             self.rates[:, np.where(real, blocks, 0)], 0, 1), 1.0)
+        self._mirror, self.mirror_reason = self._mirror_inverses(down, up)
+        self.mirrored = self._mirror is not None
         self.factorizations = 0
+        self.block_factorizations = 0
         self.solves = 0
         self.worst_residual = 0.0
         self.omega_chunk = 0
         self.work_bytes = 0
+
+    def _mirror_inverses(self, down: np.ndarray, up: np.ndarray
+                         ) -> tuple[np.ndarray | None, str]:
+        """``(U_s^-1)^T`` for every step whose right block can be mirrored,
+        shape ``((slices - 1) // 2, trials, b/c, c, c)``, and why; ``None``
+        where ``J M J = M^T`` fails for some trial.
+
+        The comparisons are exact and run cheapest first, so inputs that
+        fail (per-mode loss, coupling disorder) stop at the couplings or
+        the rates.
+        """
+        n = self.slices
+        if n < 3:
+            return None, "not mirrored: fewer than three slices"
+        # L_k = L_{n-k}^T and U_k = U_{n-2-k}^T, block by c x c block.
+        if not (np.array_equal(down[1:], down[:0:-1].swapaxes(-1, -2))
+                and np.array_equal(up[:-1], up[-2::-1].swapaxes(-1, -2))):
+            return None, "not mirrored: the OAM couplings are not mirror transposes"
+        # A pad site's shift is 1 and a real site's i gamma/2, so this also
+        # compares the pads.
+        if not np.array_equal(self._shift, self._shift[::-1]):
+            return None, "not mirrored: the decay rates are not mirror images"
+        block, row, col, value = self._diagonal
+        b = self.block_size
+        # The two end blocks first, a small part where most failures show.
+        for part in (np.flatnonzero((block == 0) | (block == n - 1)), slice(None)):
+            k, i, j, v = block[part], row[part], col[part], value[:, part]
+            key, image = (k * b + i) * b + j, ((n - 1 - k) * b + j) * b + i
+            # Both come in sorted runs, which a stable sort merges quickly.
+            order = np.argsort(key, kind="stable")
+            image_order = np.argsort(image, kind="stable")
+            if not (np.array_equal(key[order], image[image_order])
+                    and np.array_equal(v[:, order], v[:, image_order])):
+                return None, "not mirrored: the slice blocks D_k are not mirror transposes"
+        coupling = up[: (n - 1) // 2]
+        with np.errstate(all="ignore"):
+            try:
+                # A 1 x 1 block's inverse is its reciprocal, far cheaper than
+                # one LAPACK call per block.
+                inverse = (1 / coupling if coupling.shape[-1] == 1
+                           else np.linalg.inv(coupling))
+            except np.linalg.LinAlgError:
+                inverse = np.full_like(coupling, np.nan)
+            size = np.abs(coupling).max(axis=(-2, -1)) * np.abs(inverse).max(axis=(-2, -1))
+        # A zero or NaN block fails too.
+        if not np.all(size <= _COUPLING_COND_LIMIT):
+            return None, "not mirrored: a coupling block U_k is singular"
+        return (inverse.swapaxes(-1, -2),
+                "mirrored: J M J = M^T, so the left sweep gives the right one")
 
     def _port_rows(self, rows: Sequence[int]) -> np.ndarray:
         """``rows`` as a flat index array, each an integer in ``[0, dim)``."""
@@ -485,12 +568,24 @@ class Resolvent:
         n, b, p = self.slices, self.block_size, rows.size
         count, w, c = trials.stop - trials.start, omegas.size, self.coupling_block
         m = b // c
-        # work[k] = A_k = omega + i G/2 - D_k for every block, trial and frequency.
+        port_block = self._block_of[rows]
+        first, k0 = int(port_block.min()), int(port_block.max())
+        # How many steps mirror their right block instead of factorizing
+        # it: all those on which both sweeps are active.
+        pairs = min(k0, n - 1 - k0) if self.mirrored else 0
+        # work[k] = A_k = omega + i G/2 - D_k for every trial and frequency,
+        # on each block but the mirrored ones, which are written whole.
+        built = n - pairs
         work = np.zeros((n, count, w, b, b), dtype=complex)
         block, row, col, value = self._diagonal
-        work[block, :, :, row, col] = value[trials].T[:, :, None]
-        diagonal = omegas[:, None] * self._mask[:, None, None] + self._shift[:, trials, None]
-        work.reshape(n, count, w, b * b)[..., :: b + 1] += diagonal
+        value = value[trials]
+        if pairs:
+            keep = np.flatnonzero(block < built)
+            block, row, col, value = block[keep], row[keep], col[keep], value[:, keep]
+        work[block, :, :, row, col] = value.T[:, :, None]
+        diagonal = (omegas[:, None] * self._mask[:built, None, None]
+                    + self._shift[:built, trials, None])
+        work[:built].reshape(built, count, w, b * b)[..., :: b + 1] += diagonal
         self.work_bytes = max(self.work_bytes, work.nbytes)
         # Rows in groups of c: a block-diagonal coupling times slot k is one
         # matmul over its c x c blocks, coupling @ grouped[k].
@@ -515,8 +610,6 @@ class Resolvent:
                 count, w, b, -1)
 
         # E[k] holds the unit columns of the ports on block k.
-        port_block = self._block_of[rows]
-        first, k0 = int(port_block.min()), int(port_block.max())
         E = np.zeros((n, b, p))
         E[port_block, self._pos_of[rows], np.arange(p)] = 1.0
         X = np.empty((n, count, w, b, p), dtype=complex)
@@ -554,7 +647,12 @@ class Resolvent:
                 k = n - 1 - s
                 steps.append((slice(1, 2), slice(k, k + 1), slice(k + 1, k + 2),
                               slice(k - 1, k)))
+        # The first `pairs` steps eliminate their left block alone; the last
+        # of them writes the right sweep's blocks from theirs.
+        matrices = 1
         for s, (sides, blocks, behind, _) in enumerate(steps):
+            if s < pairs:
+                sides, blocks, behind = slice(0, 1), slice(s, s + 1), slice(s - 1, s)
             if s:
                 grouped[blocks] -= np.matmul(outer[sides, s], grouped[behind])
             rhs_blocks[sides] = inner[sides, s]
@@ -566,6 +664,16 @@ class Resolvent:
                 work[blocks], X[s] = solved[..., :b], solved[0, ..., b:]
             else:
                 work[blocks] = np.linalg.solve(work[blocks], rhs_stack[sides])
+            matrices += sides.stop - sides.start
+            if s == pairs - 1:
+                # h_right[n-1-s] = (L_{s+1} h_left[s] U_s^-1)^T for every s <
+                # pairs, by c x c blocks: entry [g a, h b] is the sum over z, y
+                # of (U_s^-1)^T[g]_{a z} h_left[s][h y, g z] L_{s+1}[h]_{b y}.
+                shape = (pairs, count, w, m, c, m, c)
+                np.einsum("stgaz,stwhygz,sthby->stwgahb",
+                          self._mirror[s::-1, trials], work[s::-1].reshape(shape),
+                          down[pairs:0:-1, :, 0], out=work[n - pairs:].reshape(shape))
+        self.block_factorizations += matrices * count * w
         S = work[k0]
         if k0:
             S -= coupled(down[k0], work[k0 - 1])
@@ -588,16 +696,20 @@ class Resolvent:
         if self.width > 1:
             reason += (f"; H couples OAM slices {self.width} apart, so each "
                        f"block joins {self.width} slices")
+        reason += f"; {self.mirror_reason}"
         _LOG.debug(
-            "resolvent path=oam-rgf (%s): %d factorization(s) for %d trial(s) "
-            "in %d solve call(s) over %d slices of size %d with %dx%d coupling "
-            "blocks, in chunks of %d on a %d-byte work array, worst relative "
-            "residual %.3e",
-            reason, self.factorizations, self.trials, self.solves, self.slices,
-            self.block_size, self.coupling_block, self.coupling_block,
-            self.omega_chunk, self.work_bytes, self.worst_residual,
+            "resolvent path=oam-rgf (%s): %d factorization(s) of %d slice "
+            "block(s) for %d trial(s) in %d solve call(s) over %d slices of "
+            "size %d with %dx%d coupling blocks, in chunks of %d on a %d-byte "
+            "work array, worst relative residual %.3e",
+            reason, self.factorizations, self.block_factorizations, self.trials,
+            self.solves, self.slices, self.block_size, self.coupling_block,
+            self.coupling_block, self.omega_chunk, self.work_bytes,
+            self.worst_residual,
             extra={"solver_path": "oam-rgf", "solver_reason": reason,
                    "factorizations": self.factorizations,
+                   "block_factorizations": self.block_factorizations,
+                   "mirrored": self.mirrored,
                    "trials": self.trials, "solves": self.solves,
                    "worst_residual": self.worst_residual,
                    "slices": self.slices, "block_size": self.block_size,

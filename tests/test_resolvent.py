@@ -19,6 +19,7 @@ from oamphoton.hamiltonians import (
     HamiltonianMatrix,
     build_dirac,
     build_landau_hofstadter,
+    build_oam_gauge_hofstadter,
     build_qsh,
 )
 from oamphoton.scattering import (
@@ -35,7 +36,8 @@ from oamphoton.edge import (
     EdgeRegion, Side, displacement_spectrum, oam_displacement, transmission_map,
 )
 from oamphoton.disorder import (
-    DisorderModel, displacement_robustness, sample_disordered_hamiltonian,
+    DisorderModel, displacement_robustness, loss_perturbed_decay,
+    sample_disordered_hamiltonian,
 )
 
 GAMMA = 0.2
@@ -622,3 +624,223 @@ def test_desk_spectrum_memory_holds_one_work_array_per_chunk():
         build_landau_hofstadter(spec, 1.0 / 6.0), DecaySpec.uniform(0.1), inputs,
         default_omega_grid()))
     assert peak <= 9.0
+
+
+# ------------------------------------------------------------------ mirror
+
+def _graded_oam_hops(H):
+    """``H`` with each OAM hop scaled by ``1 + 0.3 m^2`` at its midpoint
+    ``m``: couplings that change along the OAM axis, symmetric about 0."""
+    cavity = H.spec.n_l * H.spec.spin_dim
+    hop = (H.rows // cavity == H.cols // cavity) & (H.rows != H.cols)
+    m = (l_of_index(H.spec)[H.rows] + l_of_index(H.spec)[H.cols]) / 2
+    return HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols,
+                                          np.where(hop, H.values * (1 + 0.3 * m**2), H.values))
+
+
+def _mirror_lattices():
+    symmetric = build_landau_hofstadter(LatticeSpec(n_x=4, l_min=-3, l_max=3), 1.0 / 6.0)
+    return {
+        "landau-symmetric": symmetric,
+        "landau-graded-hops": _graded_oam_hops(symmetric),
+        "landau-asymmetric": build_landau_hofstadter(LatticeSpec(n_x=4, l_min=-2, l_max=6),
+                                                     2.0 / 7.0),
+        "oam-gauge-symmetric": build_oam_gauge_hofstadter(
+            LatticeSpec(n_x=4, l_min=-4, l_max=4), 2.0 / 7.0),
+        "dirac": build_dirac(LatticeSpec(n_x=3, l_min=-3, l_max=3, spin_dim=2), 1.0 / 6.0),
+        # A folded even ring: block k holds slices k and n_l - 1 - k.
+        "landau-even-ring": build_landau_hofstadter(
+            LatticeSpec(n_x=4, l_min=-4, l_max=3, bc_y=Boundary.PERIODIC), 1.0 / 4.0),
+    }
+
+
+MIRROR_LATTICES = _mirror_lattices()
+
+
+def _block_rows(engine, k):
+    """Flat indices of the sites on sweep block ``k``, by their position."""
+    rows = np.flatnonzero(engine._block_of == k)
+    return rows[np.argsort(engine._pos_of[rows])]
+
+
+def _mirror_ports(engine):
+    """Ports on the middle block, one port past it, and ports on three blocks."""
+    centre = (engine.slices - 1) // 2
+    return {
+        "centred": _block_rows(engine, centre),
+        "off-centre": _block_rows(engine, centre + 1)[:1],
+        "several blocks": np.concatenate([_block_rows(engine, 1)[:1],
+                                          _block_rows(engine, centre)[-1:],
+                                          _block_rows(engine, centre - 1)[1:2]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_LATTICES) + ["model-A trials"])
+def test_mirrored_engine_matches_dense_columns(name):
+    if name == "model-A trials":
+        model = DisorderModel.cavity_detuning(0.3)
+        Hs = [sample_disordered_hamiltonian(MIRROR_LATTICES["landau-symmetric"], model, seed)
+              for seed in range(3)]
+    else:
+        Hs = [MIRROR_LATTICES[name]]
+    decay = DecaySpec.uniform(GAMMA)
+    engine = Resolvent(Hs, decay)
+    assert engine.mirrored, engine.mirror_reason
+    grid = np.array([-1.7, 0.4])
+    for label, rows in _mirror_ports(engine).items():
+        (_, x), = engine.columns(grid, rows)
+        for t, h in enumerate(Hs):
+            for i, omega in enumerate(grid):
+                ref = dense_columns(h, decay, omega, rows)
+                np.testing.assert_allclose(x[:, t * grid.size + i], ref, rtol=0,
+                                           atol=1e-12 * np.abs(ref).max(), err_msg=label)
+    assert 0.0 <= engine.worst_residual <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_LATTICES))
+def test_mirrored_resolvent_obeys_the_mirror_identity(name):
+    # J M J = M^T gives G[J c, J r] = G[r, c], J reversing the sweep blocks.
+    engine = Resolvent(MIRROR_LATTICES[name], DecaySpec.uniform(GAMMA))
+    n = engine.slices
+    # Ports off the end blocks, so that the engine mirrors a step.
+    blocks = sorted({k for k in (1, (n - 1) // 2) for k in (k, n - 1 - k)})
+    rows = np.concatenate([_block_rows(engine, k) for k in blocks])
+    image = np.concatenate([_block_rows(engine, n - 1 - k) for k in blocks])
+    port = {int(r): a for a, r in enumerate(rows)}
+    J = np.array([port[int(r)] for r in image])  # port J[a] is the image of port a
+    G = engine.solve(0.7, rows)[rows]  # G[a, b] = G[rows[a], rows[b]]
+    np.testing.assert_allclose(G[np.ix_(J, J)], G.T, rtol=0, atol=1e-13 * np.abs(G).max())
+
+
+def _zero_hop_cavity(H, j=1):
+    """``H`` without the OAM hops of cavity ``j``: mirror-symmetric, with a
+    zero in every coupling block."""
+    cavity = H.spec.n_l * H.spec.spin_dim
+    hop = (H.rows // cavity == j) & (H.cols // cavity == j) & (H.rows != H.cols)
+    return HamiltonianMatrix.from_entries(H.spec, H.rows[~hop], H.cols[~hop], H.values[~hop])
+
+
+def test_mirror_needs_symmetric_slice_blocks_and_invertible_couplings():
+    H = MIRROR_LATTICES["landau-symmetric"]
+    decay = DecaySpec.uniform(GAMMA)
+    shifted = Resolvent(build_oam_gauge_hofstadter(LatticeSpec(n_x=4, l_min=-2, l_max=4),
+                                                   2.0 / 7.0), decay)
+    assert not shifted.mirrored
+    assert "slice blocks D_k are not" in shifted.mirror_reason
+    singular = Resolvent(_zero_hop_cavity(H), decay)
+    assert not singular.mirrored
+    assert "singular" in singular.mirror_reason
+    # Both take the unmirrored steps and stay exact.
+    for engine, h in ((shifted, shifted._Hs[0]), (singular, _zero_hop_cavity(H))):
+        rows = _mirror_ports(engine)["centred"]
+        ref = dense_columns(h, decay, 0.3, rows)
+        np.testing.assert_allclose(engine.solve(0.3, rows), ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.fixture
+def solve_shapes(monkeypatch):
+    """The matrix stack of every ``np.linalg.solve`` call."""
+    solve, shapes = np.linalg.solve, []
+
+    def recorded(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    return shapes
+
+
+def test_centred_mirrored_ports_factorize_one_block_per_step(solve_shapes):
+    engine = Resolvent(MIRROR_LATTICES["landau-symmetric"], DecaySpec.uniform(GAMMA))
+    grid = np.array([-1.2, 0.1, 2.0])
+    engine.transmitted_power(grid, _mirror_ports(engine)["centred"])
+    # Seven slices, ports on the middle one: three steps each factorize
+    # their left block alone, then the port block.
+    b, w = engine.block_size, grid.size
+    assert solve_shapes == [(1, 1, w, b, b)] * 3 + [(1, w, b, b)]
+    assert engine.block_factorizations == 4 * w
+
+
+def _unmirrored_case(name):
+    """``(Hamiltonians, decay, ports, why the mirror fails)``."""
+    H = MIRROR_LATTICES["landau-symmetric"]
+    centred = _mirror_ports(Resolvent(H, DecaySpec.uniform(GAMMA)))["centred"]
+    if name == "per-mode rates":
+        return H, per_mode(H), centred, "decay rates"
+    if name == "model B":
+        model = DisorderModel.oam_link_errors(sigma_mag=0.05, sigma_loss=0.02, width=2.0)
+        return ([sample_disordered_hamiltonian(H, model, seed) for seed in range(3)],
+                [loss_perturbed_decay(GAMMA, H.spec, model, seed) for seed in range(3)],
+                centred, "OAM couplings")
+    if name == "qsh":
+        qsh = LATTICES["qsh"]
+        return qsh, DecaySpec.uniform(GAMMA), edge_rows(qsh), "slice blocks"
+    # Nine OAM slices on a ring fold into five blocks; OAM -2 lies on block 2.
+    ring = LATTICES["scalar-periodic"]
+    return (ring, DecaySpec.uniform(GAMMA),
+            [flat_index(ring.spec, SiteIndex(j, -2, 0)) for j in range(4)], "OAM couplings")
+
+
+@pytest.mark.parametrize("name", ["per-mode rates", "model B", "qsh", "odd ring"])
+def test_unmirrored_inputs_keep_both_sweeps(name, solve_shapes):
+    Hs, decay, rows, why = _unmirrored_case(name)
+    engine = Resolvent(Hs, decay)
+    assert not engine.mirrored
+    assert f"not mirrored: the {why}" in engine.mirror_reason
+    grid = np.array([-1.2, 0.1])
+    engine.transmitted_power(grid, rows)
+    # Ports on the middle block: each step factorizes both sides' blocks.
+    b, w, t, steps = engine.block_size, grid.size, engine.trials, (engine.slices - 1) // 2
+    assert solve_shapes == [(2, t, w, b, b)] * steps + [(t, w, b, b)]
+    assert engine.block_factorizations == (2 * steps + 1) * t * w
+
+
+def test_mirrored_left_sweep_is_bitwise_the_unmirrored_one(monkeypatch):
+    H = MIRROR_LATTICES["dirac"]
+    grid = np.array([-0.8, 1.3])
+    solve, results = np.linalg.solve, []
+
+    def recorded(a, b):
+        x = solve(a, b)
+        results[-1].append(x)
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    columns = []
+    for mirrored in (True, False):
+        engine = Resolvent(H, DecaySpec.uniform(GAMMA))
+        assert engine.mirrored
+        engine.mirrored = mirrored
+        results.append([])
+        (_, x), = engine.columns(grid, _mirror_ports(engine)["several blocks"])
+        columns.append(x)
+    mirrored, unmirrored = results
+    assert len(mirrored) == len(unmirrored)
+    # Every sweep solve (all but the last, at the port block) agrees on
+    # the left side.
+    for left, both in zip(mirrored[:-1], unmirrored[:-1]):
+        np.testing.assert_array_equal(left[0], both[0])
+    np.testing.assert_allclose(columns[0], columns[1], rtol=0,
+                               atol=1e-13 * np.abs(columns[1]).max())
+
+
+def test_engine_record_reports_the_mirror(caplog):
+    desk = build_landau_hofstadter(LatticeSpec(n_x=10, l_min=-50, l_max=50), 1.0 / 6.0)
+    grid = np.array([-2.0, 0.3, 1.1])
+    inputs = [SiteIndex(j, 0, 0) for j in range(10)]
+    with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+        total_transmission_spectrum(desk, DecaySpec.uniform(0.1), inputs, grid)
+        total_transmission_spectrum(desk, per_mode(desk), inputs, grid)
+        total_transmission_spectrum(LATTICES["qsh"], DecaySpec.uniform(GAMMA),
+                                    [SiteIndex(0, 0, 0)], grid)
+    records = [r for r in caplog.records if r.name == "oamphoton"]
+    # 101 slices, ports on the middle one: 50 steps and the port block,
+    # one block per step when mirrored and two otherwise.
+    assert [r.mirrored for r in records] == [True, False, False]
+    assert [r.block_factorizations for r in records] == [51 * 3, 101 * 3, 7 * 3]
+    assert "mirrored: J M J = M^T" in records[0].solver_reason
+    assert "not mirrored: the decay rates" in records[1].solver_reason
+    assert "not mirrored: the slice blocks" in records[2].solver_reason
+    for r in records:
+        assert f"of {r.block_factorizations} slice block(s)" in r.getMessage()
