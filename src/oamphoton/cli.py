@@ -76,6 +76,10 @@ TWO_PI = 2.0 * np.pi
 
 _UNIVERSAL_KEYS = {"kind", "seed", "out_dir"}
 
+#: The largest seed: the disorder streams are ``Philox(key=seed)``, and a
+#: Philox key lies below 2**128.
+_SEED_MAX = 2**128 - 1
+
 #: Per kind: (required top-level blocks, optional top-level blocks).
 _KIND_KEYS: dict[str, tuple[set[str], set[str]]] = {
     "spectrum": ({"lattice", "model", "decay", "omega"}, {"inputs"}),
@@ -224,22 +228,39 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _finite(value) -> float | None:
+    """``value`` as a float if it is a number within float range, else None.
+
+    A JSON integer can exceed the float range; it is not a finite number.
+    """
+    if not _is_number(value):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if np.isfinite(number) else None
+
+
 # Readers turn one config value into its parsed form or raise ValueError
 # with the diagnostic message.
 
 
 def _number(value) -> float:
-    if not _is_number(value) or not np.isfinite(value):
+    number = _finite(value)
+    if number is None:
         raise ValueError(f"must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
-def _integer(minimum: int | None = None):
+def _integer(minimum: int | None = None, maximum: int | None = None):
     def read(value) -> int:
         if not _is_int(value):
             raise ValueError(f"must be an integer, got {value!r}")
         if minimum is not None and value < minimum:
             raise ValueError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ValueError(f"must be at most {maximum}, got {value}")
         return value
     return read
 
@@ -269,14 +290,18 @@ def _nullable(reader):
 
 def _phi0(value) -> tuple[float, Fraction | None]:
     """A flux is a finite number or an exact ``[p, q]`` integer pair."""
-    if _is_number(value) and np.isfinite(value):
-        return float(value), None
+    number = _finite(value)
+    if number is not None:
+        return number, None
     if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
         p, q = value
         if q < 1:
             raise ValueError(f"denominator must be positive, got {q}")
         frac = Fraction(p, q)
-        return float(frac), frac
+        try:
+            return float(frac), frac
+        except OverflowError:
+            raise ValueError("the flux p/q must lie within the float range") from None
     raise ValueError(f"must be a finite number or a [p, q] integer pair, got {value!r}")
 
 
@@ -545,7 +570,8 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
                    f"it: {', '.join(map(repr, users))}" if users else "unknown key")
     for key in sorted(required - raw.keys()):
         _fatal(diags, key, f"required for kind '{kind}'")
-    resolved["seed"] = _make(diags, "seed", _integer(0), raw.get("seed", 0))
+    resolved["seed"] = _make(diags, "seed", _integer(0, _SEED_MAX),
+                             raw.get("seed", 0))
     if "out_dir" in raw and not isinstance(raw["out_dir"], str):
         _fatal(diags, "out_dir", "must be a string path")
     if "seed" in raw and kind != "disorder":

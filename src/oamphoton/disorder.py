@@ -183,16 +183,10 @@ def _envelope_values(model: DisorderModel, x: np.ndarray) -> np.ndarray:
     return values
 
 
-def _resolve_base(
-    base: "HamiltonianMatrix | Callable[[], HamiltonianMatrix]",
-) -> HamiltonianMatrix:
-    H = base() if callable(base) else base
+def _check_base(H: HamiltonianMatrix) -> None:
     if not isinstance(H, HamiltonianMatrix):
-        raise TypeError(
-            "base must be a HamiltonianMatrix or a zero-argument builder "
-            f"returning one, got {type(H).__name__}"
-        )
-    return H
+        raise TypeError(f"the base Hamiltonian must be a HamiltonianMatrix, "
+                        f"got {type(H).__name__}")
 
 
 def _link_entries(spec: LatticeSpec, scope: DisorderScope, rows: np.ndarray,
@@ -239,11 +233,11 @@ def _check_coupling_axis(spec: LatticeSpec, model: DisorderModel) -> None:
 
 
 def sample_disordered_hamiltonian(
-    base: "HamiltonianMatrix | Callable[[], HamiltonianMatrix]",
+    H: HamiltonianMatrix,
     model: DisorderModel,
     seed: "int | np.random.Generator",
 ) -> HamiltonianMatrix:
-    """One Gaussian-perturbed copy of the base Hamiltonian.
+    """One Gaussian-perturbed copy of the base Hamiltonian ``H``.
 
     Draw protocol (fixed, so a seed fully determines the sample): first
     the detuning normals, then the coupling-amplitude normals, then the
@@ -259,7 +253,7 @@ def sample_disordered_hamiltonian(
     diagonal), so coupling errors on it raise ``ValueError`` before any
     draw.
     """
-    H = _resolve_base(base)
+    _check_base(H)
     spec = H.spec
     _check_coupling_axis(spec, model)
     rows, cols, values = H.rows, H.cols, H.values.copy()
@@ -336,7 +330,7 @@ def loss_perturbed_decay(
 
 
 def displacement_robustness(
-    base: "HamiltonianMatrix | Callable[[], HamiltonianMatrix]",
+    H0: HamiltonianMatrix,
     model: DisorderModel,
     decay: DecaySpec,
     omega_grid: np.ndarray,
@@ -372,7 +366,7 @@ def displacement_robustness(
             "loss disorder perturbs a uniform base rate; supply a uniform "
             "DecaySpec when sigma_loss > 0"
         )
-    H0 = _resolve_base(base)
+    _check_base(H0)
     spec = H0.spec
     omega_grid = np.asarray(omega_grid, dtype=float)
     ports = [row for input_l in input_l_values for row in region.ports(spec, input_l)]

@@ -10,6 +10,13 @@ gap the displacement is quantized by the chiral edge modes; those modes are
 independently available from the one-dimensional cylinder chain obtained by
 Fourier transform along a periodic OAM axis, which also yields their group
 velocities and an analytic prediction for the in-gap transmission profile.
+
+An edge map (:func:`transmission_map`) is the power from one input mode to
+every lattice mode at one frequency.  On the polarization-pair lattice, one
+map per input polarization together with
+:func:`~oamphoton.qsh.edge_confined_weight` certifies the phase transition:
+the two maps displace in opposite OAM directions on the gapped side, and
+their edge weight collapses past the gap closing.
 """
 
 from __future__ import annotations
@@ -32,8 +39,6 @@ __all__ = [
     "EdgeMode",
     "EdgeModeSet",
     "transmission_map",
-    "transmission_maps",
-    "oam_displacement",
     "displacement_spectrum",
     "harper_edge_modes",
     "analytic_gap_transmission",
@@ -51,16 +56,15 @@ class Side(enum.Enum):
 class EdgeRegion:
     """Edge-region probes: ``depth`` cavity columns on one side.
 
-    The default side is RIGHT, where (with this package's hop-phase sign
-    conventions) the in-gap displacement below the spectrum center comes
-    out positive; the LEFT region gives the same magnitudes with the
-    opposite sign.  :meth:`ports` names the probe modes at one input OAM;
-    the displacement spectrum and the Monte Carlo driver both take their
-    ports from it.
+    On the RIGHT side (with this package's hop-phase sign conventions) the
+    in-gap displacement below the spectrum center comes out positive; the
+    LEFT region gives the same magnitudes with the opposite sign.
+    :meth:`ports` names the probe modes at one input OAM; the displacement
+    spectrum and the Monte Carlo driver both take their ports from it.
     """
 
-    side: Side = Side.RIGHT
-    depth: int = 2
+    side: Side
+    depth: int
 
     def columns(self, spec: LatticeSpec) -> list[int]:
         """The cavity columns this region comprises."""
@@ -72,16 +76,14 @@ class EdgeRegion:
             return list(range(self.depth))
         return list(range(spec.n_x - self.depth, spec.n_x))
 
-    def ports(self, spec: LatticeSpec, input_l: int,
-              spins: list[int] | None = None) -> list[int]:
+    def ports(self, spec: LatticeSpec, input_l: int) -> list[int]:
         """Flat indices of the probes entering at OAM ``input_l``.
 
-        One per region column and polarization (all polarizations unless
-        ``spins`` restricts them), cavity-major, then polarization.
+        One per region column and polarization, cavity-major, then
+        polarization.
         """
-        spins = range(spec.spin_dim) if spins is None else spins
         return [flat_index(spec, SiteIndex(j, input_l, s))
-                for j in self.columns(spec) for s in spins]
+                for j in self.columns(spec) for s in range(spec.spin_dim)]
 
 
 def transmission_map(
@@ -96,49 +98,14 @@ def transmission_map(
     ``(n_x, n_l, spin_dim)`` for spinful ones.  The input must sit in an
     edge column.
     """
-    return transmission_maps(H, decay, omega, [input])[0]
-
-
-def transmission_maps(
-    H: HamiltonianMatrix,
-    decay: DecaySpec,
-    omega: float,
-    inputs: list[SiteIndex],
-) -> list[np.ndarray]:
-    """:func:`transmission_map` for several edge inputs at once.
-
-    All inputs share one :class:`~oamphoton.scattering.Resolvent` sweep.
-    """
     spec = H.spec
-    for input in inputs:
-        if input.j not in (0, spec.n_x - 1):
-            raise ValueError(f"input column {input.j} is not an edge cavity")
+    if input.j not in (0, spec.n_x - 1):
+        raise ValueError(f"input column {input.j} is not an edge cavity")
     engine = Resolvent(H, decay)
-    amplitudes = engine.transmission(omega, [flat_index(spec, s) for s in inputs])
-    engine.log(f"one frequency, {len(inputs)} edge input(s)")
-    grids = (np.abs(amplitudes.T) ** 2).reshape(len(inputs), spec.n_x, spec.n_l,
-                                               spec.spin_dim)
-    return [grid[:, :, 0] if spec.spin_dim == 1 else grid for grid in grids]
-
-
-def oam_displacement(
-    H: HamiltonianMatrix,
-    decay: DecaySpec,
-    omega: float,
-    region: EdgeRegion,
-    input_l: int = 0,
-    input_spins: list[int] | None = None,
-) -> float:
-    """Average OAM displacement for probes entering one edge region.
-
-    Sums ``|T|^2 * l_o`` over all output modes, for one input per region
-    column at OAM ``input_l`` (all polarizations unless restricted).
-    """
-    return float(
-        displacement_spectrum(
-            H, decay, np.array([omega]), region, input_l, input_spins
-        )[0]
-    )
+    amplitudes = engine.transmission(omega, [flat_index(spec, input)])
+    engine.log("one frequency, one edge input")
+    grid = (np.abs(amplitudes[:, 0]) ** 2).reshape(spec.n_x, spec.n_l, spec.spin_dim)
+    return grid[:, :, 0] if spec.spin_dim == 1 else grid
 
 
 def displacement_spectrum(
@@ -147,18 +114,17 @@ def displacement_spectrum(
     omega_grid: np.ndarray,
     region: EdgeRegion,
     input_l: int = 0,
-    input_spins: list[int] | None = None,
 ) -> np.ndarray:
-    """The displacement, vectorized over a probe-frequency grid.
+    """Average OAM displacement for probes entering one edge region.
 
-    Every region input shares one :class:`~oamphoton.scattering.Resolvent`
-    sweep per frequency.
+    Sums ``|T|^2 * l_o`` over all output modes, for one input per region
+    column and polarization at OAM ``input_l``, at each frequency of
+    ``omega_grid``.  Every region input shares one
+    :class:`~oamphoton.scattering.Resolvent` sweep per frequency.
     """
     spec = H.spec
     omega_grid = np.asarray(omega_grid, dtype=float)
-    in_rows = region.ports(spec, input_l, input_spins)
-    if not in_rows:
-        raise ValueError("input_spins must name at least one polarization")
+    in_rows = region.ports(spec, input_l)
     engine = Resolvent(H, decay)
     out = engine.transmitted_power(omega_grid, in_rows, l_of_index(spec))
     engine.log(f"{omega_grid.size} frequencies, {len(in_rows)} region ports")
@@ -286,15 +252,14 @@ def analytic_gap_transmission(
     gamma: float,
     l_o_values: np.ndarray,
     side: Side | None = None,
-    j_in: int | None = None,
-    j_out: int | None = None,
 ) -> np.ndarray:
     """In-gap transmission along the edge from the resonant-mode expansion.
 
-    ``T(l_o) = -sum_m psi_m[j_out] psi_m[j_in]^* (gamma/v_m)
-    Theta(l_o/v_m) exp(-(gamma/2)(l_o/v_m)) exp(i ky_m l_o)``,
+    ``T(l_o) = -|psi_m[j]|^2 (gamma/v_m) Theta(l_o/v_m)
+    exp(-(gamma/2)(l_o/v_m)) exp(i ky_m l_o)``,
 
-    summed over one side's branches.  The step function enforces chirality
+    summed over one side's branches, with input and output on that side's
+    outer column ``j``.  The step function enforces chirality
     (half weight exactly at ``l_o = 0``); every branch must have nonzero
     group velocity.
     """
@@ -306,19 +271,15 @@ def analytic_gap_transmission(
     modes = mode_set.on_side(side)
     if any(m.velocity == 0.0 for m in modes):
         raise ValueError("zero group velocity: analytic form invalid at a band edge")
-    n_x = modes[0].profile.shape[0] if modes else 0
-    if j_in is None:
-        j_in = 0 if side is Side.LEFT else n_x - 1
-    if j_out is None:
-        j_out = j_in
+    j = 0 if side is Side.LEFT else -1
     l_o_values = np.asarray(l_o_values, dtype=float)
     out = np.zeros(l_o_values.shape, dtype=complex)
     for m in modes:
         ratio = l_o_values / m.velocity
         step = np.where(ratio > 0, 1.0, np.where(ratio == 0, 0.5, 0.0))
         out -= (
-            m.profile[j_out]
-            * np.conj(m.profile[j_in])
+            m.profile[j]
+            * np.conj(m.profile[j])
             * (gamma / m.velocity)
             * step
             * np.exp(-0.5 * gamma * ratio)

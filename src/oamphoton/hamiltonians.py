@@ -43,7 +43,6 @@ __all__ = [
     "build_non_abelian",
     "build_dirac",
     "build_qsh",
-    "apply_onsite_disorder",
 ]
 
 DENSE_DIM_LIMIT = 4096
@@ -474,18 +473,3 @@ def build_qsh(spec: LatticeSpec, beta0: float, lambda0: float) -> HamiltonianMat
         onsite=qsh_onsite(lambda0),
     )
     return build_non_abelian(spec, cfg)
-
-
-def apply_onsite_disorder(
-    H: HamiltonianMatrix, deltas: Mapping[int, float] | np.ndarray
-) -> HamiltonianMatrix:
-    """Return ``H`` with ``deltas[j]`` added to every diagonal of cavity ``j``."""
-    spec = H.spec
-    delta_vec = _per_cavity(
-        deltas if not isinstance(deltas, np.ndarray) else dict(enumerate(deltas)),
-        spec.n_x,
-    )
-    diagonal = np.arange(spec.dim)
-    return HamiltonianMatrix.from_entries(
-        spec, np.concatenate([H.rows, diagonal]), np.concatenate([H.cols, diagonal]),
-        np.concatenate([H.values, np.repeat(delta_vec, spec.n_l * spec.spin_dim)]))

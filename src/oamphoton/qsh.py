@@ -1,4 +1,4 @@
-"""Phase study of the polarization-pair lattice: gap scans and edge maps.
+"""Phase study of the polarization-pair lattice: gap scans and edge weight.
 
 The spin lattice built by :func:`~oamphoton.hamiltonians.build_qsh` gives
 its two polarization components opposite synthetic flux, offset by a
@@ -9,10 +9,11 @@ disappears.  This module certifies that transition by direct measurement:
 
 * :func:`qsh_gap_scan` tracks the bulk gap containing a target frequency
   from the four-cavity Bloch cell on the torus,
-* :func:`polarized_edge_maps` probes the open-boundary lattice with one
-  input per polarization and reports each map's OAM displacement and
-  edge-confined transmitted weight,
-* :func:`transition_detector` locates the gap-closing ``beta0`` on a grid.
+* :func:`transition_detector` locates the gap-closing ``beta0`` on a grid,
+* :func:`edge_confined_weight` reduces an edge map (one
+  :func:`~oamphoton.edge.transmission_map` per input polarization, as the
+  ``edge-map`` CLI kind writes them) to its transmitted weight along the
+  open boundary, which collapses past the transition.
 
 No topological index is computed here; the phase distinction is certified
 by gap reopening together with the presence or absence of edge transport.
@@ -25,24 +26,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .edge import EdgeRegion, Side, transmission_maps
-from .hamiltonians import HamiltonianMatrix, build_qsh
 from .lattice import Boundary, LatticeSpec, SiteIndex
-from .scattering import DecaySpec
 
 __all__ = [
     "GapReport",
-    "PolarizedEdgeMaps",
     "TransitionEstimate",
     "edge_confined_weight",
-    "polarized_edge_maps",
     "qsh_gap_scan",
     "transition_detector",
     "DEFAULT_ENERGY_TARGET",
     "GAP_K_SAMPLES",
     "FRAME_DEPTH",
     "INPUT_EXCLUSION_RADIUS",
-    "PROBE_DEPTH",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -58,9 +53,6 @@ FRAME_DEPTH = 2
 
 #: ... excluding modes within this Chebyshev distance of the input port.
 INPUT_EXCLUSION_RADIUS = 3
-
-#: Polarized OAM displacements sum over this many input-side cavity columns.
-PROBE_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -107,24 +99,6 @@ class TransitionEstimate:
     beta0: float
     uncertainty: float
     reports: tuple[GapReport, ...] = field(repr=False)
-
-
-@dataclass(frozen=True)
-class PolarizedEdgeMaps:
-    """Edge transmission maps for the two input polarizations.
-
-    ``maps[s]`` is the ``(n_x, n_l, 2)`` transmitted-power grid for the
-    input at cavity 0, OAM 0, polarization ``s``; ``displacements[s]``
-    and ``edge_weights[s]`` are the corresponding power-weighted OAM
-    displacement over the input-side columns and the edge-confined
-    transmitted weight (input neighborhood excluded).
-    """
-
-    beta0: float
-    omega: float
-    maps: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    displacements: tuple[float, float]
-    edge_weights: tuple[float, float]
 
 
 def _cell_bloch(kx: np.ndarray, ky: np.ndarray, beta0: float,
@@ -275,78 +249,6 @@ def edge_confined_weight(
     if grid.ndim == 3:
         keep = keep[:, :, None]
     return float(np.sum(grid, where=keep, initial=0.0))
-
-
-def _probe_displacement(grid: np.ndarray, spec: LatticeSpec,
-                        columns: Sequence[int]) -> float:
-    """Power-weighted OAM sum over the given cavity columns (all spins)."""
-    ls = np.asarray(spec.l_values, dtype=float)
-    sub = grid[np.asarray(columns)]
-    return float(np.sum(sub * ls[None, :, None]))
-
-
-def _scaled_coupling(H: HamiltonianMatrix, coupling: float) -> HamiltonianMatrix:
-    """Rescale every hop amplitude, leaving the on-site terms unchanged."""
-    values = np.where(H.rows != H.cols, H.values * coupling, H.values)
-    return HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols, values)
-
-
-def polarized_edge_maps(
-    spec: LatticeSpec,
-    beta0: float,
-    lambda0: float,
-    decay: DecaySpec,
-    omega: float = DEFAULT_ENERGY_TARGET,
-    *,
-    coupling: float = 1.0,
-) -> PolarizedEdgeMaps:
-    """Probe the lattice edge in both input polarizations.
-
-    Sends a probe into cavity 0 at OAM 0 with polarization ``s`` for
-    each ``s`` in (0, 1), both from one resolvent sweep, and collects the
-    transmitted-power grid, its OAM displacement over the
-    :data:`PROBE_DEPTH` input-side columns, and its edge-confined weight.
-    On the gapped side of the transition the two displacements have
-    opposite signs (counter-propagating polarized edge states); past it the
-    edge weight collapses.
-
-    ``coupling`` rescales every hop amplitude relative to the nominal
-    coupling; ``0`` gives the decoupled-cavity limit, where each map is
-    a single point at its input.
-    """
-    if spec.spin_dim != 2:
-        raise ValueError(
-            f"polarized edge maps need spin_dim=2, got {spec.spin_dim}"
-        )
-    if spec.bc_x is not Boundary.OPEN:
-        raise ValueError("edge maps need an open cavity axis (bc_x=OPEN)")
-    if not spec.l_min <= 0 <= spec.l_max:
-        raise ValueError(
-            f"the probe enters at OAM 0, outside the window "
-            f"[{spec.l_min}, {spec.l_max}]"
-        )
-    if not np.isfinite(omega):
-        raise ValueError("omega must be finite")
-    if not np.isfinite(coupling) or coupling < 0:
-        raise ValueError(f"coupling must be a nonnegative number, got {coupling}")
-
-    H = build_qsh(spec, beta0, lambda0)
-    if coupling != 1.0:
-        H = _scaled_coupling(H, coupling)
-    columns = EdgeRegion(Side.LEFT, PROBE_DEPTH).columns(spec)
-
-    inputs = [SiteIndex(0, 0, s) for s in (0, 1)]
-    maps = transmission_maps(H, decay, omega, inputs)
-    displacements = [_probe_displacement(grid, spec, columns) for grid in maps]
-    weights = [edge_confined_weight(spec, grid, input)
-               for grid, input in zip(maps, inputs)]
-    return PolarizedEdgeMaps(
-        beta0=float(beta0),
-        omega=float(omega),
-        maps=(maps[0], maps[1]),
-        displacements=(displacements[0], displacements[1]),
-        edge_weights=(weights[0], weights[1]),
-    )
 
 
 def transition_detector(

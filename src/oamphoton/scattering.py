@@ -773,7 +773,7 @@ def total_transmission_spectrum(
     H: HamiltonianMatrix,
     decay: DecaySpec,
     inputs: list[SiteIndex],
-    omega_grid: np.ndarray | None = None,
+    omega_grid: np.ndarray,
 ) -> np.ndarray:
     """Total transmitted power ``sum_in sum_out |T|^2`` over a probe grid.
 
@@ -781,8 +781,6 @@ def total_transmission_spectrum(
     reflection delta excluded), reduced from the :class:`Resolvent`
     columns of all inputs, which share one sweep per frequency.
     """
-    if omega_grid is None:
-        omega_grid = default_omega_grid()
     omega_grid = np.asarray(omega_grid, dtype=float)
     in_rows = [flat_index(H.spec, s) for s in inputs]
     engine = Resolvent(H, decay)
@@ -794,24 +792,18 @@ def total_transmission_spectrum(
 def butterfly_scan(
     spec: LatticeSpec,
     phi0_list: np.ndarray,
-    omega_grid: np.ndarray | None = None,
-    decay: DecaySpec | None = None,
-    inputs: list[SiteIndex] | None = None,
+    omega_grid: np.ndarray,
+    decay: DecaySpec,
 ) -> np.ndarray:
     """Total-transmission rows over a flux list (one lattice per flux).
 
     Builds the cavity-phase uniform-flux lattice for each ``phi0`` and
-    records its :func:`total_transmission_spectrum`; by default the probes
-    enter every cavity at OAM 0.
+    records its :func:`total_transmission_spectrum`, with the probes
+    entering every cavity at OAM 0.
     """
     from .hamiltonians import build_landau_hofstadter
 
-    if decay is None:
-        decay = DecaySpec.uniform(0.1)
-    if omega_grid is None:
-        omega_grid = default_omega_grid()
-    if inputs is None:
-        inputs = [SiteIndex(j, 0, 0) for j in range(spec.n_x)]
+    inputs = [SiteIndex(j, 0, 0) for j in range(spec.n_x)]
     rows = np.empty((len(phi0_list), np.asarray(omega_grid).size))
     for i, phi0 in enumerate(phi0_list):
         H = build_landau_hofstadter(spec, float(phi0))

@@ -38,16 +38,17 @@ from oamphoton import (
     coupling_strength,
     displacement_robustness,
     displacement_spectrum,
+    edge_confined_weight,
     flat_index,
     fukui_hatsugai_chern,
     phase_mismatch_chern,
-    polarized_edge_maps,
     qsh_gap_scan,
     saturating_oam_envelope,
     s_matrix_row,
     site_of,
     total_transmission_spectrum,
     transmission,
+    transmission_map,
 )
 from oamphoton.chern import BlochBandData
 from oamphoton.optics import OpticalParams
@@ -341,14 +342,24 @@ def test_08_polarization_pair_transition():
     desk = LatticeSpec(DESK_N_X, -DESK_L, DESK_L, spin_dim=2,
                        bc_y=Boundary.PERIODIC)
     decay = DecaySpec(gamma=0.1)
-    open_phase = polarized_edge_maps(desk, 0.0, 0.6, decay)
-    d0, d1 = open_phase.displacements
+    probes = [SiteIndex(0, 0, s) for s in (0, 1)]
+    ls = np.asarray(desk.l_values, dtype=float)
+
+    def edge_maps(beta0):
+        """The edge-map run's grid for each input polarization at -1.6."""
+        H = build_qsh(desk, beta0, 0.6)
+        return [transmission_map(H, decay, -1.6, probe) for probe in probes]
+
+    open_maps = edge_maps(0.0)
+    # OAM displacement over the four input-side cavity columns.
+    d0, d1 = (float(np.sum(grid[:4] * ls[None, :, None])) for grid in open_maps)
     assert d0 * d1 < 0
     assert min(abs(d0), abs(d1)) > 0.1
 
-    closed_phase = polarized_edge_maps(desk, 0.125, 0.6, decay)
-    ratios = [closed_phase.edge_weights[s] / open_phase.edge_weights[s]
-              for s in (0, 1)]
+    closed_maps = edge_maps(0.125)
+    ratios = [edge_confined_weight(desk, closed, probe)
+              / edge_confined_weight(desk, open_, probe)
+              for closed, open_, probe in zip(closed_maps, open_maps, probes)]
     assert max(ratios) < 0.2
 
     print(f"\n[PASS 08] gap widths {widths[0]:.3f}/{widths[1]:.4f}/"

@@ -17,13 +17,13 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from oamphoton.disorder import DisorderModel, DisorderScope, sample_disordered_hamiltonian
 from oamphoton.edge import transmission_map
 from oamphoton.hamiltonians import (
     DENSE_DIM_LIMIT,
     GaugeConfig,
     HamiltonianMatrix,
     SpinAxis,
-    apply_onsite_disorder,
     build_dirac,
     build_landau_hofstadter,
     build_non_abelian,
@@ -169,17 +169,18 @@ def test_qsh_matches_reference(spec, beta0, lambda0):
 @SETTINGS
 @given(data=st.data())
 def test_onsite_disorder_matches_reference(data):
+    """The sampler's detunings add one draw to every diagonal of its unit: a
+    cavity under the link scopes, a site under ``PER_SITE``."""
     spec = data.draw(specs(2))
     beta0, lambda0 = data.draw(phases), data.draw(phases)
-    deltas = np.array(data.draw(st.lists(phases, min_size=spec.n_x,
-                                         max_size=spec.n_x)))
+    sigma, seed = data.draw(st.floats(0.01, 1.0)), data.draw(st.integers(0, 2**64))
+    scope = data.draw(st.sampled_from(DisorderScope))
     H = build_qsh(spec, beta0, lambda0)
-    expected = H.toarray() + np.diag(np.repeat(deltas, spec.n_l * spec.spin_dim))
-    check(apply_onsite_disorder(H, deltas), expected)
-    as_mapping = {j: float(d) for j, d in enumerate(deltas) if j % 2}
-    expected = H.toarray() + np.diag(np.repeat(
-        [as_mapping.get(j, 0.0) for j in range(spec.n_x)], spec.n_l * spec.spin_dim))
-    check(apply_onsite_disorder(H, as_mapping), expected)
+    units = spec.n_x * spec.n_l if scope is DisorderScope.PER_SITE else spec.n_x
+    draws = np.random.Generator(np.random.Philox(key=seed)).standard_normal(units)
+    expected = H.toarray() + np.diag(np.repeat(sigma * draws, spec.dim // units))
+    model = DisorderModel(sigma_detuning=sigma, scope=scope)
+    check(sample_disordered_hamiltonian(H, model, seed), expected)
 
 
 # ------------------------------------------------------------ storage contract

@@ -971,6 +971,31 @@ def test_every_schema_key_rejects_a_malformed_value():
             assert f"{block}.{key}" in paths, (block, key, paths)
 
 
+def test_numbers_beyond_float_range_are_fatal(tmp_path):
+    # JSON integers have no size limit; 10**400 is no finite float.
+    dispersion = {"kind": "dispersion-check", "optics": {"r_values": [0.3]}}
+    for base, block, key in ((spectrum_config(), "decay", "gamma"),
+                             (spectrum_config(), "omega", "start"),
+                             (spectrum_config(), "model", "phi0"),
+                             (dispersion, "optics", "k_wave")):
+        cfg = json.loads(json.dumps(base))
+        cfg[block][key] = 10**400
+        assert [d.path for d in fatals(cfg)] == [f"{block}.{key}"]
+        assert validate_only(tmp_path, cfg) == 2
+    chern = {"kind": "chern", "model": {"builder": "landau", "phi0": [10**400, 1]}}
+    assert [d.path for d in fatals(chern)] == ["model.phi0"]
+    assert validate_only(tmp_path, chern) == 2
+
+
+def test_seed_must_be_a_philox_key(tmp_path):
+    cfg = dict(disorder_config(-6, 6), seed=2**128)
+    assert [d.path for d in fatals(cfg)] == ["seed"]
+    assert validate_only(tmp_path, cfg) == 2
+    cfg["seed"] = 2**128 - 1
+    assert fatals(cfg) == []
+    run_cli(tmp_path, cfg)
+
+
 def test_readme_schema_table_names_every_block_and_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")

@@ -107,16 +107,15 @@ def test_same_seed_reproduces_sample(small_lattice):
     assert not np.array_equal(first.data, other.data)
 
 
-def test_sample_accepts_builder_callable(small_lattice):
-    spec, H = small_lattice
+def test_sample_takes_only_a_built_matrix(small_lattice):
+    spec, _ = small_lattice
     model = DisorderModel.cavity_detuning(0.1)
-    built = sample_disordered_hamiltonian(
-        lambda: build_landau_hofstadter(spec, SIXTH), model, 9
-    )
-    direct = sample_disordered_hamiltonian(H, model, 9)
-    assert np.array_equal(built.data, direct.data)
-    with pytest.raises(TypeError, match="HamiltonianMatrix"):
-        sample_disordered_hamiltonian(object(), model, 0)
+    for base in (object(), lambda: build_landau_hofstadter(spec, SIXTH)):
+        with pytest.raises(TypeError, match="HamiltonianMatrix"):
+            sample_disordered_hamiltonian(base, model, 0)
+        with pytest.raises(TypeError, match="HamiltonianMatrix"):
+            displacement_robustness(base, model, DecaySpec.uniform(0.1), [0.0],
+                                    EdgeRegion(Side.RIGHT, 1), trials=2)
 
 
 def test_cavity_scope_matches_documented_draw_protocol(small_lattice):

@@ -8,7 +8,6 @@ from oamphoton.hamiltonians import (
     GaugeConfig,
     HamiltonianMatrix,
     SpinAxis,
-    apply_onsite_disorder,
     build_dirac,
     build_landau_hofstadter,
     build_non_abelian,
@@ -317,30 +316,3 @@ def test_large_lattice_is_sparse():
     H = build_landau_hofstadter(spec, 1.0 / 6.0)
     assert not H.is_dense
     assert H.hermiticity_defect() < 1e-12
-
-
-# ---------------------------------------------------------- on-site disorder
-
-def test_zero_disorder_is_identity():
-    spec = LatticeSpec(n_x=3, l_min=0, l_max=2)
-    H = build_landau_hofstadter(spec, 1.0 / 6.0)
-    H2 = apply_onsite_disorder(H, np.zeros(3))
-    np.testing.assert_allclose(H.toarray(), H2.toarray(), atol=0)
-
-
-def test_uniform_disorder_shifts_spectrum():
-    spec = LatticeSpec(n_x=3, l_min=0, l_max=2)
-    H = build_landau_hofstadter(spec, 1.0 / 6.0)
-    H2 = apply_onsite_disorder(H, np.full(3, 0.37))
-    ev1 = np.linalg.eigvalsh(H.toarray())
-    ev2 = np.linalg.eigvalsh(H2.toarray())
-    np.testing.assert_allclose(ev2, ev1 + 0.37, atol=1e-12)
-
-
-def test_gaussian_disorder_keeps_hermiticity():
-    rng = np.random.default_rng(3)
-    spec = LatticeSpec(n_x=6, l_min=-4, l_max=4)
-    H = build_landau_hofstadter(spec, 1.0 / 6.0)
-    H2 = apply_onsite_disorder(H, rng.normal(0.0, 0.1, size=6))
-    assert H2.hermiticity_defect() < 1e-12
-    assert np.abs(np.imag(np.linalg.eigvals(H2.toarray()))).max() < 1e-10

@@ -1,4 +1,9 @@
-"""Gap scans, polarized edge maps, and transition detection on the spin lattice."""
+"""Gap scans, polarized edge maps, and transition detection on the spin lattice.
+
+The polarized edge maps are the ones the ``edge-map`` CLI kind writes: one
+:func:`~oamphoton.edge.transmission_map` per input polarization at cavity 0,
+OAM 0.
+"""
 
 import numpy as np
 import pytest
@@ -6,13 +11,11 @@ import pytest
 from oamphoton.lattice import Boundary, LatticeSpec, SiteIndex
 from oamphoton.hamiltonians import build_qsh
 from oamphoton.edge import transmission_map
-from oamphoton.scattering import DecaySpec, Resolvent
+from oamphoton.scattering import DecaySpec
 from oamphoton.qsh import (
     GapReport,
-    PolarizedEdgeMaps,
     TransitionEstimate,
     edge_confined_weight,
-    polarized_edge_maps,
     qsh_gap_scan,
     transition_detector,
     _cell_bloch,
@@ -204,28 +207,37 @@ def test_transition_detector_uniform_lattice_smoke():
 # ---------------------------------------------------------------------------
 
 
+def polarized_maps(spec, beta0, decay):
+    """Both polarizations' edge maps at the target frequency, with each map's
+    OAM displacement over the four input-side columns and its edge-confined
+    weight."""
+    H = build_qsh(spec, beta0, LAMBDA0)
+    probes = [SiteIndex(0, 0, s) for s in (0, 1)]
+    maps = [transmission_map(H, decay, TARGET, probe) for probe in probes]
+    ls = np.asarray(spec.l_values, dtype=float)
+    displacements = [float(np.sum(grid[:4] * ls[None, :, None])) for grid in maps]
+    weights = [edge_confined_weight(spec, grid, probe)
+               for grid, probe in zip(maps, probes)]
+    return maps, displacements, weights
+
+
 @pytest.fixture(scope="module")
 def small_maps():
     spec = cell_spec()
     decay = DecaySpec(gamma=0.1)
-    return {
-        beta0: polarized_edge_maps(spec, beta0, LAMBDA0, decay)
-        for beta0 in (0.0, 0.125)
-    }
+    return {beta0: polarized_maps(spec, beta0, decay) for beta0 in (0.0, 0.125)}
 
 
 def test_polarized_maps_shapes_and_totals(small_maps):
-    result = small_maps[0.0]
-    assert isinstance(result, PolarizedEdgeMaps)
-    assert result.omega == TARGET
-    for grid in result.maps:
+    maps, _, _ = small_maps[0.0]
+    for grid in maps:
         assert grid.shape == (8, 41, 2)
         assert np.all(grid >= 0)
         assert float(grid.sum()) == pytest.approx(0.070959318040, abs=1e-9)
 
 
 def test_polarized_maps_counter_propagation(small_maps):
-    d0, d1 = small_maps[0.0].displacements
+    d0, d1 = small_maps[0.0][1]
     assert d0 == pytest.approx(0.215914883736, abs=1e-9)
     assert d1 == pytest.approx(-0.215914883736, abs=1e-9)
     assert d0 > 0 > d1
@@ -236,83 +248,30 @@ def test_polarized_maps_counter_propagation(small_maps):
 
 
 def test_polarized_maps_edge_weight_collapse(small_maps):
-    w_open = small_maps[0.0].edge_weights
-    w_closed = small_maps[0.125].edge_weights
+    w_open = small_maps[0.0][2]
+    w_closed = small_maps[0.125][2]
     for s in (0, 1):
         assert w_open[s] == pytest.approx(0.049571712461, abs=1e-9)
         assert w_closed[s] == pytest.approx(0.001912294634, abs=1e-9)
     for s in (0, 1):
         assert w_closed[s] < 0.2 * w_open[s]
     # Past the transition the residual displacement is negligible as well.
-    assert max(abs(d) for d in small_maps[0.125].displacements) < 1e-3
-
-
-def test_polarized_maps_share_one_sweep(monkeypatch):
-    """Both polarizations come from one engine sweep and equal the
-    per-polarization maps."""
-    spec = cell_spec(8, -8, 8)
-    decay = DecaySpec(gamma=0.1)
-    H = build_qsh(spec, 0.03, LAMBDA0)
-    separate = [transmission_map(H, decay, TARGET, SiteIndex(0, 0, s)) for s in (0, 1)]
-    sweeps = []
-    original = Resolvent._sweep
-
-    def counting(self, trials, omegas, rows):
-        sweeps.append((omegas.size, rows.size))
-        return original(self, trials, omegas, rows)
-
-    monkeypatch.setattr(Resolvent, "_sweep", counting)
-    result = polarized_edge_maps(spec, 0.03, LAMBDA0, decay)
-    assert sweeps == [(1, 2)]
-    for together, alone in zip(result.maps, separate):
-        np.testing.assert_allclose(together, alone, rtol=0,
-                                   atol=1e-12 * np.abs(alone).max())
+    assert max(abs(d) for d in small_maps[0.125][1]) < 1e-3
 
 
 def test_polarized_maps_full_scale():
     """The production-size lattice shows the same transition signatures."""
     spec = cell_spec(10, -50, 50)
     decay = DecaySpec(gamma=0.1)
-    open_side = polarized_edge_maps(spec, 0.0, LAMBDA0, decay)
-    closed_side = polarized_edge_maps(spec, 0.125, LAMBDA0, decay)
-    assert open_side.displacements[0] == pytest.approx(0.517077227129, abs=1e-9)
-    assert open_side.displacements[1] == pytest.approx(-0.517077227129, abs=1e-9)
-    assert open_side.edge_weights[0] == pytest.approx(0.035277494405, abs=1e-9)
+    _, d_open, w_open = polarized_maps(spec, 0.0, decay)
+    _, _, w_closed = polarized_maps(spec, 0.125, decay)
+    assert d_open[0] == pytest.approx(0.517077227129, abs=1e-9)
+    assert d_open[1] == pytest.approx(-0.517077227129, abs=1e-9)
+    assert w_open[0] == pytest.approx(0.035277494405, abs=1e-9)
     for s in (0, 1):
-        ratio = closed_side.edge_weights[s] / open_side.edge_weights[s]
+        ratio = w_closed[s] / w_open[s]
         assert ratio == pytest.approx(0.0542824, abs=1e-4)
         assert ratio < 0.2
-
-
-def test_polarized_maps_decoupled_limit():
-    """With zero coupling each map is a single point at its own input."""
-    spec = cell_spec()
-    result = polarized_edge_maps(
-        spec, 0.0, LAMBDA0, DecaySpec(gamma=0.1), coupling=0.0
-    )
-    il0 = 0 - spec.l_min
-    for s, grid in enumerate(result.maps):
-        assert grid[0, il0, s] > 0
-        off_input = grid.sum() - grid[0, il0, s]
-        assert off_input <= 1e-20
-    assert result.displacements == (0.0, 0.0)
-    assert result.edge_weights == (0.0, 0.0)
-
-
-def test_polarized_maps_validations():
-    decay = DecaySpec(gamma=0.1)
-    with pytest.raises(ValueError, match="spin_dim=2"):
-        polarized_edge_maps(LatticeSpec(8, -20, 20), 0.0, LAMBDA0, decay)
-    with pytest.raises(ValueError, match="open cavity axis"):
-        polarized_edge_maps(
-            cell_spec(bc_x=Boundary.PERIODIC), 0.0, LAMBDA0, decay
-        )
-    with pytest.raises(ValueError, match="OAM 0"):
-        polarized_edge_maps(cell_spec(l_min=1, l_max=20), 0.0, LAMBDA0, decay)
-    with pytest.raises(ValueError, match="omega"):
-        polarized_edge_maps(cell_spec(), 0.0, LAMBDA0, decay, omega=np.nan)
-    with pytest.raises(ValueError, match="coupling"):
-        polarized_edge_maps(cell_spec(), 0.0, LAMBDA0, decay, coupling=-1.0)
 
 
 # ---------------------------------------------------------------------------

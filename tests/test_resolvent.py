@@ -33,7 +33,7 @@ from oamphoton.scattering import (
     transmission,
 )
 from oamphoton.edge import (
-    EdgeRegion, Side, displacement_spectrum, oam_displacement, transmission_map,
+    EdgeRegion, Side, displacement_spectrum, transmission_map,
 )
 from oamphoton.disorder import (
     DisorderModel, displacement_robustness, loss_perturbed_decay,
@@ -249,9 +249,6 @@ def test_empty_port_lists_rejected():
         for H_in in (H, as_csr(H)):
             with pytest.raises(ValueError, match="nonempty"):
                 total_transmission_spectrum(H_in, decay, [], grid)
-    with pytest.raises(ValueError, match="polarization"):
-        displacement_spectrum(H, DecaySpec.uniform(GAMMA), grid,
-                              EdgeRegion(Side.LEFT, 1), input_spins=[])
 
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
@@ -318,7 +315,7 @@ def test_each_engine_call_logs_one_record(caplog):
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
         loud = total_transmission_spectrum(as_csr(H), decay, inputs, grid)
         total_transmission_spectrum(H, decay, inputs, grid)
-        oam_displacement(H, decay, -2.0, EdgeRegion(Side.RIGHT, 2))
+        displacement_spectrum(H, decay, [-2.0], EdgeRegion(Side.RIGHT, 2))
     np.testing.assert_array_equal(loud, quiet)
     records = [r for r in caplog.records if r.name == "oamphoton"]
     assert [r.solver_path for r in records] == ["oam-rgf"] * 3
