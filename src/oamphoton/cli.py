@@ -22,6 +22,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
 import sys
 import tempfile
@@ -79,6 +80,11 @@ _UNIVERSAL_KEYS = {"kind", "seed", "out_dir"}
 #: The largest seed: the disorder streams are ``Philox(key=seed)``, and a
 #: Philox key lies below 2**128.
 _SEED_MAX = 2**128 - 1
+
+#: The range of every other integer: what NumPy can index (``np.intp``).
+_INDEX_MIN, _INDEX_MAX = int(np.iinfo(np.intp).min), int(np.iinfo(np.intp).max)
+
+_LOG = logging.getLogger("oamphoton")
 
 #: Per kind: (required top-level blocks, optional top-level blocks).
 _KIND_KEYS: dict[str, tuple[set[str], set[str]]] = {
@@ -253,13 +259,13 @@ def _number(value) -> float:
     return number
 
 
-def _integer(minimum: int | None = None, maximum: int | None = None):
+def _integer(minimum: int = _INDEX_MIN, maximum: int = _INDEX_MAX):
     def read(value) -> int:
         if not _is_int(value):
             raise ValueError(f"must be an integer, got {value!r}")
-        if minimum is not None and value < minimum:
+        if value < minimum:
             raise ValueError(f"must be at least {minimum}, got {value}")
-        if maximum is not None and value > maximum:
+        if value > maximum:
             raise ValueError(f"must be at most {maximum}, got {value}")
         return value
     return read
@@ -462,7 +468,12 @@ def _parse_omega(raw: dict, diags) -> np.ndarray | None:
         return None
     if "values" in block:
         return np.asarray(block["values"])
-    return np.linspace(block["start"], block["stop"], block["num"])
+    try:
+        return np.linspace(block["start"], block["stop"], block["num"])
+    except (ValueError, IndexError, MemoryError):
+        _fatal(diags, "omega.num", f"a grid of {block['num']} points does not fit "
+               "in memory")
+        return None
 
 
 def _parse_site(value, path: str, spec: LatticeSpec, diags) -> SiteIndex | None:
@@ -742,15 +753,22 @@ def _farey_fluxes(q_max: int) -> list[Fraction]:
 
 
 def _run_butterfly(res: dict, threads: int):
+    """H(1 - phi) = conj H(phi), so G(1 - phi) = G(phi)^T and the total
+    power at 1 - phi equals that at phi for any rates: each phi <= 1/2 is
+    computed once, and its row is written for 1 - phi as well."""
     spec, decay, grid = res["spec"], res["decay"], res["omega_grid"]
     fluxes = _farey_fluxes(res["butterfly"]["q_max"])
-    spectra = _ordered_map(
-        lambda frac: butterfly_scan(spec, [frac], grid, decay)[0], fluxes, threads
-    )
+    computed = [frac for frac in fluxes if frac <= Fraction(1, 2)]
+    spectra = dict(zip(computed, _ordered_map(
+        lambda frac: butterfly_scan(spec, [frac], grid, decay)[0], computed, threads
+    )))
+    mirrored = [frac for frac in fluxes if frac not in spectra]
+    _LOG.debug("butterfly: %d flux(es) computed, %d mirrored from 1 - phi: %s",
+               len(computed), len(mirrored), ", ".join(map(str, mirrored)))
     rows = (
         (frac.numerator, frac.denominator, omega, value)
-        for frac, values in zip(fluxes, spectra)
-        for omega, value in zip(grid.tolist(), values.tolist())
+        for frac in fluxes
+        for omega, value in zip(grid.tolist(), spectra[min(frac, 1 - frac)].tolist())
     )
     header = ("phi0_num", "phi0_den", "omega", "transmission")
     results = {"flux_count": len(fluxes)}

@@ -33,6 +33,15 @@ and why, whether the sweeps were mirrored and why, the factorizations
 ``np.linalg.solve`` calls, the slice count, block size, coupling
 block and chunk, the bytes of one chunk's work array, and the worst
 relative residual.
+
+Two exact identities halve a total-power spectrum's work.  Every flux
+builder hops only between the two sublattices of ``C = (-1)^(j+l)``, so
+``C H C = -H`` and ``G(-omega) = -C G(omega)^dagger C``; with the optical
+theorem the total power is even in ``omega`` for any positive rates, and
+:func:`total_transmission_spectrum` solves one point of each ``+-omega``
+pair.  ``H(1 - phi) = conj H(phi)``, so ``G(1 - phi) = G(phi)^T`` and the
+total power at ``1 - phi`` equals that at ``phi``; the CLI's butterfly
+computes each ``phi <= 1/2`` once.  Mode-resolved maps obey neither.
 """
 
 from __future__ import annotations
@@ -139,6 +148,9 @@ def default_omega_grid(n: int = 400, span: float = 4.5) -> np.ndarray:
 
     The grid is symmetric about 0 and contains ``omega = 0`` only when ``n``
     is odd; the default of 400 brackets it by the pair ``+-span / (n - 1)``.
+    Its points are negatives of one another to within rounding, so on a
+    chiral lattice :func:`total_transmission_spectrum` solves the points
+    below 0 (and 0 itself) and copies each one's power to its partner.
     """
     return np.linspace(-span, span, n)
 
@@ -769,6 +781,53 @@ def eig_transmission_vector(evals: np.ndarray, evecs: np.ndarray, gamma: float,
     return -1j * gamma * (evecs @ c)
 
 
+def _chiral(H: HamiltonianMatrix) -> bool:
+    """Whether every stored entry of ``H`` joins the two sublattices of
+    ``(-1)^(j+l)``: exact, from ``H.rows`` and ``H.cols`` alone, so a
+    diagonal entry fails it."""
+    spec = H.spec
+    j, l = np.divmod(np.arange(spec.dim) // spec.spin_dim, spec.n_l)
+    parity = (j + l) % 2
+    return bool(np.all(parity[H.rows] != parity[H.cols]))
+
+
+def _nearest(ordered: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the entry of ``ordered`` (ascending) nearest each ``x``, the
+    lower one on a tie."""
+    j = np.searchsorted(ordered, x)
+    below = np.maximum(j - 1, 0)
+    above = np.minimum(j, ordered.size - 1)
+    return np.where(np.abs(ordered[above] - x) < np.abs(x - ordered[below]),
+                    above, below)
+
+
+def _omega_partners(omegas: np.ndarray) -> np.ndarray:
+    """For each grid point, the index whose power it takes: its own, or
+    the first index of its ``+-omega`` pair.
+
+    Each ``omega < 0`` and ``omega' > 0`` whose magnitudes are one
+    another's nearest and lie within 4 ulp of the grid's largest magnitude
+    form a pair, so the pairs are one to one; a ``linspace`` grid
+    symmetric about 0 pairs every point.  ``omega = 0``, unpaired points
+    and a grid with a non-finite point keep their own index.
+    """
+    source = np.arange(omegas.size)
+    if not np.all(np.isfinite(omegas)):
+        return source
+    order = np.argsort(np.abs(omegas), kind="stable")
+    negative, positive = order[omegas[order] < 0], order[omegas[order] > 0]
+    if not (negative.size and positive.size):
+        return source
+    low, high = -omegas[negative], omegas[positive]
+    up = _nearest(high, low)
+    tolerance = 4 * np.spacing(np.abs(omegas).max())
+    pair = ((_nearest(low, high)[up] == np.arange(low.size))
+            & (np.abs(high[up] - low) <= tolerance))
+    a, b = negative[pair], positive[up[pair]]
+    source[np.maximum(a, b)] = np.minimum(a, b)
+    return source
+
+
 def total_transmission_spectrum(
     H: HamiltonianMatrix,
     decay: DecaySpec,
@@ -780,13 +839,39 @@ def total_transmission_spectrum(
     The sum runs over every output mode (the same-mode term included, the
     reflection delta excluded), reduced from the :class:`Resolvent`
     columns of all inputs, which share one sweep per frequency.
+
+    Frequency mirror: where every entry of ``H`` joins the two sublattices
+    of ``C = (-1)^(j+l)`` (``C H C = -H``, as on every flux lattice with
+    even rings), ``G(-omega) = -C G(omega)^dagger C``.  The optical
+    theorem, ``sum_n' gamma_n' |G_n'r|^2 = sum_n' gamma_n' |G_rn'|^2 =
+    -2 Im G_rr`` for any positive rates, then makes each input's power
+    even in ``omega``: ``T(-omega) = T(omega)``.  So only the first point
+    of each ``+-omega`` pair on the grid (see :func:`_omega_partners`) is
+    solved, and its power is copied to the other; every other point is
+    solved as without the mirror, with the same bits.  An ``H`` with a
+    diagonal entry (detuning, ``qsh`` on-site terms) or a hop within one
+    sublattice (an odd ring) is solved on the whole grid.  The DEBUG
+    record says whether the mirror applied, with the rows computed and
+    copied, or why not.
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    omega_grid = np.asarray(omega_grid, dtype=float).reshape(-1)
     in_rows = [flat_index(H.spec, s) for s in inputs]
+    chiral = _chiral(H)
+    source = _omega_partners(omega_grid) if chiral else np.arange(omega_grid.size)
+    computed = np.flatnonzero(source == np.arange(source.size))
+    copied = source.size - computed.size
+    if not chiral:
+        why = "no omega mirror: H joins two sites of one sublattice"
+    elif not copied:
+        why = "no omega mirror: no partners on the grid"
+    else:
+        why = (f"omega mirror: H is chiral, so T(-omega) = T(omega); "
+               f"{computed.size} row(s) computed, {copied} copied")
     engine = Resolvent(H, decay)
-    out = engine.transmitted_power(omega_grid, in_rows)
-    engine.log(f"{omega_grid.size} frequencies, {len(in_rows)} ports")
-    return out
+    power = np.empty(omega_grid.size)
+    power[computed] = engine.transmitted_power(omega_grid[computed], in_rows)
+    engine.log(f"{omega_grid.size} frequencies, {len(in_rows)} ports; {why}")
+    return power[source]
 
 
 def butterfly_scan(

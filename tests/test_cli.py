@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import logging
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from oamphoton import (
     Boundary,
     DecaySpec,
     LatticeSpec,
+    Resolvent,
     SiteIndex,
     build_landau_hofstadter,
     build_oam_gauge_hofstadter,
@@ -703,6 +705,39 @@ def test_butterfly_rows_cover_all_fluxes(tmp_path):
     assert man["results"]["flux_count"] == 5
 
 
+def test_butterfly_writes_each_mirror_flux_from_its_partner(tmp_path, caplog):
+    """Fluxes above 1/2 take the row of 1 - phi: the file matches a
+    computation with neither mirror, flux by flux and point by point, and
+    its bytes do not depend on the worker count."""
+    cfg = {
+        "kind": "butterfly",
+        "lattice": {"n_x": 4, "l_min": -4, "l_max": 4},
+        "decay": {"gamma": 0.1},
+        "omega": {"start": -4.0, "stop": 4.0, "num": 9},
+        "butterfly": {"q_max": 3},
+    }
+    with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+        one = run_cli(tmp_path, cfg, out="t1")
+    three = run_cli(tmp_path, cfg, "--threads", "3", out="t3")
+    data = (one / "butterfly.csv").read_bytes()
+    assert data == (three / "butterfly.csv").read_bytes()
+    table = np.array([[float(v) for v in line.split(",")]
+                      for line in data.decode().splitlines()[1:]])
+    spec = LatticeSpec(4, -4, 4)
+    grid = np.linspace(-4.0, 4.0, 9)
+    rows = [flat_index(spec, SiteIndex(j, 0, 0)) for j in range(4)]
+    unmirrored = np.concatenate([
+        Resolvent(build_landau_hofstadter(spec, float(frac)), DecaySpec.uniform(0.1))
+        .transmitted_power(grid, rows) for frac in cli._farey_fluxes(3)])
+    np.testing.assert_allclose(table[:, 3], unmirrored, rtol=0,
+                               atol=1e-13 * unmirrored.max())
+    logged = [r.getMessage() for r in caplog.records if r.name == "oamphoton"]
+    assert "butterfly: 3 flux(es) computed, 2 mirrored from 1 - phi: 2/3, 1" in logged
+    # One engine call per computed flux, each solving half the grid and 0.
+    engines = [r for r in caplog.records if getattr(r, "solver_path", None)]
+    assert [r.factorizations for r in engines] == [5, 5, 5]
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
@@ -985,6 +1020,19 @@ def test_numbers_beyond_float_range_are_fatal(tmp_path):
     chern = {"kind": "chern", "model": {"builder": "landau", "phi0": [10**400, 1]}}
     assert [d.path for d in fatals(chern)] == ["model.phi0"]
     assert validate_only(tmp_path, chern) == 2
+
+
+def test_integers_beyond_the_index_range_are_fatal(tmp_path):
+    # A count or an OAM bound past np.intp indexes nothing NumPy can hold.
+    for block, key in (("omega", "num"), ("lattice", "n_x"), ("lattice", "l_max")):
+        cfg = json.loads(json.dumps(spectrum_config()))
+        cfg[block][key] = 10**400
+        assert [d.path for d in fatals(cfg)] == [f"{block}.{key}"]
+        assert validate_only(tmp_path, cfg) == 2
+    # Within the index range, a grid NumPy cannot allocate is fatal too.
+    for num in (2**61, 2**63 - 1):
+        cfg = spectrum_config(omega={"start": -3.0, "stop": 3.0, "num": num})
+        assert [d.path for d in fatals(cfg)] == ["omega.num"]
 
 
 def test_seed_must_be_a_philox_key(tmp_path):

@@ -1,19 +1,24 @@
 """Input-output solver tests: closed forms, unitarity, and solver cross-checks."""
 
+import logging
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oamphoton.disorder import DisorderModel, sample_disordered_hamiltonian
 from oamphoton.lattice import Boundary, LatticeSpec, SiteIndex, flat_index
 from oamphoton.hamiltonians import (
     HamiltonianMatrix,
     build_dirac,
     build_landau_hofstadter,
     build_oam_gauge_hofstadter,
+    build_qsh,
 )
 from oamphoton.scattering import (
     DecaySpec,
+    Resolvent,
+    _omega_partners,
     butterfly_scan,
     default_omega_grid,
     eig_transmission_vector,
@@ -212,14 +217,127 @@ def test_frequency_mirror_at_nonzero_flux(name, bc_y):
     (an even ring keeps them), so ``S H S = -H`` at any flux and
     ``G(-omega) = -S G(omega)^dagger S``.  The optical theorem,
     ``sum_n' gamma_n' |G_n'r|^2 = sum_n' gamma_n' |G_rn'|^2 = -2 Im G_rr``
-    for any rates, then makes the total power even in ``omega``."""
+    for any rates, then makes the total power even in ``omega``.  Each sign
+    is solved in its own call: a one-signed grid has no ``-omega``
+    partners, so neither side is copied from the other."""
     build, spec, inputs, decays = _identity_lattice(name, bc_y)
     half = np.linspace(0.05, 4.5, 20)
-    grid = np.concatenate([-half[::-1], half])
     for phi in (Fraction(1, 6), Fraction(2, 5)):
         for decay in decays:
-            power = total_transmission_spectrum(build(spec, phi), decay, inputs, grid)
-            np.testing.assert_allclose(power[::-1], power, rtol=0, atol=1e-13 * power.max())
+            H = build(spec, phi)
+            above = total_transmission_spectrum(H, decay, inputs, half)
+            below = total_transmission_spectrum(H, decay, inputs, -half)
+            np.testing.assert_allclose(below, above, rtol=0, atol=1e-13 * above.max())
+
+
+# ---------------------------------------------------------- frequency mirror
+
+def _spectrum_records(caplog, H, decay, inputs, grid):
+    """The spectrum and its engine's DEBUG record."""
+    with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+        power = total_transmission_spectrum(H, decay, inputs, grid)
+    return power, [r for r in caplog.records if r.name == "oamphoton"][-1]
+
+
+def _full_grid(H, decay, inputs, grid):
+    """The engine on every grid point, with no mirror."""
+    rows = [flat_index(H.spec, s) for s in inputs]
+    return Resolvent(H, decay).transmitted_power(grid, rows)
+
+
+_HALF = np.linspace(0.05, 4.5, 20)
+MIRROR_GRIDS = {"linspace": np.linspace(-4.5, 4.5, 40),
+                "antisymmetric": np.concatenate([-_HALF[::-1], _HALF])}
+
+
+@pytest.mark.parametrize("name", sorted(FLUX_BUILDERS))
+@pytest.mark.parametrize("bc_y", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("grid_name", sorted(MIRROR_GRIDS))
+def test_chiral_spectrum_solves_one_of_each_pair(name, bc_y, grid_name, caplog):
+    """On a chiral lattice the first half of a symmetric grid is solved,
+    bit for bit as on the whole grid, and copied to the second half, which
+    then agrees with its own solve to rounding."""
+    build, spec, inputs, decays = _identity_lattice(name, bc_y)
+    grid = MIRROR_GRIDS[grid_name]
+    for decay in decays:
+        H = build(spec, Fraction(2, 7))
+        power, record = _spectrum_records(caplog, H, decay, inputs, grid)
+        full = _full_grid(H, decay, inputs, grid)
+        np.testing.assert_array_equal(power[:20], full[:20])
+        np.testing.assert_array_equal(power[20:], power[19::-1])
+        np.testing.assert_allclose(power, full, rtol=0, atol=1e-13 * full.max())
+        assert record.factorizations == 20
+        assert "omega mirror: H is chiral" in record.solver_reason
+        assert "20 row(s) computed, 20 copied" in record.solver_reason
+
+
+def _non_chiral(name):
+    if name == "qsh":
+        return build_qsh(LatticeSpec(n_x=4, l_min=-3, l_max=4, spin_dim=2), 0.1, 0.6)
+    if name == "odd ring":
+        spec = LatticeSpec(n_x=3, l_min=-4, l_max=4, bc_y=Boundary.PERIODIC)
+        return build_landau_hofstadter(spec, Fraction(1, 3))
+    clean = build_landau_hofstadter(LatticeSpec(n_x=4, l_min=-5, l_max=5), 0.25)
+    return sample_disordered_hamiltonian(clean, DisorderModel.cavity_detuning(0.1), 3)
+
+
+@pytest.mark.parametrize("name", ["qsh", "odd ring", "model A"])
+def test_non_chiral_spectrum_solves_every_point(name, caplog):
+    H = _non_chiral(name)
+    inputs = [SiteIndex(0, 0, 0), SiteIndex(1, 1, 0)]
+    grid = np.linspace(-3.0, 3.0, 12)
+    power, record = _spectrum_records(caplog, H, DecaySpec.uniform(0.2), inputs, grid)
+    np.testing.assert_array_equal(power, _full_grid(H, DecaySpec.uniform(0.2), inputs, grid))
+    assert record.factorizations == grid.size
+    assert "no omega mirror: H joins two sites of one sublattice" in record.solver_reason
+
+
+def test_omega_partners_pair_each_point_at_most_once():
+    # An odd linspace: 0 is solved itself, each point below it is the first
+    # of its pair.
+    grid = np.linspace(-2.0, 2.0, 41)
+    np.testing.assert_array_equal(_omega_partners(grid),
+                                  np.r_[np.arange(21), np.arange(19, -1, -1)])
+    # Points without a partner within 4 ulp of the largest magnitude keep
+    # their own index; the first index of a pair is computed, whichever
+    # sign it has.
+    asymmetric = np.array([3.0, -1.0, 0.5, 1.0, -3.0 - 1e-9, 2.0])
+    np.testing.assert_array_equal(_omega_partners(asymmetric), [0, 1, 2, 1, 4, 5])
+    assert np.array_equal(_omega_partners(-_HALF), np.arange(20))
+    # A repeated point pairs once; its repeat is computed.
+    repeated = np.array([1.0, -1.0, 1.0, 0.5])
+    np.testing.assert_array_equal(_omega_partners(repeated), [0, 0, 2, 3])
+    with np.errstate(all="raise"):
+        np.testing.assert_array_equal(_omega_partners(np.array([np.nan, -1.0, 1.0])),
+                                      [0, 1, 2])
+
+
+def test_pairing_edge_cases_match_the_full_grid(caplog):
+    build, spec, inputs, decays = _identity_lattice("landau", Boundary.OPEN)
+    H = build(spec, Fraction(1, 6))
+    cases = {"odd linspace": (np.linspace(-2.0, 2.0, 41), 21),
+             "asymmetric": (np.array([3.0, -1.0, 0.5, 1.0, -3.0 - 1e-9, 2.0]), 5),
+             "one-signed": (-_HALF, 20),
+             "repeated": (np.array([1.0, -1.0, 1.0, 0.5]), 3)}
+    for label, (grid, computed) in cases.items():
+        power, record = _spectrum_records(caplog, H, decays[1], inputs, grid)
+        full = _full_grid(H, decays[1], inputs, grid)
+        np.testing.assert_allclose(power, full, rtol=0, atol=1e-13 * full.max(),
+                                   err_msg=label)
+        own = _omega_partners(grid) == np.arange(grid.size)
+        np.testing.assert_array_equal(power[own], full[own], err_msg=label)
+        assert record.factorizations == computed, label
+        assert ("no omega mirror: no partners on the grid" in record.solver_reason
+                ) == (label == "one-signed"), label
+
+
+def test_desk_spectrum_factorizes_half_its_grid(caplog):
+    H = build_landau_hofstadter(LatticeSpec(n_x=10, l_min=-50, l_max=50), 0.3)
+    inputs = [SiteIndex(j, 0, 0) for j in range(10)]
+    _, record = _spectrum_records(caplog, H, DecaySpec.uniform(0.1), inputs,
+                                  default_omega_grid())
+    assert record.factorizations == 200
+    assert "200 row(s) computed, 200 copied" in record.solver_reason
 
 
 # -------------------------------------------------------------- s_matrix_row
