@@ -606,8 +606,9 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
         entries = raw.get("inputs")
         if "inputs" not in raw:
             _probe_window(spec, [0], "lattice", diags)
-            resolved["inputs"] = [SiteIndex(j, 0, s) for j in range(spec.n_x)
-                                  for s in range(spec.spin_dim)]
+            # Every cavity and polarization at OAM 0, listed at run time:
+            # one site per cavity would make validation grow with n_x.
+            resolved["inputs"] = None
         elif not isinstance(entries, list) or not entries:
             _fatal(diags, "inputs", "must be a non-empty list of sites")
         else:
@@ -737,9 +738,11 @@ def _ordered_map(fn, items, threads: int) -> list:
 
 
 def _run_spectrum(res: dict, threads: int):
-    H = res["build"]()
-    grid = res["omega_grid"]
-    values = total_transmission_spectrum(H, res["decay"], res["inputs"], grid)
+    H, spec = res["build"](), res["spec"]
+    grid, inputs = res["omega_grid"], res["inputs"]
+    if inputs is None:
+        inputs = [SiteIndex(j, 0, s) for j in range(spec.n_x) for s in range(spec.spin_dim)]
+    values = total_transmission_spectrum(H, res["decay"], inputs, grid)
     rows = zip(grid.tolist(), values.tolist())
     return [("spectrum.csv", _csv_bytes(("omega", "transmission"), rows))], {}
 

@@ -18,9 +18,14 @@ J. Phys. C 14, 235 (1981); Lewenkopf & Mucciolo, J. Comput. Electron. 12,
 203 (2013)): Schur-complement sweeps from both ends toward the last port
 slice, run as one loop over a side axis, the left one carrying the ports
 below it; one solve there, then back-substitution outward for full
-resolvent columns.  Where ``omega - H + i G/2`` is its own transpose up to
-reversing the slice order (uniform loss on the flux lattices), the right
-sweep is the transpose of the left one, and only the left blocks are
+resolvent columns.  The engine labels the connected components of ``H``'s
+entries once and sweeps only the sectors that hold a port, each over its
+own blocks, writing exact zeros elsewhere: ``qsh`` and ``dirac`` split into
+two sectors with half of every slice in each, so a port's sweep runs on
+half-width blocks.  Where ``omega - H + i G/2`` is its own transpose up to
+reversing the slice order and a diagonal +-1 signature ``S`` (``S = 1``
+under uniform loss on the flux lattices, ``S = (-1)^s`` on ``qsh``), the
+right sweep follows from the left one, and only the left blocks are
 factorized.  Each solve is batched over (trial, frequency) pairs:
 one ``H`` over a chunk of frequencies, or a stack of Monte Carlo trials
 on one lattice, each with its own decay rates, over their frequencies.
@@ -28,11 +33,12 @@ The cost is linear in the number of slices and exact, with a residual
 bound on every returned column, checked against its own trial's ``H``;
 the memory is the trials' entries plus one work array per chunk.  Each
 engine call logs one DEBUG record to the ``oamphoton`` logger: the path
-and why, whether the sweeps were mirrored and why, the factorizations
-(one per trial and frequency) and of slice blocks, the trials, the
-``np.linalg.solve`` calls, the slice count, block size, coupling
-block and chunk, the bytes of one chunk's work array, and the worst
-relative residual.
+and why, the sectors swept and the sites solved against ``dim``, whether
+the sweeps were mirrored, with which signature and why, the
+factorizations (one per trial and frequency) and of slice blocks, the
+trials, the ``np.linalg.solve`` calls, the slice count, block size,
+coupling block and chunk, the bytes of one chunk's work array, and the
+worst relative residual.
 
 Two exact identities halve a total-power spectrum's work.  Every flux
 builder hops only between the two sublattices of ``C = (-1)^(j+l)``, so
@@ -242,6 +248,201 @@ def _shared_pattern(Hs: Sequence[HamiltonianMatrix]
     return rows, cols, values
 
 
+def _sectors(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The sector of every site: its connected component in the graph whose
+    edges are the entries ``(rows, cols)`` in row-major order, as a
+    :class:`~oamphoton.hamiltonians.HamiltonianMatrix` stores them.
+    Sectors are numbered from 0 in the order of their smallest sites.
+
+    Where every site but 0 has a neighbour with a smaller index, following
+    those neighbours leads every site to 0, so the graph is connected: the
+    flux lattices, whose flat order runs along their hops, stop there.
+    Otherwise min-label propagation: each site takes the smallest label
+    among its own and its neighbours', then every label jumps to its
+    label's label until none moves, so a chain of ``d`` sites settles in
+    about ``log2 d`` jumps.  This repeats until every entry joins two sites
+    of one label, which is then the smallest site of their component.
+    """
+    label = np.arange(dim)
+    if rows.size:
+        starts = np.flatnonzero(np.append(True, rows[1:] != rows[:-1]))
+        heads = rows[starts]
+        # Each row's first column is its smallest neighbour.
+        if heads.size == dim and np.all(cols[starts[1:]] < heads[1:]):
+            return np.zeros(dim, dtype=np.intp)
+        least = cols[starts]  # the smallest neighbour label, while labels are sites
+        while True:
+            label[heads] = np.minimum(label[heads], least)
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+            linked = label[cols]
+            if np.array_equal(label[rows], linked):
+                break
+            least = np.minimum.reduceat(linked, starts)
+    if not label.any():  # one sector, labelled by site 0
+        return label
+    return np.unique(label, return_inverse=True)[1]
+
+
+def _sector_blocks(blocks: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """``blocks`` restricted to the sites where ``inside`` holds: each block
+    keeps those sites in their order, padded with ``-1`` to the widest."""
+    keep = (blocks >= 0) & inside[blocks]
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
+    return np.where(np.take_along_axis(keep, order, axis=1),
+                    np.take_along_axis(blocks, order, axis=1), -1)
+
+
+class _Layout:
+    """One sector's sweep: its blocks, its trials' entries on them, and its
+    mirror.
+
+    ``blocks`` (see :func:`_oam_blocks`) holds the sector's flat indices,
+    ``-1`` on pad sites, and ``positions`` is ``(block_of, pos_of)`` for
+    them; ``sites`` lists the sector's flat indices, or is ``None`` where
+    the sector is the whole lattice.  ``entries`` are the ``rows``, ``cols``
+    and values (one row per trial) of the sector's sites, and ``rates``
+    every trial's full rate vector.
+    """
+
+    def __init__(self, blocks: np.ndarray, positions: tuple[np.ndarray, np.ndarray],
+                 sites: np.ndarray | None,
+                 entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 rates: np.ndarray, spin_dim: int):
+        rows, cols, values = entries
+        block_of, self.pos_of = pos = positions
+        self.sites = sites
+        self.size = rates.shape[1] if sites is None else sites.size
+        # Each site's (block, position), in the order the columns are returned.
+        self.gather = pos if sites is None else (block_of[sites], self.pos_of[sites])
+        n, b = blocks.shape
+        self.block_size = b
+        br, bc = block_of[rows], block_of[cols]
+        pr, pc = self.pos_of[rows], self.pos_of[cols]
+        inside = np.flatnonzero(br == bc)
+        off = np.flatnonzero(br != bc)
+        # A chunk scatters -D_k, so the values are negated once here.
+        self.diagonal = br[inside], pr[inside], pc[inside], -values[:, inside]
+        br, bc, pr, pc = br[off], bc[off], pr[off], pc[off]
+        self.coupling_block = c = _coupling_block(b, pr, pc)
+        m = b // c
+        # down[k] = H[k, k-1] and up[k] = H[k, k+1] (zero past the ends),
+        # each entry at its block, trial, c-group and place in the c x c
+        # block; the pattern holds each (row, col) once, so assignment is
+        # exact.
+        group, row = np.divmod(pr, c)
+        down_up = np.zeros((2 * n, values.shape[0], m * c * c), dtype=complex)
+        down_up[(br < bc) * n + br, :, (group * c + row) * c + pc % c] = values[:, off].T
+        down, up = down_up.reshape(2, n, -1, m, c, c)
+        # Side 0 is the left sweep at block s, side 1 the right sweep at
+        # block n - 1 - s: outer[side, s] couples that block to the one its
+        # sweep comes from, inner[side, s] to the one toward the pivot.
+        self.outer = np.stack([down, up[::-1]])
+        self.inner = np.stack([up, down[::-1]])
+        # A_k(omega) = omega * mask + shift - D_k; a pad site solves 1 * x = 0.
+        real = blocks >= 0
+        self.mask = real.astype(float)
+        self.shift = np.where(real[:, None], 0.5j * np.moveaxis(
+            rates[:, np.where(real, blocks, 0)], 0, 1), 1.0)
+        # S = 1, then S = (-1)^s: the polarization of each site, +1 on pads.
+        signs = [("1", None)]
+        if spin_dim == 2:
+            signs.append(("(-1)^s", np.where(real, 1.0 - 2.0 * (blocks % 2), 1.0)))
+        (self.mirror, self.mirror_down, self.signature,
+         self.mirror_reason) = self._mirror_factors(down, up, signs)
+        self.mirrored = self.mirror is not None
+
+    def _mirror_factors(self, down: np.ndarray, up: np.ndarray,
+                        signs: Sequence[tuple[str, np.ndarray | None]]
+                        ) -> tuple[np.ndarray | None, np.ndarray | None, str | None, str]:
+        """The factors of the mirrored right blocks, the name of the first
+        signature ``S`` in ``signs`` that holds, and why: ``S_s (U_s^-1)^T``
+        and ``S_{s+1} L_{s+1}`` (``S_k``, ``S`` on block ``k``, scaling the
+        rows) for every step whose right block can be mirrored, each of
+        shape ``((slices - 1) // 2, trials, b/c, c, c)``; ``None`` for all
+        three where the mirror fails for some trial with every signature.
+        """
+        n = self.shift.shape[0]
+        if n < 3:
+            return None, None, None, "not mirrored: fewer than three slices"
+        failures = []
+        for name, sign in signs:
+            failure = self._mirror_failure(down, up, sign)
+            if failure is None:
+                break
+            failures.append((name, failure))
+        else:
+            first = failures[0][1]
+            return None, None, None, f"not mirrored: {first}" + "".join(
+                f" (with S = {name}, {why})" for name, why in failures[1:] if why != first)
+        steps = (n - 1) // 2
+        coupling = up[:steps]
+        with np.errstate(all="ignore"):
+            try:
+                # A 1 x 1 block's inverse is its reciprocal, far cheaper than
+                # one LAPACK call per block.
+                inverse = (1 / coupling if coupling.shape[-1] == 1
+                           else np.linalg.inv(coupling))
+            except np.linalg.LinAlgError:
+                inverse = np.full_like(coupling, np.nan)
+            size = np.abs(coupling).max(axis=(-2, -1)) * np.abs(inverse).max(axis=(-2, -1))
+        # A zero or NaN block fails too.
+        if not np.all(size <= _COUPLING_COND_LIMIT):
+            return None, None, None, "not mirrored: a coupling block U_k is singular"
+        # A view of the stored L_k, so that down and up can be freed.
+        mirror, mirror_down = inverse.swapaxes(-1, -2), self.outer[0, 1: steps + 1]
+        if sign is None:
+            return (mirror, mirror_down, name,
+                    "mirrored: J M J = M^T, so the left sweep gives the right one")
+        rows_sign = sign.reshape(n, 1, -1, coupling.shape[-1], 1)
+        return (rows_sign[:steps] * mirror, rows_sign[1: steps + 1] * mirror_down, name,
+                f"mirrored: (J S) M (J S) = M^T with S = {name}, so the left "
+                f"sweep gives the right one")
+
+    def _mirror_failure(self, down: np.ndarray, up: np.ndarray,
+                        sign: np.ndarray | None) -> str | None:
+        """Why ``(J S) M (J S) = M^T`` fails for some trial, for ``S`` the
+        diagonal ``sign`` (``None``: 1), or ``None`` where it holds.
+
+        Block by block: ``A_{n-1-k} = S_k A_k^T S_k``, ``L_{n-1-k} = S_k
+        L_{k+1}^T S_{k+1}`` and ``U_{n-2-k} = S_{k+1} U_k^T S_k``.  The
+        comparisons are exact and run cheapest first, so inputs that fail
+        (per-mode loss, coupling disorder) stop at the couplings or the
+        rates.
+        """
+        n, b = self.mask.shape
+        lower = down[1:].swapaxes(-1, -2)
+        upper = up[:-1].swapaxes(-1, -2)
+        if sign is not None:
+            c = down.shape[-1]
+            rows_sign = sign.reshape(n, 1, -1, c, 1)
+            cols_sign = sign.reshape(n, 1, -1, 1, c)
+            lower = rows_sign[:-1] * lower * cols_sign[1:]
+            upper = rows_sign[1:] * upper * cols_sign[:-1]
+        if not (np.array_equal(down[:0:-1], lower) and np.array_equal(up[-2::-1], upper)):
+            return "the OAM couplings are not mirror transposes"
+        # A pad site's shift is 1 and a real site's i gamma/2, so this also
+        # compares the pads.
+        if not np.array_equal(self.shift, self.shift[::-1]):
+            return "the decay rates are not mirror images"
+        block, row, col, value = self.diagonal
+        # The two end blocks first, a small part where most failures show.
+        for part in (np.flatnonzero((block == 0) | (block == n - 1)), slice(None)):
+            k, i, j, v = block[part], row[part], col[part], value[:, part]
+            key, image = (k * b + i) * b + j, ((n - 1 - k) * b + j) * b + i
+            # Both come in sorted runs, which a stable sort merges quickly.
+            order = np.argsort(key, kind="stable")
+            image_order = np.argsort(image, kind="stable")
+            mirrored = v if sign is None else v * (sign[k, i] * sign[k, j])
+            if not (np.array_equal(key[order], image[image_order])
+                    and np.array_equal(v[:, order], mirrored[:, image_order])):
+                return "the slice blocks D_k are not mirror transposes"
+        return None
+
+
 class Resolvent:
     """The resolvents ``(omega - H_t + i G_t/2)^{-1}`` of a stack of
     ``(H_t, decay_t)`` trials on one lattice.
@@ -257,23 +458,37 @@ class Resolvent:
     between OAM slices ``width`` apart, as in an arbitrary ``H``) is never
     dropped: each block then joins ``width`` slices.  The engine keeps no
     dense copy of any ``H``.  The trials share one pattern of entries (see
-    :func:`_shared_pattern`): the diagonal blocks ``D_k`` stay COO entries
-    (block, position in the block, one value per trial), and the couplings
-    ``U_k = H[k, k+1]`` and ``L_k = H[k+1, k]`` are stored as per-cavity
-    ``c x c`` blocks, each trial's in its own contiguous slots.  The
+    :func:`_shared_pattern`).
+
+    Sectors: the constructor labels the connected components of that
+    pattern once (see :func:`_sectors`).  The paper's spinful lattices,
+    ``qsh`` and ``dirac``, split into two sectors with half of every slice
+    in each; a port reaches only its own, so ``G`` is exactly 0 between
+    them.  Each call groups its ports by sector and sweeps each sector that
+    holds one over that sector's own layout: the OAM blocks restricted to
+    its sites, padded with ``-1`` where a block holds fewer (see
+    :func:`_sector_blocks`), built on first use and kept.  Every other site
+    gets exact zeros.  A connected lattice is the one-sector case: its
+    layout is the OAM blocks themselves, built in the constructor.
+
+    Within a layout the diagonal blocks ``D_k`` stay COO entries (block,
+    position in the block, one value per trial), and the couplings ``U_k =
+    H[k, k+1]`` and ``L_k = H[k+1, k]`` are stored as per-cavity ``c x c``
+    blocks, each trial's in its own contiguous slots.  The
     ``coupling_block`` ``c`` is read from the entries of all trials (see
     :func:`_coupling_block`): an OAM hop never leaves its cavity, so ``c``
-    is 1 for scalar hops and 2 for 2x2 Jones blocks (on a folded even ring
+    is 1 for scalar hops and for a sector of ``qsh`` or ``dirac`` (one site
+    per cavity and slice) and 2 for 2x2 Jones blocks (on a folded even ring
     too); a coupling that joins two cavities, the middle slice of a folded
     odd ring or widened blocks make ``c`` the ``block_size``, one dense
     block per slice.
 
     The batch is cut into chunks of whole trials (or of one trial's
     frequencies, where its grid alone overflows a chunk), each with one
-    work array of shape ``(slices, trials, frequencies, block_size,
-    block_size)`` holding ``A_k = omega + i G/2 - D_k``.  With ``k0`` the
-    last block holding a port, Schur-complement sweeps from block 0 and
-    from the last block toward ``k0`` overwrite slot ``k`` with its
+    work array per sector swept, of shape ``(slices, trials, frequencies,
+    block_size, block_size)``, holding ``A_k = omega + i G/2 - D_k``.  With
+    ``k0`` the last block holding a port, Schur-complement sweeps from block
+    0 and from the last block toward ``k0`` overwrite slot ``k`` with its
     transfer matrix, so that back-substitution costs one matmul per block.
     The two sweeps run as one loop over a side axis: while both have
     blocks left, each step makes one solve, one Schur matmul and, on the
@@ -281,35 +496,47 @@ class Resolvent:
     block on, the left sweep also carries the unit columns of the ports
     below ``k0``, stacked beside its coupling in the same solve.  One solve
     at ``k0`` serves every port, back-substitution runs outward from it,
-    and every returned column is checked against its own trial's ``H``:
-    ``||(omega - H + i G/2) x - e|| <=`` :data:`RESIDUAL_RTOL`, so NaN
-    fails too.
+    and every returned column, at full dimension, is checked against its
+    own trial's ``H``: ``||(omega - H + i G/2) x - e|| <=``
+    :data:`RESIDUAL_RTOL`, so NaN fails too.
 
     Mirror: with ``J`` the reversal of the block order (each block's sites
-    kept in place), ``M = omega + i G/2 - H`` satisfies ``J M J = M^T``
-    when ``A_{n-1-k} = A_k^T``, ``L_k = L_{n-k}^T`` and ``U_k =
-    U_{n-2-k}^T``, where ``L_k = H[k, k-1]`` and ``U_k = H[k, k+1]``.  The
-    right sweep's Schur complements are then the transposes of the left
-    sweep's, so ``h_right[n-1-s] = (L_{s+1} h_left[s] U_s^-1)^T`` needs no
-    factorization.  The constructor decides this once for all trials, by
-    exact comparison of the stored couplings, rates and diagonal-block
-    entries, and inverts the ``c x c`` blocks of ``U_s`` once; a block
-    beyond :data:`_COUPLING_COND_LIMIT` counts as singular.  It holds for
-    ``landau`` and ``dirac`` on any window (a folded even ring too) and
-    ``oam-gauge`` on a symmetric one, under uniform loss, clean or with
-    per-cavity detuning; per-mode random loss, coupling disorder, ``qsh``
-    and folded odd rings fail it (``mirrored``, ``mirror_reason``).  While
-    both sweeps are active, a mirrored engine's steps factorize the left
-    block alone and skip building the right blocks, which one product
-    then writes whole; the rest (left sweep, the solve at ``k0``,
-    back-substitution, chunks and the residual check) is unchanged, and
-    an engine that fails the test runs exactly the unmirrored steps.
+    kept in place) and ``S`` a diagonal signature of +-1, ``M = omega + i
+    G/2 - H`` satisfies ``(J S) M (J S) = M^T`` when ``A_{n-1-k} = S_k
+    A_k^T S_k``, ``L_{n-1-k} = S_k L_{k+1}^T S_{k+1}`` and ``U_{n-2-k} =
+    S_{k+1} U_k^T S_k``, where ``L_k = H[k, k-1]``, ``U_k = H[k, k+1]`` and
+    ``S_k`` is ``S`` on block ``k``.  The right sweep's Schur complements
+    are then ``S_k`` times the transposes of the left sweep's, so
+    ``h_right[n-1-s] = S_s (L_{s+1} h_left[s] U_s^-1)^T S_{s+1}`` needs no
+    factorization.  Each layout decides this once for all trials, by exact
+    comparison of the stored couplings, rates and diagonal-block entries,
+    first for ``S = 1`` and then, on a spinful lattice, for ``S =
+    (-1)^s``, the polarization of each site; it inverts the ``c x c``
+    blocks of ``U_s`` once, and a block beyond
+    :data:`_COUPLING_COND_LIMIT` counts as singular.  ``S = 1`` holds for
+    ``landau`` on any window (a folded even ring too), ``oam-gauge`` on a
+    symmetric one and a ``dirac`` sector on an odd number of blocks, ``S =
+    (-1)^s`` for ``qsh`` (folded even rings too), under uniform loss, clean
+    or with per-cavity detuning; per-mode random loss, coupling disorder,
+    folded odd rings and a ``dirac`` sector on an even number of blocks
+    (whose ``J`` image is the other sector) fail both (``mirrored``,
+    ``mirror_reason``).  While both sweeps are active, a mirrored layout's
+    steps factorize the left block alone and skip building the right
+    blocks, which one product then writes whole; the rest (left sweep, the
+    solve at ``k0``, back-substitution, chunks and the residual check) is
+    unchanged, and a layout that fails the test runs exactly the
+    unmirrored steps.
 
-    ``factorizations`` (one per trial and frequency),
-    ``block_factorizations`` (slice blocks factorized), ``solves``
-    (``np.linalg.solve`` calls), ``worst_residual``, ``omega_chunk`` (the
-    (trial, frequency) rows of the largest chunk) and ``work_bytes`` (the
-    largest work array) accumulate over the object's solves.
+    ``sectors`` counts the components and ``slices`` the sweep blocks (the
+    same in every sector).  ``block_size``, ``coupling_block``,
+    ``mirrored`` and ``mirror_reason`` describe every sector's layout (the
+    largest sizes, whether all are mirrored, each distinct reason), and
+    reading them builds any layout not yet built.  ``factorizations`` (one
+    per trial and frequency), ``block_factorizations`` (slice blocks
+    factorized), ``solves`` (``np.linalg.solve`` calls), ``worst_residual``,
+    ``omega_chunk`` (the (trial, frequency) rows of the largest chunk),
+    ``work_bytes`` (the largest work array) and the sectors swept
+    accumulate over the object's solves.
     """
 
     def __init__(self, H: HamiltonianMatrix | Sequence[HamiltonianMatrix],
@@ -333,43 +560,23 @@ class Resolvent:
         rows, cols, values = _shared_pattern(Hs)
         blocks = _oam_blocks(spec)
         block_of, pos_of = _positions(blocks, dim)
-        br, bc = block_of[rows], block_of[cols]
         # The largest block distance between two sites that H couples.
-        self.width = int(np.max(np.abs(br - bc), initial=1))
+        self.width = int(np.max(np.abs(block_of[rows] - block_of[cols]), initial=1))
         if self.width > 1:
             blocks = _widen(blocks, self.width)
             block_of, pos_of = _positions(blocks, dim)
-            br, bc = block_of[rows], block_of[cols]
         self._block_of, self._pos_of = block_of, pos_of
-        self.slices, self.block_size = n, b = blocks.shape
-        pr, pc = pos_of[rows], pos_of[cols]
-        inside = np.flatnonzero(br == bc)
-        off = np.flatnonzero(br != bc)
-        # A chunk scatters -D_k, so the values are negated once here.
-        self._diagonal = br[inside], pr[inside], pc[inside], -values[:, inside]
-        br, bc, pr, pc = br[off], bc[off], pr[off], pc[off]
-        self.coupling_block = c = _coupling_block(b, pr, pc)
-        m = b // c
-        # down[k] = H[k, k-1] and up[k] = H[k, k+1] (zero past the ends),
-        # each entry at its block, trial, c-group and place in the c x c
-        # block; the pattern holds each (row, col) once, so assignment is
-        # exact.
-        group, row = np.divmod(pr, c)
-        down_up = np.zeros((2 * n, T, m * c * c), dtype=complex)
-        down_up[(br < bc) * n + br, :, (group * c + row) * c + pc % c] = values[:, off].T
-        down, up = down_up.reshape(2, n, T, m, c, c)
-        # Side 0 is the left sweep at block s, side 1 the right sweep at
-        # block n - 1 - s: _outer[side, s] couples that block to the one
-        # its sweep comes from, _inner[side, s] to the one toward the pivot.
-        self._outer = np.stack([down, up[::-1]])
-        self._inner = np.stack([up, down[::-1]])
-        # A_k(omega) = omega * mask + shift - D_k; a pad site solves 1 * x = 0.
-        real = blocks >= 0
-        self._mask = real.astype(float)
-        self._shift = np.where(real[:, None], 0.5j * np.moveaxis(
-            self.rates[:, np.where(real, blocks, 0)], 0, 1), 1.0)
-        self._mirror, self.mirror_reason = self._mirror_inverses(down, up)
-        self.mirrored = self._mirror is not None
+        self.slices = blocks.shape[0]
+        self._spin_dim = spec.spin_dim
+        self._sector = _sectors(dim, rows, cols)
+        self.sectors = int(self._sector.max()) + 1
+        if self.sectors == 1:
+            self._layouts = {0: _Layout(blocks, (block_of, pos_of), None,
+                                        (rows, cols, values), self.rates, spec.spin_dim)}
+        else:
+            self._layouts = {}
+            self._blocks, self._entries = blocks, (rows, cols, values)
+        self._swept: set[int] = set()
         self.factorizations = 0
         self.block_factorizations = 0
         self.solves = 0
@@ -377,54 +584,51 @@ class Resolvent:
         self.omega_chunk = 0
         self.work_bytes = 0
 
-    def _mirror_inverses(self, down: np.ndarray, up: np.ndarray
-                         ) -> tuple[np.ndarray | None, str]:
-        """``(U_s^-1)^T`` for every step whose right block can be mirrored,
-        shape ``((slices - 1) // 2, trials, b/c, c, c)``, and why; ``None``
-        where ``J M J = M^T`` fails for some trial.
+    def _layout(self, sector: int) -> _Layout:
+        """The layout of one sector, built on first use."""
+        if sector not in self._layouts:
+            rows, cols, values = self._entries
+            inside = self._sector == sector
+            blocks = _sector_blocks(self._blocks, inside)
+            keep = np.flatnonzero(inside[rows])
+            self._layouts[sector] = _Layout(
+                blocks, _positions(blocks, self.dim), np.flatnonzero(inside),
+                (rows[keep], cols[keep], values[:, keep]), self.rates, self._spin_dim)
+        return self._layouts[sector]
 
-        The comparisons are exact and run cheapest first, so inputs that
-        fail (per-mode loss, coupling disorder) stop at the couplings or
-        the rates.
-        """
-        n = self.slices
-        if n < 3:
-            return None, "not mirrored: fewer than three slices"
-        # L_k = L_{n-k}^T and U_k = U_{n-2-k}^T, block by c x c block.
-        if not (np.array_equal(down[1:], down[:0:-1].swapaxes(-1, -2))
-                and np.array_equal(up[:-1], up[-2::-1].swapaxes(-1, -2))):
-            return None, "not mirrored: the OAM couplings are not mirror transposes"
-        # A pad site's shift is 1 and a real site's i gamma/2, so this also
-        # compares the pads.
-        if not np.array_equal(self._shift, self._shift[::-1]):
-            return None, "not mirrored: the decay rates are not mirror images"
-        block, row, col, value = self._diagonal
-        b = self.block_size
-        # The two end blocks first, a small part where most failures show.
-        for part in (np.flatnonzero((block == 0) | (block == n - 1)), slice(None)):
-            k, i, j, v = block[part], row[part], col[part], value[:, part]
-            key, image = (k * b + i) * b + j, ((n - 1 - k) * b + j) * b + i
-            # Both come in sorted runs, which a stable sort merges quickly.
-            order = np.argsort(key, kind="stable")
-            image_order = np.argsort(image, kind="stable")
-            if not (np.array_equal(key[order], image[image_order])
-                    and np.array_equal(v[:, order], v[:, image_order])):
-                return None, "not mirrored: the slice blocks D_k are not mirror transposes"
-        coupling = up[: (n - 1) // 2]
-        with np.errstate(all="ignore"):
-            try:
-                # A 1 x 1 block's inverse is its reciprocal, far cheaper than
-                # one LAPACK call per block.
-                inverse = (1 / coupling if coupling.shape[-1] == 1
-                           else np.linalg.inv(coupling))
-            except np.linalg.LinAlgError:
-                inverse = np.full_like(coupling, np.nan)
-            size = np.abs(coupling).max(axis=(-2, -1)) * np.abs(inverse).max(axis=(-2, -1))
-        # A zero or NaN block fails too.
-        if not np.all(size <= _COUPLING_COND_LIMIT):
-            return None, "not mirrored: a coupling block U_k is singular"
-        return (inverse.swapaxes(-1, -2),
-                "mirrored: J M J = M^T, so the left sweep gives the right one")
+    def _all_layouts(self) -> list[_Layout]:
+        return [self._layout(g) for g in range(self.sectors)]
+
+    @property
+    def block_size(self) -> int:
+        """The largest sweep block of any sector."""
+        return max(layout.block_size for layout in self._all_layouts())
+
+    @property
+    def coupling_block(self) -> int:
+        """The largest coupling block of any sector."""
+        return max(layout.coupling_block for layout in self._all_layouts())
+
+    @property
+    def mirrored(self) -> bool:
+        """Whether every sector's right sweep is mirrored from its left one."""
+        return all(layout.mirrored for layout in self._all_layouts())
+
+    @property
+    def mirror_reason(self) -> str:
+        """Why each sector is mirrored or not: its distinct reasons."""
+        return _distinct(layout.mirror_reason for layout in self._all_layouts())
+
+    def _groups(self, rows: np.ndarray) -> list[tuple[int, _Layout, np.ndarray]]:
+        """``(sector, layout, ports)`` for each sector holding a port, with
+        ``ports`` indexing ``rows``."""
+        if self.sectors == 1:
+            return [(0, self._layouts[0], np.arange(rows.size))]
+        sector = self._sector[rows]
+        # A count, not np.unique: under NumPy 2.4 the first np.unique call
+        # keeps about 0.5 MB allocated for the life of the process.
+        held = np.flatnonzero(np.bincount(sector, minlength=self.sectors))
+        return [(g, self._layout(g), np.flatnonzero(sector == g)) for g in held.tolist()]
 
     def _port_rows(self, rows: Sequence[int]) -> np.ndarray:
         """``rows`` as a flat index array, each an integer in ``[0, dim)``."""
@@ -466,8 +670,8 @@ class Resolvent:
         bad = omegas[~np.isfinite(omegas)]
         if bad.size:
             raise ValueError(f"omega must be finite, got {bad[0]!r}")
-        batch = max(1, _CHUNK_BYTES // _row_bytes(self.slices, self.block_size,
-                                                  rows.size))
+        b = max(layout.block_size for _, layout, _ in self._groups(rows))
+        batch = max(1, _CHUNK_BYTES // _row_bytes(self.slices, b, rows.size))
         if batch >= omegas.size:  # whole trials per chunk
             per_chunk, chunk = min(self.trials, batch // omegas.size), omegas.size
         else:  # one trial's grid in parts
@@ -532,25 +736,37 @@ class Resolvent:
         return power[0] if self._single else power
 
     def _sweep(self, trials: slice, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """One chunk: sweeps, the solve at the last port block,
-        back-substitution and each trial's residual check.
+        """One chunk: for each sector holding a port, the sweeps, the solve
+        at the last port block and back-substitution; then each trial's
+        residual check.
 
         Returns the columns in flat order, shape ``(dim, trials x
-        len(omegas), ports)``.
+        len(omegas), ports)``, exactly 0 outside the ports' sectors.
         """
+        w = omegas.size
+        batch = (trials.stop - trials.start) * w
+        x = None
         try:
-            X = self._block_columns(trials, omegas, rows)
+            for g, layout, ports in self._groups(rows):
+                X = self._block_columns(layout, trials, omegas, rows[ports])
+                block, position = layout.gather
+                part = X.reshape(self.slices, batch, layout.block_size, ports.size)[
+                    block, :, position]
+                del X
+                if layout.sites is None:
+                    x = part
+                else:
+                    if x is None:
+                        x = np.zeros((self.dim, batch, rows.size), dtype=complex)
+                    x[layout.sites[:, None, None], np.arange(batch)[:, None], ports] = part
+                self._swept.add(g)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 f"solve residual unbounded: singular slice block ({exc}) in "
                 f"trials {trials.start}..{trials.stop - 1} at omega in "
                 f"[{omegas.min()}, {omegas.max()}]"
             ) from None
-        w = omegas.size
-        self.factorizations += (trials.stop - trials.start) * w
-        x = X.reshape(self.slices, -1, self.block_size, rows.size)[
-            self._block_of, :, self._pos_of]
-        del X
+        self.factorizations += batch
         for i, t in enumerate(range(trials.start, trials.stop)):
             # r = e - (omega - H + i G/2) x; each e has unit norm, so the
             # column norms of r are relative residuals.
@@ -569,41 +785,41 @@ class Resolvent:
             self.worst_residual = max(self.worst_residual, residual)
         return x
 
-    def _block_columns(self, trials: slice, omegas: np.ndarray, rows: np.ndarray
-                       ) -> np.ndarray:
-        """The columns of one chunk block by block, shape ``(slices,
-        trials, len(omegas), block_size, len(rows))``.
+    def _block_columns(self, layout: _Layout, trials: slice, omegas: np.ndarray,
+                       rows: np.ndarray) -> np.ndarray:
+        """The columns of one chunk on one sector's ``layout``, block by
+        block, shape ``(slices, trials, len(omegas), block_size, len(rows))``.
 
         The chunk's work array lives only inside this call, so it is freed
         before the caller gathers the columns.
         """
-        n, b, p = self.slices, self.block_size, rows.size
-        count, w, c = trials.stop - trials.start, omegas.size, self.coupling_block
+        n, b, p = self.slices, layout.block_size, rows.size
+        count, w, c = trials.stop - trials.start, omegas.size, layout.coupling_block
         m = b // c
         port_block = self._block_of[rows]
         first, k0 = int(port_block.min()), int(port_block.max())
         # How many steps mirror their right block instead of factorizing
         # it: all those on which both sweeps are active.
-        pairs = min(k0, n - 1 - k0) if self.mirrored else 0
+        pairs = min(k0, n - 1 - k0) if layout.mirrored else 0
         # work[k] = A_k = omega + i G/2 - D_k for every trial and frequency,
         # on each block but the mirrored ones, which are written whole.
         built = n - pairs
         work = np.zeros((n, count, w, b, b), dtype=complex)
-        block, row, col, value = self._diagonal
+        block, row, col, value = layout.diagonal
         value = value[trials]
         if pairs:
             keep = np.flatnonzero(block < built)
             block, row, col, value = block[keep], row[keep], col[keep], value[:, keep]
         work[block, :, :, row, col] = value.T[:, :, None]
-        diagonal = (omegas[:, None] * self._mask[:built, None, None]
-                    + self._shift[:built, trials, None])
+        diagonal = (omegas[:, None] * layout.mask[:built, None, None]
+                    + layout.shift[:built, trials, None])
         work[:built].reshape(built, count, w, b * b)[..., :: b + 1] += diagonal
         self.work_bytes = max(self.work_bytes, work.nbytes)
         # Rows in groups of c: a block-diagonal coupling times slot k is one
         # matmul over its c x c blocks, coupling @ grouped[k].
         grouped = work.reshape(n, count, w, m, c, b)
-        outer = self._outer[:, :, trials, None]
-        inner = self._inner[:, :, trials, None]
+        outer = layout.outer[:, :, trials, None]
+        inner = layout.inner[:, :, trials, None]
         down, up = outer[0], inner[0]  # H[k, k-1] and H[k, k+1] by block
         # One dense right-hand side per side and trial for every sweep
         # solve: the coupling is written into its diagonal c x c blocks,
@@ -623,7 +839,7 @@ class Resolvent:
 
         # E[k] holds the unit columns of the ports on block k.
         E = np.zeros((n, b, p))
-        E[port_block, self._pos_of[rows], np.arange(p)] = 1.0
+        E[port_block, layout.pos_of[rows], np.arange(p)] = 1.0
         X = np.empty((n, count, w, b, p), dtype=complex)
 
         def carried(k):
@@ -678,13 +894,15 @@ class Resolvent:
                 work[blocks] = np.linalg.solve(work[blocks], rhs_stack[sides])
             matrices += sides.stop - sides.start
             if s == pairs - 1:
-                # h_right[n-1-s] = (L_{s+1} h_left[s] U_s^-1)^T for every s <
-                # pairs, by c x c blocks: entry [g a, h b] is the sum over z, y
-                # of (U_s^-1)^T[g]_{a z} h_left[s][h y, g z] L_{s+1}[h]_{b y}.
+                # h_right[n-1-s] = S_s (L_{s+1} h_left[s] U_s^-1)^T S_{s+1}
+                # for every s < pairs, by c x c blocks: entry [g a, h b] is
+                # the sum over z, y of (S_s (U_s^-1)^T)[g]_{a z} h_left[s][h
+                # y, g z] (S_{s+1} L_{s+1})[h]_{b y}.
                 shape = (pairs, count, w, m, c, m, c)
                 np.einsum("stgaz,stwhygz,sthby->stwgahb",
-                          self._mirror[s::-1, trials], work[s::-1].reshape(shape),
-                          down[pairs:0:-1, :, 0], out=work[n - pairs:].reshape(shape))
+                          layout.mirror[s::-1, trials], work[s::-1].reshape(shape),
+                          layout.mirror_down[s::-1, trials],
+                          out=work[n - pairs:].reshape(shape))
         self.block_factorizations += matrices * count * w
         S = work[k0]
         if k0:
@@ -704,31 +922,47 @@ class Resolvent:
         return X
 
     def log(self, reason: str) -> None:
-        """One DEBUG record for this engine call (path ``oam-rgf``)."""
+        """One DEBUG record for this engine call (path ``oam-rgf``), on the
+        sectors swept so far."""
+        swept = [self._layouts[g] for g in sorted(self._swept)]
+        mirrored = bool(swept) and all(layout.mirrored for layout in swept)
+        signature = _distinct(f"S = {layout.signature}" for layout in swept
+                              if layout.mirrored) or "none"
+        sites = sum(layout.size for layout in swept)
+        block_size = max((layout.block_size for layout in swept), default=0)
+        coupling_block = max((layout.coupling_block for layout in swept), default=0)
         if self.width > 1:
             reason += (f"; H couples OAM slices {self.width} apart, so each "
                        f"block joins {self.width} slices")
-        reason += f"; {self.mirror_reason}"
+        reason += (f"; {len(swept)} of {self.sectors} sector(s) swept, {sites} of "
+                   f"{self.dim} sites solved, signature {signature}; "
+                   + _distinct(layout.mirror_reason for layout in swept))
         _LOG.debug(
             "resolvent path=oam-rgf (%s): %d factorization(s) of %d slice "
             "block(s) for %d trial(s) in %d solve call(s) over %d slices of "
             "size %d with %dx%d coupling blocks, in chunks of %d on a %d-byte "
             "work array, worst relative residual %.3e",
             reason, self.factorizations, self.block_factorizations, self.trials,
-            self.solves, self.slices, self.block_size, self.coupling_block,
-            self.coupling_block, self.omega_chunk, self.work_bytes,
-            self.worst_residual,
+            self.solves, self.slices, block_size, coupling_block, coupling_block,
+            self.omega_chunk, self.work_bytes, self.worst_residual,
             extra={"solver_path": "oam-rgf", "solver_reason": reason,
                    "factorizations": self.factorizations,
                    "block_factorizations": self.block_factorizations,
-                   "mirrored": self.mirrored,
+                   "mirrored": mirrored, "signature": signature,
+                   "sectors": self.sectors, "sectors_swept": len(swept),
+                   "sites_solved": sites, "dim": self.dim,
                    "trials": self.trials, "solves": self.solves,
                    "worst_residual": self.worst_residual,
-                   "slices": self.slices, "block_size": self.block_size,
+                   "slices": self.slices, "block_size": block_size,
                    "omega_chunk": self.omega_chunk,
-                   "coupling_block": self.coupling_block,
+                   "coupling_block": coupling_block,
                    "work_bytes": self.work_bytes},
         )
+
+
+def _distinct(reasons: Iterator[str]) -> str:
+    """The distinct ``reasons`` in their order, joined by ``"; "``."""
+    return "; ".join(dict.fromkeys(reasons))
 
 
 def greens_apply(H: HamiltonianMatrix, decay: DecaySpec, omega: float,

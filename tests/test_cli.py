@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import logging
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -454,6 +455,26 @@ def test_spectrum_inputs_list_matches_library(tmp_path):
     assert [float(line.split(",")[1]) for line in lines[1:]] == expected.tolist()
 
 
+def test_default_spectrum_inputs_are_listed_at_run_time(tmp_path):
+    # Validation does not grow with the lattice: a million cavities.
+    cfg = spectrum_config()
+    cfg["lattice"] = {"n_x": 10**6, "l_min": -5, "l_max": 5}
+    tracemalloc.start()
+    try:
+        assert validate_config(cfg) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    # The run takes every cavity and polarization at OAM 0.
+    cfg = spectrum_config(model={"builder": "qsh", "lambda0": 0.6})
+    cfg["lattice"] = {"n_x": 4, "l_min": -5, "l_max": 5, "spin_dim": 2}
+    default = run_cli(tmp_path, cfg, out="default")
+    listed = run_cli(tmp_path, dict(cfg, inputs=[[j, 0, s] for j in range(4) for s in (0, 1)]),
+                     out="listed")
+    assert (default / "spectrum.csv").read_bytes() == (listed / "spectrum.csv").read_bytes()
+
+
 def test_spectrum_inputs_must_be_sites_in_the_window():
     assert [d.path for d in fatals(spectrum_config(inputs=[]))] == ["inputs"]
     found = fatals(spectrum_config(inputs=[[0, 0], [1, 9]]))
@@ -763,6 +784,31 @@ def test_rerun_is_byte_identical_and_thread_independent(tmp_path):
         man["threads"] = 0
         manifests.append(json.dumps(man, sort_keys=True))
     assert manifests[0] == manifests[1] == manifests[2]
+
+
+def test_disorder_on_qsh_sectors_does_not_depend_on_threads(tmp_path, caplog):
+    # Model B on qsh: per-link coupling and per-mode loss errors, with
+    # region ports of both polarizations, so both sectors are swept.
+    cfg = {
+        "kind": "disorder", "seed": 3,
+        "lattice": {"n_x": 4, "l_min": -5, "l_max": 5, "spin_dim": 2},
+        "model": {"builder": "qsh", "lambda0": 0.6},
+        "decay": {"gamma": 0.2},
+        "omega": {"values": [-1.6, -0.4]},
+        "region": {"side": "left", "depth": 2},
+        "disorder": {"sigma_coupling_mag": 0.05, "sigma_loss": 0.02,
+                     "scope": "per_oam_link", "envelope_width": 3, "trials": 4},
+    }
+    with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+        one = run_cli(tmp_path, cfg, out="t1")
+    three = run_cli(tmp_path, cfg, "--threads", "3", out="t3")
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in three.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (one / name).read_bytes() == (three / name).read_bytes(), name
+    engines = [r for r in caplog.records if getattr(r, "solver_path", None)]
+    assert engines and all(r.sectors_swept == r.sectors == 2 for r in engines)
 
 
 def test_disorder_seed_reproducibility(tmp_path):

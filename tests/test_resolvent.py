@@ -346,13 +346,16 @@ def test_each_engine_record_explains_its_storage(caplog):
         for H in cases:
             total_transmission_spectrum(H, decay, [SiteIndex(0, 0, 0)], grid)
     records = [r for r in caplog.records if r.name == "oamphoton"]
-    # OAM hops stay in their cavity: scalar hops (the qsh hops keep the
-    # polarization too) or 2x2 Jones blocks, also on a folded even ring.
-    # The middle slice of a folded odd ring couples to both halves of its
-    # neighbour block, and a hop that joins two cavities two slices apart
-    # widens the blocks: the couplings then fill whole blocks.
-    assert [r.coupling_block for r in records] == [1, 1, 2, 2, 12, 8]
-    assert [r.block_size for r in records] == [4, 8, 6, 12, 12, 8]
+    # OAM hops stay in their cavity: scalar hops, or one site per cavity
+    # and slice in a sector of qsh or dirac (two slices on a folded even
+    # ring), so the swept sector's blocks hold half the sites and couple
+    # 1x1.  A folded odd ring joins dirac's two sectors: its middle slice
+    # couples to both halves of its neighbour block, and a hop that joins
+    # two cavities two slices apart widens the blocks: the couplings then
+    # fill whole blocks.
+    assert [r.sectors for r in records] == [1, 2, 2, 2, 1, 1]
+    assert [r.coupling_block for r in records] == [1, 1, 1, 1, 12, 8]
+    assert [r.block_size for r in records] == [4, 4, 3, 6, 12, 8]
     for r in records:
         assert r.work_bytes == 16 * r.slices * r.omega_chunk * r.block_size ** 2
         assert f"{r.coupling_block}x{r.coupling_block} coupling blocks" in r.getMessage()
@@ -377,10 +380,12 @@ def test_each_engine_record_counts_trials_and_solves(caplog):
     # Monte Carlo driver makes one engine for its three trials and calls it
     # once for the ports of both input OAM values: ports on the middle
     # slice and the next take four steps (the left sweep alone for the
-    # last) and one port solve.
+    # last) and one port solve.  qsh splits into two sectors and the ports
+    # of both polarizations reach both, so each sector takes those solves.
     assert [r.trials for r in records] == [3, 1, 3]
     assert [r.factorizations for r in records] == [6, 2, 6]
-    assert [r.solves for r in records] == [4, 4, 5]
+    assert [r.sectors_swept for r in records] == [2, 2, 2]
+    assert [r.solves for r in records] == [2 * 4, 2 * 4, 2 * 5]
     for r in records:
         message = r.getMessage()
         assert f"{r.trials} trial(s) in {r.solves} solve call(s)" in message
@@ -436,11 +441,13 @@ def test_ports_on_one_block_take_one_solve_per_sweep_step(monkeypatch):
         np.testing.assert_allclose(x[:, i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     # Seven OAM slices, the ports on the middle one: both sweeps take three
     # steps toward it, each step one solve for both sides, then one solve
-    # at the port block for every port at once.
+    # at the port block for every port at once.  The ports sit two in each
+    # of qsh's two sectors, which are swept in turn on half-width blocks.
     b = engine.block_size
-    assert engine.slices == 7
-    assert calls == [(2, 1, omegas.size, b, b)] * 3 + [(1, omegas.size, b, len(rows))]
-    assert engine.solves == 4
+    assert (engine.slices, engine.sectors, b) == (7, 2, H.spec.n_x)
+    sector = [(2, 1, omegas.size, b, b)] * 3 + [(1, omegas.size, b, len(rows) // 2)]
+    assert calls == sector * 2
+    assert engine.solves == 8
 
 
 # ---------------------------------------------------------------- port rows
@@ -773,8 +780,12 @@ def _unmirrored_case(name):
                 [loss_perturbed_decay(GAMMA, H.spec, model, seed) for seed in range(3)],
                 centred, "OAM couplings")
     if name == "qsh":
+        # qsh mirrors with S = (-1)^s under uniform loss, so it takes
+        # per-mode rates; its ports on the middle slice, all in the sector
+        # of (j + s) even.
         qsh = LATTICES["qsh"]
-        return qsh, DecaySpec.uniform(GAMMA), edge_rows(qsh), "slice blocks"
+        rows = [flat_index(qsh.spec, SiteIndex(j, 0, j % 2)) for j in range(qsh.spec.n_x)]
+        return qsh, per_mode(qsh), rows, "decay rates"
     # Nine OAM slices on a ring fold into five blocks; OAM -2 lies on block 2.
     ring = LATTICES["scalar-periodic"]
     return (ring, DecaySpec.uniform(GAMMA),
@@ -802,7 +813,8 @@ def test_mirrored_left_sweep_is_bitwise_the_unmirrored_one(monkeypatch):
 
     def recorded(a, b):
         x = solve(a, b)
-        results[-1].append(x)
+        if x.ndim == 5:  # a sweep step: (sides, trials, frequencies, b, columns)
+            results[-1].append(x)
         return x
 
     monkeypatch.setattr(np.linalg, "solve", recorded)
@@ -810,15 +822,20 @@ def test_mirrored_left_sweep_is_bitwise_the_unmirrored_one(monkeypatch):
     for mirrored in (True, False):
         engine = Resolvent(H, DecaySpec.uniform(GAMMA))
         assert engine.mirrored
-        engine.mirrored = mirrored
+        for g in range(engine.sectors):
+            engine._layout(g).mirrored = mirrored
         results.append([])
-        (_, x), = engine.columns(grid, _mirror_ports(engine)["several blocks"])
+        # Ports on several blocks, the middle one last in both of dirac's
+        # sectors, so that every sweep step has a left block.
+        ports = _mirror_ports(engine)
+        rows = np.union1d(ports["several blocks"], ports["centred"])
+        assert np.unique(engine._sector[rows]).size == 2
+        (_, x), = engine.columns(grid, rows)
         columns.append(x)
     mirrored, unmirrored = results
-    assert len(mirrored) == len(unmirrored)
-    # Every sweep solve (all but the last, at the port block) agrees on
-    # the left side.
-    for left, both in zip(mirrored[:-1], unmirrored[:-1]):
+    # Every sweep solve, in each sector, agrees on the left side.
+    assert len(mirrored) == len(unmirrored) == 6
+    for left, both in zip(mirrored, unmirrored):
         np.testing.assert_array_equal(left[0], both[0])
     np.testing.assert_allclose(columns[0], columns[1], rtol=0,
                                atol=1e-13 * np.abs(columns[1]).max())
@@ -835,11 +852,104 @@ def test_engine_record_reports_the_mirror(caplog):
                                     [SiteIndex(0, 0, 0)], grid)
     records = [r for r in caplog.records if r.name == "oamphoton"]
     # 101 slices, ports on the middle one: 50 steps and the port block,
-    # one block per step when mirrored and two otherwise.
-    assert [r.mirrored for r in records] == [True, False, False]
-    assert [r.block_factorizations for r in records] == [51 * 3, 101 * 3, 7 * 3]
+    # one block per step when mirrored and two otherwise.  qsh mirrors its
+    # sector with the polarization signature: 3 steps and the port block.
+    assert [r.mirrored for r in records] == [True, False, True]
+    assert [r.block_factorizations for r in records] == [51 * 3, 101 * 3, 4 * 3]
+    assert [r.signature for r in records] == ["S = 1", "none", "S = (-1)^s"]
     assert "mirrored: J M J = M^T" in records[0].solver_reason
     assert "not mirrored: the decay rates" in records[1].solver_reason
-    assert "not mirrored: the slice blocks" in records[2].solver_reason
+    assert "mirrored: (J S) M (J S) = M^T with S = (-1)^s" in records[2].solver_reason
     for r in records:
         assert f"of {r.block_factorizations} slice block(s)" in r.getMessage()
+
+
+# ----------------------------------------------------------------- sectors
+
+def _sector_lattices():
+    qsh = LatticeSpec(n_x=4, l_min=-3, l_max=3, spin_dim=2)
+    dirac = LatticeSpec(n_x=3, l_min=-3, l_max=3, spin_dim=2)
+    # Folded even rings: block k holds slices k and n_l - 1 - k.
+    qsh_ring = LatticeSpec(n_x=4, l_min=-4, l_max=3, spin_dim=2, bc_y=Boundary.PERIODIC)
+    dirac_ring = LatticeSpec(n_x=3, l_min=-3, l_max=4, spin_dim=2, bc_y=Boundary.PERIODIC)
+    return {
+        "qsh": build_qsh(qsh, 0.05, 0.6),
+        "qsh beta0 0": build_qsh(qsh, 0.0, 0.6),
+        "qsh even ring": build_qsh(qsh_ring, 0.05, 0.6),
+        "dirac": build_dirac(dirac, 1.0 / 6.0),
+        "dirac even ring": build_dirac(dirac_ring, 1.0 / 6.0),
+    }
+
+
+SECTOR_LATTICES = _sector_lattices()
+
+
+def _sector_ports(engine, which):
+    """Ports on the middle block and the one below it, in sector 0, in
+    sector 1 or in both."""
+    centre = (engine.slices - 1) // 2
+    rows = np.concatenate([_block_rows(engine, k) for k in (centre - 1, centre)])
+    return rows if which == "both" else rows[engine._sector[rows] == int(which[-1])]
+
+
+def _assert_sector_columns(engine, Hs, decays, grid, rows):
+    """The columns of every trial match dense solves, and are exactly 0
+    on every site outside their port's sector."""
+    (_, x), = engine.columns(grid, rows)
+    for t, (h, decay) in enumerate(zip(Hs, decays)):
+        for i, omega in enumerate(grid):
+            ref = dense_columns(h, decay, omega, rows)
+            np.testing.assert_allclose(x[:, t * grid.size + i], ref, rtol=0,
+                                       atol=1e-12 * np.abs(ref).max())
+    unreached = engine._sector[:, None] != engine._sector[rows]
+    assert unreached.any()
+    assert np.all(x.transpose(1, 0, 2)[:, unreached] == 0)
+
+
+@pytest.mark.parametrize("name", sorted(SECTOR_LATTICES))
+@pytest.mark.parametrize("ports", ["sector 0", "sector 1", "both"])
+def test_sector_columns_match_dense_columns(name, ports):
+    H = SECTOR_LATTICES[name]
+    decay = DecaySpec.uniform(GAMMA)
+    engine = Resolvent(H, decay)
+    # Two sectors of equal size, each holding half of every block.
+    assert engine.sectors == 2
+    assert np.bincount(engine._sector).tolist() == [H.dim // 2] * 2
+    assert engine.block_size == H.spec.n_x * H.spec.spin_dim * (
+        2 if "ring" in name else 1) // 2
+    if name.startswith("qsh"):
+        assert engine.mirrored and "S = (-1)^s" in engine.mirror_reason
+    _assert_sector_columns(engine, [H], [decay], np.array([-1.7, 0.4]),
+                           _sector_ports(engine, ports))
+
+
+def test_sectors_on_a_monte_carlo_trial_stack():
+    # Model B: per-OAM-link coupling errors and per-mode loss errors.
+    H = SECTOR_LATTICES["qsh"]
+    model = DisorderModel.oam_link_errors(sigma_mag=0.05, sigma_loss=0.02, width=2.0)
+    Hs = [sample_disordered_hamiltonian(H, model, seed) for seed in range(3)]
+    decays = [loss_perturbed_decay(GAMMA, H.spec, model, seed) for seed in range(3)]
+    engine = Resolvent(Hs, decays)
+    assert engine.sectors == 2 and not engine.mirrored
+    _assert_sector_columns(engine, Hs, decays, np.array([-1.6, 0.3]),
+                           _sector_ports(engine, "both"))
+
+
+def test_engine_record_reports_its_sectors(caplog):
+    decay = DecaySpec.uniform(GAMMA)
+    q12 = build_qsh(LatticeSpec(n_x=12, l_min=-50, l_max=50, spin_dim=2), 0.0, 0.6)
+    with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+        transmission_map(LATTICES["scalar-open"], decay, -2.2, SiteIndex(0, 0, 0))
+        transmission_map(q12, decay, -1.6, SiteIndex(0, 0, 1))
+        displacement_spectrum(LATTICES["qsh"], decay, np.array([-1.6]),
+                              EdgeRegion(Side.LEFT, 1))
+    records = [r for r in caplog.records if r.name == "oamphoton"]
+    assert [r.sectors for r in records] == [1, 2, 2]
+    assert [r.sectors_swept for r in records] == [1, 1, 2]
+    assert [(r.sites_solved, r.dim) for r in records] == [(28, 28), (1212, 2424), (56, 56)]
+    assert [r.signature for r in records] == ["S = 1", "S = (-1)^s", "S = (-1)^s"]
+    # The q12x101 map: 51 blocks of width 12 per frequency, not 101 of 24.
+    assert (records[1].block_factorizations, records[1].block_size) == (51, 12)
+    for r in records:
+        assert (f"{r.sectors_swept} of {r.sectors} sector(s) swept, {r.sites_solved} "
+                f"of {r.dim} sites solved, signature {r.signature}") in r.solver_reason

@@ -447,9 +447,15 @@ def test_butterfly_zero_flux_row_support():
 def test_butterfly_half_flux_gapless_and_symmetric():
     spec = LatticeSpec(n_x=8, l_min=-8, l_max=8)
     grid = np.linspace(-4.5, 4.5, 301)
-    rows = butterfly_scan(spec, np.array([0.5]), grid, DecaySpec.uniform(0.1))
-    row = rows[0]
-    np.testing.assert_allclose(row, row[::-1], rtol=1e-8)
+    half, decay = np.array([0.5]), DecaySpec.uniform(0.1)
+    row = butterfly_scan(spec, half, grid, decay)[0]
+    # The reference: the omega < 0 and omega > 0 halves in two calls, each
+    # grid without +-omega partners, so every point of both is solved.
+    low = butterfly_scan(spec, half, grid[grid < 0], decay)[0]
+    high = butterfly_scan(spec, half, grid[grid > 0], decay)[0]
+    np.testing.assert_allclose(high, low[::-1], rtol=1e-8)
+    np.testing.assert_allclose(row[grid < 0], low, rtol=1e-8)
+    np.testing.assert_allclose(row[grid > 0], high, rtol=1e-8)
     mid = row[np.abs(grid) < 0.5]
     assert mid.min() > 1e-2 * row.max()
 
