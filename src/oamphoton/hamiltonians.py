@@ -24,7 +24,6 @@ Builders provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -47,9 +46,6 @@ __all__ = [
 
 DENSE_DIM_LIMIT = 4096
 """:attr:`HamiltonianMatrix.data` is dense up to this dimension, CSR above."""
-
-_MATVEC_TILE_BYTES = 256 * 2**10
-"""Rows of :meth:`HamiltonianMatrix.matvec` output handled at once (bytes)."""
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -270,53 +266,6 @@ class HamiltonianMatrix:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         out[self.rows, self.cols] = self.values
         return out
-
-    def matvec(self, x: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
-        """``H @ x`` for a vector or a block of columns (``x.shape[0] == dim``).
-
-        With ``shift``, ``H @ x - shift * x``: a diagonal shift, broadcast
-        against ``x`` (one value per row, or per row and column), such as
-        ``omega + i G/2`` in a residual.  Works over tiles of rows sized to
-        stay in cache, one scaled slice of ``x`` per offset diagonal.
-        """
-        x = np.asarray(x)
-        if x.ndim == 0 or x.shape[0] != self.dim:
-            raise ValueError(f"operand shape {x.shape} does not match the "
-                             f"dimension {self.dim}")
-        y = np.empty(x.shape, dtype=np.result_type(x, complex))
-        if shift is not None:
-            shift = np.broadcast_to(-np.asarray(shift), x.shape)
-        tile = max(1, _MATVEC_TILE_BYTES // (y.itemsize * max(1, y[:1].size)))
-        scratch = np.empty((min(tile, self.dim),) + x.shape[1:], dtype=y.dtype)
-        column = (slice(None),) + (None,) * (x.ndim - 1)
-        offsets, diagonals = self._diagonals
-        for a in range(0, self.dim, tile):
-            b = min(a + tile, self.dim)
-            if shift is None:
-                y[a:b] = 0.0
-            else:
-                np.multiply(shift[a:b], x[a:b], out=y[a:b])
-            for offset, diagonal in zip(offsets, diagonals):
-                lo, hi = max(a, -offset), min(b, self.dim - offset)
-                if lo < hi:
-                    part = scratch[: hi - lo]
-                    np.multiply(diagonal[lo:hi][column], x[lo + offset: hi + offset],
-                                out=part)
-                    y[lo:hi] += part
-        return y
-
-    @cached_property
-    def _diagonals(self) -> tuple[list[int], np.ndarray]:
-        """The offsets ``col - row`` that hold entries, and one row per
-        offset: ``diagonals[k][i] = H[i, i + offsets[k]]``, zero where ``H``
-        has no entry, so :meth:`matvec` works on slices only."""
-        shifted = self.cols - self.rows + self.dim - 1
-        present = np.flatnonzero(np.bincount(shifted, minlength=2 * self.dim - 1))
-        index = np.zeros(2 * self.dim - 1, dtype=np.intp)
-        index[present] = np.arange(present.size)
-        diagonals = np.zeros((present.size, self.dim), dtype=complex)
-        diagonals[index[shifted], self.rows] = self.values
-        return (present - (self.dim - 1)).tolist(), diagonals
 
     def hermiticity_defect(self) -> float:
         """Max-norm of ``H - H^dagger`` (should be < 1e-12).

@@ -29,16 +29,15 @@ right sweep follows from the left one, and only the left blocks are
 factorized.  Each solve is batched over (trial, frequency) pairs:
 one ``H`` over a chunk of frequencies, or a stack of Monte Carlo trials
 on one lattice, each with its own decay rates, over their frequencies.
-The cost is linear in the number of slices and exact, with a residual
-bound on every returned column, checked against its own trial's ``H``;
-the memory is the trials' entries plus one work array per chunk.  Each
-engine call logs one DEBUG record to the ``oamphoton`` logger: the path
-and why, the sectors swept and the sites solved against ``dim``, whether
-the sweeps were mirrored, with which signature and why, the
-factorizations (one per trial and frequency) and of slice blocks, the
-trials, the ``np.linalg.solve`` calls, the slice count, block size,
-coupling block and chunk, the bytes of one chunk's work array, and the
-worst relative residual.
+The cost is linear in the number of slices and exact.  A chunk's one
+work array holds ``A_k``, then the transfer matrices, then the columns,
+each over the last; total power and the residual check of every column
+against its own trial's ``H`` are reduced from it in block order, and
+only callers that need columns gather them into flat order.  So the
+memory is the trials' entries plus one work array per chunk.  Each
+engine call logs one DEBUG record to the ``oamphoton`` logger, which
+explains its path, sectors, mirror, solves, chunks and worst residual
+(see :meth:`Resolvent.log`).
 
 Two exact identities halve a total-power spectrum's work.  Every flux
 builder hops only between the two sublattices of ``C = (-1)^(j+l)``, so
@@ -78,8 +77,11 @@ __all__ = [
 RESIDUAL_RTOL = 1e-10
 """Relative residual bound enforced on every resolvent column."""
 
-_CHUNK_BYTES = 16 * 2**20
-"""Working memory of one frequency chunk: its slice solves and columns."""
+_CHUNK_BYTES = 5 * 2**20
+"""Working memory of one chunk (see :func:`_row_bytes`)."""
+
+_TILE_BYTES = 256 * 2**10
+"""Columns the residual check copies into flat block order at once."""
 
 _COUPLING_COND_LIMIT = 1e3
 """Bound on ``max|U| max|U^-1|`` for each ``c x c`` coupling block ``U`` that
@@ -206,24 +208,29 @@ def _coupling_block(b: int, pr: np.ndarray, pc: np.ndarray) -> int:
                 if b % c == 0 and np.array_equal(pr // c, pc // c))
 
 
-def _row_bytes(slices: int, block_size: int, ports: int) -> int:
-    """Working memory of one (trial, frequency) row of a chunk."""
-    return 16 * slices * block_size * (block_size + 6 * ports)
+def _row_bytes(slices: int, block_size: int, ports: int, carried: int = 0) -> int:
+    """Working memory of one (trial, frequency) row of a chunk: per block a
+    work array slot, the copy of fewer columns than it holds and two power
+    sums; and the partial columns of ``carried`` blocks below ``k0``."""
+    columns = block_size + ports if ports < block_size else ports
+    return 16 * block_size * (slices * (columns + 1) + carried * ports)
 
 
 def _trials_per_chunk(H: HamiltonianMatrix, ports: int, omegas: int) -> int:
     """How many trials sampled from ``H``, each with ``omegas`` frequencies
-    and ``ports`` ports, fill one chunk budget (at least one).
+    and ``ports`` ports on one OAM block, fill one chunk budget (at least
+    one).
 
-    A trial takes its rows of the chunk and the storage of its own ``H``:
-    the sample's entries, the engine's copy of them and the sample's
-    matvec diagonals, about three times ``H``'s entry bytes.  Counts plain
-    OAM slices (see :func:`_oam_blocks`); an ``H`` whose couplings skip
-    slices has larger blocks, so its trials then take more than one chunk.
+    A trial takes its rows of the chunk, sized for the widest sector of
+    ``H`` (see :func:`_sectors`) over plain OAM slices, and the storage of
+    its own ``H``: the sample's entries, the engine's copy and the residual
+    check's diagonals, about three times ``H``'s entry bytes.
     """
-    n, b = _oam_blocks(H.spec).shape
+    blocks = _oam_blocks(H.spec)
+    sector = _sectors(H.dim, H.rows, H.cols)
+    b = max(_sector_blocks(blocks, sector == g).shape[1] for g in range(sector.max() + 1))
     trial = 3 * (H.rows.nbytes + H.cols.nbytes + H.values.nbytes)
-    return max(1, _CHUNK_BYTES // (omegas * _row_bytes(n, b, ports) + trial))
+    return max(1, _CHUNK_BYTES // (omegas * _row_bytes(blocks.shape[0], b, ports) + trial))
 
 
 def _shared_pattern(Hs: Sequence[HamiltonianMatrix]
@@ -296,6 +303,37 @@ def _sector_blocks(blocks: np.ndarray, inside: np.ndarray) -> np.ndarray:
                     np.take_along_axis(blocks, order, axis=1), -1)
 
 
+def _offset_diagonals(size: int, rows: np.ndarray, cols: np.ndarray,
+                      values: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """A ``size x size`` matrix's entries by diagonals: the offsets ``col -
+    row`` that hold entries, and ``diagonals[k][i]``, the entry at ``(i, i
+    + offsets[k])`` or zero."""
+    shifted = cols - rows + size - 1
+    present = np.flatnonzero(np.bincount(shifted, minlength=2 * size - 1))
+    index = np.zeros(2 * size - 1, dtype=np.intp)
+    index[present] = np.arange(present.size)
+    diagonals = np.zeros((present.size, size), dtype=complex)
+    diagonals[index[shifted], rows] = values
+    return (present - (size - 1)).tolist(), diagonals
+
+
+def _diagonal_product(y: np.ndarray, x: np.ndarray, offsets: Sequence[int],
+                      diagonals: np.ndarray, start: int, x_start: int,
+                      scratch: np.ndarray) -> None:
+    """Add rows ``start ..`` of the matrix of ``offsets`` and ``diagonals``
+    (see :func:`_offset_diagonals`) times ``x``, which holds rows ``x_start
+    ..`` (the others count as 0), to ``y``: each entry scales one contiguous
+    row of ``x`` (many columns) into ``scratch``, as large as ``y``."""
+    stop, x_stop = start + len(y), x_start + len(x)
+    for offset, diagonal in zip(offsets, diagonals):
+        lo, hi = max(start, x_start - offset), min(stop, x_stop - offset)
+        if lo < hi:
+            part, target = scratch[: hi - lo], y[lo - start: hi - start]
+            np.multiply(diagonal[lo:hi, None], x[lo + offset - x_start: hi + offset - x_start],
+                        out=part)
+            np.add(target, part, out=target)
+
+
 class _Layout:
     """One sector's sweep: its blocks, its trials' entries on them, and its
     mirror.
@@ -320,6 +358,12 @@ class _Layout:
         self.gather = pos if sites is None else (block_of[sites], self.pos_of[sites])
         n, b = blocks.shape
         self.block_size = b
+        self.blocks = blocks
+        real = blocks >= 0
+        # Each site's place q = block * b + position in block order, or -1.
+        self.q_of = np.full(rates.shape[1], -1)
+        self.q_of[blocks[real]] = np.flatnonzero(real)
+        self._operators: dict[int, tuple[list[int], np.ndarray, np.ndarray]] = {}
         br, bc = block_of[rows], block_of[cols]
         pr, pc = self.pos_of[rows], self.pos_of[cols]
         inside = np.flatnonzero(br == bc)
@@ -343,7 +387,6 @@ class _Layout:
         self.outer = np.stack([down, up[::-1]])
         self.inner = np.stack([up, down[::-1]])
         # A_k(omega) = omega * mask + shift - D_k; a pad site solves 1 * x = 0.
-        real = blocks >= 0
         self.mask = real.astype(float)
         self.shift = np.where(real[:, None], 0.5j * np.moveaxis(
             rates[:, np.where(real, blocks, 0)], 0, 1), 1.0)
@@ -354,6 +397,20 @@ class _Layout:
         (self.mirror, self.mirror_down, self.signature,
          self.mirror_reason) = self._mirror_factors(down, up, signs)
         self.mirrored = self.mirror is not None
+
+    def operator(self, t: int, H: HamiltonianMatrix, rates: np.ndarray
+                 ) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Trial ``t``'s own ``H`` and rates in flat block order, built on
+        first use and kept: the offsets and diagonals of the sector's
+        entries (see :func:`_offset_diagonals`), and ``i gamma/2`` on each
+        site, 1 on pads, which solve ``1 * x = 0``."""
+        if t not in self._operators:
+            keep = slice(None) if self.sites is None else np.flatnonzero(self.q_of[H.rows] >= 0)
+            self._operators[t] = (
+                *_offset_diagonals(self.blocks.size, self.q_of[H.rows[keep]],
+                                   self.q_of[H.cols[keep]], H.values[keep]),
+                np.where(self.blocks >= 0, 0.5j * rates[self.blocks], 1.0).reshape(-1))
+        return self._operators[t]
 
     def _mirror_factors(self, down: np.ndarray, up: np.ndarray,
                         signs: Sequence[tuple[str, np.ndarray | None]]
@@ -484,48 +541,44 @@ class Resolvent:
     block per slice.
 
     The batch is cut into chunks of whole trials (or of one trial's
-    frequencies, where its grid alone overflows a chunk), each with one
-    work array per sector swept, of shape ``(slices, trials, frequencies,
-    block_size, block_size)``, holding ``A_k = omega + i G/2 - D_k``.  With
-    ``k0`` the last block holding a port, Schur-complement sweeps from block
-    0 and from the last block toward ``k0`` overwrite slot ``k`` with its
-    transfer matrix, so that back-substitution costs one matmul per block.
-    The two sweeps run as one loop over a side axis: while both have
-    blocks left, each step makes one solve, one Schur matmul and, on the
-    way back, one back-substitution matmul for both.  From the first port
-    block on, the left sweep also carries the unit columns of the ports
-    below ``k0``, stacked beside its coupling in the same solve.  One solve
-    at ``k0`` serves every port, back-substitution runs outward from it,
-    and every returned column, at full dimension, is checked against its
-    own trial's ``H``: ``||(omega - H + i G/2) x - e|| <=``
-    :data:`RESIDUAL_RTOL`, so NaN fails too.
+    frequencies, where its grid alone overflows a chunk), sized by
+    :func:`_row_bytes`.  Each sector swept holds one work array at a time,
+    of shape ``(slices, trials, frequencies, block_size, max(block_size,
+    ports))``, whose slot ``k`` first holds ``A_k = omega + i G/2 - D_k``.
+    With ``k0`` the last block holding a port, Schur-complement sweeps from
+    block 0 and from the last block toward ``k0`` overwrite slot ``k`` with
+    its transfer matrix, so that back-substitution costs one matmul per
+    block and writes the columns ``X_k`` over it.  The two sweeps run as
+    one loop over a side axis: while both have blocks left, each step makes
+    one solve, one Schur matmul and, on the way back, one
+    back-substitution matmul for both.  From the first port block on, the
+    left sweep also carries the unit columns of the ports below ``k0``,
+    stacked beside its coupling in the same solve, and keeps their partial
+    columns aside.  One solve at ``k0`` serves every port.  Every column,
+    at full dimension, is then checked against its own trial's ``H`` in
+    block order: ``||(omega - H + i G/2) x - e|| <=``
+    :data:`RESIDUAL_RTOL`, so NaN fails too.  :meth:`transmitted_power`
+    reduces the power from the same array; only :meth:`columns`,
+    :meth:`solve` and :meth:`transmission` gather columns into flat order.
 
     Mirror: with ``J`` the reversal of the block order (each block's sites
-    kept in place) and ``S`` a diagonal signature of +-1, ``M = omega + i
-    G/2 - H`` satisfies ``(J S) M (J S) = M^T`` when ``A_{n-1-k} = S_k
-    A_k^T S_k``, ``L_{n-1-k} = S_k L_{k+1}^T S_{k+1}`` and ``U_{n-2-k} =
-    S_{k+1} U_k^T S_k``, where ``L_k = H[k, k-1]``, ``U_k = H[k, k+1]`` and
-    ``S_k`` is ``S`` on block ``k``.  The right sweep's Schur complements
-    are then ``S_k`` times the transposes of the left sweep's, so
+    kept in place) and ``S`` a diagonal signature of +-1, where ``M = omega
+    + i G/2 - H`` satisfies ``(J S) M (J S) = M^T`` (block by block, see
+    :meth:`_Layout._mirror_failure`), the right sweep's Schur complements
+    are ``S_k`` times the transposes of the left sweep's, so
     ``h_right[n-1-s] = S_s (L_{s+1} h_left[s] U_s^-1)^T S_{s+1}`` needs no
     factorization.  Each layout decides this once for all trials, by exact
-    comparison of the stored couplings, rates and diagonal-block entries,
-    first for ``S = 1`` and then, on a spinful lattice, for ``S =
-    (-1)^s``, the polarization of each site; it inverts the ``c x c``
-    blocks of ``U_s`` once, and a block beyond
+    comparison, first for ``S = 1`` and then, on a spinful lattice, for
+    ``S = (-1)^s``; a ``c x c`` block of ``U_s`` beyond
     :data:`_COUPLING_COND_LIMIT` counts as singular.  ``S = 1`` holds for
-    ``landau`` on any window (a folded even ring too), ``oam-gauge`` on a
-    symmetric one and a ``dirac`` sector on an odd number of blocks, ``S =
-    (-1)^s`` for ``qsh`` (folded even rings too), under uniform loss, clean
-    or with per-cavity detuning; per-mode random loss, coupling disorder,
-    folded odd rings and a ``dirac`` sector on an even number of blocks
-    (whose ``J`` image is the other sector) fail both (``mirrored``,
+    ``landau`` on any window, ``oam-gauge`` on a symmetric one and a
+    ``dirac`` sector on an odd number of blocks, ``S = (-1)^s`` for ``qsh``
+    (folded even rings too), under uniform loss, clean or with per-cavity
+    detuning; per-mode random loss, coupling disorder, folded odd rings and
+    a ``dirac`` sector on an even number of blocks fail both (``mirrored``,
     ``mirror_reason``).  While both sweeps are active, a mirrored layout's
-    steps factorize the left block alone and skip building the right
-    blocks, which one product then writes whole; the rest (left sweep, the
-    solve at ``k0``, back-substitution, chunks and the residual check) is
-    unchanged, and a layout that fails the test runs exactly the
-    unmirrored steps.
+    steps factorize the left block alone, and one product writes the right
+    blocks whole; every other step is unchanged.
 
     ``sectors`` counts the components and ``slices`` the sweep blocks (the
     same in every sector).  ``block_size``, ``coupling_block``,
@@ -534,9 +587,10 @@ class Resolvent:
     reading them builds any layout not yet built.  ``factorizations`` (one
     per trial and frequency), ``block_factorizations`` (slice blocks
     factorized), ``solves`` (``np.linalg.solve`` calls), ``worst_residual``,
-    ``omega_chunk`` (the (trial, frequency) rows of the largest chunk),
-    ``work_bytes`` (the largest work array) and the sectors swept
-    accumulate over the object's solves.
+    ``chunks``, ``omega_chunk`` (the (trial, frequency) rows of the
+    largest chunk), ``work_bytes`` (the largest work array),
+    ``chunk_bytes`` (the largest work array with the partial columns kept
+    beside it) and the sectors swept accumulate over the object's solves.
     """
 
     def __init__(self, H: HamiltonianMatrix | Sequence[HamiltonianMatrix],
@@ -582,7 +636,9 @@ class Resolvent:
         self.solves = 0
         self.worst_residual = 0.0
         self.omega_chunk = 0
+        self.chunks = 0
         self.work_bytes = 0
+        self.chunk_bytes = 0
 
     def _layout(self, sector: int) -> _Layout:
         """The layout of one sector, built on first use."""
@@ -650,20 +706,40 @@ class Resolvent:
         batch (row ``t * len(omegas) + i`` is trial ``t`` at ``omegas[i]``;
         for one trial, the grid itself) and ``x[:, j, p]`` is the column for
         batch row ``part.start + j`` and ``rows[p]``: shape ``(dim, rows in
-        part, len(rows))``, C-contiguous.  Each row must be an integer index
-        into ``H``; the rows are checked on the call, the frequencies
-        (nonempty and finite) when the first chunk is drawn.
+        part, len(rows))``, C-contiguous, gathered into flat order.  Each
+        row must be an integer index into ``H``; the rows are checked on the
+        call, the frequencies (nonempty and finite) when the first chunk is
+        drawn.
         """
         rows = self._port_rows(rows)
         size = np.size(omegas)
         return ((slice(trials.start * size + part.start,
-                       (trials.stop - 1) * size + part.stop), x)
-                for trials, part, x in self._chunks(omegas, rows))
+                       (trials.stop - 1) * size + part.stop),
+                 self._gather(sectors, (trials.stop - trials.start) * (part.stop - part.start),
+                              rows.size))
+                for trials, part, sectors in self._chunks(omegas, rows))
+
+    def _gather(self, sectors: Iterator[tuple[_Layout, np.ndarray, np.ndarray]],
+                batch: int, ports: int) -> np.ndarray:
+        """One chunk's columns in flat order, shape ``(dim, batch, ports)``,
+        exactly 0 outside the ports' sectors."""
+        x = np.zeros((self.dim, batch, ports), dtype=complex) if self.sectors > 1 else None
+        for layout, group, X in sectors:
+            block, position = layout.gather
+            part = X.reshape(self.slices, batch, layout.block_size, group.size)[
+                block, :, position]
+            del X  # this sector's columns, before the next sector is swept
+            if x is None:
+                x = part
+            else:
+                x[layout.sites[:, None, None], np.arange(batch)[:, None], group] = part
+        return x
 
     def _chunks(self, omegas: np.ndarray, rows: np.ndarray
-                ) -> Iterator[tuple[slice, slice, np.ndarray]]:
-        """``(trials, part, x)`` per chunk for rows already checked by
-        :meth:`_port_rows`: the columns of ``trials`` at ``omegas[part]``."""
+                ) -> Iterator[tuple[slice, slice, Iterator]]:
+        """``(trials, part, sectors)`` per chunk for rows already checked by
+        :meth:`_port_rows`: the columns of ``trials`` at ``omegas[part]``,
+        one sector at a time (see :meth:`_sweep`)."""
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
         if omegas.size == 0:
             raise ValueError("frequency grid must be nonempty")
@@ -671,7 +747,9 @@ class Resolvent:
         if bad.size:
             raise ValueError(f"omega must be finite, got {bad[0]!r}")
         b = max(layout.block_size for _, layout, _ in self._groups(rows))
-        batch = max(1, _CHUNK_BYTES // _row_bytes(self.slices, b, rows.size))
+        port_block = self._block_of[rows]
+        carried = int(port_block.max() - port_block.min())
+        batch = max(1, _CHUNK_BYTES // _row_bytes(self.slices, b, rows.size, carried))
         if batch >= omegas.size:  # whole trials per chunk
             per_chunk, chunk = min(self.trials, batch // omegas.size), omegas.size
         else:  # one trial's grid in parts
@@ -711,71 +789,96 @@ class Resolvent:
 
         Shape ``(trials, len(omegas))``, ``(len(omegas),)`` for a single
         ``H``.  The power sums over every input in ``rows`` and every output
-        mode (unit weights by default), reduced from the resolvent columns
-        in one fixed order per (trial, frequency) row, so the bits do not
-        depend on how the batch is chunked.
+        mode (unit weights by default), reduced in block order in one fixed
+        order per (trial, frequency) row, so the bits do not depend on how
+        the batch is chunked.
         """
         rows = self._port_rows(rows)
         out_weight = self.rates if weights is None else self.rates * weights
         # |T|^2 = gamma_n' gamma_r (Re^2 + Im^2) of the column entries.
-        in_weight = np.repeat(self.rates[:, rows], 2, axis=1)
+        in_weight = np.repeat(self.rates[:, rows], 2, axis=1).reshape(self.trials, -1, 2)
         power = np.empty((self.trials, np.size(omegas)))
-        for trials, part, x in self._chunks(omegas, rows):
-            parts = x.view(float)
-            np.multiply(parts, parts, out=parts)
-            # Each sum runs along a contiguous last axis, first over the
-            # ports of one site and row, then over the sites of one row:
-            # the order is the same whatever the chunk holds.
+        for trials, part, sectors in self._chunks(omegas, rows):
             count = trials.stop - trials.start
-            per_site = np.einsum("itwk,tk->itw",
-                                 parts.reshape(self.dim, count, -1, parts.shape[-1]),
-                                 in_weight[trials])
-            per_site *= out_weight[trials].T[:, :, None]
-            power[trials, part] = np.ascontiguousarray(
-                per_site.reshape(self.dim, -1).T).sum(axis=1).reshape(count, -1)
+            sums = []
+            for layout, ports, X in sectors:
+                parts = X.view(float)
+                np.multiply(parts, parts, out=parts)
+                # Each sum runs along a contiguous last axis, over the ports
+                # of one site and row, then over a row's sites, sector by
+                # sector in block order: the same whatever the chunk holds.
+                per_site = np.einsum("ktwij,tj->ktwi", parts,
+                                     in_weight[trials][:, ports].reshape(count, -1))
+                del X, parts  # this sector's work array, before the next one is built
+                per_site *= (out_weight[trials][:, layout.blocks] * layout.mask).swapaxes(
+                    0, 1)[:, :, None]
+                sums.append(per_site.transpose(1, 2, 0, 3).reshape(-1, layout.blocks.size))
+            power[trials, part] = np.concatenate(sums, axis=1).sum(axis=1).reshape(count, -1)
         return power[0] if self._single else power
 
-    def _sweep(self, trials: slice, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """One chunk: for each sector holding a port, the sweeps, the solve
-        at the last port block and back-substitution; then each trial's
-        residual check.
-
-        Returns the columns in flat order, shape ``(dim, trials x
-        len(omegas), ports)``, exactly 0 outside the ports' sectors.
+    def _sweep(self, trials: slice, omegas: np.ndarray, rows: np.ndarray
+               ) -> Iterator[tuple[_Layout, np.ndarray, np.ndarray]]:
+        """One chunk, one sector at a time: yields ``(layout, ports, X)`` for
+        each sector holding a port, once its columns passed the check.
+        ``ports`` indexes ``rows``, and ``X`` holds their columns in block
+        order, shape ``(slices, trials, len(omegas), block_size,
+        len(ports))``; the caller drops it before drawing the next sector.
         """
-        w = omegas.size
-        batch = (trials.stop - trials.start) * w
-        x = None
-        try:
-            for g, layout, ports in self._groups(rows):
+        for g, layout, ports in self._groups(rows):
+            try:
                 X = self._block_columns(layout, trials, omegas, rows[ports])
-                block, position = layout.gather
-                part = X.reshape(self.slices, batch, layout.block_size, ports.size)[
-                    block, :, position]
-                del X
-                if layout.sites is None:
-                    x = part
-                else:
-                    if x is None:
-                        x = np.zeros((self.dim, batch, rows.size), dtype=complex)
-                    x[layout.sites[:, None, None], np.arange(batch)[:, None], ports] = part
-                self._swept.add(g)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"solve residual unbounded: singular slice block ({exc}) in "
-                f"trials {trials.start}..{trials.stop - 1} at omega in "
-                f"[{omegas.min()}, {omegas.max()}]"
-            ) from None
-        self.factorizations += batch
-        for i, t in enumerate(range(trials.start, trials.stop)):
-            # r = e - (omega - H + i G/2) x; each e has unit norm, so the
-            # column norms of r are relative residuals.
-            r = self._Hs[t].matvec(x[:, i * w:(i + 1) * w], shift=omegas[:, None]
-                                   + 0.5j * self.rates[t][:, None, None])
-            r[rows, :, np.arange(rows.size)] += 1.0
-            parts = r.reshape(self.dim, -1).view(float)
-            squares = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
-            residual = float(np.sqrt(np.max(squares)))
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(
+                    f"solve residual unbounded: singular slice block ({exc}) in "
+                    f"trials {trials.start}..{trials.stop - 1} at omega in "
+                    f"[{omegas.min()}, {omegas.max()}]"
+                ) from None
+            self._check(layout, trials, omegas, rows[ports], X)
+            self._swept.add(g)
+            yield layout, ports, X
+            del X  # before the next sector's work array is built
+        self.factorizations += (trials.stop - trials.start) * omegas.size
+        self.chunks += 1
+
+    def _check(self, layout: _Layout, trials: slice, omegas: np.ndarray,
+               rows: np.ndarray, X: np.ndarray) -> None:
+        """Raise unless every column ``x`` in ``X`` (see :meth:`_sweep`) has
+        ``||e - (omega - H + i G/2) x|| <=`` :data:`RESIDUAL_RTOL` against
+        its own trial's ``H`` (see :meth:`_Layout.operator`), so NaN fails
+        too.  Each ``e`` has unit norm, so these are relative residuals.
+
+        No entry joins two sectors, so off its sector a column's residual
+        is exactly 0.  The check runs in flat block order, a row per site
+        holding every column of a trial, over tiles of whole blocks (about
+        :data:`_TILE_BYTES`) copied with a halo of one block on either side,
+        where every entry of the tile's rows lands.
+        """
+        n, b, w, p = *layout.blocks.shape, omegas.size, rows.size
+        port, mask = layout.q_of[rows], layout.mask.reshape(-1)
+        trial = range(trials.start, trials.stop)
+        # Each trial's own H in block order, built before the tiles.
+        operators = [layout.operator(t, self._Hs[t], self.rates[t]) for t in trial]
+        step = max(1, _TILE_BYTES // (16 * w * p * b))
+        tile = np.empty((min(step + 2, n) * b, w * p), dtype=complex)
+        r, scratch = np.empty((2, min(step, n) * b, w * p), dtype=complex)
+        for i, (t, (offsets, diagonals, constant)) in enumerate(zip(trial, operators)):
+            squares = np.zeros(2 * w * p)
+            for k in range(0, n, step):
+                lo, hi = max(k - 1, 0), min(k + step + 1, n)
+                start, stop = k * b, min(k + step, n) * b
+                x = tile[: (hi - lo) * b]
+                np.copyto(x.reshape(hi - lo, b, w, p), X[lo:hi, i].transpose(0, 2, 1, 3))
+                y = r[: stop - start]
+                # r = e - (omega + i G/2) x + H x
+                shift = omegas * mask[start:stop, None] + constant[start:stop, None]
+                np.multiply(x[start - lo * b: stop - lo * b].reshape(-1, w, p),
+                            -shift[:, :, None], out=y.reshape(-1, w, p))
+                _diagonal_product(y, x, offsets, diagonals, start, lo * b, scratch)
+                hit = np.flatnonzero((port >= start) & (port < stop))
+                y.reshape(-1, w, p)[port[hit] - start, :, hit] += 1.0
+                parts = y.view(float)
+                squares += np.einsum("ij,ij->j", parts, parts)
+            residual = float(np.sqrt(np.max(squares.reshape(-1, 2).sum(axis=1))))
             if not residual <= RESIDUAL_RTOL:
                 raise RuntimeError(
                     f"solve residual {residual:.3e} exceeds {RESIDUAL_RTOL:.3e} in "
@@ -783,16 +886,14 @@ class Resolvent:
                     f"[{omegas.min()}, {omegas.max()}])"
                 )
             self.worst_residual = max(self.worst_residual, residual)
-        return x
 
     def _block_columns(self, layout: _Layout, trials: slice, omegas: np.ndarray,
                        rows: np.ndarray) -> np.ndarray:
         """The columns of one chunk on one sector's ``layout``, block by
-        block, shape ``(slices, trials, len(omegas), block_size, len(rows))``.
-
-        The chunk's work array lives only inside this call, so it is freed
-        before the caller gathers the columns.
-        """
+        block, shape ``(slices, trials, len(omegas), block_size,
+        len(rows))``: a view of the work array, whose slot ``k`` holds
+        ``A_k``, then the transfer matrix ``h_k``, then the columns ``X_k``,
+        each over the last, or a copy of fewer columns than a block."""
         n, b, p = self.slices, layout.block_size, rows.size
         count, w, c = trials.stop - trials.start, omegas.size, layout.coupling_block
         m = b // c
@@ -801,23 +902,26 @@ class Resolvent:
         # How many steps mirror their right block instead of factorizing
         # it: all those on which both sweeps are active.
         pairs = min(k0, n - 1 - k0) if layout.mirrored else 0
-        # work[k] = A_k = omega + i G/2 - D_k for every trial and frequency,
-        # on each block but the mirrored ones, which are written whole.
+        # The first b columns of slot k: A_k = omega + i G/2 - D_k for every
+        # trial and frequency (its diagonal through a strided view), on each
+        # block but the mirrored ones, which are written whole.
         built = n - pairs
-        work = np.zeros((n, count, w, b, b), dtype=complex)
+        work = np.zeros((n, count, w, b, max(b, p)), dtype=complex)
+        square, X = work[..., :b], work[..., :p]
         block, row, col, value = layout.diagonal
         value = value[trials]
         if pairs:
             keep = np.flatnonzero(block < built)
             block, row, col, value = block[keep], row[keep], col[keep], value[:, keep]
-        work[block, :, :, row, col] = value.T[:, :, None]
+        square[block, :, :, row, col] = value.T[:, :, None]
         diagonal = (omegas[:, None] * layout.mask[:built, None, None]
                     + layout.shift[:built, trials, None])
-        work[:built].reshape(built, count, w, b * b)[..., :: b + 1] += diagonal
-        self.work_bytes = max(self.work_bytes, work.nbytes)
+        np.lib.stride_tricks.as_strided(
+            work, shape=(built, count, w, b),
+            strides=work.strides[:3] + (work.strides[3] + 16,))[...] += diagonal
         # Rows in groups of c: a block-diagonal coupling times slot k is one
         # matmul over its c x c blocks, coupling @ grouped[k].
-        grouped = work.reshape(n, count, w, m, c, b)
+        grouped = square.reshape(n, count, w, m, c, b)
         outer = layout.outer[:, :, trials, None]
         inner = layout.inner[:, :, trials, None]
         down, up = outer[0], inner[0]  # H[k, k-1] and H[k, k+1] by block
@@ -840,19 +944,21 @@ class Resolvent:
         # E[k] holds the unit columns of the ports on block k.
         E = np.zeros((n, b, p))
         E[port_block, layout.pos_of[rows], np.arange(p)] = 1.0
-        X = np.empty((n, count, w, b, p), dtype=complex)
+        carry = np.empty((k0 - first, count, w, b, p), dtype=complex)
+        self.work_bytes = max(self.work_bytes, work.nbytes)
+        self.chunk_bytes = max(self.chunk_bytes, work.nbytes + carry.nbytes)
 
         def carried(k):
             """E_k plus the ports carried up from below, L_{k-1} X[k-1]."""
             if k == first:
                 return np.broadcast_to(E[k], (count, w, b, p))
-            return E[k] + coupled(down[k], X[k - 1])
+            return E[k] + coupled(down[k], carry[k - 1 - first])
 
         # The sweeps eliminate toward k0, the last port block, and overwrite
         # slot k with its transfer matrix: h_left[k] = S_k^-1 U_k carries
         # X_{k+1} to X_k below k0, h_right[k] = S_k^-1 L_{k-1} carries X_{k-1}
         # to X_k above it (S_k: the Schur complement of block k).  From the
-        # first port block on, the left sweep also keeps X[k] =
+        # first port block on, the left sweep also keeps carry[k - first] =
         # S_k^-1 carried(k), the part of X_k that the ports at and below
         # block k drive, from the same solve (the right side's columns
         # there are zero); back-substitution adds h_left[k] X_{k+1} to it.
@@ -888,10 +994,10 @@ class Resolvent:
                 stacked = np.zeros(rhs_stack[sides].shape[:-1] + (b + p,), dtype=complex)
                 stacked[..., :b] = rhs_stack[sides]
                 stacked[0, ..., b:] = carried(s)
-                solved = np.linalg.solve(work[blocks], stacked)
-                work[blocks], X[s] = solved[..., :b], solved[0, ..., b:]
+                solved = np.linalg.solve(square[blocks], stacked)
+                square[blocks], carry[s - first] = solved[..., :b], solved[0, ..., b:]
             else:
-                work[blocks] = np.linalg.solve(work[blocks], rhs_stack[sides])
+                square[blocks] = np.linalg.solve(square[blocks], rhs_stack[sides])
             matrices += sides.stop - sides.start
             if s == pairs - 1:
                 # h_right[n-1-s] = S_s (L_{s+1} h_left[s] U_s^-1)^T S_{s+1}
@@ -900,30 +1006,33 @@ class Resolvent:
                 # y, g z] (S_{s+1} L_{s+1})[h]_{b y}.
                 shape = (pairs, count, w, m, c, m, c)
                 np.einsum("stgaz,stwhygz,sthby->stwgahb",
-                          layout.mirror[s::-1, trials], work[s::-1].reshape(shape),
+                          layout.mirror[s::-1, trials], square[s::-1].reshape(shape),
                           layout.mirror_down[s::-1, trials],
-                          out=work[n - pairs:].reshape(shape))
+                          out=square[n - pairs:].reshape(shape))
         self.block_factorizations += matrices * count * w
-        S = work[k0]
+        S = square[k0]
         if k0:
-            S -= coupled(down[k0], work[k0 - 1])
+            S -= coupled(down[k0], square[k0 - 1])
         if k0 < n - 1:
-            S -= coupled(up[k0], work[k0 + 1])
+            S -= coupled(up[k0], square[k0 + 1])
         X[k0] = np.linalg.solve(S, carried(k0))
         self.solves += len(steps) + 1
         for s in reversed(range(len(steps))):
             _, blocks, _, ahead = steps[s]
+            # X_k = h_k X_{k+-1}, plus the carried part, over h_k in slot k.
+            product = np.matmul(square[blocks], X[ahead])
             if first <= s < k0:
-                product = np.matmul(work[blocks], X[ahead])
-                X[s] += product[0]
-                X[blocks][1:] = product[1:]
-            else:
-                np.matmul(work[blocks], X[ahead], out=X[blocks])
-        return X
+                product[0] += carry[s - first]
+            X[blocks] = product
+        return X.copy() if p < b else X  # a copy leaves the spent h_k behind
+
 
     def log(self, reason: str) -> None:
         """One DEBUG record for this engine call (path ``oam-rgf``), on the
-        sectors swept so far."""
+        sectors swept so far: why, the sectors and sites solved, the mirror
+        and its signature, the factorizations, trials and solve calls, the
+        sizes, the chunks with their rows and bytes, and the worst
+        residual, each also an ``extra`` field of the record."""
         swept = [self._layouts[g] for g in sorted(self._swept)]
         mirrored = bool(swept) and all(layout.mirrored for layout in swept)
         signature = _distinct(f"S = {layout.signature}" for layout in swept
@@ -940,11 +1049,13 @@ class Resolvent:
         _LOG.debug(
             "resolvent path=oam-rgf (%s): %d factorization(s) of %d slice "
             "block(s) for %d trial(s) in %d solve call(s) over %d slices of "
-            "size %d with %dx%d coupling blocks, in chunks of %d on a %d-byte "
-            "work array, worst relative residual %.3e",
+            "size %d with %dx%d coupling blocks, in %d chunk(s) of up to %d "
+            "row(s), each on a %d-byte work array (%d live bytes), worst "
+            "relative residual %.3e",
             reason, self.factorizations, self.block_factorizations, self.trials,
             self.solves, self.slices, block_size, coupling_block, coupling_block,
-            self.omega_chunk, self.work_bytes, self.worst_residual,
+            self.chunks, self.omega_chunk, self.work_bytes, self.chunk_bytes,
+            self.worst_residual,
             extra={"solver_path": "oam-rgf", "solver_reason": reason,
                    "factorizations": self.factorizations,
                    "block_factorizations": self.block_factorizations,
@@ -954,9 +1065,9 @@ class Resolvent:
                    "trials": self.trials, "solves": self.solves,
                    "worst_residual": self.worst_residual,
                    "slices": self.slices, "block_size": block_size,
-                   "omega_chunk": self.omega_chunk,
+                   "omega_chunk": self.omega_chunk, "chunks": self.chunks,
                    "coupling_block": coupling_block,
-                   "work_bytes": self.work_bytes},
+                   "work_bytes": self.work_bytes, "chunk_bytes": self.chunk_bytes},
         )
 
 

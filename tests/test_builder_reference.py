@@ -32,7 +32,7 @@ from oamphoton.hamiltonians import (
     jones_exp,
 )
 from oamphoton.lattice import Boundary, LatticeSpec, SiteIndex, flat_index, neighbors
-from oamphoton.scattering import DecaySpec
+from oamphoton.scattering import DecaySpec, _diagonal_product, _offset_diagonals
 
 SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -272,25 +272,29 @@ def test_canonical_arrays_equal_scipy_csr(case):
 
 
 @SETTINGS
-@given(coo_triples(), st.sampled_from([(), (1,), (5,), (3, 4)]), st.booleans(),
+@given(coo_triples(), st.sampled_from([1, 5, 12]), st.integers(0, 3),
        st.integers(0, 2**32 - 1))
-def test_matvec_equals_the_csr_product(case, tail, shifted, seed):
-    """Non-Hermitian matrices coupling any two sites, against vectors and
-    column blocks shaped like the engine's ``(dim, omegas, ports)``, with
-    and without a diagonal shift per row and frequency."""
+def test_diagonal_product_equals_the_csr_product(case, columns, halo, seed):
+    """The residual check's kernel on non-Hermitian matrices coupling any
+    two sites, against column blocks laid side by side in each row: rows
+    ``start .. stop`` of the product, from the operand's rows within
+    ``halo`` of them, the other rows counting as zero."""
     spec, rows, cols, values = case
     H = HamiltonianMatrix.from_entries(spec, rows, cols, values)
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((spec.dim, *tail)) + 1j * rng.standard_normal((spec.dim, *tail))
-    shift = np.zeros(X.shape[:2] + (1,) * (X.ndim - 2), dtype=complex)
-    if shifted:
-        shift += rng.standard_normal(shift.shape) + 0.5j
-    flat = X.reshape(spec.dim, -1)
-    ref = (H.tocsr() @ flat).reshape(X.shape) - shift * X
-    bound = (np.abs(H.toarray()) @ np.abs(flat)).reshape(X.shape) + np.abs(shift * X)
-    got = H.matvec(X, shift) if shifted else H.matvec(X)
-    assert got.shape == X.shape
-    assert np.all(np.abs(got - ref) <= 1e-14 * bound + 1e-300)
+    X = rng.standard_normal((spec.dim, columns)) + 1j * rng.standard_normal((spec.dim, columns))
+    start = int(rng.integers(spec.dim))
+    stop = int(rng.integers(start, spec.dim)) + 1
+    lo, hi = max(0, start - halo), min(spec.dim, stop + halo)
+    kept = np.zeros_like(X)
+    kept[lo:hi] = X[lo:hi]
+    y0 = rng.standard_normal((stop - start, columns)) + 0.5j
+    y = y0.copy()
+    offsets, diagonals = _offset_diagonals(spec.dim, H.rows, H.cols, H.values)
+    _diagonal_product(y, X[lo:hi], offsets, diagonals, start, lo, np.empty_like(y))
+    ref = y0 + (H.tocsr() @ kept)[start:stop]
+    bound = np.abs(y0) + (np.abs(H.toarray()) @ np.abs(kept))[start:stop]
+    assert np.all(np.abs(y - ref) <= 1e-14 * bound + 1e-300)
 
 
 def test_edge_map_memory_stays_bounded():

@@ -345,6 +345,11 @@ def test_each_engine_record_explains_its_storage(caplog):
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
         for H in cases:
             total_transmission_spectrum(H, decay, [SiteIndex(0, 0, 0)], grid)
+        # Eight ports on two slices, more than the block holds: the work
+        # array's slots widen to the ports, and the ports below the last
+        # port block keep their partial columns in one more block.
+        total_transmission_spectrum(scalar, decay, [SiteIndex(j, l, 0) for j in range(4)
+                                                    for l in (0, 1)], grid)
     records = [r for r in caplog.records if r.name == "oamphoton"]
     # OAM hops stay in their cavity: scalar hops, or one site per cavity
     # and slice in a sector of qsh or dirac (two slices on a folded even
@@ -353,13 +358,21 @@ def test_each_engine_record_explains_its_storage(caplog):
     # couples to both halves of its neighbour block, and a hop that joins
     # two cavities two slices apart widens the blocks: the couplings then
     # fill whole blocks.
-    assert [r.sectors for r in records] == [1, 2, 2, 2, 1, 1]
-    assert [r.coupling_block for r in records] == [1, 1, 1, 1, 12, 8]
-    assert [r.block_size for r in records] == [4, 4, 3, 6, 12, 8]
-    for r in records:
-        assert r.work_bytes == 16 * r.slices * r.omega_chunk * r.block_size ** 2
-        assert f"{r.coupling_block}x{r.coupling_block} coupling blocks" in r.getMessage()
-        assert f"{r.work_bytes}-byte work array" in r.getMessage()
+    assert [r.sectors for r in records] == [1, 2, 2, 2, 1, 1, 1]
+    assert [r.coupling_block for r in records] == [1, 1, 1, 1, 12, 8, 1]
+    assert [r.block_size for r in records] == [4, 4, 3, 6, 12, 8, 4]
+    # One chunk of the three frequencies, one work array of
+    # max(block_size, ports) columns per slot.
+    assert [r.omega_chunk for r in records] == [3] * 7
+    for r, ports, carried in zip(records, [1] * 6 + [8], [0] * 6 + [1]):
+        assert r.chunks == 1
+        assert r.work_bytes == (16 * r.slices * r.omega_chunk * r.block_size
+                                * max(r.block_size, ports))
+        assert r.chunk_bytes == r.work_bytes + 16 * carried * r.omega_chunk * r.block_size * ports
+        message = r.getMessage()
+        assert f"{r.coupling_block}x{r.coupling_block} coupling blocks" in message
+        assert f"in 1 chunk(s) of up to {r.omega_chunk} row(s)" in message
+        assert f"{r.work_bytes}-byte work array ({r.chunk_bytes} live bytes)" in message
 
 
 def test_each_engine_record_counts_trials_and_solves(caplog):
@@ -386,10 +399,14 @@ def test_each_engine_record_counts_trials_and_solves(caplog):
     assert [r.factorizations for r in records] == [6, 2, 6]
     assert [r.sectors_swept for r in records] == [2, 2, 2]
     assert [r.solves for r in records] == [2 * 4, 2 * 4, 2 * 5]
-    for r in records:
+    # Two ports per sector for the edge, four for the region at two input
+    # OAM values, whose lower slice keeps its partial columns in one block.
+    for r, ports, carried in zip(records, [2, 2, 4], [0, 0, 1]):
         message = r.getMessage()
         assert f"{r.trials} trial(s) in {r.solves} solve call(s)" in message
-        assert r.work_bytes == 16 * r.slices * r.omega_chunk * r.block_size ** 2
+        assert r.work_bytes == (16 * r.slices * r.omega_chunk * r.block_size
+                                * max(r.block_size, ports))
+        assert r.chunk_bytes == r.work_bytes + 16 * carried * r.omega_chunk * r.block_size * ports
 
 
 def test_every_engine_solve_stacks_its_right_hand_sides(monkeypatch):
@@ -591,6 +608,62 @@ def test_nan_in_one_trial_names_that_trial():
         engine.transmitted_power(np.array([0.3, 1.1]), edge_rows(H))
 
 
+def _perturbed_columns(monkeypatch, block, sector=0):
+    """Let the engine add 1e-8 to the first column, at the first site of
+    ``block`` in ``sector``'s layout, after back-substitution."""
+    original = Resolvent._block_columns
+
+    def perturbed(self, layout, trials, omegas, rows):
+        X = original(self, layout, trials, omegas, rows)
+        if layout is self._layout(sector):
+            real = np.flatnonzero(layout.blocks[block] >= 0)
+            X[block, 0, 0, real[0], 0] += 1e-8
+        return X
+
+    monkeypatch.setattr(Resolvent, "_block_columns", perturbed)
+
+
+@pytest.mark.parametrize("tile", ["default", "one block"])
+@pytest.mark.parametrize("name, block", [("scalar-open", 0), ("scalar-open", 6),
+                                         ("scalar-open", "port"), ("scalar-periodic", 0),
+                                         ("qsh", "port"), ("qsh", 6)])
+def test_a_perturbed_column_fails_the_check(name, block, tile, monkeypatch):
+    # The end blocks, the port block, block 0 of a folded ring (slices -4
+    # and 4), and the port block and last block of the second sector of
+    # two-sector qsh; the check in one tile, or in tiles of one block and
+    # their halos.
+    if tile == "one block":
+        monkeypatch.setattr(scattering, "_TILE_BYTES", 1)
+    H = LATTICES[name]
+    rows, grid = edge_rows(H), np.array([-1.2, 0.3])
+    engine = Resolvent(H, DecaySpec.uniform(GAMMA))
+    sector = engine.sectors - 1
+    engine.transmitted_power(grid, rows)
+    assert engine.worst_residual <= 1e-14
+    if block == "port":
+        block = int(engine._block_of[rows[0]])
+    _perturbed_columns(monkeypatch, block, sector)
+    for call in (lambda: Resolvent(H, DecaySpec.uniform(GAMMA)).transmitted_power(grid, rows),
+                 lambda: Resolvent(H, DecaySpec.uniform(GAMMA)).solve(0.3, rows)):
+        with pytest.raises(RuntimeError, match="residual .* in trial 0 "):
+            call()
+
+
+def test_trials_per_chunk_follow_the_widest_sector():
+    # qsh sweeps sectors of 12 sites per slice, not the 24 of a slice, and
+    # trials grouped by that count fill one engine chunk.
+    H = build_qsh(LatticeSpec(12, -50, 50, 2), 0.0, 0.6)
+    rows = [flat_index(H.spec, SiteIndex(j, 0, s)) for j in range(12) for s in range(2)]
+    trial = 3 * (H.rows.nbytes + H.cols.nbytes + H.values.nbytes)
+    group = scattering._trials_per_chunk(H, len(rows), 1)
+    assert group == scattering._CHUNK_BYTES // (scattering._row_bytes(101, 12, 24) + trial)
+    assert group > scattering._CHUNK_BYTES // (scattering._row_bytes(101, 24, 24) + trial)
+    engine = Resolvent([H] * group, DecaySpec.uniform(GAMMA))
+    engine.transmitted_power(np.array([-1.6]), rows)
+    assert (engine.sectors, engine.block_size) == (2, 12)
+    assert (engine.chunks, engine.omega_chunk) == (1, group)
+
+
 def test_a_stack_of_hamiltonians_is_checked():
     H, other = LATTICES["scalar-open"], LATTICES["scalar-periodic"]
     decay = DecaySpec.uniform(GAMMA)
@@ -622,14 +695,19 @@ def test_edge_map_memory_grows_with_h_not_dense_slices():
     assert peak <= 10.0
 
 
-def test_desk_spectrum_memory_holds_one_work_array_per_chunk():
-    # 10 x 101 sites, 400 frequencies, 10 ports: the dense-block engine took 11.7 MB.
+def test_desk_spectrum_memory_holds_one_work_array_per_chunk(caplog):
+    # 10 x 101 sites, 400 frequencies, 10 ports: the dense-block engine took
+    # 11.7 MB, and with the columns gathered beside the work array 7.6 MB
+    # in chunks of 14 rows.
     spec = LatticeSpec(n_x=10, l_min=-50, l_max=50)
     inputs = [SiteIndex(j, 0, 0) for j in range(spec.n_x)]
-    peak = _traced_peak_mb(lambda: total_transmission_spectrum(
-        build_landau_hofstadter(spec, 1.0 / 6.0), DecaySpec.uniform(0.1), inputs,
-        default_omega_grid()))
-    assert peak <= 9.0
+    with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+        peak = _traced_peak_mb(lambda: total_transmission_spectrum(
+            build_landau_hofstadter(spec, 1.0 / 6.0), DecaySpec.uniform(0.1), inputs,
+            default_omega_grid()))
+    assert peak <= 7.6
+    record, = [r for r in caplog.records if r.name == "oamphoton"]
+    assert record.omega_chunk >= 28
 
 
 # ------------------------------------------------------------------ mirror
