@@ -18,13 +18,16 @@ J. Phys. C 14, 235 (1981); Lewenkopf & Mucciolo, J. Comput. Electron. 12,
 203 (2013)): Schur-complement sweeps from both ends toward the last port
 slice, run as one loop over a side axis, the left one carrying the ports
 below it; one solve there, then back-substitution outward for full
-resolvent columns.  The engine labels the connected components of ``H``'s
-entries once and sweeps only the sectors that hold a port, each over its
-own blocks, writing exact zeros elsewhere: ``qsh`` and ``dirac`` split into
-two sectors with half of every slice in each, so a port's sweep runs on
-half-width blocks.  Where ``omega - H + i G/2`` is its own transpose up to
-reversing the slice order and a diagonal +-1 signature ``S`` (``S = 1``
-under uniform loss on the flux lattices, ``S = (-1)^s`` on ``qsh``), the
+resolvent columns.  Three exact reductions are one problem, a +-1 signing
+of a signed graph, which one pass decides (:func:`_signing`).  The engine
+labels the connected components of ``H``'s entries once and sweeps only
+the sectors that hold a port, each over its own blocks, writing exact
+zeros elsewhere: ``qsh`` and ``dirac`` split into two sectors with half of
+every slice in each, so a port's sweep runs on half-width blocks.  Where
+``omega - H + i G/2`` is its own transpose up to reversing the slice order
+and a diagonal signature ``S``, derived from the signs of the entries'
+mirror images (``S = 1`` under uniform loss on the flux lattices, ``+-(-1)^s``
+on ``qsh``, ``+-(-1)^j`` on ``dirac`` over an even number of blocks), the
 right sweep follows from the left one, and only the left blocks are
 factorized.  Each solve is batched over (trial, frequency) pairs:
 one ``H`` over a chunk of frequencies, or a stack of Monte Carlo trials
@@ -39,9 +42,10 @@ engine call logs one DEBUG record to the ``oamphoton`` logger, which
 explains its path, sectors, mirror, solves, chunks and worst residual
 (see :meth:`Resolvent.log`).
 
-Two exact identities halve a total-power spectrum's work.  Every flux
-builder hops only between the two sublattices of ``C = (-1)^(j+l)``, so
-``C H C = -H`` and ``G(-omega) = -C G(omega)^dagger C``; with the optical
+Two exact identities halve a total-power spectrum's work.  Where a +-1
+diagonal ``C`` gives ``C H C = -H`` (every entry joins two sublattices, as
+on the flux lattices with even rings and on ``dirac``, whose hops all flip
+the polarization), ``G(-omega) = -C G(omega)^dagger C``; with the optical
 theorem the total power is even in ``omega`` for any positive rates, and
 :func:`total_transmission_spectrum` solves one point of each ``+-omega``
 pair.  ``H(1 - phi) = conj H(phi)``, so ``G(1 - phi) = G(phi)^T`` and the
@@ -65,9 +69,7 @@ __all__ = [
     "Resolvent",
     "ScatteringResult",
     "default_omega_grid",
-    "greens_apply",
     "transmission",
-    "s_matrix_row",
     "total_transmission_spectrum",
     "butterfly_scan",
     "spectral_factorization",
@@ -143,7 +145,7 @@ class ScatteringResult:
     """Transmission amplitudes from one input mode to every mode at one ``omega``.
 
     ``amplitudes[n']`` is ``T_{n', input}``, without the direct-reflection
-    delta (:func:`s_matrix_row` adds it).
+    delta ``delta_{n', input}`` of the scattering row.
     """
 
     omega: float
@@ -255,43 +257,49 @@ def _shared_pattern(Hs: Sequence[HamiltonianMatrix]
     return rows, cols, values
 
 
-def _sectors(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The sector of every site: its connected component in the graph whose
-    edges are the entries ``(rows, cols)`` in row-major order, as a
-    :class:`~oamphoton.hamiltonians.HamiltonianMatrix` stores them.
-    Sectors are numbered from 0 in the order of their smallest sites.
+def _signing(dim: int, rows: np.ndarray, cols: np.ndarray,
+             negative: np.ndarray | bool = False
+             ) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """A +-1 signing ``S`` of the graph on ``dim`` sites whose edges, the
+    entries ``(rows, cols)`` with their transposes, ask ``S_row S_col = -1``
+    where ``negative`` holds and ``+1`` elsewhere: each site's component
+    label (its smallest site), ``S`` (``+1`` on each label) and the first
+    entry ``S`` breaks, or ``None``.  A signing exists exactly when every
+    cycle holds an even number of negative entries (Harary, Michigan Math.
+    J. 2, 143 (1953)), unique up to each component's sign.
 
-    Where every site but 0 has a neighbour with a smaller index, following
-    those neighbours leads every site to 0, so the graph is connected: the
-    flux lattices, whose flat order runs along their hops, stop there.
-    Otherwise min-label propagation: each site takes the smallest label
-    among its own and its neighbours', then every label jumps to its
-    label's label until none moves, so a chain of ``d`` sites settles in
-    about ``log2 d`` jumps.  This repeats until every entry joins two sites
-    of one label, which is then the smallest site of their component.
+    Min-label propagation keyed ``2 label + parity``, for ``S_site =
+    S_label (-1)^parity`` (unsigned, the label alone): each site takes the
+    smallest key of its own and its neighbours' (the parity flipped across
+    a negative entry), then keys jump to their label's, adding its parity,
+    about ``log2 d`` times on a chain of ``d``; until every entry joins one
+    label.  Unsigned, the flux lattices stop after one step: every site but
+    0 has a smaller neighbour there, so all lead to 0.
     """
-    label = np.arange(dim)
-    if rows.size:
-        starts = np.flatnonzero(np.append(True, rows[1:] != rows[:-1]))
-        heads = rows[starts]
-        # Each row's first column is its smallest neighbour.
-        if heads.size == dim and np.all(cols[starts[1:]] < heads[1:]):
-            return np.zeros(dim, dtype=np.intp)
-        least = cols[starts]  # the smallest neighbour label, while labels are sites
+    signed = int(np.any(negative))
+    flip = np.broadcast_to(np.asarray(negative, dtype=np.intp), np.shape(rows)) if signed else 0
+    key = np.arange(dim) << signed  # unsigned, the label alone
+    np.minimum.at(key, rows, key[cols] ^ flip)
+    if not signed and np.all(key[1:] < np.arange(1, dim)):
+        return np.zeros(dim, dtype=np.intp), np.ones(dim, dtype=np.intp), None
+    while True:
         while True:
-            label[heads] = np.minimum(label[heads], least)
-            while True:
-                jumped = label[label]
-                if np.array_equal(jumped, label):
-                    break
-                label = jumped
-            linked = label[cols]
-            if np.array_equal(label[rows], linked):
+            jumped = key[key >> signed] ^ (key & signed)
+            if np.array_equal(jumped, key):
                 break
-            least = np.minimum.reduceat(linked, starts)
-    if not label.any():  # one sector, labelled by site 0
-        return label
-    return np.unique(label, return_inverse=True)[1]
+            key = jumped
+        broken = np.flatnonzero(key[rows] != key[cols] ^ flip)
+        if np.array_equal(key[rows[broken]] >> signed, key[cols[broken]] >> signed):
+            return key >> signed, 1 - 2 * (key & signed), int(broken[0]) if broken.size else None
+        np.minimum.at(key, rows, key[cols] ^ flip)
+
+
+def _sectors(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The sector of every site: its connected component in the graph of
+    the entries ``(rows, cols)`` (see :func:`_signing`), numbered from 0 in
+    the order of their smallest sites."""
+    label = _signing(dim, rows, cols)[0]
+    return np.unique(label, return_inverse=True)[1] if label.any() else label
 
 
 def _sector_blocks(blocks: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -348,8 +356,7 @@ class _Layout:
 
     def __init__(self, blocks: np.ndarray, positions: tuple[np.ndarray, np.ndarray],
                  sites: np.ndarray | None,
-                 entries: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 rates: np.ndarray, spin_dim: int):
+                 entries: tuple[np.ndarray, np.ndarray, np.ndarray], rates: np.ndarray):
         rows, cols, values = entries
         block_of, self.pos_of = pos = positions
         self.sites = sites
@@ -378,8 +385,9 @@ class _Layout:
         # block; the pattern holds each (row, col) once, so assignment is
         # exact.
         group, row = np.divmod(pr, c)
+        coupling = values[:, off]
         down_up = np.zeros((2 * n, values.shape[0], m * c * c), dtype=complex)
-        down_up[(br < bc) * n + br, :, (group * c + row) * c + pc % c] = values[:, off].T
+        down_up[(br < bc) * n + br, :, (group * c + row) * c + pc % c] = coupling.T
         down, up = down_up.reshape(2, n, -1, m, c, c)
         # Side 0 is the left sweep at block s, side 1 the right sweep at
         # block n - 1 - s: outer[side, s] couples that block to the one its
@@ -390,12 +398,8 @@ class _Layout:
         self.mask = real.astype(float)
         self.shift = np.where(real[:, None], 0.5j * np.moveaxis(
             rates[:, np.where(real, blocks, 0)], 0, 1), 1.0)
-        # S = 1, then S = (-1)^s: the polarization of each site, +1 on pads.
-        signs = [("1", None)]
-        if spin_dim == 2:
-            signs.append(("(-1)^s", np.where(real, 1.0 - 2.0 * (blocks % 2), 1.0)))
-        (self.mirror, self.mirror_down, self.signature,
-         self.mirror_reason) = self._mirror_factors(down, up, signs)
+        (self.mirror, self.mirror_down, self.sign, self.signature,
+         self.mirror_reason) = self._mirror_factors(down_up, (br, bc, pr, pc, coupling))
         self.mirrored = self.mirror is not None
 
     def operator(self, t: int, H: HamiltonianMatrix, rates: np.ndarray
@@ -412,92 +416,113 @@ class _Layout:
                 np.where(self.blocks >= 0, 0.5j * rates[self.blocks], 1.0).reshape(-1))
         return self._operators[t]
 
-    def _mirror_factors(self, down: np.ndarray, up: np.ndarray,
-                        signs: Sequence[tuple[str, np.ndarray | None]]
-                        ) -> tuple[np.ndarray | None, np.ndarray | None, str | None, str]:
-        """The factors of the mirrored right blocks, the name of the first
-        signature ``S`` in ``signs`` that holds, and why: ``S_s (U_s^-1)^T``
-        and ``S_{s+1} L_{s+1}`` (``S_k``, ``S`` on block ``k``, scaling the
-        rows) for every step whose right block can be mirrored, each of
-        shape ``((slices - 1) // 2, trials, b/c, c, c)``; ``None`` for all
-        three where the mirror fails for some trial with every signature.
-        """
-        n = self.shift.shape[0]
+    def _mirror_factors(self, down_up: np.ndarray, couplings: tuple[np.ndarray, ...]
+                        ) -> tuple:
+        """The factors of the mirrored right blocks, the signature ``S`` (see
+        :meth:`_signature`) and its name, and why: ``S_s (U_s^-1)^T`` and
+        ``S_{s+1} L_{s+1}`` (``S_k``, ``S`` on block ``k``, scaling the rows)
+        for every step whose right block can be mirrored, each of shape
+        ``((slices - 1) // 2, trials, b/c, c, c)``; ``None`` for all four
+        where the mirror fails for some trial."""
+        n, c = self.shift.shape[0], self.coupling_block
+        none = None, None, None, None
         if n < 3:
-            return None, None, None, "not mirrored: fewer than three slices"
-        failures = []
-        for name, sign in signs:
-            failure = self._mirror_failure(down, up, sign)
-            if failure is None:
-                break
-            failures.append((name, failure))
-        else:
-            first = failures[0][1]
-            return None, None, None, f"not mirrored: {first}" + "".join(
-                f" (with S = {name}, {why})" for name, why in failures[1:] if why != first)
+            return *none, "not mirrored: fewer than three slices"
+        sign, why = self._signature(down_up, couplings)
+        if why:
+            return *none, f"not mirrored: {why}"
         steps = (n - 1) // 2
-        coupling = up[:steps]
+        coupling = down_up[n: n + steps].reshape(steps, down_up.shape[1], -1, c, c)
         with np.errstate(all="ignore"):
             try:
                 # A 1 x 1 block's inverse is its reciprocal, far cheaper than
                 # one LAPACK call per block.
-                inverse = (1 / coupling if coupling.shape[-1] == 1
-                           else np.linalg.inv(coupling))
+                inverse = 1 / coupling if c == 1 else np.linalg.inv(coupling)
             except np.linalg.LinAlgError:
                 inverse = np.full_like(coupling, np.nan)
             size = np.abs(coupling).max(axis=(-2, -1)) * np.abs(inverse).max(axis=(-2, -1))
         # A zero or NaN block fails too.
         if not np.all(size <= _COUPLING_COND_LIMIT):
-            return None, None, None, "not mirrored: a coupling block U_k is singular"
+            return *none, "not mirrored: a coupling block U_k is singular"
         # A view of the stored L_k, so that down and up can be freed.
         mirror, mirror_down = inverse.swapaxes(-1, -2), self.outer[0, 1: steps + 1]
         if sign is None:
-            return (mirror, mirror_down, name,
+            return (mirror, mirror_down, None, "S = 1",
                     "mirrored: J M J = M^T, so the left sweep gives the right one")
-        rows_sign = sign.reshape(n, 1, -1, coupling.shape[-1], 1)
-        return (rows_sign[:steps] * mirror, rows_sign[1: steps + 1] * mirror_down, name,
-                f"mirrored: (J S) M (J S) = M^T with S = {name}, so the left "
-                f"sweep gives the right one")
+        name = f"S = -1 on {np.count_nonzero(sign < 0)} of {self.size} sites"
+        rows_sign = sign.reshape(n, 1, -1, c, 1)
+        return (rows_sign[:steps] * mirror, rows_sign[1: steps + 1] * mirror_down, sign, name,
+                f"mirrored: (J S) M (J S) = M^T with {name}, so the left sweep "
+                f"gives the right one")
 
-    def _mirror_failure(self, down: np.ndarray, up: np.ndarray,
-                        sign: np.ndarray | None) -> str | None:
-        """Why ``(J S) M (J S) = M^T`` fails for some trial, for ``S`` the
-        diagonal ``sign`` (``None``: 1), or ``None`` where it holds.
+    def _signature(self, down_up: np.ndarray, couplings: tuple[np.ndarray, ...]
+                   ) -> tuple[np.ndarray | None, str]:
+        """``S`` with ``(J S) M (J S) = M^T`` in every trial, shape
+        ``(slices, block_size)``, ``None`` for ``S = 1``; or why none exists.
 
-        Block by block: ``A_{n-1-k} = S_k A_k^T S_k``, ``L_{n-1-k} = S_k
-        L_{k+1}^T S_{k+1}`` and ``U_{n-2-k} = S_{k+1} U_k^T S_k``.  The
-        comparisons are exact and run cheapest first, so inputs that fail
-        (per-mode loss, coupling disorder) stop at the couplings or the
-        rates.
+        ``J`` keeps a site's position in its block, and ``S`` is constant on
+        the orbits ``{a, Ja}``.  So the rates must be mirror images, and each
+        entry ``H[r, c] = S_r S_c H[Jc, Jr]`` exactly, with one sign in every
+        trial: a relation between two orbits, for :func:`_signing`.  The
+        couplings compare as ``L_k`` with ``L_{n-k}^T`` and ``U_k`` with
+        ``U_{n-2-k}^T`` in ``down_up``, the entries of ``D_k`` with
+        ``D_{n-1-k}^T`` by sorting; where all are equal, ``S = 1`` without a
+        pass.  The cheapest comparisons, of the pads and the rates, run first.
         """
         n, b = self.mask.shape
-        lower = down[1:].swapaxes(-1, -2)
-        upper = up[:-1].swapaxes(-1, -2)
-        if sign is not None:
-            c = down.shape[-1]
-            rows_sign = sign.reshape(n, 1, -1, c, 1)
-            cols_sign = sign.reshape(n, 1, -1, 1, c)
-            lower = rows_sign[:-1] * lower * cols_sign[1:]
-            upper = rows_sign[1:] * upper * cols_sign[:-1]
-        if not (np.array_equal(down[:0:-1], lower) and np.array_equal(up[-2::-1], upper)):
-            return "the OAM couplings are not mirror transposes"
-        # A pad site's shift is 1 and a real site's i gamma/2, so this also
-        # compares the pads.
+        c = self.coupling_block
+        down, up = down_up.reshape(2, n, -1, b // c, c, c)
+        br, bc, pr, pc, coupling = couplings
+
+        def compare(value, image):
+            """Where each entry equals its image, and the first not +- it."""
+            # Contiguous (trial, entry) arrays reduce over trials far faster.
+            value, image = np.ascontiguousarray(value), np.ascontiguousarray(image)
+            same = np.all(value == image, axis=0)
+            if same.all():
+                return same, None
+            bad = np.flatnonzero(~(same | np.all(value == -image, axis=0)))
+            return same, bad[0] if bad.size else None
+
+        def unmatched(rb, rp, cb, cp):
+            return f"H[{self.blocks[rb, rp]}, {self.blocks[cb, cp]}] is not +- its mirror image"
+
+        if not np.array_equal(self.mask, self.mask[::-1]):
+            return None, "the pad sites are not mirror images"
         if not np.array_equal(self.shift, self.shift[::-1]):
-            return "the decay rates are not mirror images"
+            return None, "the decay rates are not mirror images"
+        same = np.ones(br.size, dtype=bool)
+        if not (np.array_equal(down[:0:-1], down[1:].swapaxes(-1, -2))
+                and np.array_equal(up[-2::-1], up[:-1].swapaxes(-1, -2))):
+            # H[Jc, Jr] is the coupling of the same side at block n - 1 - bc.
+            image = down_up[(br < bc) * n + n - 1 - bc, :, (pr - pr % c + pc % c) * c + pr % c]
+            same, bad = compare(coupling, image.T)
+            if bad is not None:
+                return None, unmatched(br[bad], pr[bad], bc[bad], pc[bad])
         block, row, col, value = self.diagonal
-        # The two end blocks first, a small part where most failures show.
-        for part in (np.flatnonzero((block == 0) | (block == n - 1)), slice(None)):
-            k, i, j, v = block[part], row[part], col[part], value[:, part]
-            key, image = (k * b + i) * b + j, ((n - 1 - k) * b + j) * b + i
-            # Both come in sorted runs, which a stable sort merges quickly.
-            order = np.argsort(key, kind="stable")
-            image_order = np.argsort(image, kind="stable")
-            mirrored = v if sign is None else v * (sign[k, i] * sign[k, j])
-            if not (np.array_equal(key[order], image[image_order])
-                    and np.array_equal(v[:, order], mirrored[:, image_order])):
-                return "the slice blocks D_k are not mirror transposes"
-        return None
+        key, image_key = (block * b + row) * b + col, ((n - 1 - block) * b + col) * b + row
+        # Both come in sorted runs, which a stable sort merges quickly.
+        order, image_order = np.argsort(key, kind="stable"), np.argsort(image_key, kind="stable")
+        if not np.array_equal(key[order], image_key[image_order]):
+            e = np.flatnonzero(~np.isin(image_key, key))[0]  # its image holds no entry
+            return None, unmatched(block[e], row[e], block[e], col[e])
+        inside, bad = compare(value[:, order], value[:, image_order])
+        if bad is not None:
+            e = order[bad]
+            return None, unmatched(block[e], row[e], block[e], col[e])
+        if same.all() and inside.all():
+            return None, ""
+        # One node per orbit: blocks k and n - 1 - k share the lower one's.
+        fold = np.minimum(np.arange(n), np.arange(n)[::-1])
+        rb, rp, cb, cp = (np.concatenate(pair) for pair in
+                          ((br, block[order]), (pr, row[order]), (bc, block[order]), (pc, col[order])))
+        _, sign, broken = _signing((n + 1) // 2 * b, fold[rb] * b + rp, fold[cb] * b + cp,
+                                   ~np.concatenate([same, inside]))
+        if broken is not None:
+            return None, (f"no signature fits every entry (some cycle holds an odd number "
+                          f"of negated mirror images; H[{self.blocks[rb[broken], rp[broken]]}, "
+                          f"{self.blocks[cb[broken], cp[broken]]}] breaks the one derived)")
+        return sign.reshape(-1, b)[fold], ""
 
 
 class Resolvent:
@@ -563,22 +588,23 @@ class Resolvent:
 
     Mirror: with ``J`` the reversal of the block order (each block's sites
     kept in place) and ``S`` a diagonal signature of +-1, where ``M = omega
-    + i G/2 - H`` satisfies ``(J S) M (J S) = M^T`` (block by block, see
-    :meth:`_Layout._mirror_failure`), the right sweep's Schur complements
-    are ``S_k`` times the transposes of the left sweep's, so
+    + i G/2 - H`` satisfies ``(J S) M (J S) = M^T``, the right sweep's Schur
+    complements are ``S_k`` times the transposes of the left sweep's, so
     ``h_right[n-1-s] = S_s (L_{s+1} h_left[s] U_s^-1)^T S_{s+1}`` needs no
     factorization.  Each layout decides this once for all trials, by exact
-    comparison, first for ``S = 1`` and then, on a spinful lattice, for
-    ``S = (-1)^s``; a ``c x c`` block of ``U_s`` beyond
+    comparison of every entry with its mirror image, and derives ``S`` from
+    their signs or names the entry that no ``S`` fits (see
+    :meth:`_Layout._signature`); a ``c x c`` block of ``U_s`` beyond
     :data:`_COUPLING_COND_LIMIT` counts as singular.  ``S = 1`` holds for
     ``landau`` on any window, ``oam-gauge`` on a symmetric one and a
-    ``dirac`` sector on an odd number of blocks, ``S = (-1)^s`` for ``qsh``
-    (folded even rings too), under uniform loss, clean or with per-cavity
-    detuning; per-mode random loss, coupling disorder, folded odd rings and
-    a ``dirac`` sector on an even number of blocks fail both (``mirrored``,
-    ``mirror_reason``).  While both sweeps are active, a mirrored layout's
-    steps factorize the left block alone, and one product writes the right
-    blocks whole; every other step is unchanged.
+    ``dirac`` sector on an odd number of blocks, ``S = +-(-1)^s`` for
+    ``qsh`` (folded even rings too) and ``S = +-(-1)^j`` for a ``dirac``
+    sector on an even number of blocks, under uniform loss, clean or with
+    per-cavity detuning; per-mode random loss, coupling disorder and folded
+    odd rings fail (``mirrored``, ``mirror_reason``).  While both sweeps
+    are active, a mirrored layout's steps factorize the left block alone,
+    and one product writes the right blocks whole; every other step is
+    unchanged.
 
     ``sectors`` counts the components and ``slices`` the sweep blocks (the
     same in every sector).  ``block_size``, ``coupling_block``,
@@ -621,12 +647,11 @@ class Resolvent:
             block_of, pos_of = _positions(blocks, dim)
         self._block_of, self._pos_of = block_of, pos_of
         self.slices = blocks.shape[0]
-        self._spin_dim = spec.spin_dim
         self._sector = _sectors(dim, rows, cols)
         self.sectors = int(self._sector.max()) + 1
         if self.sectors == 1:
             self._layouts = {0: _Layout(blocks, (block_of, pos_of), None,
-                                        (rows, cols, values), self.rates, spec.spin_dim)}
+                                        (rows, cols, values), self.rates)}
         else:
             self._layouts = {}
             self._blocks, self._entries = blocks, (rows, cols, values)
@@ -649,7 +674,7 @@ class Resolvent:
             keep = np.flatnonzero(inside[rows])
             self._layouts[sector] = _Layout(
                 blocks, _positions(blocks, self.dim), np.flatnonzero(inside),
-                (rows[keep], cols[keep], values[:, keep]), self.rates, self._spin_dim)
+                (rows[keep], cols[keep], values[:, keep]), self.rates)
         return self._layouts[sector]
 
     def _all_layouts(self) -> list[_Layout]:
@@ -1035,7 +1060,7 @@ class Resolvent:
         residual, each also an ``extra`` field of the record."""
         swept = [self._layouts[g] for g in sorted(self._swept)]
         mirrored = bool(swept) and all(layout.mirrored for layout in swept)
-        signature = _distinct(f"S = {layout.signature}" for layout in swept
+        signature = _distinct(layout.signature for layout in swept
                               if layout.mirrored) or "none"
         sites = sum(layout.size for layout in swept)
         block_size = max((layout.block_size for layout in swept), default=0)
@@ -1076,15 +1101,6 @@ def _distinct(reasons: Iterator[str]) -> str:
     return "; ".join(dict.fromkeys(reasons))
 
 
-def greens_apply(H: HamiltonianMatrix, decay: DecaySpec, omega: float,
-                 input: SiteIndex) -> np.ndarray:
-    """The resolvent column ``(omega - H + i G/2)^{-1} e_input``."""
-    engine = Resolvent(H, decay)
-    x = engine.solve(omega, [flat_index(H.spec, input)])[:, 0]
-    engine.log("one frequency, one port")
-    return x
-
-
 def transmission(H: HamiltonianMatrix, decay: DecaySpec, omega: float,
                  input: SiteIndex) -> ScatteringResult:
     """Transmission amplitudes ``-i sqrt(G) G(omega) sqrt(G) e_input``."""
@@ -1092,20 +1108,6 @@ def transmission(H: HamiltonianMatrix, decay: DecaySpec, omega: float,
     amplitudes = engine.transmission(omega, [flat_index(H.spec, input)])[:, 0]
     engine.log("one frequency, one port")
     return ScatteringResult(omega=omega, input=input, amplitudes=amplitudes)
-
-
-def s_matrix_row(H: HamiltonianMatrix, decay: DecaySpec, omega: float,
-                 input: SiteIndex) -> np.ndarray:
-    """One scattering-matrix row ``delta_{n'n} + T_{n'n}``.
-
-    For uniform decay and Hermitian ``H`` the row has 2-norm 1 (checked in
-    the test suite, not here); with per-mode rates it is still computed
-    but no unitarity holds.
-    """
-    result = transmission(H, decay, omega, input)
-    row = result.amplitudes.copy()
-    row[flat_index(H.spec, input)] += 1.0
-    return row
 
 
 def spectral_factorization(H: HamiltonianMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -1124,16 +1126,6 @@ def eig_transmission_vector(evals: np.ndarray, evecs: np.ndarray, gamma: float,
     """
     c = evecs[input_index, :].conj() / (omega - evals + 0.5j * gamma)
     return -1j * gamma * (evecs @ c)
-
-
-def _chiral(H: HamiltonianMatrix) -> bool:
-    """Whether every stored entry of ``H`` joins the two sublattices of
-    ``(-1)^(j+l)``: exact, from ``H.rows`` and ``H.cols`` alone, so a
-    diagonal entry fails it."""
-    spec = H.spec
-    j, l = np.divmod(np.arange(spec.dim) // spec.spin_dim, spec.n_l)
-    parity = (j + l) % 2
-    return bool(np.all(parity[H.rows] != parity[H.cols]))
 
 
 def _nearest(ordered: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -1201,12 +1193,14 @@ def total_transmission_spectrum(
     """
     omega_grid = np.asarray(omega_grid, dtype=float).reshape(-1)
     in_rows = [flat_index(H.spec, s) for s in inputs]
-    chiral = _chiral(H)
-    source = _omega_partners(omega_grid) if chiral else np.arange(omega_grid.size)
+    # C H C = -H for a +-1 diagonal C: every entry asks C_r C_c = -1.
+    broken = _signing(H.dim, H.rows, H.cols, True)[2]
+    source = _omega_partners(omega_grid) if broken is None else np.arange(omega_grid.size)
     computed = np.flatnonzero(source == np.arange(source.size))
     copied = source.size - computed.size
-    if not chiral:
-        why = "no omega mirror: H joins two sites of one sublattice"
+    if broken is not None:
+        why = (f"no omega mirror: H joins two sites of one sublattice in every "
+               f"bipartition (H[{H.rows[broken]}, {H.cols[broken]}] breaks the one derived)")
     elif not copied:
         why = "no omega mirror: no partners on the grid"
     else:

@@ -44,7 +44,6 @@ from oamphoton import (
     phase_mismatch_chern,
     qsh_gap_scan,
     saturating_oam_envelope,
-    s_matrix_row,
     site_of,
     total_transmission_spectrum,
     transmission,
@@ -426,8 +425,9 @@ def test_10_property_suites():
         H = HamiltonianMatrix(spec, (raw + raw.conj().T) / 2.0)
         decay = DecaySpec(gamma=float(rng.uniform(0.05, 1.5)))
         omega = float(rng.uniform(-3.0, 3.0))
-        S = np.array([
-            s_matrix_row(H, decay, omega, site_of(spec, i))
+        # Row i: the direct reflection e_i plus the amplitudes for input i.
+        S = np.eye(dim) + np.array([
+            transmission(H, decay, omega, site_of(spec, i)).amplitudes
             for i in range(dim)
         ])
         defect = np.abs(S.conj().T @ S - np.eye(dim)).max()

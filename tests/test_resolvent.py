@@ -2,6 +2,7 @@
 storage, bits, Monte Carlo trials and memory."""
 
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,6 @@ from oamphoton.scattering import (
     Resolvent,
     default_omega_grid,
     eig_transmission_vector,
-    greens_apply,
     spectral_factorization,
     total_transmission_spectrum,
     transmission,
@@ -116,7 +116,7 @@ def test_single_port_functions_use_the_block_engine():
     site = SiteIndex(0, 1, 1)
     r = flat_index(H.spec, site)
     ref = dense_columns(H, decay, -1.6, [r])[:, 0]
-    np.testing.assert_allclose(greens_apply(H, decay, -1.6, site), ref,
+    np.testing.assert_allclose(Resolvent(H, decay).solve(-1.6, [r])[:, 0], ref,
                                rtol=0, atol=1e-12 * np.abs(ref).max())
     rates = decay.rate_vector(H.dim)
     amplitudes = transmission(as_csr(H), decay, -1.6, site).amplitudes
@@ -152,10 +152,11 @@ def test_optical_theorem_on_both_paths(name):
     H = LATTICES[name]
     decay = DecaySpec.uniform(GAMMA)
     grid = np.array([-2.5, -0.7, 0.0, 1.3])
+    engine = Resolvent(H, decay)
     for r in edge_rows(H):
         site = site_of(H.spec, r)
         expected = np.array([
-            -2.0 * GAMMA * greens_apply(H, decay, float(w), site)[r].imag for w in grid
+            -2.0 * GAMMA * engine.solve(float(w), [r])[r, 0].imag for w in grid
         ])
         eigenbasis = total_transmission_spectrum(H, decay, [site], grid)
         sparse_lu = total_transmission_spectrum(as_csr(H), decay, [site], grid)
@@ -207,8 +208,10 @@ def test_chunked_sweeps_cover_the_grid_once(sweeps, monkeypatch):
     monkeypatch.setattr(scattering, "_CHUNK_BYTES", 1)
     chunked = total_transmission_spectrum(H, per_mode(H), inputs, grid)
     np.testing.assert_allclose(chunked, whole, rtol=1e-13)
-    assert sweeps[0] == (grid.size, len(inputs))
-    assert sweeps[1:] == [(1, len(inputs))] * grid.size
+    # Every hop of dirac flips the polarization, so the odd ring is chiral
+    # and the omega mirror solves the 6 points at and below 0.
+    assert sweeps[0] == (6, len(inputs))
+    assert sweeps[1:] == [(1, len(inputs))] * 6
 
 
 # ---------------------------------------------------------- loud failures
@@ -223,7 +226,7 @@ def test_non_finite_omega_rejected(bad):
         with pytest.raises(ValueError, match="finite"):
             transmission(H_in, decay, bad, site)
         with pytest.raises(ValueError, match="finite"):
-            greens_apply(H_in, decay, bad, site)
+            Resolvent(H_in, decay).solve(bad, [flat_index(H.spec, site)])
         with pytest.raises(ValueError, match="finite"):
             total_transmission_spectrum(H_in, decay, [site], np.array([0.0, bad]))
         with pytest.raises(ValueError, match="finite"):
@@ -280,7 +283,7 @@ def test_vanishing_loss_at_an_eigenvalue_raises():
     evals, evecs = spectral_factorization(H)
     row = int(np.argmax(np.abs(evecs[:, 5])))
     with pytest.raises(RuntimeError, match="residual"):
-        greens_apply(H, DecaySpec.uniform(1e-13), float(evals[5]), site_of(H.spec, row))
+        Resolvent(H, DecaySpec.uniform(1e-13)).solve(float(evals[5]), [row])
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -302,7 +305,7 @@ def test_coupling_that_skips_a_slice_is_kept(storage, caplog):
     ref = dense_columns(H2, decay, 0.7, rows)
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
-        greens_apply(H2, decay, 0.7, SiteIndex(0, 0, 0))
+        transmission(H2, decay, 0.7, SiteIndex(0, 0, 0))
     assert "2 apart" in caplog.records[-1].solver_reason
 
 
@@ -804,13 +807,42 @@ def _zero_hop_cavity(H, j=1):
     return HamiltonianMatrix.from_entries(H.spec, H.rows[~hop], H.cols[~hop], H.values[~hop])
 
 
+def _named_entry(engine):
+    """The sites ``(a, b)`` of the entry ``H[a, b]`` that a one-sector
+    engine's ``mirror_reason`` names, and whether it is a coupling."""
+    a, b = map(int, re.search(r"H\[(\d+), (\d+)\]", engine.mirror_reason).groups())
+    return a, b, engine._block_of[a] != engine._block_of[b]
+
+
+def _unmatched(engine, Hs, a, b):
+    """Whether ``H[a, b]`` equals neither its mirror image ``H[Jb, Ja]`` nor
+    its negative with one sign in every trial (``J`` keeps a site's
+    position and reverses the blocks; a pad's image entry is 0)."""
+    blocks = engine._layout(0).blocks
+    ja, jb = (blocks[engine.slices - 1 - engine._block_of[x], engine._pos_of[x]]
+              for x in (a, b))
+    pairs = [(h.toarray()[a, b], h.toarray()[jb, ja] if min(ja, jb) >= 0 else 0.0)
+             for h in Hs]
+    return not any(all(v == sign * w for v, w in pairs) for sign in (1, -1))
+
+
 def test_mirror_needs_symmetric_slice_blocks_and_invertible_couplings():
     H = MIRROR_LATTICES["landau-symmetric"]
     decay = DecaySpec.uniform(GAMMA)
     shifted = Resolvent(build_oam_gauge_hofstadter(LatticeSpec(n_x=4, l_min=-2, l_max=4),
                                                    2.0 / 7.0), decay)
     assert not shifted.mirrored
-    assert "slice blocks D_k are not" in shifted.mirror_reason
+    # The reason names an entry of a slice block D_k that is not +- its image.
+    a, b, coupling = _named_entry(shifted)
+    assert "is not +- its mirror image" in shifted.mirror_reason
+    assert not coupling and _unmatched(shifted, shifted._Hs, a, b)
+    # A Hermitian pair on the first slice whose image on the last is empty.
+    a, b = (flat_index(H.spec, SiteIndex(j, -3, 0)) for j in (0, 2))
+    unpaired = HamiltonianMatrix.from_entries(H.spec, np.r_[H.rows, a, b],
+                                              np.r_[H.cols, b, a], np.r_[H.values, 0.3, 0.3])
+    engine = Resolvent(unpaired, decay)
+    assert not engine.mirrored
+    assert engine.mirror_reason == f"not mirrored: H[{a}, {b}] is not +- its mirror image"
     singular = Resolvent(_zero_hop_cavity(H), decay)
     assert not singular.mirrored
     assert "singular" in singular.mirror_reason
@@ -847,16 +879,21 @@ def test_centred_mirrored_ports_factorize_one_block_per_step(solve_shapes):
 
 
 def _unmirrored_case(name):
-    """``(Hamiltonians, decay, ports, why the mirror fails)``."""
+    """``(Hamiltonians, decay, ports, why the mirror fails)``: the pads, the
+    decay rates, or a coupling that is not +- its mirror image."""
     H = MIRROR_LATTICES["landau-symmetric"]
     centred = _mirror_ports(Resolvent(H, DecaySpec.uniform(GAMMA)))["centred"]
     if name == "per-mode rates":
         return H, per_mode(H), centred, "decay rates"
-    if name == "model B":
+    if name.startswith("model B"):
+        # Model B: per-OAM-link coupling and loss errors; its couplings
+        # alone, under uniform loss, fail at a coupling entry.
         model = DisorderModel.oam_link_errors(sigma_mag=0.05, sigma_loss=0.02, width=2.0)
-        return ([sample_disordered_hamiltonian(H, model, seed) for seed in range(3)],
-                [loss_perturbed_decay(GAMMA, H.spec, model, seed) for seed in range(3)],
-                centred, "OAM couplings")
+        Hs = [sample_disordered_hamiltonian(H, model, seed) for seed in range(3)]
+        if name == "model B couplings":
+            return Hs, DecaySpec.uniform(GAMMA), centred, "coupling"
+        return (Hs, [loss_perturbed_decay(GAMMA, H.spec, model, seed) for seed in range(3)],
+                centred, "decay rates")
     if name == "qsh":
         # qsh mirrors with S = (-1)^s under uniform loss, so it takes
         # per-mode rates; its ports on the middle slice, all in the sector
@@ -865,17 +902,24 @@ def _unmirrored_case(name):
         rows = [flat_index(qsh.spec, SiteIndex(j, 0, j % 2)) for j in range(qsh.spec.n_x)]
         return qsh, per_mode(qsh), rows, "decay rates"
     # Nine OAM slices on a ring fold into five blocks; OAM -2 lies on block 2.
+    # The middle slice fills half of the last block, whose image is block 0.
     ring = LATTICES["scalar-periodic"]
     return (ring, DecaySpec.uniform(GAMMA),
-            [flat_index(ring.spec, SiteIndex(j, -2, 0)) for j in range(4)], "OAM couplings")
+            [flat_index(ring.spec, SiteIndex(j, -2, 0)) for j in range(4)], "pad sites")
 
 
-@pytest.mark.parametrize("name", ["per-mode rates", "model B", "qsh", "odd ring"])
+@pytest.mark.parametrize("name", ["per-mode rates", "model B", "model B couplings", "qsh",
+                                  "odd ring"])
 def test_unmirrored_inputs_keep_both_sweeps(name, solve_shapes):
     Hs, decay, rows, why = _unmirrored_case(name)
     engine = Resolvent(Hs, decay)
     assert not engine.mirrored
-    assert f"not mirrored: the {why}" in engine.mirror_reason
+    if why == "coupling":
+        a, b, coupling = _named_entry(engine)
+        assert "is not +- its mirror image" in engine.mirror_reason
+        assert coupling and _unmatched(engine, engine._Hs, a, b)
+    else:
+        assert f"not mirrored: the {why}" in engine.mirror_reason
     grid = np.array([-1.2, 0.1])
     engine.transmitted_power(grid, rows)
     # Ports on the middle block: each step factorizes both sides' blocks.
@@ -919,6 +963,24 @@ def test_mirrored_left_sweep_is_bitwise_the_unmirrored_one(monkeypatch):
                                atol=1e-13 * np.abs(columns[1]).max())
 
 
+def _assert_signature(engine, parity):
+    """Every sector mirrors with a derived ``S = +-(-1)^parity`` on its
+    sites, one sign per sector."""
+    assert engine.mirrored
+    for g in range(engine.sectors):
+        layout = engine._layout(g)
+        real = layout.blocks >= 0
+        expected = 1 - 2 * (parity[layout.blocks[real]] % 2)
+        assert layout.signature == f"S = -1 on {np.count_nonzero(layout.sign < 0)} of " \
+                                   f"{layout.size} sites"
+        assert (np.array_equal(layout.sign[real], expected)
+                or np.array_equal(layout.sign[real], -expected))
+
+
+def _polarization(H):
+    return np.arange(H.dim) % H.spec.spin_dim
+
+
 def test_engine_record_reports_the_mirror(caplog):
     desk = build_landau_hofstadter(LatticeSpec(n_x=10, l_min=-50, l_max=50), 1.0 / 6.0)
     grid = np.array([-2.0, 0.3, 1.1])
@@ -934,12 +996,80 @@ def test_engine_record_reports_the_mirror(caplog):
     # sector with the polarization signature: 3 steps and the port block.
     assert [r.mirrored for r in records] == [True, False, True]
     assert [r.block_factorizations for r in records] == [51 * 3, 101 * 3, 4 * 3]
-    assert [r.signature for r in records] == ["S = 1", "none", "S = (-1)^s"]
+    qsh = Resolvent(LATTICES["qsh"], DecaySpec.uniform(GAMMA))
+    _assert_signature(qsh, _polarization(LATTICES["qsh"]))
+    swept = qsh._layout(int(qsh._sector[flat_index(qsh._Hs[0].spec, SiteIndex(0, 0, 0))]))
+    assert [r.signature for r in records] == ["S = 1", "none", swept.signature]
     assert "mirrored: J M J = M^T" in records[0].solver_reason
     assert "not mirrored: the decay rates" in records[1].solver_reason
-    assert "mirrored: (J S) M (J S) = M^T with S = (-1)^s" in records[2].solver_reason
+    assert (f"mirrored: (J S) M (J S) = M^T with {swept.signature}"
+            in records[2].solver_reason)
     for r in records:
         assert f"of {r.block_factorizations} slice block(s)" in r.getMessage()
+
+
+@pytest.mark.parametrize("bc_y", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("window, factorizations", [((3, -3, 4), (10, 6)),
+                                                    ((10, -50, 49), (102, 52))])
+def test_dirac_on_an_even_number_of_blocks_mirrors_with_the_cavity_parity(
+        bc_y, window, factorizations):
+    # Neither S = 1 nor S = (-1)^s fits a dirac sector of an even window;
+    # the derived signature is the cavity parity, S = +-(-1)^j.
+    H = build_dirac(LatticeSpec(*window, spin_dim=2, bc_y=bc_y), 1.0 / 6.0)
+    decay = DecaySpec.uniform(GAMMA)
+    engine = Resolvent(H, decay)
+    _assert_signature(engine, np.arange(H.dim) // (H.spec.n_l * H.spec.spin_dim))
+    rows = _mirror_ports(engine)["centred"]
+    x = engine.solve(0.3, rows)
+    # Ports on the middle block: each step factorizes its left block alone.
+    assert engine.block_factorizations == factorizations[bc_y is Boundary.PERIODIC]
+    A = 0.3 * np.eye(H.dim) - H.toarray() + 0.5j * GAMMA * np.eye(H.dim)
+    ref = scipy.linalg.solve(A, np.eye(H.dim)[:, rows])
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_a_frustrated_mirror_is_refused_by_name():
+    # Negating the Hermitian pair of one cavity hop on slice l = -2 keeps
+    # every entry equal to +- its image, but the plaquettes through it now
+    # hold one negated relation each: no signature exists.
+    H = MIRROR_LATTICES["landau-symmetric"]
+    a, b = (flat_index(H.spec, SiteIndex(j, -2, 0)) for j in (1, 2))
+    pair = ((H.rows == a) & (H.cols == b)) | ((H.rows == b) & (H.cols == a))
+    frustrated = HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols,
+                                                np.where(pair, -H.values, H.values))
+    decay = DecaySpec.uniform(GAMMA)
+    engine = Resolvent(frustrated, decay)
+    assert not engine.mirrored
+    assert engine.mirror_reason.startswith("not mirrored: no signature fits every entry")
+    # The signature derived along the OAM hops from slice -3 breaks the
+    # negated pair itself.
+    assert _named_entry(engine)[:2] == (a, b)
+    rows = _mirror_ports(engine)["centred"]
+    ref = dense_columns(frustrated, decay, 0.3, rows)
+    np.testing.assert_allclose(engine.solve(0.3, rows), ref, rtol=0,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+def test_bipartite_odd_dirac_ring_solves_one_of_each_omega_pair(caplog):
+    # Every dirac hop flips the polarization, so C = (-1)^s gives C H C = -H
+    # on an odd ring, where (-1)^(j+l) does not.  An on-site entry breaks it.
+    H = LATTICES["dirac"]
+    onsite = HamiltonianMatrix.from_entries(H.spec, np.r_[H.rows, 5], np.r_[H.cols, 5],
+                                            np.r_[H.values, 0.3])
+    inputs = [SiteIndex(0, 0, 1), SiteIndex(2, -2, 0)]
+    rows = [flat_index(H.spec, s) for s in inputs]
+    grid = np.linspace(-3.0, 3.0, 12)
+    for h, computed in ((H, 6), (onsite, 12)):
+        decay = per_mode(h)
+        with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+            power = total_transmission_spectrum(h, decay, inputs, grid)
+        record = [r for r in caplog.records if r.name == "oamphoton"][-1]
+        full = Resolvent(h, decay).transmitted_power(grid, rows)
+        np.testing.assert_allclose(power, full, rtol=0, atol=1e-13 * full.max())
+        assert record.factorizations == computed
+    assert "omega mirror: H is chiral" in caplog.records[0].solver_reason
+    assert ("no omega mirror: H joins two sites of one sublattice in every bipartition"
+            in record.solver_reason)
 
 
 # ----------------------------------------------------------------- sectors
@@ -996,7 +1126,11 @@ def test_sector_columns_match_dense_columns(name, ports):
     assert engine.block_size == H.spec.n_x * H.spec.spin_dim * (
         2 if "ring" in name else 1) // 2
     if name.startswith("qsh"):
-        assert engine.mirrored and "S = (-1)^s" in engine.mirror_reason
+        _assert_signature(engine, _polarization(H))
+    elif name == "dirac even ring":  # S = (-1)^j, the cavity parity
+        _assert_signature(engine, np.arange(H.dim) // (H.spec.n_l * H.spec.spin_dim))
+    else:  # an odd number of blocks
+        assert engine.mirrored and engine.mirror_reason.startswith("mirrored: J M J = M^T")
     _assert_sector_columns(engine, [H], [decay], np.array([-1.7, 0.4]),
                            _sector_ports(engine, ports))
 
@@ -1025,7 +1159,11 @@ def test_engine_record_reports_its_sectors(caplog):
     assert [r.sectors for r in records] == [1, 2, 2]
     assert [r.sectors_swept for r in records] == [1, 1, 2]
     assert [(r.sites_solved, r.dim) for r in records] == [(28, 28), (1212, 2424), (56, 56)]
-    assert [r.signature for r in records] == ["S = 1", "S = (-1)^s", "S = (-1)^s"]
+    # The qsh sectors mirror with S = +-(-1)^s, 606 of q12's 1212 sites at -1.
+    assert [r.signature for r in records] == [
+        "S = 1", "S = -1 on 606 of 1212 sites", "S = -1 on 14 of 28 sites"]
+    _assert_signature(Resolvent(q12, decay), _polarization(q12))
+    _assert_signature(Resolvent(LATTICES["qsh"], decay), _polarization(LATTICES["qsh"]))
     # The q12x101 map: 51 blocks of width 12 per frequency, not 101 of 24.
     assert (records[1].block_factorizations, records[1].block_size) == (51, 12)
     for r in records:

@@ -6,8 +6,9 @@ Jones axes, uniform or per-mode loss, dense or CSR input, sometimes a
 coupling that skips OAM slices, and ports on several slices.  The engine
 must reproduce the dense ``scipy.linalg.solve`` oracle, scalar lattices
 must be reciprocal, bipartite zero-flux lattices must have a total
-spectrum symmetric under ``omega -> -omega``, and on commensurate tori the
-Landau and OAM gauges must give the same ``|T|``.  ``derandomize=True`` and
+spectrum symmetric under ``omega -> -omega``, on commensurate tori the
+Landau and OAM gauges must give the same ``|T|``, and a mirror signature
+put in by a diagonal gauge must come back out of the engine.  ``derandomize=True`` and
 fixed example counts keep the runs identical and short.
 """
 
@@ -22,6 +23,7 @@ from oamphoton.hamiltonians import (
     GaugeConfig,
     HamiltonianMatrix,
     SpinAxis,
+    build_dirac,
     build_landau_hofstadter,
     build_non_abelian,
     build_oam_gauge_hofstadter,
@@ -181,3 +183,58 @@ def test_gauges_agree_on_commensurate_tori(data):
     np.testing.assert_allclose(np.abs(oam), np.abs(landau), rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(oam, gauge[:, None] * landau * gauge[rows].conj(),
                                rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_derived_signature_is_the_gauge_put_in(data):
+    """On a lattice that mirrors with ``S = 1``, take a random +-1 diagonal
+    ``D`` constant on every mirror orbit ``{a, Ja}``.  Conjugating by the
+    unitary diagonal ``E`` with ``E^2 = D`` makes each entry ``D_a D_b``
+    times its mirror image, so the engine must derive ``S = +-D`` on each
+    sector and keep its columns exact; conjugating by ``D`` itself keeps
+    ``S = 1``."""
+    n_l = data.draw(st.sampled_from((3, 5, 6, 8)))
+    builder = data.draw(st.sampled_from(["landau", "oam-gauge", "dirac"]))
+    # Open windows, or a folded even ring of three or more blocks for landau;
+    # oam-gauge mirrors on a symmetric window, dirac on an odd number of blocks.
+    bc_y = Boundary.PERIODIC if builder == "landau" and n_l in (6, 8) else Boundary.OPEN
+    if builder != "landau":
+        n_l = 2 * (n_l // 2) + 1
+    spec = LatticeSpec(n_x=data.draw(st.integers(1, 4)), l_min=-(n_l // 2),
+                       l_max=n_l - 1 - n_l // 2, spin_dim=2 if builder == "dirac" else 1,
+                       bc_x=data.draw(st.sampled_from(Boundary)), bc_y=bc_y)
+    phi = data.draw(st.floats(-0.5, 0.5))
+    H = {"landau": build_landau_hofstadter, "oam-gauge": build_oam_gauge_hofstadter,
+         "dirac": build_dirac}[builder](spec, phi)
+    decay = DecaySpec.uniform(data.draw(st.floats(0.05, 1.0)))
+    base = Resolvent(H, decay)
+    assert base.mirrored and base.mirror_reason.startswith("mirrored: J M J = M^T")
+    D = np.ones(H.dim)
+    for g in range(base.sectors):
+        blocks = base._layout(g).blocks
+        n = blocks.shape[0]
+        orbit = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                            min_size=blocks[: (n + 1) // 2].size,
+                                            max_size=blocks[: (n + 1) // 2].size)))
+        orbit = orbit.reshape(-1, blocks.shape[1])[np.minimum(np.arange(n), np.arange(n)[::-1])]
+        D[blocks[blocks >= 0]] = orbit[blocks >= 0]
+    real = HamiltonianMatrix.from_entries(spec, H.rows, H.cols,
+                                          D[H.rows] * H.values * D[H.cols])
+    assert Resolvent(real, decay).mirror_reason.startswith("mirrored: J M J = M^T")
+    E = np.where(D < 0, 1j, 1.0)
+    gauged = HamiltonianMatrix.from_entries(spec, H.rows, H.cols,
+                                            E[H.rows] * H.values * E[H.cols].conj())
+    engine = Resolvent(gauged, decay)
+    assert engine.mirrored and engine.sectors == base.sectors
+    for g in range(engine.sectors):
+        layout = engine._layout(g)
+        sites = layout.blocks[layout.blocks >= 0]
+        sign = (np.ones(sites.size) if layout.sign is None
+                else layout.sign[layout.blocks >= 0])
+        assert np.array_equal(sign, D[sites]) or np.array_equal(sign, -D[sites])
+    rows = data.draw(st.lists(st.integers(0, H.dim - 1), min_size=1, max_size=3))
+    omega = data.draw(st.floats(-4.0, 4.0))
+    ref = dense_columns(gauged, decay, omega, rows)
+    np.testing.assert_allclose(engine.solve(omega, rows), ref, rtol=0,
+                               atol=1e-12 * np.abs(ref).max())

@@ -22,8 +22,6 @@ from oamphoton.scattering import (
     butterfly_scan,
     default_omega_grid,
     eig_transmission_vector,
-    greens_apply,
-    s_matrix_row,
     spectral_factorization,
     total_transmission_spectrum,
     transmission,
@@ -38,6 +36,18 @@ def single_site(h00=0.0):
 def two_site_chain():
     spec = LatticeSpec(n_x=2, l_min=0, l_max=0)
     return HamiltonianMatrix(spec, np.array([[0, -1], [-1, 0]], dtype=complex))
+
+
+def column(H, decay, omega, site):
+    """The resolvent column ``(omega - H + i G/2)^{-1} e_site``."""
+    return Resolvent(H, decay).solve(omega, [flat_index(H.spec, site)])[:, 0]
+
+
+def s_row(H, decay, omega, site):
+    """One scattering-matrix row ``delta_{n'n} + T_{n'n}`` for input ``n``."""
+    row = transmission(H, decay, omega, site).amplitudes.copy()
+    row[flat_index(H.spec, site)] += 1.0
+    return row
 
 
 # ----------------------------------------------------------------- DecaySpec
@@ -75,13 +85,13 @@ def test_decay_spec_rejects_non_finite_rates(bad):
         DecaySpec.per_mode(np.array([0.1, bad]))
 
 
-# -------------------------------------------------------------- greens_apply
+# ------------------------------------------------------- resolvent columns
 
 def test_greens_single_site_scalar_inverse():
     H = single_site()
     gamma = 0.3
     for omega in (-1.0, 0.0, 0.7):
-        x = greens_apply(H, DecaySpec.uniform(gamma), omega, SiteIndex(0, 0, 0))
+        x = column(H, DecaySpec.uniform(gamma), omega, SiteIndex(0, 0, 0))
         np.testing.assert_allclose(x[0], 1.0 / (omega + 0.5j * gamma), rtol=1e-12)
 
 
@@ -89,7 +99,7 @@ def test_greens_far_detuned_neumann_limit():
     spec = LatticeSpec(n_x=3, l_min=0, l_max=2)
     H = build_landau_hofstadter(spec, 1.0 / 6.0)
     omega = 1e6
-    x = greens_apply(H, DecaySpec.uniform(0.1), omega, SiteIndex(1, 1, 0))
+    x = column(H, DecaySpec.uniform(0.1), omega, SiteIndex(1, 1, 0))
     expected = np.zeros(H.dim, dtype=complex)
     expected[flat_index(spec, SiteIndex(1, 1, 0))] = 1.0 / omega
     np.testing.assert_allclose(x, expected, atol=1e-11)
@@ -102,7 +112,7 @@ def test_greens_two_site_hand_inverse():
     # its first column of the inverse is [i*g/2, -1] / (-(g/2)^2 - 1).
     det = -((gamma / 2.0) ** 2) - 1.0
     expected = np.array([0.5j * gamma, -1.0]) / det
-    x = greens_apply(H, DecaySpec.uniform(gamma), 0.0, SiteIndex(0, 0, 0))
+    x = column(H, DecaySpec.uniform(gamma), 0.0, SiteIndex(0, 0, 0))
     np.testing.assert_allclose(x, expected, rtol=1e-12)
 
 
@@ -112,7 +122,7 @@ def test_greens_residual_contract_on_random_instances():
     H = build_landau_hofstadter(spec, 1.0 / 6.0)
     rates = DecaySpec.per_mode(rng.uniform(0.05, 0.5, size=H.dim))
     for omega in rng.uniform(-4, 4, size=5):
-        x = greens_apply(H, rates, float(omega), SiteIndex(2, 0, 0))
+        x = column(H, rates, float(omega), SiteIndex(2, 0, 0))
         A = (omega + 0.5j * rates.rates) * np.eye(H.dim) - H.toarray()
         assert np.linalg.norm(A @ x - np.eye(H.dim)[flat_index(spec, SiteIndex(2, 0, 0))]) < 1e-10
 
@@ -124,7 +134,7 @@ def test_single_site_resonant_transmission():
     gamma = 0.25
     result = transmission(H, DecaySpec.uniform(gamma), 0.0, SiteIndex(0, 0, 0))
     np.testing.assert_allclose(result.amplitudes[0], -2.0, rtol=1e-12)
-    row = s_matrix_row(H, DecaySpec.uniform(gamma), 0.0, SiteIndex(0, 0, 0))
+    row = s_row(H, DecaySpec.uniform(gamma), 0.0, SiteIndex(0, 0, 0))
     np.testing.assert_allclose(row[0], -1.0, rtol=1e-12)
 
 
@@ -340,7 +350,7 @@ def test_desk_spectrum_factorizes_half_its_grid(caplog):
     assert "200 row(s) computed, 200 copied" in record.solver_reason
 
 
-# -------------------------------------------------------------- s_matrix_row
+# ------------------------------------------------------------ S-matrix rows
 
 def test_s_row_unitarity_random_instances():
     rng = np.random.default_rng(23)
@@ -352,20 +362,20 @@ def test_s_row_unitarity_random_instances():
         omega = float(rng.uniform(-4, 4))
         gamma = float(rng.uniform(0.05, 0.6))
         site = SiteIndex(int(rng.integers(n_x)), int(rng.integers(n_l)), 0)
-        row = s_matrix_row(H, DecaySpec.uniform(gamma), omega, site)
+        row = s_row(H, DecaySpec.uniform(gamma), omega, site)
         np.testing.assert_allclose(np.linalg.norm(row), 1.0, atol=1e-9)
 
 
 def test_s_row_far_detuned_is_delta():
     H = two_site_chain()
-    row = s_matrix_row(H, DecaySpec.uniform(0.2), 1e8, SiteIndex(0, 0, 0))
+    row = s_row(H, DecaySpec.uniform(0.2), 1e8, SiteIndex(0, 0, 0))
     np.testing.assert_allclose(row, [1.0, 0.0], atol=1e-7)
 
 
 def test_s_row_per_mode_computed_without_unitarity():
     H = two_site_chain()
     decay = DecaySpec.per_mode(np.array([0.1, 0.4]))
-    row = s_matrix_row(H, decay, 0.0, SiteIndex(0, 0, 0))
+    row = s_row(H, decay, 0.0, SiteIndex(0, 0, 0))
     assert row.shape == (2,)
     assert np.all(np.isfinite(row))
 
