@@ -16,38 +16,23 @@ repository README.  Unknown keys anywhere are fatal validation errors.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import csv
 import hashlib
+import importlib
 import io
 import json
 import logging
 import os
 import sys
-import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chern import (
-    MagneticBZGrid,
-    band_structure,
-    fukui_hatsugai_chern,
-    phase_mismatch_chern,
-)
-from .disorder import (
-    DisorderModel,
-    DisorderScope,
-    _check_coupling_axis,
-    displacement_robustness,
-    saturating_oam_envelope,
-)
-from .edge import EdgeRegion, Side, displacement_spectrum, transmission_map
 from .hamiltonians import (
     build_dirac,
     build_landau_hofstadter,
@@ -55,12 +40,11 @@ from .hamiltonians import (
     build_qsh,
 )
 from .lattice import Boundary, LatticeSpec, SiteIndex, flat_index
-from .optics import OpticalParams, bloch_dispersion, coupling_strength
-from .qsh import _locate_transition, qsh_gap_scan
-# Unused here, but perfbench/spans.py patches this name when tracing.
-from .qsh import transition_detector  # noqa: F401
 from .scattering import DecaySpec, butterfly_scan, total_transmission_spectrum
 from . import __version__
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = [
     "Diagnostic",
@@ -109,6 +93,51 @@ _BUILDERS = {
     "dirac": (2, "x", lambda spec, m: build_dirac(spec, m["phi0"])),
     "qsh": (2, "x", lambda spec, m: build_qsh(spec, m["beta0"], m["lambda0"])),
 }
+
+#: Module -> the names this module takes from it, for the modules that only
+#: some kinds use.  Each loads, and binds its names here, when a kind that
+#: uses it is validated or run, or when one of its names is read from this
+#: module; the callers look the names up here at call time.
+_DEFERRED = {
+    "edge": ("EdgeRegion", "Side", "displacement_spectrum", "transmission_map"),
+    "disorder": ("DisorderModel", "DisorderScope", "_check_coupling_axis",
+                 "displacement_robustness", "saturating_oam_envelope"),
+    "chern": ("MagneticBZGrid", "band_structure", "fukui_hatsugai_chern",
+              "phase_mismatch_chern"),
+    # transition_detector is unused here, but perfbench/spans.py patches it.
+    "qsh": ("_locate_transition", "qsh_gap_scan", "transition_detector"),
+    "optics": ("OpticalParams", "bloch_dispersion", "coupling_strength"),
+}
+
+#: Kind -> the modules of ``_DEFERRED`` it uses; the others use none.
+_KIND_MODULES = {
+    "edge-map": ("edge",),
+    "displacement": ("edge",),
+    "disorder": ("edge", "disorder"),
+    "chern": ("chern",),
+    "bands": ("chern",),
+    "qsh": ("qsh",),
+    "dispersion-check": ("optics",),
+}
+
+
+def _load(*modules: str) -> None:
+    """Load ``modules`` of ``_DEFERRED`` and bind their names here; a name
+    already bound (a tracing wrapper, say) is kept."""
+    for module in modules:
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        for name in _DEFERRED[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """A deferred name read from outside loads its module (PEP 562)."""
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -294,6 +323,12 @@ def _nullable(reader):
     return lambda value: None if value is None else reader(value)
 
 
+def _scope(value) -> str:
+    """A disorder scope: a value of ``DisorderScope``, which the disorder
+    kind loads before it reads its block."""
+    return _choice(*(scope.value for scope in DisorderScope))(value)
+
+
 def _phi0(value) -> tuple[float, Fraction | None]:
     """A flux is a finite number or an exact ``[p, q]`` integer pair."""
     number = _finite(value)
@@ -337,7 +372,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "disorder": {
         "sigma_detuning": (_number, 0.0), "sigma_coupling_mag": (_number, 0.0),
         "sigma_coupling_phase": (_number, 0.0), "sigma_loss": (_number, 0.0),
-        "scope": (_choice(*(s.value for s in DisorderScope)), "per_cavity_link"),
+        "scope": (_scope, "per_cavity_link"),
         "envelope_width": (_nullable(_number), None),
         "trials": (_integer(2), 100),
         "input_l_values": (_list_of(_integer(), "integers"), (0,)),
@@ -573,6 +608,7 @@ def _resolve(raw) -> tuple[list[Diagnostic], dict]:
                f"unknown kind {kind!r}; expected one of {list(EXPERIMENT_KINDS)}")
         return diags, resolved
 
+    _load(*_KIND_MODULES.get(kind, ()))
     required, optional = _KIND_KEYS[kind]
     for key in raw:
         if key not in _UNIVERSAL_KEYS | required | optional:
@@ -704,13 +740,23 @@ def _csv_bytes(header: tuple[str, ...], rows) -> bytes:
 def _grid_bytes(grid: np.ndarray, l_min: int) -> bytes:
     lines = [f"{grid.shape[0]} {grid.shape[1]} {l_min} 0"]
     fmt = " ".join(["%.17g"] * grid.shape[1])
-    lines.extend(fmt % tuple(row) for row in grid)
+    lines.extend(fmt % tuple(row) for row in grid.tolist())
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                               suffix=".tmp")
+    """Write ``data`` to a new sibling of ``path`` and rename it to ``path``.
+
+    The sibling gets the mode ``open(path, "wb")`` would give a new file,
+    0o666 under the process umask.
+    """
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -728,6 +774,8 @@ def _ordered_map(fn, items, threads: int) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 
@@ -920,6 +968,7 @@ def run(config: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    _load(*_KIND_MODULES.get(config.kind, ()))
     start = time.perf_counter()
     files, results = _RUNNERS[config.kind](config.resolved, threads)
     records = tuple({"path": name, "sha256": hashlib.sha256(data).hexdigest(),
@@ -943,6 +992,8 @@ def run(config: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="oamphoton",
         description="Run one lattice-photonics experiment from a JSON config.",

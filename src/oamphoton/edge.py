@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeSpec, SiteIndex, flat_index, l_of_index
-from .optics import _refine_brackets
 from .hamiltonians import HamiltonianMatrix
 from .scattering import DecaySpec, Resolvent
 # Unused here, but perfbench/spans.py patches these names when tracing.
@@ -203,6 +202,9 @@ def harper_edge_modes(
     branches are dropped).  Group velocities come from a centered
     difference with step ``2*pi/512``.
     """
+    # Only this function uses optics, so an edge run does not load it.
+    from .optics import _refine_brackets
+
     if ky_grid is None:
         ky_grid = np.linspace(-np.pi, np.pi, 513)[:-1]
     ky_grid = np.asarray(ky_grid, dtype=float)

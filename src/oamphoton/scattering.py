@@ -516,12 +516,21 @@ class _Layout:
         fold = np.minimum(np.arange(n), np.arange(n)[::-1])
         rb, rp, cb, cp = (np.concatenate(pair) for pair in
                           ((br, block[order]), (pr, row[order]), (bc, block[order]), (pc, col[order])))
-        _, sign, broken = _signing((n + 1) // 2 * b, fold[rb] * b + rp, fold[cb] * b + cp,
-                                   ~np.concatenate([same, inside]))
+        negative = ~np.concatenate([same, inside])
+        rows, cols = fold[rb] * b + rp, fold[cb] * b + cp
+        # An entry and its image H[Jc, Jr] give one relation, the other way
+        # round, and so do their transposes: the entries whose blocks sum
+        # below n - 1 hold each relation once each way, and on the middle
+        # blocks, where the sum is n - 1, the block itself and its upward
+        # coupling do.
+        once = np.flatnonzero((rb + cb < n - 1) | ((rb + cb == n - 1) & (rb <= cb)))
+        _, sign, broken = _signing((n + 1) // 2 * b, rows[once], cols[once], negative[once])
         if broken is not None:
+            # The first of all entries that S breaks, as each one's image does.
+            e = np.flatnonzero(sign[rows] * sign[cols] != 1 - 2 * negative)[0]
             return None, (f"no signature fits every entry (some cycle holds an odd number "
-                          f"of negated mirror images; H[{self.blocks[rb[broken], rp[broken]]}, "
-                          f"{self.blocks[cb[broken], cp[broken]]}] breaks the one derived)")
+                          f"of negated mirror images; H[{self.blocks[rb[e], rp[e]]}, "
+                          f"{self.blocks[cb[e], cp[e]]}] breaks the one derived)")
         return sign.reshape(-1, b)[fold], ""
 
 

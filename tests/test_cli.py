@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import logging
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -519,6 +521,36 @@ def test_no_temporary_files_left_behind(tmp_path):
     assert names == ["manifest.json", "spectrum.csv"]
 
 
+_UMASK_PROBE = """
+import json, os, stat, sys
+sys.path.insert(0, sys.argv[1])
+from pathlib import Path
+from oamphoton import cli
+os.umask(int(sys.argv[2], 8))
+out = Path(sys.argv[3])
+cli.run(cli.ExperimentConfig.from_dict(json.loads(sys.argv[4])), out)
+try:
+    cli._atomic_write(out / "failed.grid", None)  # bytes expected: the write fails
+except TypeError:
+    pass
+print(json.dumps({p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in out.iterdir()}))
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", "0o644"), ("077", "0o600")])
+def test_output_files_take_the_umask_and_a_failed_write_leaves_nothing(
+        tmp_path, umask, mode):
+    # The umask is per process, so the run happens in a fresh interpreter.
+    cfg = {"kind": "edge-map", "lattice": {"n_x": 4, "l_min": -4, "l_max": 4},
+           "model": {"builder": "landau", "phi0": [1, 4]}, "decay": {"gamma": 0.2},
+           "omega": {"values": [-2.2]}}
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _UMASK_PROBE, str(src), umask, str(tmp_path / "out"),
+         json.dumps(cfg)], capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {"edge-map.grid": mode, "manifest.json": mode}
+
+
 def test_edge_map_grid_format(tmp_path):
     cfg = {
         "kind": "edge-map",
@@ -542,12 +574,15 @@ def test_edge_map_grid_format(tmp_path):
 
 def test_grid_bytes_equal_the_per_value_formatter():
     values = [0.0, -0.0, 5e-324, 2.5e-310, 1e-300, 0.1, 1.0 / 3.0, 2.0, 123456.789,
-              1e17, 6.02214076e23, np.nextafter(1.0, 2.0)]
-    for grid in (np.array(values).reshape(3, 4), np.array(values).reshape(12, 1)):
+              1e17, 6.02214076e23, np.nextafter(1.0, 2.0), 1e300, -1e300]
+    for grid in (np.array(values).reshape(2, 7), np.array(values).reshape(14, 1)):
         want = "".join(" ".join(format(float(v), ".17g") for v in row) + "\n"
                        for row in grid)
         head = f"{grid.shape[0]} {grid.shape[1]} -3 0\n"
         assert cli._grid_bytes(grid, -3) == (head + want).encode("utf-8")
+        # The rows go through tolist(); formatting NumPy scalars gives the same.
+        fmt = " ".join(["%.17g"] * grid.shape[1])
+        assert want == "".join(fmt % tuple(row) + "\n" for row in grid)
 
 
 def test_edge_map_spinful_writes_one_grid_per_component(tmp_path):

@@ -1,6 +1,7 @@
 """Resolvent-engine tests: block solves, oracles, identities, call counts, errors,
 storage, bits, Monte Carlo trials and memory."""
 
+import hashlib
 import logging
 import re
 import tracemalloc
@@ -1028,15 +1029,20 @@ def test_dirac_on_an_even_number_of_blocks_mirrors_with_the_cavity_parity(
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
-def test_a_frustrated_mirror_is_refused_by_name():
-    # Negating the Hermitian pair of one cavity hop on slice l = -2 keeps
-    # every entry equal to +- its image, but the plaquettes through it now
-    # hold one negated relation each: no signature exists.
+def _frustrated():
+    """``landau-symmetric`` with the Hermitian pair of one cavity hop on
+    slice l = -2 negated, and that hop's sites: every entry stays +- its
+    image, but the plaquettes through the hop hold one negated relation
+    each, so no signature exists."""
     H = MIRROR_LATTICES["landau-symmetric"]
     a, b = (flat_index(H.spec, SiteIndex(j, -2, 0)) for j in (1, 2))
     pair = ((H.rows == a) & (H.cols == b)) | ((H.rows == b) & (H.cols == a))
-    frustrated = HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols,
-                                                np.where(pair, -H.values, H.values))
+    return HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols,
+                                          np.where(pair, -H.values, H.values)), a, b
+
+
+def test_a_frustrated_mirror_is_refused_by_name():
+    frustrated, a, b = _frustrated()
     decay = DecaySpec.uniform(GAMMA)
     engine = Resolvent(frustrated, decay)
     assert not engine.mirrored
@@ -1070,6 +1076,121 @@ def test_bipartite_odd_dirac_ring_solves_one_of_each_omega_pair(caplog):
     assert "omega mirror: H is chiral" in caplog.records[0].solver_reason
     assert ("no omega mirror: H joins two sites of one sublattice in every bipartition"
             in record.solver_reason)
+
+
+def _signature_cases():
+    """Every lattice of this file whose engine decides a mirror signature."""
+    cases = {f"mirror {name}": H for name, H in MIRROR_LATTICES.items()}
+    cases.update({f"sector {name}": H for name, H in _sector_lattices().items()})
+    cases.update({f"lattice {name}": H for name, H in LATTICES.items()})
+    cases["qsh q12"] = build_qsh(LatticeSpec(12, -50, 50, 2), 0.0, 0.6)
+    for bc_y in (Boundary.OPEN, Boundary.PERIODIC):
+        for window in ((3, -3, 4), (10, -50, 49)):
+            cases[f"dirac {window} {bc_y.value}"] = build_dirac(
+                LatticeSpec(*window, spin_dim=2, bc_y=bc_y), 1.0 / 6.0)
+    cases["frustrated"] = _frustrated()[0]
+    return cases
+
+
+def _signatures(H):
+    """Per sector: the signature's name (why there is none, if so), and a
+    digest of the places where it is -1 (None for S = 1 or none)."""
+    engine = Resolvent(H, DecaySpec.uniform(GAMMA))
+    found = []
+    for layout in engine._all_layouts():
+        minus = None if layout.sign is None else np.flatnonzero(layout.sign.ravel() < 0)
+        found.append((layout.signature or layout.mirror_reason, None if minus is None else
+                      hashlib.sha256(str(minus.tolist()).encode()).hexdigest()[:16]))
+    return found
+
+
+#: ``_signatures`` of each case as the pass over every entry and its image
+#: derived them, before each relation went in once each way.
+SIGNATURES = {
+    'mirror landau-symmetric': [('S = 1', None)],
+    'mirror landau-graded-hops': [('S = 1', None)],
+    'mirror landau-asymmetric': [('S = 1', None)],
+    'mirror oam-gauge-symmetric': [('S = 1', None)],
+    'mirror dirac': [('S = 1', None), ('S = 1', None)],
+    'mirror landau-even-ring': [('S = 1', None)],
+    'sector qsh': [
+        ('S = -1 on 14 of 28 sites', 'e2bb20ac0f24107f'),
+        ('S = -1 on 14 of 28 sites', 'e2bb20ac0f24107f'),
+    ],
+    'sector qsh beta0 0': [
+        ('S = -1 on 14 of 28 sites', 'e2bb20ac0f24107f'),
+        ('S = -1 on 14 of 28 sites', 'e2bb20ac0f24107f'),
+    ],
+    'sector qsh even ring': [
+        ('S = -1 on 16 of 32 sites', '4bef3a0ea4d4b803'),
+        ('S = -1 on 16 of 32 sites', '4bef3a0ea4d4b803'),
+    ],
+    'sector dirac': [('S = 1', None), ('S = 1', None)],
+    'sector dirac even ring': [
+        ('S = -1 on 8 of 24 sites', '3455ca7842a5e852'),
+        ('S = -1 on 8 of 24 sites', '3455ca7842a5e852'),
+    ],
+    'lattice scalar-open': [('S = 1', None)],
+    'lattice scalar-periodic': [('not mirrored: the pad sites are not mirror images', None)],
+    'lattice qsh': [
+        ('S = -1 on 14 of 28 sites', 'e2bb20ac0f24107f'),
+        ('S = -1 on 14 of 28 sites', 'e2bb20ac0f24107f'),
+    ],
+    'lattice dirac': [('not mirrored: the pad sites are not mirror images', None)],
+    'qsh q12': [
+        ('S = -1 on 606 of 1212 sites', '9ce1f092be25b678'),
+        ('S = -1 on 606 of 1212 sites', '9ce1f092be25b678'),
+    ],
+    'dirac (3, -3, 4) open': [
+        ('S = -1 on 8 of 24 sites', '3455ca7842a5e852'),
+        ('S = -1 on 8 of 24 sites', '3455ca7842a5e852'),
+    ],
+    'dirac (10, -50, 49) open': [
+        ('S = -1 on 500 of 1000 sites', 'f8976dbadc6802e6'),
+        ('S = -1 on 500 of 1000 sites', 'f8976dbadc6802e6'),
+    ],
+    'dirac (3, -3, 4) periodic': [
+        ('S = -1 on 8 of 24 sites', '3455ca7842a5e852'),
+        ('S = -1 on 8 of 24 sites', '3455ca7842a5e852'),
+    ],
+    'dirac (10, -50, 49) periodic': [
+        ('S = -1 on 500 of 1000 sites', 'f8976dbadc6802e6'),
+        ('S = -1 on 500 of 1000 sites', 'f8976dbadc6802e6'),
+    ],
+    'frustrated': [
+        ("not mirrored: no signature fits every entry (some cycle holds an odd number "
+         "of negated mirror images; H[8, 15] breaks the one derived)", None),
+    ],
+}
+
+
+def test_signatures_equal_those_of_the_pass_over_every_entry():
+    assert {name: _signatures(H) for name, H in _signature_cases().items()} == SIGNATURES
+
+
+def test_each_mirror_relation_goes_in_once_each_way(monkeypatch):
+    # An entry and its image H[Jc, Jr] give one relation the other way
+    # round, and so do their transposes.  On the middle block an entry's
+    # image is its transpose, so its entries go in as they are: the q12
+    # sector passes (5834 + 34) / 2 relations, not 5834.
+    counts = []
+    signing = scattering._signing
+
+    def counted(dim, rows, cols, negative=False):
+        if isinstance(negative, np.ndarray):
+            counts.append(rows.size)
+        return signing(dim, rows, cols, negative)
+
+    monkeypatch.setattr(scattering, "_signing", counted)
+    H = build_qsh(LatticeSpec(12, -50, 50, 2), 0.0, 0.6)
+    engine = Resolvent(H, DecaySpec.uniform(GAMMA))
+    assert all(engine._layout(g).mirrored for g in range(engine.sectors))
+    entries, middle = (
+        [np.count_nonzero(inside & (engine._sector[H.rows] == g)) for g in range(engine.sectors)]
+        for inside in (True, (engine._block_of[H.rows] == engine.slices // 2)
+                       & (engine._block_of[H.cols] == engine.slices // 2)))
+    assert entries == [5834, 5834] and middle == [34, 34]
+    assert counts == [2934, 2934]
 
 
 # ----------------------------------------------------------------- sectors
