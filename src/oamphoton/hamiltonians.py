@@ -147,8 +147,9 @@ def _canonical(dim: int, rows, cols, values
     """COO triples in canonical order: row-major, each ``(row, col)`` once,
     no zeros.
 
-    A stable sort keeps duplicates in input order, and each is added to the
-    running sum in that order, as scipy's ``sum_duplicates`` does.
+    A stable sort carries ``rows``, ``cols`` and ``values`` together and
+    keeps duplicates in input order; each is added to the running sum in
+    that order, as scipy's ``sum_duplicates`` does.
     """
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
@@ -161,14 +162,14 @@ def _canonical(dim: int, rows, cols, values
         raise ValueError(f"entry index outside the lattice dimension {dim}")
     key = rows * dim + cols
     order = np.argsort(key, kind="stable")
-    key, values = key[order], values[order]
+    key, rows, cols, values = key[order], rows[order], cols[order], values[order]
     first = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     later = np.flatnonzero(~first)
     if later.size:
         group = np.cumsum(first)[later] - 1
         rank = later - np.flatnonzero(first)[group]
-        key, summed = key[first], values[first]
+        rows, cols, summed = rows[first], cols[first], values[first]
         # One pass per duplicate rank: the r-th copy of every entry at once.
         for r in range(1, int(rank.max()) + 1):
             at = rank == r
@@ -176,8 +177,7 @@ def _canonical(dim: int, rows, cols, values
         values = summed
     keep = values != 0
     if not keep.all():
-        key, values = key[keep], values[keep]
-    rows, cols = np.divmod(key, dim)
+        rows, cols, values = rows[keep], cols[keep], values[keep]
     return rows, cols, values
 
 
@@ -308,24 +308,34 @@ def _assemble(spec: LatticeSpec, hops, onsite: np.ndarray | None = None
     ``hops`` holds one ``(src, dst, blocks)`` triple per axis: ``blocks``
     (one value or ``spin_dim x spin_dim`` block, or one per hop) maps the
     modes at ``src`` to those at ``dst``.  ``onsite`` detunes every mode of
-    cavity ``j`` by ``onsite[j]``.
+    cavity ``j`` by ``onsite[j]``.  Exact zeros of the blocks (half of a
+    quarter-turn Jones block) and of ``onsite`` are left out and the other
+    entries keep their order: ``H`` is bitwise that of assembling them all.
     """
     sd = spec.spin_dim
     spin = np.arange(sd)
     rows, cols, vals = [], [], []
     for src, dst, blocks in hops:
         shape = (src.size, sd, sd)
-        blocks = np.broadcast_to(np.reshape(blocks, (-1, sd, sd)), shape)
-        into = np.broadcast_to(dst[:, None, None] + spin[:, None], shape)
-        out_of = np.broadcast_to(src[:, None, None] + spin, shape)
+        blocks = np.reshape(blocks, (-1, sd, sd))
+        zero = blocks == 0
+        blocks = np.broadcast_to(blocks, shape)
+        if zero.any():
+            hop, i, k = np.nonzero(~np.broadcast_to(zero, shape))
+            into, out_of, blocks = dst[hop] + i, src[hop] + k, blocks[hop, i, k]
+        else:
+            into = np.broadcast_to(dst[:, None, None] + spin[:, None], shape)
+            out_of = np.broadcast_to(src[:, None, None] + spin, shape)
         rows += [into, out_of]
         cols += [out_of, into]
         vals += [blocks, blocks.conj()]
     if onsite is not None:
-        rows.append(np.arange(spec.dim))
-        cols.append(np.arange(spec.dim))
-        vals.append(np.repeat(onsite, spec.n_l * sd))
-    rows, cols, vals = (np.concatenate([a.ravel() for a in part])
+        diagonal = np.repeat(onsite, spec.n_l * sd)
+        site = np.flatnonzero(diagonal)
+        rows.append(site)
+        cols.append(site)
+        vals.append(diagonal[site])
+    rows, cols, vals = (np.concatenate(part, axis=None)
                         for part in (rows, cols, vals))
     return HamiltonianMatrix.from_entries(spec, rows, cols, vals)
 

@@ -11,12 +11,14 @@ double up) with ``derandomize=True`` and a fixed example count.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from oamphoton import hamiltonians
 from oamphoton.disorder import DisorderModel, DisorderScope, sample_disordered_hamiltonian
 from oamphoton.edge import transmission_map
 from oamphoton.hamiltonians import (
@@ -75,21 +77,24 @@ def specs(draw, spin_dim):
 
 
 phases = st.floats(-1.0, 1.0)
+quarter_turns = st.integers(-4, 4).map(lambda k: k / 4)
+#: Phases and detunings far from binary fractions, whose sums round.
+rounding = st.one_of(phases, st.integers(-10**6, 10**6).map(lambda k: k / 999_983))
 
 
 @st.composite
-def per_cavity(draw, n_x):
+def per_cavity(draw, n_x, values=phases):
     """A per-cavity value in every accepted form: absent, constant, mapping
     (possibly partial) or callable."""
     kind = draw(st.sampled_from(["none", "constant", "mapping", "callable"]))
     if kind == "none":
         return None
     if kind == "constant":
-        return draw(phases)
+        return draw(values)
     if kind == "mapping":
         keys = draw(st.sets(st.integers(0, n_x - 1)))
-        return {j: draw(phases) for j in sorted(keys)}
-    a, b = draw(phases), draw(phases)
+        return {j: draw(values) for j in sorted(keys)}
+    a, b = draw(values), draw(values)
     return lambda j: a + b * j
 
 
@@ -181,6 +186,122 @@ def test_onsite_disorder_matches_reference(data):
     expected = H.toarray() + np.diag(np.repeat(sigma * draws, spec.dim // units))
     model = DisorderModel(sigma_detuning=sigma, scope=scope)
     check(sample_disordered_hamiltonian(H, model, seed), expected)
+
+
+# ------------------------------------------------------- entries as assembled
+
+def hops_along(spec, direction):
+    """``(src, dst)`` flat indices of every ``direction`` hop, in site order."""
+    return [(flat_index(spec, site), flat_index(spec, other))
+            for j in range(spec.n_x) for l in spec.l_values.tolist()
+            for site in [SiteIndex(j, l, 0)]
+            for way, other in neighbors(spec, site) if way == direction]
+
+
+def per_hop_entries(spec, axes, onsite):
+    """COO triples of every hop block, zeros included, in assembly order.
+
+    ``axes`` holds the block stacks a builder hands the assembler for its
+    ``+x`` and ``+y`` hops, one block for all hops or one per hop in site
+    order.  Per axis, each block entry ``(i, k)`` goes to ``(dst + i, src +
+    k)`` hop by hop, then each conjugate to ``(src + k, dst + i)`` in the
+    same order; then every mode's detuning, zeros included.
+    """
+    sd = spec.spin_dim
+    entries = []
+    for direction, blocks in zip(("+x", "+y"), axes):
+        hops = hops_along(spec, direction)
+        blocks = np.broadcast_to(np.reshape(blocks, (-1, sd, sd)), (len(hops), sd, sd))
+        for conjugate in (False, True):
+            for (src, dst), block in zip(hops, blocks):
+                for i in range(sd):
+                    for k in range(sd):
+                        entries.append((src + k, dst + i, block[i, k].conj()) if conjugate
+                                       else (dst + i, src + k, block[i, k]))
+    if onsite is not None:
+        entries += [(site, site, onsite[site // (spec.n_l * sd)]) for site in range(spec.dim)]
+    return ([e[0] for e in entries], [e[1] for e in entries],
+            np.array([e[2] for e in entries], dtype=complex))
+
+
+def check_bitwise(build):
+    """``build()`` stores, bit for bit, what :meth:`HamiltonianMatrix.from_entries`
+    stores from every per-hop entry of the blocks the builder assembles."""
+    with mock.patch.object(hamiltonians, "_assemble", wraps=hamiltonians._assemble) as assemble:
+        H = build()
+    (spec, hops, *onsite), _ = assemble.call_args
+    for (src, dst, _), direction in zip(hops, ("+x", "+y")):
+        assert list(zip(src.tolist(), dst.tolist())) == hops_along(spec, direction)
+    expected = HamiltonianMatrix.from_entries(
+        spec, *per_hop_entries(spec, [blocks for _, _, blocks in hops],
+                               onsite[0] if onsite else None))
+    np.testing.assert_array_equal(H.rows, expected.rows)
+    np.testing.assert_array_equal(H.cols, expected.cols)
+    np.testing.assert_array_equal(H.values.view(np.uint64), expected.values.view(np.uint64))
+
+
+@st.composite
+def builds(draw, builder):
+    """A call of one builder on a small lattice (see :func:`specs`); the
+    ``quarter`` form of ``build_non_abelian`` turns by multiples of 1/4."""
+    if builder in ("landau", "oam-gauge"):
+        spec, phi = draw(specs(1)), draw(rounding)
+        build = build_landau_hofstadter if builder == "landau" else build_oam_gauge_hofstadter
+        return lambda: build(spec, phi)
+    spec = draw(specs(2))
+    if builder == "dirac":
+        phi = draw(rounding)
+        return lambda: build_dirac(spec, phi)
+    if builder == "qsh":
+        beta0 = draw(st.one_of(quarter_turns, rounding))
+        lambda0 = draw(st.one_of(st.just(0.0), rounding))
+        return lambda: build_qsh(spec, beta0, lambda0)
+    angles = quarter_turns if builder == "quarter" else rounding
+    cfg = GaugeConfig(
+        phi_x=draw(rounding), alpha=draw(angles),
+        axis1=draw(unit_axes()), axis2=draw(unit_axes()),
+        phi_y=draw(per_cavity(spec.n_x, rounding)), beta=draw(per_cavity(spec.n_x, angles)),
+        onsite=draw(per_cavity(spec.n_x, rounding)),
+    )
+    return lambda: build_non_abelian(spec, cfg)
+
+
+@pytest.mark.parametrize("builder", ["landau", "oam-gauge", "quarter", "non-abelian",
+                                     "dirac", "qsh"])
+@SETTINGS
+@given(data=st.data())
+def test_builders_store_their_per_hop_entries_bit_for_bit(builder, data):
+    """Assembling only the nonzero entries of the blocks changes no bit:
+    hops that wrap onto themselves or double up still sum in order."""
+    check_bitwise(data.draw(builds(builder)))
+
+
+PROBE_LATTICES = {"s10x101": (10, 50, 1), "q12x101": (12, 50, 2), "s20x201": (20, 100, 1),
+                  "s21x201": (21, 100, 1), "q24x101": (24, 50, 2), "s30x301": (30, 150, 1)}
+
+
+@pytest.mark.parametrize("name", PROBE_LATTICES)
+def test_probe_lattices_store_their_per_hop_entries_bit_for_bit(name):
+    n_x, half, spin_dim = PROBE_LATTICES[name]
+    spec = LatticeSpec(n_x, -half, half, spin_dim)
+    if spin_dim == 1:
+        check_bitwise(lambda: build_landau_hofstadter(spec, 1.0 / 6.0))
+    else:
+        check_bitwise(lambda: build_qsh(spec, 0.0, 0.6))
+
+
+@pytest.mark.parametrize("build, stored", [
+    (lambda: build_qsh(LatticeSpec(12, -50, 50, 2), 0.0, 0.6), 11668),
+    (lambda: build_qsh(LatticeSpec(24, -50, 50, 2), 0.0, 0.6), 23740),
+    (lambda: build_dirac(LatticeSpec(10, -50, 50, 2), 1 / 6), 7636),
+])
+def test_spinful_builders_pass_only_the_entries_they_store(build, stored):
+    """The exact zeros of quarter-turn Jones blocks and of absent detunings
+    never reach the sort (every 2x2 block would pass 20912, 42632 and 17292)."""
+    with mock.patch.object(hamiltonians, "_canonical", wraps=hamiltonians._canonical) as canonical:
+        H = build()
+    (_, rows, cols, values), _ = canonical.call_args
+    assert len(rows) == len(cols) == len(values) == H.values.size == stored
 
 
 # ------------------------------------------------------------ storage contract
