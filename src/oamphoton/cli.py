@@ -40,7 +40,7 @@ from .hamiltonians import (
     build_qsh,
 )
 from .lattice import Boundary, LatticeSpec, SiteIndex, flat_index
-from .scattering import DecaySpec, butterfly_scan, total_transmission_spectrum
+from .scattering import DecaySpec, total_transmission_spectrum
 from . import __version__
 
 if TYPE_CHECKING:
@@ -86,7 +86,8 @@ _KIND_KEYS: dict[str, tuple[set[str], set[str]]] = {
 EXPERIMENT_KINDS = tuple(_KIND_KEYS)
 
 #: Builder name -> (spin_dim, lattice axis its gauge phase winds along,
-#: build).  The builds look ``build_*`` up in this module at call time.
+#: build).  These builds and the butterfly's look ``build_*`` up in this
+#: module at call time.
 _BUILDERS = {
     "landau": (1, "x", lambda spec, m: build_landau_hofstadter(spec, m["phi0"])),
     "oam-gauge": (1, "y", lambda spec, m: build_oam_gauge_hofstadter(spec, m["phi0"])),
@@ -785,12 +786,14 @@ def _ordered_map(fn, items, threads: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _oam0_inputs(spec: LatticeSpec) -> list[SiteIndex]:
+    """The default probes: every cavity and polarization at OAM 0."""
+    return [SiteIndex(j, 0, s) for j in range(spec.n_x) for s in range(spec.spin_dim)]
+
+
 def _run_spectrum(res: dict, threads: int):
-    H, spec = res["build"](), res["spec"]
-    grid, inputs = res["omega_grid"], res["inputs"]
-    if inputs is None:
-        inputs = [SiteIndex(j, 0, s) for j in range(spec.n_x) for s in range(spec.spin_dim)]
-    values = total_transmission_spectrum(H, res["decay"], inputs, grid)
+    grid, inputs = res["omega_grid"], res["inputs"] or _oam0_inputs(res["spec"])
+    values = total_transmission_spectrum(res["build"](), res["decay"], inputs, grid)
     rows = zip(grid.tolist(), values.tolist())
     return [("spectrum.csv", _csv_bytes(("omega", "transmission"), rows))], {}
 
@@ -810,8 +813,11 @@ def _run_butterfly(res: dict, threads: int):
     spec, decay, grid = res["spec"], res["decay"], res["omega_grid"]
     fluxes = _farey_fluxes(res["butterfly"]["q_max"])
     computed = [frac for frac in fluxes if frac <= Fraction(1, 2)]
+    inputs = _oam0_inputs(spec)
     spectra = dict(zip(computed, _ordered_map(
-        lambda frac: butterfly_scan(spec, [frac], grid, decay)[0], computed, threads
+        lambda frac: total_transmission_spectrum(build_landau_hofstadter(spec, frac),
+                                                 decay, inputs, grid),
+        computed, threads
     )))
     mirrored = [frac for frac in fluxes if frac not in spectra]
     _LOG.debug("butterfly: %d flux(es) computed, %d mirrored from 1 - phi: %s",

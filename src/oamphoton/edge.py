@@ -28,9 +28,9 @@ import numpy as np
 
 from .lattice import LatticeSpec, SiteIndex, flat_index, l_of_index
 from .hamiltonians import HamiltonianMatrix
-from .scattering import DecaySpec, Resolvent
-# Unused here, but perfbench/spans.py patches these names when tracing.
-from .scattering import spectral_factorization, transmission  # noqa: F401
+from .scattering import DecaySpec, Resolvent, transmission
+# Unused here, but perfbench/spans.py patches this name when tracing.
+from .scattering import spectral_factorization  # noqa: F401
 
 __all__ = [
     "Side",
@@ -100,10 +100,8 @@ def transmission_map(
     spec = H.spec
     if input.j not in (0, spec.n_x - 1):
         raise ValueError(f"input column {input.j} is not an edge cavity")
-    engine = Resolvent(H, decay)
-    amplitudes = engine.transmission(omega, [flat_index(spec, input)])
-    engine.log("one frequency, one edge input")
-    grid = (np.abs(amplitudes[:, 0]) ** 2).reshape(spec.n_x, spec.n_l, spec.spin_dim)
+    amplitudes = transmission(H, decay, omega, input).amplitudes
+    grid = (np.abs(amplitudes) ** 2).reshape(spec.n_x, spec.n_l, spec.spin_dim)
     return grid[:, :, 0] if spec.spin_dim == 1 else grid
 
 

@@ -189,14 +189,12 @@ class HamiltonianMatrix:
     and ``values``: row-major order, each ``(row, col)`` once, no explicit
     zeros.  The lattices here have nearest-neighbor hops only, a handful of
     nonzeros per row.  The arrays are read-only, so consumers share them;
-    one that rewrites values works on a copy.  ``HamiltonianMatrix(spec,
-    matrix)`` accepts a dense array or any scipy sparse matrix (through its
-    ``tocoo()``) and copies it; :meth:`from_entries` takes COO triples.
-    :meth:`tocsr` exports a fresh scipy CSR matrix, importing scipy only
-    then, and :meth:`toarray` a fresh dense array.  ``data`` is a view
-    computed on each access: a dense array for dimensions up to
-    :data:`DENSE_DIM_LIMIT`, CSR above that.  Energies are in units of the
-    nearest-neighbor coupling.
+    one that rewrites values works on a copy.  :meth:`from_entries`, from
+    COO triples, is the one constructor.  The rest are exports, each fresh
+    on every call: :meth:`tocsr` a scipy CSR matrix, importing scipy only
+    then, :meth:`toarray` a dense array, and ``data`` a dense array for
+    dimensions up to :data:`DENSE_DIM_LIMIT`, CSR above that.  Energies are
+    in units of the nearest-neighbor coupling.
     """
 
     spec: LatticeSpec
@@ -204,37 +202,17 @@ class HamiltonianMatrix:
     cols: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
-    def __init__(self, spec: LatticeSpec, matrix) -> None:
-        if hasattr(matrix, "tocoo"):  # any scipy sparse matrix or array
-            matrix = matrix.tocoo()
-        else:
-            matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (spec.dim, spec.dim):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match the lattice "
-                f"dimension {spec.dim}"
-            )
-        if isinstance(matrix, np.ndarray):
-            rows, cols = np.nonzero(matrix)
-            entries = rows, cols, matrix[rows, cols]
-        else:
-            entries = matrix.row, matrix.col, matrix.data
-        self._store(spec, *entries)
-
     @classmethod
     def from_entries(cls, spec: LatticeSpec, rows, cols, values
                      ) -> "HamiltonianMatrix":
         """From COO triples: duplicates are summed in order, zeros dropped."""
         H = cls.__new__(cls)
-        H._store(spec, rows, cols, values)
-        return H
-
-    def _store(self, spec: LatticeSpec, rows, cols, values) -> None:
-        object.__setattr__(self, "spec", spec)
+        object.__setattr__(H, "spec", spec)
         for name, array in zip(("rows", "cols", "values"),
                                _canonical(spec.dim, rows, cols, values)):
             array.flags.writeable = False
-            object.__setattr__(self, name, array)
+            object.__setattr__(H, name, array)
+        return H
 
     @property
     def dim(self) -> int:

@@ -71,7 +71,6 @@ __all__ = [
     "default_omega_grid",
     "transmission",
     "total_transmission_spectrum",
-    "butterfly_scan",
     "spectral_factorization",
     "eig_transmission_vector",
 ]
@@ -402,18 +401,18 @@ class _Layout:
          self.mirror_reason) = self._mirror_factors(down_up, (br, bc, pr, pc, coupling))
         self.mirrored = self.mirror is not None
 
-    def operator(self, t: int, H: HamiltonianMatrix, rates: np.ndarray
+    def operator(self, t: int, H: HamiltonianMatrix
                  ) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Trial ``t``'s own ``H`` and rates in flat block order, built on
         first use and kept: the offsets and diagonals of the sector's
-        entries (see :func:`_offset_diagonals`), and ``i gamma/2`` on each
-        site, 1 on pads, which solve ``1 * x = 0``."""
+        entries (see :func:`_offset_diagonals`), and ``shift[:, t]``:
+        ``i gamma/2`` on each site, 1 on pads, which solve ``1 * x = 0``."""
         if t not in self._operators:
             keep = slice(None) if self.sites is None else np.flatnonzero(self.q_of[H.rows] >= 0)
             self._operators[t] = (
                 *_offset_diagonals(self.blocks.size, self.q_of[H.rows[keep]],
                                    self.q_of[H.cols[keep]], H.values[keep]),
-                np.where(self.blocks >= 0, 0.5j * rates[self.blocks], 1.0).reshape(-1))
+                self.shift[:, t].reshape(-1))
         return self._operators[t]
 
     def _mirror_factors(self, down_up: np.ndarray, couplings: tuple[np.ndarray, ...]
@@ -891,7 +890,7 @@ class Resolvent:
         port, mask = layout.q_of[rows], layout.mask.reshape(-1)
         trial = range(trials.start, trials.stop)
         # Each trial's own H in block order, built before the tiles.
-        operators = [layout.operator(t, self._Hs[t], self.rates[t]) for t in trial]
+        operators = [layout.operator(t, self._Hs[t]) for t in trial]
         step = max(1, _TILE_BYTES // (16 * w * p * b))
         tile = np.empty((min(step + 2, n) * b, w * p), dtype=complex)
         r, scratch = np.empty((2, min(step, n) * b, w * p), dtype=complex)
@@ -1220,25 +1219,3 @@ def total_transmission_spectrum(
     power[computed] = engine.transmitted_power(omega_grid[computed], in_rows)
     engine.log(f"{omega_grid.size} frequencies, {len(in_rows)} ports; {why}")
     return power[source]
-
-
-def butterfly_scan(
-    spec: LatticeSpec,
-    phi0_list: np.ndarray,
-    omega_grid: np.ndarray,
-    decay: DecaySpec,
-) -> np.ndarray:
-    """Total-transmission rows over a flux list (one lattice per flux).
-
-    Builds the cavity-phase uniform-flux lattice for each ``phi0`` and
-    records its :func:`total_transmission_spectrum`, with the probes
-    entering every cavity at OAM 0.
-    """
-    from .hamiltonians import build_landau_hofstadter
-
-    inputs = [SiteIndex(j, 0, 0) for j in range(spec.n_x)]
-    rows = np.empty((len(phi0_list), np.asarray(omega_grid).size))
-    for i, phi0 in enumerate(phi0_list):
-        H = build_landau_hofstadter(spec, float(phi0))
-        rows[i] = total_transmission_spectrum(H, decay, inputs, omega_grid)
-    return rows

@@ -422,7 +422,8 @@ def test_10_property_suites():
         dim = int(rng.integers(4, 21))
         spec = LatticeSpec(1, 0, dim - 1)
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        H = HamiltonianMatrix(spec, (raw + raw.conj().T) / 2.0)
+        rows, cols = np.indices((dim, dim)).reshape(2, -1)
+        H = HamiltonianMatrix.from_entries(spec, rows, cols, (raw + raw.conj().T) / 2.0)
         decay = DecaySpec(gamma=float(rng.uniform(0.05, 1.5)))
         omega = float(rng.uniform(-3.0, 3.0))
         # Row i: the direct reflection e_i plus the amplitudes for input i.

@@ -326,16 +326,14 @@ def test_sparse_view_does_not_alias_the_stored_matrix():
     assert (H.data - build_landau_hofstadter(spec, 1.0 / 6.0).data).nnz == 0
 
 
-def test_dense_and_sparse_inputs_store_the_same_matrix():
+def test_from_entries_is_the_one_constructor():
     H = build_qsh(LatticeSpec(n_x=4, l_min=-2, l_max=2, spin_dim=2), 0.05, 0.6)
-    dense = H.toarray()
-    for matrix in (dense, scipy.sparse.coo_matrix(dense), H.tocsr()):
-        stored = HamiltonianMatrix(H.spec, matrix).tocsr()
-        assert stored.has_canonical_format
-        assert (stored != H.tocsr()).nnz == 0
-    assert H.tocsr().nnz == np.count_nonzero(dense)
+    with pytest.raises(TypeError):
+        HamiltonianMatrix(H.spec, H.toarray())
     with pytest.raises(ValueError, match="dimension"):
-        HamiltonianMatrix(H.spec, dense[1:, 1:])
+        HamiltonianMatrix.from_entries(H.spec, [0], [H.dim], [1.0])
+    with pytest.raises(ValueError, match="length"):
+        HamiltonianMatrix.from_entries(H.spec, [0, 1], [1], [1.0])
 
 
 @st.composite
@@ -379,17 +377,15 @@ def test_canonical_arrays_equal_scipy_csr(case):
     ref = scipy.sparse.csr_matrix((values, (rows, cols)), shape=shape)
     ref.sum_duplicates()
     ref.eliminate_zeros()
-    coo = scipy.sparse.coo_matrix((values, (rows, cols)), shape=shape)
-    for H in (HamiltonianMatrix.from_entries(spec, rows, cols, values),
-              HamiltonianMatrix(spec, coo)):
-        csr = H.tocsr()
-        np.testing.assert_array_equal(csr.indptr, ref.indptr)
-        np.testing.assert_array_equal(csr.indices, ref.indices)
-        np.testing.assert_array_equal(csr.data, ref.data)
-        assert csr.has_canonical_format
-        np.testing.assert_array_equal(H.rows, np.repeat(np.arange(spec.dim),
-                                                        np.diff(ref.indptr)))
-        assert not any(a.flags.writeable for a in (H.rows, H.cols, H.values))
+    H = HamiltonianMatrix.from_entries(spec, rows, cols, values)
+    csr = H.tocsr()
+    np.testing.assert_array_equal(csr.indptr, ref.indptr)
+    np.testing.assert_array_equal(csr.indices, ref.indices)
+    np.testing.assert_array_equal(csr.data, ref.data)
+    assert csr.has_canonical_format
+    np.testing.assert_array_equal(H.rows, np.repeat(np.arange(spec.dim),
+                                                    np.diff(ref.indptr)))
+    assert not any(a.flags.writeable for a in (H.rows, H.cols, H.values))
 
 
 @SETTINGS

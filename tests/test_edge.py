@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oamphoton import cli, edge
 from oamphoton.chern import MagneticBZGrid, band_structure, fukui_hatsugai_chern
 from oamphoton.lattice import Boundary, LatticeSpec, SiteIndex
 from oamphoton.hamiltonians import HamiltonianMatrix, build_landau_hofstadter
@@ -69,13 +70,36 @@ def test_map_requires_edge_input():
 
 def test_map_zero_hop_lattice_single_point():
     spec = LatticeSpec(n_x=4, l_min=-2, l_max=2)
-    H = HamiltonianMatrix(spec, np.zeros((spec.dim, spec.dim), dtype=complex))
+    H = HamiltonianMatrix.from_entries(spec, [], [], [])
     grid = transmission_map(H, DecaySpec.uniform(0.2), 0.0, SiteIndex(0, 1, 0))
     assert grid.shape == (4, 5)
     mask = np.zeros_like(grid, dtype=bool)
     mask[0, 1 - spec.l_min] = True
     assert grid[mask][0] > 1.0
     np.testing.assert_allclose(grid[~mask], 0.0, atol=1e-20)
+
+
+def test_map_solves_through_the_one_transmission_call(monkeypatch, tmp_path):
+    """A map, and an ``edge-map`` run, each reach the engine through one
+    :func:`~oamphoton.scattering.transmission` call."""
+    calls = []
+    original = edge.transmission
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(edge, "transmission", counting)
+    spec = LatticeSpec(n_x=4, l_min=-4, l_max=4)
+    transmission_map(build_landau_hofstadter(spec, 0.25), DecaySpec.uniform(0.2), -2.2,
+                     SiteIndex(0, 0, 0))
+    assert len(calls) == 1
+    config = cli.ExperimentConfig.from_dict({
+        "kind": "edge-map", "lattice": {"n_x": 4, "l_min": -4, "l_max": 4},
+        "model": {"builder": "landau", "phi0": [1, 4]}, "decay": {"gamma": 0.2},
+        "omega": {"values": [-2.2]}})
+    cli.run(config, tmp_path)
+    assert len(calls) == 2
 
 
 def test_map_first_gap_boundary_concentration(sixth_flux_cylinder):
@@ -110,7 +134,7 @@ def test_map_interior_weight_small_in_gap(sixth_flux_cylinder):
 
 def test_displacement_zero_hop_lattice():
     spec = LatticeSpec(n_x=6, l_min=-3, l_max=3)
-    H = HamiltonianMatrix(spec, np.zeros((spec.dim, spec.dim), dtype=complex))
+    H = HamiltonianMatrix.from_entries(spec, [], [], [])
     assert displacement(H, DecaySpec.uniform(0.2), 0.0, EdgeRegion(Side.RIGHT, 2)) == 0.0
 
 

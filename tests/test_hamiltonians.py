@@ -21,6 +21,11 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
+def _from_dense(spec, A):
+    rows, cols = np.nonzero(A)
+    return HamiltonianMatrix.from_entries(spec, rows, cols, A[rows, cols])
+
+
 def torus(n_x, n_l, spin_dim=1):
     return LatticeSpec(
         n_x=n_x, l_min=0, l_max=n_l - 1, spin_dim=spin_dim,
@@ -287,14 +292,14 @@ def test_builders_hermitian_spinful():
 def test_hermiticity_defect_of_an_entry_without_partner():
     # H[2, 0] = 3 + 4i has no H[0, 2], so (H - H^dagger)[2, 0] = 3 + 4i.
     A = np.array([[1.0, 2 - 1j, 0], [2 + 1j, 0, 0], [3 + 4j, 0, -1.0]])
-    H = HamiltonianMatrix(LatticeSpec(n_x=3, l_min=0, l_max=0), A)
+    H = _from_dense(LatticeSpec(n_x=3, l_min=0, l_max=0), A)
     assert H.hermiticity_defect() == 5.0 == np.abs(A - A.conj().T).max()
 
 
 def test_hermiticity_defect_of_a_partner_with_the_wrong_value():
     # H[1, 0] should be conj(2 - i) = 2 + i; 2 + 3i leaves 2i either side.
     A = np.array([[1.0, 2 - 1j, 0], [2 + 3j, 0, 0], [0, 0, -1.0]])
-    H = HamiltonianMatrix(LatticeSpec(n_x=3, l_min=0, l_max=0), A)
+    H = _from_dense(LatticeSpec(n_x=3, l_min=0, l_max=0), A)
     assert H.hermiticity_defect() == 2.0 == np.abs(A - A.conj().T).max()
 
 

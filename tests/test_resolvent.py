@@ -61,10 +61,6 @@ def _lattices():
 LATTICES = _lattices()
 
 
-def as_csr(H):
-    return HamiltonianMatrix(H.spec, scipy.sparse.csr_matrix(H.data))
-
-
 def per_mode(H, seed=7):
     rng = np.random.default_rng(seed)
     return DecaySpec.per_mode(GAMMA * (1.0 + 0.5 * rng.random(H.dim)))
@@ -81,6 +77,24 @@ def dense_columns(H, decay, omega, rows):
     return np.stack(columns, axis=1)
 
 
+def sparse_columns(H, decay, omega, rows):
+    """The same reference from one sparse LU of the CSR export."""
+    A = (omega * scipy.sparse.identity(H.dim) - H.tocsr()
+         + 0.5j * scipy.sparse.diags(decay.rate_vector(H.dim))).tocsc()
+    e = np.zeros((H.dim, len(rows)), dtype=complex)
+    e[rows, np.arange(len(rows))] = 1.0
+    return scipy.sparse.linalg.spsolve(A, e)
+
+
+#: Storage -> the reference columns solved from that export of ``H``.
+REFERENCES = {"dense": dense_columns, "csr": sparse_columns}
+
+
+def _from_dense(spec, A):
+    rows, cols = np.nonzero(A)
+    return HamiltonianMatrix.from_entries(spec, rows, cols, A[rows, cols])
+
+
 def edge_rows(H):
     spec = H.spec
     return [flat_index(spec, SiteIndex(j, 0, s))
@@ -95,12 +109,12 @@ def edge_rows(H):
 def test_block_solve_matches_dense_columns(name, storage, rates):
     H = LATTICES[name]
     decay = DecaySpec.uniform(GAMMA) if rates == "uniform" else per_mode(H)
-    engine = Resolvent(as_csr(H) if storage == "csr" else H, decay)
+    engine = Resolvent(H, decay)
     rows = edge_rows(H)
     first = None
     for omega in (-2.2, 0.3, 1.7):
         x = engine.solve(omega, rows)
-        ref = dense_columns(H, decay, omega, rows)
+        ref = REFERENCES[storage](H, decay, omega, rows)
         assert x.shape == (H.dim, len(rows))
         np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
         if first is None:
@@ -120,7 +134,7 @@ def test_single_port_functions_use_the_block_engine():
     np.testing.assert_allclose(Resolvent(H, decay).solve(-1.6, [r])[:, 0], ref,
                                rtol=0, atol=1e-12 * np.abs(ref).max())
     rates = decay.rate_vector(H.dim)
-    amplitudes = transmission(as_csr(H), decay, -1.6, site).amplitudes
+    amplitudes = transmission(H, decay, -1.6, site).amplitudes
     np.testing.assert_allclose(amplitudes, -1j * np.sqrt(rates * rates[r]) * ref,
                                rtol=0, atol=1e-12 * np.abs(ref).max())
 
@@ -143,9 +157,8 @@ def test_displacement_matches_eigenbasis_oracle(name):
     expected = power @ l_out
     # The qsh displacement vanishes by symmetry: scale by the |l|-weighted power.
     scale = np.max(power @ np.abs(l_out))
-    for H_in in (H, as_csr(H)):
-        got = displacement_spectrum(H_in, DecaySpec.uniform(GAMMA), grid, region)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
+    got = displacement_spectrum(H, DecaySpec.uniform(GAMMA), grid, region)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
@@ -159,10 +172,8 @@ def test_optical_theorem_on_both_paths(name):
         expected = np.array([
             -2.0 * GAMMA * engine.solve(float(w), [r])[r, 0].imag for w in grid
         ])
-        eigenbasis = total_transmission_spectrum(H, decay, [site], grid)
-        sparse_lu = total_transmission_spectrum(as_csr(H), decay, [site], grid)
-        np.testing.assert_allclose(eigenbasis, expected, rtol=1e-11)
-        np.testing.assert_allclose(sparse_lu, expected, rtol=1e-11)
+        power = total_transmission_spectrum(H, decay, [site], grid)
+        np.testing.assert_allclose(power, expected, rtol=1e-11)
 
 
 # ------------------------------------------------------------- call counts
@@ -223,15 +234,14 @@ def test_non_finite_omega_rejected(bad):
     site = SiteIndex(0, 0, 0)
     decay = DecaySpec.uniform(GAMMA)
     region = EdgeRegion(Side.RIGHT, 1)
-    for H_in in (H, as_csr(H)):
-        with pytest.raises(ValueError, match="finite"):
-            transmission(H_in, decay, bad, site)
-        with pytest.raises(ValueError, match="finite"):
-            Resolvent(H_in, decay).solve(bad, [flat_index(H.spec, site)])
-        with pytest.raises(ValueError, match="finite"):
-            total_transmission_spectrum(H_in, decay, [site], np.array([0.0, bad]))
-        with pytest.raises(ValueError, match="finite"):
-            displacement_spectrum(H_in, decay, np.array([bad]), region)
+    with pytest.raises(ValueError, match="finite"):
+        transmission(H, decay, bad, site)
+    with pytest.raises(ValueError, match="finite"):
+        Resolvent(H, decay).solve(bad, [flat_index(H.spec, site)])
+    with pytest.raises(ValueError, match="finite"):
+        total_transmission_spectrum(H, decay, [site], np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        displacement_spectrum(H, decay, np.array([bad]), region)
 
 
 def test_empty_frequency_grids_rejected():
@@ -252,9 +262,8 @@ def test_empty_port_lists_rejected():
     H = LATTICES["qsh"]
     grid = np.array([0.0])
     for decay in (DecaySpec.uniform(GAMMA), per_mode(H)):
-        for H_in in (H, as_csr(H)):
-            with pytest.raises(ValueError, match="nonempty"):
-                total_transmission_spectrum(H_in, decay, [], grid)
+        with pytest.raises(ValueError, match="nonempty"):
+            total_transmission_spectrum(H, decay, [], grid)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
@@ -263,7 +272,7 @@ def test_failed_factorization_raises_instead_of_returning_nan():
     broken = H.toarray()
     broken[3, 3] = np.nan
     with pytest.raises(RuntimeError, match="residual"):
-        transmission(HamiltonianMatrix(H.spec, broken), DecaySpec.uniform(GAMMA),
+        transmission(_from_dense(H.spec, broken), DecaySpec.uniform(GAMMA),
                      0.0, SiteIndex(0, 0, 0))
 
 
@@ -273,10 +282,8 @@ def test_nan_in_a_coupling_block_raises_on_both_storages():
     i = flat_index(H.spec, SiteIndex(1, 0, 0))
     j = flat_index(H.spec, SiteIndex(1, 1, 1))
     broken[i, j] = broken[j, i] = np.nan
-    for data in (broken, scipy.sparse.csr_matrix(broken)):
-        with pytest.raises(RuntimeError, match="residual"):
-            transmission(HamiltonianMatrix(H.spec, data), per_mode(H), -1.6,
-                         SiteIndex(0, 0, 0))
+    with pytest.raises(RuntimeError, match="residual"):
+        transmission(_from_dense(H.spec, broken), per_mode(H), -1.6, SiteIndex(0, 0, 0))
 
 
 def test_vanishing_loss_at_an_eigenvalue_raises():
@@ -295,15 +302,14 @@ def test_coupling_that_skips_a_slice_is_kept(storage, caplog):
     j = flat_index(H.spec, SiteIndex(2, 1, 0))
     skewed[i, j] = 0.3 + 0.2j
     skewed[j, i] = 0.3 - 0.2j
-    H2 = HamiltonianMatrix(H.spec, skewed if storage == "dense"
-                           else scipy.sparse.csr_matrix(skewed))
+    H2 = _from_dense(H.spec, skewed)
     decay = per_mode(H)
     rows = edge_rows(H) + [i]
     engine = Resolvent(H2, decay)
     # l and l + 2 coupled: blocks join two slices, so none is dropped.
     assert (engine.width, engine.slices, engine.block_size) == (2, 4, 8)
     x = engine.solve(0.7, rows)
-    ref = dense_columns(H2, decay, 0.7, rows)
+    ref = REFERENCES[storage](H2, decay, 0.7, rows)
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
         transmission(H2, decay, 0.7, SiteIndex(0, 0, 0))
@@ -317,9 +323,9 @@ def test_each_engine_call_logs_one_record(caplog):
     decay = DecaySpec.uniform(GAMMA)
     inputs = [SiteIndex(0, 0, 0), SiteIndex(3, 1, 0)]
     grid = np.array([-1.0, 0.2, 1.5])
-    quiet = total_transmission_spectrum(as_csr(H), decay, inputs, grid)
+    quiet = total_transmission_spectrum(H, decay, inputs, grid)
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
-        loud = total_transmission_spectrum(as_csr(H), decay, inputs, grid)
+        loud = total_transmission_spectrum(H, decay, inputs, grid)
         total_transmission_spectrum(H, decay, inputs, grid)
         displacement_spectrum(H, decay, [-2.0], EdgeRegion(Side.RIGHT, 2))
     np.testing.assert_array_equal(loud, quiet)
@@ -345,7 +351,7 @@ def test_each_engine_record_explains_its_storage(caplog):
     dirac_even_ring = build_dirac(LatticeSpec(n_x=3, l_min=-3, l_max=4, spin_dim=2,
                                               bc_y=Boundary.PERIODIC), 1.0 / 6.0)
     cases = [scalar, LATTICES["qsh"], dirac_open, dirac_even_ring, LATTICES["dirac"],
-             HamiltonianMatrix(scalar.spec, skewed)]
+             _from_dense(scalar.spec, skewed)]
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
         for H in cases:
             total_transmission_spectrum(H, decay, [SiteIndex(0, 0, 0)], grid)

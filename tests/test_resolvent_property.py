@@ -2,21 +2,20 @@
 
 Hypothesis draws lattices of up to 6 cavities and OAM windows of up to 20
 values, scalar or spinful, open or periodic on either axis, with random
-Jones axes, uniform or per-mode loss, dense or CSR input, sometimes a
-coupling that skips OAM slices, and ports on several slices.  The engine
-must reproduce the dense ``scipy.linalg.solve`` oracle, scalar lattices
-must be reciprocal, bipartite zero-flux lattices must have a total
-spectrum symmetric under ``omega -> -omega``, on commensurate tori the
-Landau and OAM gauges must give the same ``|T|``, and a mirror signature
-put in by a diagonal gauge must come back out of the engine.  ``derandomize=True`` and
-fixed example counts keep the runs identical and short.
+Jones axes, uniform or per-mode loss, sometimes a coupling that skips OAM
+slices, and ports on several slices.  The engine must reproduce the dense
+``scipy.linalg.solve`` oracle, scalar lattices must be reciprocal,
+bipartite zero-flux lattices must have a total spectrum symmetric under
+``omega -> -omega``, on commensurate tori the Landau and OAM gauges must
+give the same ``|T|``, and a mirror signature put in by a diagonal gauge
+must come back out of the engine.  ``derandomize=True`` and fixed example
+counts keep the runs identical and short.
 """
 
 import dataclasses
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from oamphoton.hamiltonians import (
@@ -84,9 +83,8 @@ def hamiltonians(draw):
                              unique=True))
         data[i, j] += 0.4 + 0.3j
         data[j, i] += 0.4 - 0.3j
-    if draw(st.booleans()):
-        data = scipy.sparse.csr_matrix(data)
-    return HamiltonianMatrix(spec, data)
+    rows, cols = np.nonzero(data)
+    return HamiltonianMatrix.from_entries(spec, rows, cols, data[rows, cols])
 
 
 def decays(draw, dim):

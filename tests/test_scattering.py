@@ -19,7 +19,6 @@ from oamphoton.scattering import (
     DecaySpec,
     Resolvent,
     _omega_partners,
-    butterfly_scan,
     default_omega_grid,
     eig_transmission_vector,
     spectral_factorization,
@@ -30,12 +29,20 @@ from oamphoton.scattering import (
 
 def single_site(h00=0.0):
     spec = LatticeSpec(n_x=1, l_min=0, l_max=0)
-    return HamiltonianMatrix(spec, np.array([[h00]], dtype=complex))
+    return HamiltonianMatrix.from_entries(spec, [0], [0], [h00])
 
 
 def two_site_chain():
     spec = LatticeSpec(n_x=2, l_min=0, l_max=0)
-    return HamiltonianMatrix(spec, np.array([[0, -1], [-1, 0]], dtype=complex))
+    return HamiltonianMatrix.from_entries(spec, [0, 1], [1, 0], [-1.0, -1.0])
+
+
+def butterfly_row(spec, phi0, grid, decay):
+    """The total power of the cavity-phase lattice at flux ``phi0``, with a
+    probe entering every cavity at OAM 0, as a butterfly run computes it."""
+    H = build_landau_hofstadter(spec, phi0)
+    inputs = [SiteIndex(j, 0, 0) for j in range(spec.n_x)]
+    return total_transmission_spectrum(H, decay, inputs, grid)
 
 
 def column(H, decay, omega, site):
@@ -153,7 +160,8 @@ def test_single_site_lorentzian_lineshape():
 def test_decoupled_lattice_per_site_lorentzians():
     spec = LatticeSpec(n_x=3, l_min=0, l_max=1)
     detunings = np.array([0.0, 0.3, -0.2, 0.1, 0.5, -0.4])
-    H = HamiltonianMatrix(spec, np.diag(detunings).astype(complex))
+    H = HamiltonianMatrix.from_entries(spec, np.arange(spec.dim), np.arange(spec.dim),
+                                       detunings)
     gamma = 0.2
     for omega in (-0.3, 0.0, 0.4):
         for n in range(spec.dim):
@@ -446,10 +454,10 @@ def test_empty_probe_grid_rejected():
 def test_butterfly_zero_flux_row_support():
     spec = LatticeSpec(n_x=8, l_min=-8, l_max=8)
     grid = default_omega_grid(200)
-    rows = butterfly_scan(spec, np.array([0.0]), grid, DecaySpec.uniform(0.1))
+    row = butterfly_row(spec, 0.0, grid, DecaySpec.uniform(0.1))
     # Band edges of the finite open lattice sit near +/-3.85; the support at
     # a 3% threshold should hug them within a few linewidths either way.
-    support = grid[rows[0] > 3e-2 * rows[0].max()]
+    support = grid[row > 3e-2 * row.max()]
     assert support.min() > -4.35 and support.max() < 4.35
     assert support.min() < -3.7 and support.max() > 3.7
 
@@ -457,12 +465,12 @@ def test_butterfly_zero_flux_row_support():
 def test_butterfly_half_flux_gapless_and_symmetric():
     spec = LatticeSpec(n_x=8, l_min=-8, l_max=8)
     grid = np.linspace(-4.5, 4.5, 301)
-    half, decay = np.array([0.5]), DecaySpec.uniform(0.1)
-    row = butterfly_scan(spec, half, grid, decay)[0]
+    decay = DecaySpec.uniform(0.1)
+    row = butterfly_row(spec, 0.5, grid, decay)
     # The reference: the omega < 0 and omega > 0 halves in two calls, each
     # grid without +-omega partners, so every point of both is solved.
-    low = butterfly_scan(spec, half, grid[grid < 0], decay)[0]
-    high = butterfly_scan(spec, half, grid[grid > 0], decay)[0]
+    low = butterfly_row(spec, 0.5, grid[grid < 0], decay)
+    high = butterfly_row(spec, 0.5, grid[grid > 0], decay)
     np.testing.assert_allclose(high, low[::-1], rtol=1e-8)
     np.testing.assert_allclose(row[grid < 0], low, rtol=1e-8)
     np.testing.assert_allclose(row[grid > 0], high, rtol=1e-8)
