@@ -32,15 +32,23 @@ right sweep follows from the left one, and only the left blocks are
 factorized.  Each solve is batched over (trial, frequency) pairs:
 one ``H`` over a chunk of frequencies, or a stack of Monte Carlo trials
 on one lattice, each with its own decay rates, over their frequencies.
-The cost is linear in the number of slices and exact.  A chunk's one
-work array holds ``A_k``, then the transfer matrices, then the columns,
-each over the last; total power and the residual check of every column
+The cost is linear in the number of slices and exact.  The column path
+(edge maps, displacement, disorder) keeps one work array per chunk that
+holds ``A_k``, then the transfer matrices, then the columns, each over
+the last; OAM-weighted power and the residual check of every column
 against its own trial's ``H`` are reduced from it in block order, and
-only callers that need columns gather them into flat order.  So the
-memory is the trials' entries plus one work array per chunk.  Each
-engine call logs one DEBUG record to the ``oamphoton`` logger, which
-explains its path, sectors, mirror, solves, chunks and worst residual
-(see :meth:`Resolvent.log`).
+only callers that need columns gather them into flat order.  Total power,
+the spectra and the butterfly, takes the diagonal path: by the optical
+theorem it is ``sum_r -2 gamma_r Im G_rr``, and ``G``'s block at a port
+slice is ``(A_k - Sigma_L,k - Sigma_R,k)^-1`` (Lake et al., J. Appl.
+Phys. 81, 7845 (1997)), so the same sweep runs to the port slices over
+two slots per side and one solve per port slice ends it, with no
+columns; the residual of every sweep solve bounds its error instead of
+the column check (see :meth:`Resolvent.total_power`).  So the memory is
+the trials' entries plus one chunk.  Each engine call logs one DEBUG
+record to the ``oamphoton`` logger, which explains its path, sectors,
+mirror, solves, chunks, worst residual and error bound (see
+:meth:`Resolvent.log`).
 
 Two exact identities halve a total-power spectrum's work.  Where a +-1
 diagonal ``C`` gives ``C H C = -H`` (every entry joins two sublattices, as
@@ -57,7 +65,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,10 +193,11 @@ def _oam_blocks(spec: LatticeSpec) -> np.ndarray:
 
 
 def _positions(blocks: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block and position within the block of every flat index."""
+    """Block and position within the block of every flat index (0 and 0
+    for a site the blocks do not hold)."""
     real = blocks >= 0
-    block_of = np.empty(dim, dtype=np.intp)
-    pos_of = np.empty(dim, dtype=np.intp)
+    block_of = np.zeros(dim, dtype=np.intp)
+    pos_of = np.zeros(dim, dtype=np.intp)
     block_of[blocks[real]], pos_of[blocks[real]] = np.nonzero(real)
     return block_of, pos_of
 
@@ -215,6 +224,56 @@ def _row_bytes(slices: int, block_size: int, ports: int, carried: int = 0) -> in
     sums; and the partial columns of ``carried`` blocks below ``k0``."""
     columns = block_size + ports if ports < block_size else ports
     return 16 * block_size * (slices * (columns + 1) + carried * ports)
+
+
+def _diagonal_row_bytes(block_size: int, sides: int, kept: int, port_blocks: int) -> int:
+    """Working memory of one (trial, frequency) row of a diagonal-path chunk:
+    per side sweeping two slots, a step's solution, Schur product and
+    residual; the ``kept`` transfer matrices; and each port block's matrix,
+    its inverse and their residual."""
+    return 16 * block_size**2 * (5 * sides + kept + 3 * port_blocks)
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """The writable diagonals of the matrices on the last two axes of ``a``."""
+    return np.lib.stride_tricks.as_strided(
+        a, shape=a.shape[:-1], strides=a.strides[:-2] + (a.strides[-2] + a.strides[-1],))
+
+
+def _coupled(coupling: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``coupling @ h`` for a block-diagonal coupling stored as its ``c x c``
+    blocks, shape ``(..., b/c, c, c)``: one matmul over those blocks."""
+    m, c = coupling.shape[-3:-1]
+    return np.matmul(coupling, h.reshape(h.shape[:-2] + (m, c, -1))).reshape(
+        h.shape[:-1] + (-1,))
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the complex matrices on the last two axes of ``x``
+    (whose last axis is contiguous)."""
+    v = x.view(float)
+    return np.sqrt(np.einsum("...ij,...ij->...", v, v))
+
+
+def _sides(left: int, right: int) -> list[slice]:
+    """The sides sweeping at each step, as a slice of the side axis: side 0
+    eliminates blocks ``0 .. left - 1`` upward, side 1 the last ``right``
+    blocks downward."""
+    return [slice(0 if s < left else 1, 2 if s < right else 1) for s in range(max(left, right))]
+
+
+class _DiagonalPlan(NamedTuple):
+    """The diagonal path's plan for the ports of one sector: the port
+    blocks, each port's index among them and position in its block, the
+    steps of each side and the transfer matrices ``(side, block)`` kept for
+    the self-energies of the port blocks."""
+
+    blocks: np.ndarray
+    where: np.ndarray
+    position: np.ndarray
+    left: int
+    right: int
+    kept: frozenset
 
 
 def _trials_per_chunk(H: HamiltonianMatrix, ports: int, omegas: int) -> int:
@@ -591,8 +650,17 @@ class Resolvent:
     at full dimension, is then checked against its own trial's ``H`` in
     block order: ``||(omega - H + i G/2) x - e|| <=``
     :data:`RESIDUAL_RTOL`, so NaN fails too.  :meth:`transmitted_power`
-    reduces the power from the same array; only :meth:`columns`,
+    reduces OAM-weighted power from the same array; only :meth:`columns`,
     :meth:`solve` and :meth:`transmission` gather columns into flat order.
+
+    Diagonal path: unweighted total power needs only ``G_rr`` at the
+    ports (the optical theorem), so :meth:`total_power` runs the same
+    sweep (:meth:`_schur_sweep`) over two slots per side to the port
+    blocks and makes one solve per port block, with no back-substitution
+    and no columns; on a mirrored layout the left sweep gives both sides'
+    self-energies.  Its guard is a backward-error chain from the residual
+    of every sweep solve (see :meth:`_port_diagonal`), not the column
+    check.
 
     Mirror: with ``J`` the reversal of the block order (each block's sites
     kept in place) and ``S`` a diagonal signature of +-1, where ``M = omega
@@ -621,10 +689,12 @@ class Resolvent:
     reading them builds any layout not yet built.  ``factorizations`` (one
     per trial and frequency), ``block_factorizations`` (slice blocks
     factorized), ``solves`` (``np.linalg.solve`` calls), ``worst_residual``,
+    ``error_bound`` (the forward bound on ``G`` that the residuals give),
     ``chunks``, ``omega_chunk`` (the (trial, frequency) rows of the
     largest chunk), ``work_bytes`` (the largest work array),
-    ``chunk_bytes`` (the largest work array with the partial columns kept
-    beside it) and the sectors swept accumulate over the object's solves.
+    ``chunk_bytes`` (the largest work array with the partial columns or
+    kept transfer matrices beside it) and the sectors swept accumulate over
+    the object's solves.
     """
 
     def __init__(self, H: HamiltonianMatrix | Sequence[HamiltonianMatrix],
@@ -668,6 +738,8 @@ class Resolvent:
         self.block_factorizations = 0
         self.solves = 0
         self.worst_residual = 0.0
+        self.error_bound = 0.0
+        self._path = "oam-rgf"
         self.omega_chunk = 0
         self.chunks = 0
         self.work_bytes = 0
@@ -748,9 +820,9 @@ class Resolvent:
         size = np.size(omegas)
         return ((slice(trials.start * size + part.start,
                        (trials.stop - 1) * size + part.stop),
-                 self._gather(sectors, (trials.stop - trials.start) * (part.stop - part.start),
-                              rows.size))
-                for trials, part, sectors in self._chunks(omegas, rows))
+                 self._gather(self._sweep(trials, chunk, rows),
+                              (trials.stop - trials.start) * chunk.size, rows.size))
+                for trials, part, chunk in self._chunks(omegas, self._column_row_bytes(rows)))
 
     def _gather(self, sectors: Iterator[tuple[_Layout, np.ndarray, np.ndarray]],
                 batch: int, ports: int) -> np.ndarray:
@@ -768,31 +840,36 @@ class Resolvent:
                 x[layout.sites[:, None, None], np.arange(batch)[:, None], group] = part
         return x
 
-    def _chunks(self, omegas: np.ndarray, rows: np.ndarray
-                ) -> Iterator[tuple[slice, slice, Iterator]]:
-        """``(trials, part, sectors)`` per chunk for rows already checked by
-        :meth:`_port_rows`: the columns of ``trials`` at ``omegas[part]``,
-        one sector at a time (see :meth:`_sweep`)."""
+    def _column_row_bytes(self, rows: np.ndarray) -> int:
+        """The column path's bytes per (trial, frequency) row (see
+        :func:`_row_bytes`), for the widest sector holding a port."""
+        b = max(layout.block_size for _, layout, _ in self._groups(rows))
+        port_block = self._block_of[rows]
+        return _row_bytes(self.slices, b, rows.size, int(port_block.max() - port_block.min()))
+
+    def _chunks(self, omegas: np.ndarray, row_bytes: int, trial_bytes: int = 0
+                ) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """``(trials, part, omegas[part])`` per chunk: whole trials, each
+        taking ``row_bytes`` per frequency and ``trial_bytes`` of its own,
+        while their grids fit :data:`_CHUNK_BYTES`, else one trial's grid in
+        parts.  The frequencies are checked when the first chunk is drawn."""
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
         if omegas.size == 0:
             raise ValueError("frequency grid must be nonempty")
         bad = omegas[~np.isfinite(omegas)]
         if bad.size:
             raise ValueError(f"omega must be finite, got {bad[0]!r}")
-        b = max(layout.block_size for _, layout, _ in self._groups(rows))
-        port_block = self._block_of[rows]
-        carried = int(port_block.max() - port_block.min())
-        batch = max(1, _CHUNK_BYTES // _row_bytes(self.slices, b, rows.size, carried))
-        if batch >= omegas.size:  # whole trials per chunk
-            per_chunk, chunk = min(self.trials, batch // omegas.size), omegas.size
+        trials_fit = _CHUNK_BYTES // (omegas.size * row_bytes + trial_bytes)
+        if trials_fit:  # whole trials per chunk
+            per_chunk, chunk = min(self.trials, trials_fit), omegas.size
         else:  # one trial's grid in parts
-            per_chunk, chunk = 1, batch
+            per_chunk, chunk = 1, max(1, (_CHUNK_BYTES - trial_bytes) // row_bytes)
         self.omega_chunk = max(self.omega_chunk, per_chunk * chunk)
         for first in range(0, self.trials, per_chunk):
             trials = slice(first, min(first + per_chunk, self.trials))
             for start in range(0, omegas.size, chunk):
                 part = slice(start, min(start + chunk, omegas.size))
-                yield trials, part, self._sweep(trials, omegas[part], rows)
+                yield trials, part, omegas[part]
 
     def _at(self, omega: float, rows: Sequence[int]) -> np.ndarray:
         """Resolvent columns at one frequency, shape ``(dim, trials, len(rows))``."""
@@ -817,24 +894,25 @@ class Resolvent:
         return t[:, 0] if self._single else t
 
     def transmitted_power(self, omegas: np.ndarray, rows: Sequence[int],
-                          weights: np.ndarray | None = None) -> np.ndarray:
+                          weights: np.ndarray) -> np.ndarray:
         """``sum_r sum_n' weights[n'] |T_{n', r}|^2`` per trial and frequency.
 
         Shape ``(trials, len(omegas))``, ``(len(omegas),)`` for a single
         ``H``.  The power sums over every input in ``rows`` and every output
-        mode (unit weights by default), reduced in block order in one fixed
-        order per (trial, frequency) row, so the bits do not depend on how
-        the batch is chunked.
+        mode, each weighted (the OAM ``l`` for a displacement), reduced from
+        the columns in block order in one fixed order per (trial, frequency)
+        row, so the bits do not depend on how the batch is chunked.
+        Unweighted total power needs no columns: see :meth:`total_power`.
         """
         rows = self._port_rows(rows)
-        out_weight = self.rates if weights is None else self.rates * weights
+        out_weight = self.rates * weights
         # |T|^2 = gamma_n' gamma_r (Re^2 + Im^2) of the column entries.
         in_weight = np.repeat(self.rates[:, rows], 2, axis=1).reshape(self.trials, -1, 2)
         power = np.empty((self.trials, np.size(omegas)))
-        for trials, part, sectors in self._chunks(omegas, rows):
+        for trials, part, chunk in self._chunks(omegas, self._column_row_bytes(rows)):
             count = trials.stop - trials.start
             sums = []
-            for layout, ports, X in sectors:
+            for layout, ports, X in self._sweep(trials, chunk, rows):
                 parts = X.view(float)
                 np.multiply(parts, parts, out=parts)
                 # Each sum runs along a contiguous last axis, over the ports
@@ -849,6 +927,91 @@ class Resolvent:
             power[trials, part] = np.concatenate(sums, axis=1).sum(axis=1).reshape(count, -1)
         return power[0] if self._single else power
 
+    def total_power(self, omegas: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+        """``sum_r sum_n' |T_{n', r}|^2 = sum_r -2 gamma_r Im G_rr`` per
+        trial and frequency, from the diagonal of ``G`` alone.
+
+        Shaped as :meth:`transmitted_power`.  The optical theorem,
+        ``sum_n' gamma_n' |G_n'r|^2 = -2 Im G_rr`` for Hermitian ``H`` and
+        any positive rates, turns the total power of input ``r`` into one
+        entry of ``G``, and in recursive Green's functions the block of
+        ``G`` at port block ``k`` is ``(A_k - Sigma_L,k - Sigma_R,k)^-1``
+        (Lake et al., J. Appl. Phys. 81, 7845 (1997)).  So each sector's
+        sweep runs only to its port blocks, on the same steps as the column
+        path, and each port block makes one solve: no back-substitution, no
+        columns and no column check.  A chunk keeps ``O(block_size^2)`` per
+        (trial, frequency) row (see :func:`_diagonal_row_bytes`) and each
+        trial's ``D_k``.  The sum over ``rows`` runs in one fixed order per
+        row, so the bits do not depend on the chunking.
+
+        The guard is the backward-error chain of :meth:`_port_diagonal`:
+        the computed ``G`` is the exact one of ``M + Delta M``.  With ``G
+        - G~ = G Delta M G~`` and, from the same identity, ``||G e_r||^2``
+        and ``||e_r^T G||^2 <= 2 |Im G_rr| / gamma_min``, each computed
+        ``G^_rr`` is within ``(2 ||Delta M|| / gamma_min) |Im G^_rr| / (1 -
+        4 ||Delta M|| / gamma_min)`` of the true one: at most ``(2 /
+        gamma_min)^2 ||Delta M||`` to first order, where ``|Im G_rr|``
+        reaches ``2/gamma_min``, and far less off resonance.  A trial where
+        that exceeds ``(2/gamma_min)`` :data:`RESIDUAL_RTOL`, the bound the
+        column check gives a column, or is NaN, raises.
+        """
+        rows = self._port_rows(rows)
+        groups = [(layout, self._diagonal_plan(layout, rows[ports]))
+                  for _, layout, ports in self._groups(rows)]
+        row_bytes = max(_diagonal_row_bytes(layout.block_size, 1 + bool(plan.right),
+                                            len(plan.kept), plan.blocks.size)
+                        for layout, plan in groups)
+        trial_bytes = max(16 * self.slices * layout.block_size**2 for layout, _ in groups)
+        weight = -2.0 * self.rates[:, rows]
+        power = np.empty((self.trials, np.size(omegas)))
+        for trials, part, chunk in self._chunks(omegas, row_bytes, trial_bytes):
+            G = self._diagonal_sweep(trials, chunk, rows)
+            power[trials, part] = (G.imag * weight[trials, None]).sum(axis=-1)
+        return power[0] if self._single else power
+
+    def _diagonal_sweep(self, trials: slice, omegas: np.ndarray, rows: np.ndarray
+                        ) -> np.ndarray:
+        """One chunk of the diagonal path: ``G_rr`` of every port, shape
+        ``(trials, len(omegas), len(rows))``, one sector at a time, each
+        once its backward-error chain passed (see :meth:`total_power`)."""
+        count = trials.stop - trials.start
+        G = np.empty((count, omegas.size, rows.size), dtype=complex)
+        scale = 2.0 / self.rates[trials].min(axis=1)
+        limit = scale * RESIDUAL_RTOL
+        self._path = "oam-rgf-diagonal"
+        for g, layout, ports in self._groups(rows):
+            try:
+                values, delta, residual = self._port_diagonal(layout, trials, omegas, rows[ports])
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(
+                    f"solve residual unbounded: singular slice block ({exc}) in "
+                    f"trials {trials.start}..{trials.stop - 1} at omega in "
+                    f"[{omegas.min()}, {omegas.max()}]"
+                ) from None
+            # |G_rr - G^_rr| <= (2 ||dM|| / gamma) |Im G^_rr| / (1 - 4 ||dM|| / gamma)
+            # (see total_power), unbounded from 4 ||dM|| >= gamma; NaN fails.
+            ratio = scale[:, None] * delta
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = (np.where(ratio < 0.5, ratio / (1 - 2 * ratio), np.inf)[..., None]
+                         * np.abs(values.imag))
+            bound[np.isnan(ratio)] = np.nan
+            failed = np.flatnonzero(~np.all(bound <= limit[:, None, None], axis=(1, 2)))
+            if failed.size:
+                i = failed[0]
+                raise RuntimeError(
+                    f"solve residual {np.max(residual[i]):.3e} bounds G only to "
+                    f"{np.max(bound[i]):.3e}, beyond {limit[i]:.3e}, in trial "
+                    f"{trials.start + i} (dim={self.dim}, omega in "
+                    f"[{omegas.min()}, {omegas.max()}])"
+                )
+            self.worst_residual = max(self.worst_residual, float(residual.max()))
+            self.error_bound = max(self.error_bound, float(bound.max()))
+            G[..., ports] = values
+            self._swept.add(g)
+        self.factorizations += count * omegas.size
+        self.chunks += 1
+        return G
+
     def _sweep(self, trials: slice, omegas: np.ndarray, rows: np.ndarray
                ) -> Iterator[tuple[_Layout, np.ndarray, np.ndarray]]:
         """One chunk, one sector at a time: yields ``(layout, ports, X)`` for
@@ -857,6 +1020,7 @@ class Resolvent:
         order, shape ``(slices, trials, len(omegas), block_size,
         len(ports))``; the caller drops it before drawing the next sector.
         """
+        self._path = "oam-rgf"
         for g, layout, ports in self._groups(rows):
             try:
                 X = self._block_columns(layout, trials, omegas, rows[ports])
@@ -867,6 +1031,9 @@ class Resolvent:
                     f"[{omegas.min()}, {omegas.max()}]"
                 ) from None
             self._check(layout, trials, omegas, rows[ports], X)
+            # ||x - x^|| <= ||G|| ||r|| <= (2/gamma_min) ||r||.
+            self.error_bound = max(self.error_bound, 2.0 * self.worst_residual
+                                   / self.rates[trials].min())
             self._swept.add(g)
             yield layout, ports, X
             del X  # before the next sector's work array is built
@@ -926,7 +1093,9 @@ class Resolvent:
         block, shape ``(slices, trials, len(omegas), block_size,
         len(rows))``: a view of the work array, whose slot ``k`` holds
         ``A_k``, then the transfer matrix ``h_k``, then the columns ``X_k``,
-        each over the last, or a copy of fewer columns than a block."""
+        each over the last, or a copy of fewer columns than a block.  The
+        sweep is :meth:`_schur_sweep`; the port solve and the
+        back-substitution follow here."""
         n, b, p = self.slices, layout.block_size, rows.size
         count, w, c = trials.stop - trials.start, omegas.size, layout.coupling_block
         m = b // c
@@ -947,33 +1116,10 @@ class Resolvent:
             keep = np.flatnonzero(block < built)
             block, row, col, value = block[keep], row[keep], col[keep], value[:, keep]
         square[block, :, :, row, col] = value.T[:, :, None]
-        diagonal = (omegas[:, None] * layout.mask[:built, None, None]
-                    + layout.shift[:built, trials, None])
-        np.lib.stride_tricks.as_strided(
-            work, shape=(built, count, w, b),
-            strides=work.strides[:3] + (work.strides[3] + 16,))[...] += diagonal
-        # Rows in groups of c: a block-diagonal coupling times slot k is one
-        # matmul over its c x c blocks, coupling @ grouped[k].
-        grouped = square.reshape(n, count, w, m, c, b)
+        _diagonal(square[:built])[...] += (omegas[:, None] * layout.mask[:built, None, None]
+                                          + layout.shift[:built, trials, None])
         outer = layout.outer[:, :, trials, None]
-        inner = layout.inner[:, :, trials, None]
-        down, up = outer[0], inner[0]  # H[k, k-1] and H[k, k+1] by block
-        # One dense right-hand side per side and trial for every sweep
-        # solve: the coupling is written into its diagonal c x c blocks,
-        # the rest stays zero.  Broadcast explicitly: NumPy 1.x solve reads
-        # a right-hand side of fewer dimensions than its matrices as a
-        # stack of vectors.
-        rhs = np.zeros((2, count, 1, b, b), dtype=complex)
-        rhs_blocks = np.lib.stride_tricks.as_strided(
-            rhs, shape=(2, count, 1, m, c, c),
-            strides=rhs.strides[:3] + ((b + 1) * c * 16, b * 16, 16))
-        rhs_stack = np.broadcast_to(rhs, (2, count, w, b, b))
-
-        def coupled(coupling, h):
-            """``coupling @ h``, one matmul over the c x c blocks."""
-            return np.matmul(coupling, h.reshape(count, w, m, c, -1)).reshape(
-                count, w, b, -1)
-
+        down, up = outer[0], layout.inner[0, :, trials, None]  # H[k, k-1] and H[k, k+1]
         # E[k] holds the unit columns of the ports on block k.
         E = np.zeros((n, b, p))
         E[port_block, layout.pos_of[rows], np.arange(p)] = 1.0
@@ -985,7 +1131,7 @@ class Resolvent:
             """E_k plus the ports carried up from below, L_{k-1} X[k-1]."""
             if k == first:
                 return np.broadcast_to(E[k], (count, w, b, p))
-            return E[k] + coupled(down[k], carry[k - 1 - first])
+            return E[k] + _coupled(down[k], carry[k - 1 - first])
 
         # The sweeps eliminate toward k0, the last port block, and overwrite
         # slot k with its transfer matrix: h_left[k] = S_k^-1 U_k carries
@@ -1001,37 +1147,26 @@ class Resolvent:
         # blocks toward k0, as slices over the block axis (one block where
         # a side has finished, or where both sides' next block is k0).
         steps = []
-        for s in range(max(k0, n - 1 - k0)):
-            if s < k0 < n - 1 - s:
+        for s, sides in enumerate(_sides(k0, n - 1 - k0)):
+            if sides.stop - sides.start == 2:
                 gap = n - 1 - 2 * s
-                steps.append((slice(0, 2), slice(s, n - s, gap),
-                              slice(s - 1, n - s + 1, gap + 2),
+                steps.append((sides, slice(s, n - s, gap), slice(s - 1, n - s + 1, gap + 2),
                               slice(s + 1, n - 1 - s, max(gap - 2, 1))))
-            elif s < k0:
-                steps.append((slice(0, 1), slice(s, s + 1), slice(s - 1, s),
-                              slice(s + 1, s + 2)))
+            elif sides.start == 0:
+                steps.append((sides, slice(s, s + 1), slice(s - 1, s), slice(s + 1, s + 2)))
             else:
                 k = n - 1 - s
-                steps.append((slice(1, 2), slice(k, k + 1), slice(k + 1, k + 2),
-                              slice(k - 1, k)))
+                steps.append((sides, slice(k, k + 1), slice(k + 1, k + 2), slice(k - 1, k)))
         # The first `pairs` steps eliminate their left block alone; the last
         # of them writes the right sweep's blocks from theirs.
-        matrices = 1
-        for s, (sides, blocks, behind, _) in enumerate(steps):
-            if s < pairs:
-                sides, blocks, behind = slice(0, 1), slice(s, s + 1), slice(s - 1, s)
-            if s:
-                grouped[blocks] -= np.matmul(outer[sides, s], grouped[behind])
-            rhs_blocks[sides] = inner[sides, s]
-            if first <= s < k0:
-                stacked = np.zeros(rhs_stack[sides].shape[:-1] + (b + p,), dtype=complex)
-                stacked[..., :b] = rhs_stack[sides]
-                stacked[0, ..., b:] = carried(s)
-                solved = np.linalg.solve(square[blocks], stacked)
-                square[blocks], carry[s - first] = solved[..., :b], solved[0, ..., b:]
+        plan = [(slice(0, 1), slice(s, s + 1), slice(s - 1, s)) if s < pairs else step[:3]
+                for s, step in enumerate(steps)]
+
+        def solved(s, sides, blocks, rhs, x):
+            if x.shape[-1] > b:
+                square[blocks], carry[s - first] = x[..., :b], x[0, ..., b:]
             else:
-                square[blocks] = np.linalg.solve(square[blocks], rhs_stack[sides])
-            matrices += sides.stop - sides.start
+                square[blocks] = x
             if s == pairs - 1:
                 # h_right[n-1-s] = S_s (L_{s+1} h_left[s] U_s^-1)^T S_{s+1}
                 # for every s < pairs, by c x c blocks: entry [g a, h b] is
@@ -1042,12 +1177,17 @@ class Resolvent:
                           layout.mirror[s::-1, trials], square[s::-1].reshape(shape),
                           layout.mirror_down[s::-1, trials],
                           out=square[n - pairs:].reshape(shape))
-        self.block_factorizations += matrices * count * w
+
+        self._schur_sweep(layout, trials, square, plan, solved,
+                          (lambda s: carried(s) if first <= s < k0 else None)
+                          if first < k0 else None)
+        self.block_factorizations += (1 + sum(sides.stop - sides.start for sides, _, _ in plan)
+                                      ) * count * w
         S = square[k0]
         if k0:
-            S -= coupled(down[k0], square[k0 - 1])
+            S -= _coupled(down[k0], square[k0 - 1])
         if k0 < n - 1:
-            S -= coupled(up[k0], square[k0 + 1])
+            S -= _coupled(up[k0], square[k0 + 1])
         X[k0] = np.linalg.solve(S, carried(k0))
         self.solves += len(steps) + 1
         for s in reversed(range(len(steps))):
@@ -1059,13 +1199,209 @@ class Resolvent:
             X[blocks] = product
         return X.copy() if p < b else X  # a copy leaves the spent h_k behind
 
+    @staticmethod
+    def _schur_sweep(layout: _Layout, trials: slice, square: np.ndarray,
+                     plan: list[tuple[slice, slice, slice]],
+                     solved: Callable[[int, slice, slice, np.ndarray, np.ndarray], None],
+                     carried: Callable[[int], np.ndarray | None] | None = None) -> None:
+        """The Schur-complement sweeps of one chunk toward the port blocks,
+        both sides in one loop.
+
+        ``square`` holds a block per slot, shape ``(slots, trials,
+        frequencies, block_size, block_size)``, and ``plan`` names for each
+        step ``s`` the sides sweeping (side 0 at block ``s``, side 1 at
+        block ``slices - 1 - s``), as a slice of the side axis, their slots
+        and the slots of the blocks they come from.  A step subtracts
+        ``outer @ h`` from its slots (on the first step there is none) and
+        solves them against the coupling toward the pivot, one dense
+        right-hand side per side and trial; with ``carried(s)`` not None,
+        the left side's extra columns are stacked beside it in the same
+        solve.  ``solved(s, sides, blocks, rhs, x)`` then receives the
+        right-hand side and solution while the slots still hold the Schur
+        complements, and stores ``x``.
+        """
+        count, w, b = square.shape[1], square.shape[2], layout.block_size
+        c = layout.coupling_block
+        m = b // c
+        # Rows in groups of c: a block-diagonal coupling times slot k is one
+        # matmul over its c x c blocks, coupling @ grouped[k].
+        grouped = square.reshape(square.shape[0], count, w, m, c, b)
+        outer = layout.outer[:, :, trials, None]
+        inner = layout.inner[:, :, trials, None]
+        # One dense right-hand side per side and trial: the coupling is
+        # written into its diagonal c x c blocks, the rest stays zero.
+        # Broadcast explicitly: NumPy 1.x solve reads a right-hand side of
+        # fewer dimensions than its matrices as a stack of vectors.
+        rhs = np.zeros((2, count, 1, b, b), dtype=complex)
+        rhs_blocks = np.lib.stride_tricks.as_strided(
+            rhs, shape=(2, count, 1, m, c, c),
+            strides=rhs.strides[:3] + ((b + 1) * c * 16, b * 16, 16))
+        rhs_stack = np.broadcast_to(rhs, (2, count, w, b, b))
+        for s, (sides, blocks, behind) in enumerate(plan):
+            if s:
+                grouped[blocks] -= np.matmul(outer[sides, s], grouped[behind])
+            rhs_blocks[sides] = inner[sides, s]
+            extra = carried(s) if carried else None
+            if extra is None:
+                right = rhs_stack[sides]
+            else:
+                right = np.zeros(rhs_stack[sides].shape[:-1] + (b + extra.shape[-1],),
+                                 dtype=complex)
+                right[..., :b] = rhs_stack[sides]
+                right[0, ..., b:] = extra
+            solved(s, sides, blocks, right, np.linalg.solve(square[blocks], right))
+
+    def _diagonal_plan(self, layout: _Layout, rows: np.ndarray) -> _DiagonalPlan:
+        """The diagonal path's plan for ``rows``, all in ``layout``'s sector.
+
+        Port block ``k`` needs ``Sigma_L,k = L_{k-1} h_left[k-1]`` and
+        ``Sigma_R,k``.  Unmirrored, the left side sweeps to the last port
+        block and the right side to the first, and ``Sigma_R,k = U_k
+        h_right[k+1]``.  Mirrored, ``Sigma_R,k = S Sigma_L,n-1-k^T S``, so
+        the left side alone sweeps to ``max(k0, n - 1 - first)``.
+        """
+        n = self.slices
+        port_block = self._block_of[rows]
+        # A count, not np.unique (see _groups).
+        blocks = np.flatnonzero(np.bincount(port_block, minlength=n))
+        first, k0 = int(blocks[0]), int(blocks[-1])
+        ks = blocks.tolist()
+        below = {(0, k - 1) for k in ks if k}
+        if layout.mirrored:
+            left, right = max(k0, n - 1 - first), 0
+            kept = below | {(0, n - 2 - k) for k in ks if k < n - 1}
+        else:
+            left, right = k0, n - 1 - first
+            kept = below | {(1, k + 1) for k in ks if k < n - 1}
+        return _DiagonalPlan(blocks, np.searchsorted(blocks, port_block), layout.pos_of[rows],
+                             left, right, frozenset(kept))
+
+    def _port_diagonal(self, layout: _Layout, trials: slice, omegas: np.ndarray,
+                       rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``G_rr`` of the ports ``rows`` of one sector for one chunk, shape
+        ``(trials, len(omegas), len(rows))``, with the backward error
+        ``||Delta M||`` and the worst solve residual of each (trial,
+        frequency) row.
+
+        The sweep (see :meth:`_schur_sweep`) runs over two slots per side,
+        building ``A_k`` into a slot as its step comes, and keeps only the
+        transfer matrices of :meth:`_diagonal_plan`.  Port block ``k`` then
+        makes one solve, ``(A_k - Sigma_L,k - Sigma_R,k) X = I``.
+
+        The backward-error chain: each computed ``h_k`` is exact for the
+        coupling ``U_k + R_k``, with ``R_k = S_k h_k - U_k`` the recorded
+        residual, and each Schur update, ``A_k`` itself and the port
+        block's matrix ``P`` are exact for their blocks perturbed by at most
+        ``2 (c + 4) eps (|L| |h| + |S|)``, ``c`` the coupling block: the
+        a-priori rounding of a product of inner length ``c`` and of the
+        sums (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+        ed., ch. 3).  ``X`` is the exact inverse of ``P - (I + R)^-1 R P``,
+        ``R = P X - I``, a further perturbation of at most ``||R|| ||P|| /
+        (1 - ||R||)``.  So the computed ``G_kk`` is exact for ``M + Delta
+        M``, block-tridiagonal, with ``||Delta M|| <=`` the largest diagonal
+        perturbation plus the largest residual of each side (the mirror
+        image's are the left side's).  The recorded residuals are taken as
+        computed, as the column check takes its own.
+        """
+        n, b, c = self.slices, layout.block_size, layout.coupling_block
+        count, w = trials.stop - trials.start, omegas.size
+        plan = self._diagonal_plan(layout, rows)
+        block, row, col, value = layout.diagonal
+        negative = np.zeros((n, count, b, b), dtype=complex)  # -D_k of each trial
+        negative[block, :, row, col] = value[trials].T
+
+        def build(into, ks):
+            """A_k = omega + i G/2 - D_k on the blocks ks, into their slots."""
+            into[...] = negative[ks][:, :, None]
+            _diagonal(into)[...] += (omegas[:, None] * layout.mask[ks, None, None]
+                                     + layout.shift[ks, trials, None])
+
+        rounding = 2 * (c + 4) * np.finfo(float).eps
+        # |L| of each step's coupling, (side, step, trial): its largest c x c block.
+        coupling = _frobenius(layout.outer[:, :, trials]).max(axis=-1)
+        h_norm = np.zeros((2, count, w))  # ||h|| of each side's last step
+        worst = np.zeros((3, count, w))  # the largest diagonal perturbation, R of each side
+        kept = {}
+        pitch = 2 if plan.right else 1
+        sweep = []
+        for s, sides in enumerate(_sides(plan.left, plan.right)):
+            slots = [slice(pitch * (t % 2) + sides.start, pitch * (t % 2) + sides.stop)
+                     for t in (s, s - 1)]
+            sweep.append((sides, *slots))
+        square = np.empty((2 * pitch, count, w, b, b), dtype=complex)
+
+        def solved(s, sides, blocks, rhs, x):
+            S = square[blocks]
+            residual = np.matmul(S, x)
+            residual -= rhs
+            np.maximum(worst[1 + sides.start: 1 + sides.stop], _frobenius(residual),
+                       out=worst[1 + sides.start: 1 + sides.stop])
+            np.maximum(worst[0], (rounding * (coupling[sides, s, :, None] * h_norm[sides]
+                                              + _frobenius(S))).max(axis=0), out=worst[0])
+            h_norm[sides] = _frobenius(x)
+            for i, side in enumerate(range(sides.start, sides.stop)):
+                key = side, (s, n - 1 - s)[side]
+                if key in plan.kept:
+                    kept[key] = x[i].copy()
+            square[blocks] = x
+            if s + 1 < len(sweep):
+                after, slots, _ = sweep[s + 1]
+                build(square[slots], [s + 1, n - 2 - s][after])
+
+        if sweep:
+            build(square[sweep[0][1]], [0, n - 1][sweep[0][0]])
+        self._schur_sweep(layout, trials, square, sweep, solved)
+        # Each port block's matrix, with its self-energies from both sides.
+        down, up = layout.outer[0, :, trials, None], layout.inner[0, :, trials, None]
+        ports = plan.blocks.size
+        M = np.empty((ports, count, w, b, b), dtype=complex)
+        build(M, plan.blocks)
+        product = np.zeros((ports, count, w))  # |L| ||h|| of the self-energies
+        for i, k in enumerate(plan.blocks.tolist()):
+            if k:
+                M[i] -= _coupled(down[k], kept[0, k - 1])
+                product[i] += coupling[0, k, :, None] * _frobenius(kept[0, k - 1])
+            j = n - 1 - k
+            if layout.mirrored and j:
+                sigma = _coupled(down[j], kept[0, j - 1]).swapaxes(-1, -2)
+                if layout.sign is not None:
+                    sigma = sigma * np.outer(layout.sign[j], layout.sign[j])
+                M[i] -= sigma
+                product[i] += coupling[0, j, :, None] * _frobenius(kept[0, j - 1])
+            elif not layout.mirrored and j:
+                M[i] -= _coupled(up[k], kept[1, k + 1])
+                product[i] += coupling[1, j, :, None] * _frobenius(kept[1, k + 1])
+        # The whole inverse, so that X is exactly the inverse of M + Delta,
+        # Delta = -(I + R)^-1 R M with R = M X - I.
+        unit = np.broadcast_to(np.eye(b), M.shape)
+        X = np.linalg.solve(M, unit)
+        residual = np.matmul(M, X)
+        residual -= unit
+        final = _frobenius(residual)
+        size = _frobenius(M)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inverse = np.where(final < 1, final * size / (1 - final), np.inf)
+        np.maximum(worst[0], (rounding * (product + size) + inverse).max(axis=0), out=worst[0])
+        delta = worst[0] + worst[1] + worst[1 + (not layout.mirrored)]
+        self.solves += len(sweep) + 1
+        self.block_factorizations += (ports + sum(sides.stop - sides.start
+                                                  for sides, _, _ in sweep)) * count * w
+        self.work_bytes = max(self.work_bytes, square.nbytes)
+        self.chunk_bytes = max(self.chunk_bytes, square.nbytes + negative.nbytes + M.nbytes
+                               + X.nbytes + sum(h.nbytes for h in kept.values()))
+        values = X[plan.where, :, :, plan.position, plan.position]
+        return np.moveaxis(values, 0, -1), delta, np.maximum(worst[1:].max(axis=0),
+                                                              final.max(axis=0))
 
     def log(self, reason: str) -> None:
-        """One DEBUG record for this engine call (path ``oam-rgf``), on the
-        sectors swept so far: why, the sectors and sites solved, the mirror
-        and its signature, the factorizations, trials and solve calls, the
-        sizes, the chunks with their rows and bytes, and the worst
-        residual, each also an ``extra`` field of the record."""
+        """One DEBUG record for this engine call, on the sectors swept so
+        far: the path (``oam-rgf`` for columns, ``oam-rgf-diagonal`` for
+        :meth:`total_power`) and why, the sectors and sites solved, the
+        mirror and its signature, the factorizations, trials and solve
+        calls, the sizes, the chunks with their rows and bytes, the worst
+        residual (of a column, or of a sweep solve) and the forward error
+        bound on ``G`` it gives, each also an ``extra`` field of the
+        record."""
         swept = [self._layouts[g] for g in sorted(self._swept)]
         mirrored = bool(swept) and all(layout.mirrored for layout in swept)
         signature = _distinct(layout.signature for layout in swept
@@ -1073,6 +1409,9 @@ class Resolvent:
         sites = sum(layout.size for layout in swept)
         block_size = max((layout.block_size for layout in swept), default=0)
         coupling_block = max((layout.coupling_block for layout in swept), default=0)
+        if self._path == "oam-rgf-diagonal":
+            reason = ("unweighted total power, so -2 gamma Im G_rr at the port blocks: "
+                      "no columns, no back-substitution; " + reason)
         if self.width > 1:
             reason += (f"; H couples OAM slices {self.width} apart, so each "
                        f"block joins {self.width} slices")
@@ -1080,16 +1419,16 @@ class Resolvent:
                    f"{self.dim} sites solved, signature {signature}; "
                    + _distinct(layout.mirror_reason for layout in swept))
         _LOG.debug(
-            "resolvent path=oam-rgf (%s): %d factorization(s) of %d slice "
+            "resolvent path=%s (%s): %d factorization(s) of %d slice "
             "block(s) for %d trial(s) in %d solve call(s) over %d slices of "
             "size %d with %dx%d coupling blocks, in %d chunk(s) of up to %d "
             "row(s), each on a %d-byte work array (%d live bytes), worst "
-            "relative residual %.3e",
-            reason, self.factorizations, self.block_factorizations, self.trials,
+            "residual %.3e, forward error bound %.3e",
+            self._path, reason, self.factorizations, self.block_factorizations, self.trials,
             self.solves, self.slices, block_size, coupling_block, coupling_block,
             self.chunks, self.omega_chunk, self.work_bytes, self.chunk_bytes,
-            self.worst_residual,
-            extra={"solver_path": "oam-rgf", "solver_reason": reason,
+            self.worst_residual, self.error_bound,
+            extra={"solver_path": self._path, "solver_reason": reason,
                    "factorizations": self.factorizations,
                    "block_factorizations": self.block_factorizations,
                    "mirrored": mirrored, "signature": signature,
@@ -1097,6 +1436,7 @@ class Resolvent:
                    "sites_solved": sites, "dim": self.dim,
                    "trials": self.trials, "solves": self.solves,
                    "worst_residual": self.worst_residual,
+                   "error_bound": self.error_bound,
                    "slices": self.slices, "block_size": block_size,
                    "omega_chunk": self.omega_chunk, "chunks": self.chunks,
                    "coupling_block": coupling_block,
@@ -1182,8 +1522,11 @@ def total_transmission_spectrum(
     """Total transmitted power ``sum_in sum_out |T|^2`` over a probe grid.
 
     The sum runs over every output mode (the same-mode term included, the
-    reflection delta excluded), reduced from the :class:`Resolvent`
-    columns of all inputs, which share one sweep per frequency.
+    reflection delta excluded).  By the optical theorem below it is
+    ``sum_in -2 gamma_in Im G_in,in``, which
+    :meth:`Resolvent.total_power` takes from the diagonal of ``G`` at the
+    ports, all inputs sharing one sweep per frequency, without columns;
+    its backward-error chain guards the result.
 
     Frequency mirror: where every entry of ``H`` joins the two sublattices
     of ``C = (-1)^(j+l)`` (``C H C = -H``, as on every flux lattice with
@@ -1216,6 +1559,6 @@ def total_transmission_spectrum(
                f"{computed.size} row(s) computed, {copied} copied")
     engine = Resolvent(H, decay)
     power = np.empty(omega_grid.size)
-    power[computed] = engine.transmitted_power(omega_grid[computed], in_rows)
+    power[computed] = engine.total_power(omega_grid[computed], in_rows)
     engine.log(f"{omega_grid.size} frequencies, {len(in_rows)} ports; {why}")
     return power[source]

@@ -784,7 +784,7 @@ def test_butterfly_writes_each_mirror_flux_from_its_partner(tmp_path, caplog):
     rows = [flat_index(spec, SiteIndex(j, 0, 0)) for j in range(4)]
     unmirrored = np.concatenate([
         Resolvent(build_landau_hofstadter(spec, float(frac)), DecaySpec.uniform(0.1))
-        .transmitted_power(grid, rows) for frac in cli._farey_fluxes(3)])
+        .transmitted_power(grid, rows, np.ones(spec.dim)) for frac in cli._farey_fluxes(3)])
     np.testing.assert_allclose(table[:, 3], unmirrored, rtol=0,
                                atol=1e-13 * unmirrored.max())
     logged = [r.getMessage() for r in caplog.records if r.name == "oamphoton"]

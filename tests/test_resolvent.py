@@ -201,17 +201,56 @@ def test_one_sweep_per_frequency_for_a_region(sweeps):
     assert sweeps == [(grid.size, 4)]
 
 
+@pytest.fixture
+def diagonal_sweeps(monkeypatch):
+    """Every chunk sweep of the diagonal path, as ``(frequencies, ports)``."""
+    calls = []
+    original = Resolvent._diagonal_sweep
+
+    def counting(self, trials, omegas, rows):
+        calls.append((omegas.size, rows.size))
+        return original(self, trials, omegas, rows)
+
+    monkeypatch.setattr(Resolvent, "_diagonal_sweep", counting)
+    return calls
+
+
 def test_one_sweep_per_frequency_for_a_spectrum(sweeps):
+    H = LATTICES["scalar-open"]
+    rows = [flat_index(H.spec, SiteIndex(j, 0, 0)) for j in range(H.spec.n_x)]
+    grid = np.linspace(-3.0, 3.0, 5)
+    Resolvent(H, per_mode(H)).transmitted_power(grid, rows, np.ones(H.dim))
+    # Every port shares each frequency's sweep.
+    assert sweeps == [(grid.size, len(rows))]
+
+
+def test_one_diagonal_sweep_per_frequency_for_a_spectrum(sweeps, diagonal_sweeps):
     H = LATTICES["scalar-open"]
     inputs = [SiteIndex(j, 0, 0) for j in range(H.spec.n_x)]
     grid = np.linspace(-3.0, 3.0, 5)
     total_transmission_spectrum(H, per_mode(H), inputs, grid)
     # The chiral lattice's omega mirror solves -3, -1.5 and 0 and copies
-    # the other two; every port shares each of those sweeps.
-    assert sweeps == [(3, len(inputs))]
+    # the other two; every port shares each of those sweeps, which take
+    # the diagonal path alone.
+    assert diagonal_sweeps == [(3, len(inputs))]
+    assert sweeps == []
 
 
 def test_chunked_sweeps_cover_the_grid_once(sweeps, monkeypatch):
+    H = LATTICES["dirac"]
+    rows = [flat_index(H.spec, s)
+            for s in (SiteIndex(0, 0, 1), SiteIndex(2, -2, 0), SiteIndex(1, 3, 1))]
+    grid = np.linspace(-3.0, 3.0, 11)
+    whole = Resolvent(H, per_mode(H)).transmitted_power(grid, rows, np.ones(H.dim))
+    # A budget of one frequency's working memory forces one sweep per omega.
+    monkeypatch.setattr(scattering, "_CHUNK_BYTES", 1)
+    chunked = Resolvent(H, per_mode(H)).transmitted_power(grid, rows, np.ones(H.dim))
+    np.testing.assert_array_equal(chunked, whole)
+    assert sweeps[0] == (grid.size, len(rows))
+    assert sweeps[1:] == [(1, len(rows))] * grid.size
+
+
+def test_chunked_diagonal_sweeps_cover_the_grid_once(diagonal_sweeps, monkeypatch):
     H = LATTICES["dirac"]
     inputs = [SiteIndex(0, 0, 1), SiteIndex(2, -2, 0), SiteIndex(1, 3, 1)]
     grid = np.linspace(-3.0, 3.0, 11)
@@ -219,11 +258,11 @@ def test_chunked_sweeps_cover_the_grid_once(sweeps, monkeypatch):
     # A budget of one frequency's working memory forces one sweep per omega.
     monkeypatch.setattr(scattering, "_CHUNK_BYTES", 1)
     chunked = total_transmission_spectrum(H, per_mode(H), inputs, grid)
-    np.testing.assert_allclose(chunked, whole, rtol=1e-13)
+    np.testing.assert_array_equal(chunked, whole)
     # Every hop of dirac flips the polarization, so the odd ring is chiral
     # and the omega mirror solves the 6 points at and below 0.
-    assert sweeps[0] == (6, len(inputs))
-    assert sweeps[1:] == [(1, len(inputs))] * 6
+    assert diagonal_sweeps[0] == (6, len(inputs))
+    assert diagonal_sweeps[1:] == [(1, len(inputs))] * 6
 
 
 # ---------------------------------------------------------- loud failures
@@ -252,7 +291,7 @@ def test_empty_frequency_grids_rejected():
         displacement_spectrum(H, decay, np.array([]), region)
     engine = Resolvent(H, decay)
     with pytest.raises(ValueError, match="nonempty"):
-        engine.transmitted_power(np.array([]), [0])
+        engine.transmitted_power(np.array([]), [0], np.ones(H.dim))
     with pytest.raises(ValueError, match="nonempty"):
         next(engine.columns(np.array([]), [0]))
     assert engine.factorizations == 0
@@ -330,7 +369,7 @@ def test_each_engine_call_logs_one_record(caplog):
         displacement_spectrum(H, decay, [-2.0], EdgeRegion(Side.RIGHT, 2))
     np.testing.assert_array_equal(loud, quiet)
     records = [r for r in caplog.records if r.name == "oamphoton"]
-    assert [r.solver_path for r in records] == ["oam-rgf"] * 3
+    assert [r.solver_path for r in records] == ["oam-rgf-diagonal"] * 2 + ["oam-rgf"]
     assert [r.factorizations for r in records] == [3, 3, 1]
     assert all(0.0 <= r.worst_residual <= 1e-10 for r in records)
     assert all(r.levelno == logging.DEBUG and r.solver_reason for r in records)
@@ -353,13 +392,15 @@ def test_each_engine_record_explains_its_storage(caplog):
     cases = [scalar, LATTICES["qsh"], dirac_open, dirac_even_ring, LATTICES["dirac"],
              _from_dense(scalar.spec, skewed)]
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
-        for H in cases:
-            total_transmission_spectrum(H, decay, [SiteIndex(0, 0, 0)], grid)
         # Eight ports on two slices, more than the block holds: the work
         # array's slots widen to the ports, and the ports below the last
         # port block keep their partial columns in one more block.
-        total_transmission_spectrum(scalar, decay, [SiteIndex(j, l, 0) for j in range(4)
-                                                    for l in (0, 1)], grid)
+        for H, sites in [(H, [SiteIndex(0, 0, 0)]) for H in cases] + [
+                (scalar, [SiteIndex(j, l, 0) for j in range(4) for l in (0, 1)])]:
+            engine = Resolvent(H, decay)
+            engine.transmitted_power(grid, [flat_index(H.spec, s) for s in sites],
+                                     np.ones(H.dim))
+            engine.log(f"{len(sites)} port(s)")
     records = [r for r in caplog.records if r.name == "oamphoton"]
     # OAM hops stay in their cavity: scalar hops, or one site per cavity
     # and slice in a sector of qsh or dirac (two slices on a folded even
@@ -392,7 +433,7 @@ def test_each_engine_record_counts_trials_and_solves(caplog):
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
         for stack, decay in ((Hs, decays), (Hs[0], decays[0])):
             engine = Resolvent(stack, decay)
-            engine.transmitted_power(grid, edge_rows(H))
+            engine.transmitted_power(grid, edge_rows(H), np.ones(H.dim))
             engine.log("edge ports")
         displacement_robustness(H, DisorderModel.cavity_detuning(0.1),
                                 DecaySpec.uniform(GAMMA), grid, EdgeRegion(Side.LEFT, 2),
@@ -485,7 +526,7 @@ def test_port_rows_must_be_integer_indices(bad):
     engine = Resolvent(H, DecaySpec.uniform(GAMMA))
     for call in (lambda: engine.solve(0.3, bad),
                  lambda: engine.transmission(0.3, bad),
-                 lambda: engine.transmitted_power(np.array([0.3]), bad)):
+                 lambda: engine.transmitted_power(np.array([0.3]), bad, np.ones(H.dim))):
         with pytest.raises(ValueError, match="port row"):
             call()
     with pytest.raises(ValueError, match="outside"):
@@ -601,7 +642,8 @@ def test_trial_bits_do_not_depend_on_the_chunk(sweeps, monkeypatch):
                    2 * row_bytes, 1):
         monkeypatch.setattr(scattering, "_CHUNK_BYTES", budget)
         sweeps.clear()
-        runs.append((Resolvent(Hs, decays).transmitted_power(grid, rows), list(sweeps)))
+        runs.append((Resolvent(Hs, decays).transmitted_power(grid, rows, np.ones(H.dim)),
+                     list(sweeps)))
     for power, _ in runs[1:]:
         np.testing.assert_array_equal(power, runs[0][0])
     assert [calls for _, calls in runs] == [
@@ -615,7 +657,7 @@ def test_nan_in_one_trial_names_that_trial():
     broken = HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols, values)
     engine = Resolvent([H, broken, H], DecaySpec.uniform(GAMMA))
     with pytest.raises(RuntimeError, match="residual .* in trial 1 "):
-        engine.transmitted_power(np.array([0.3, 1.1]), edge_rows(H))
+        engine.transmitted_power(np.array([0.3, 1.1]), edge_rows(H), np.ones(H.dim))
 
 
 def _perturbed_columns(monkeypatch, block, sector=0):
@@ -648,15 +690,80 @@ def test_a_perturbed_column_fails_the_check(name, block, tile, monkeypatch):
     rows, grid = edge_rows(H), np.array([-1.2, 0.3])
     engine = Resolvent(H, DecaySpec.uniform(GAMMA))
     sector = engine.sectors - 1
-    engine.transmitted_power(grid, rows)
+    engine.transmitted_power(grid, rows, np.ones(H.dim))
     assert engine.worst_residual <= 1e-14
     if block == "port":
         block = int(engine._block_of[rows[0]])
     _perturbed_columns(monkeypatch, block, sector)
-    for call in (lambda: Resolvent(H, DecaySpec.uniform(GAMMA)).transmitted_power(grid, rows),
+    for call in (lambda: Resolvent(H, DecaySpec.uniform(GAMMA)).transmitted_power(
+                     grid, rows, np.ones(H.dim)),
                  lambda: Resolvent(H, DecaySpec.uniform(GAMMA)).solve(0.3, rows)):
         with pytest.raises(RuntimeError, match="residual .* in trial 0 "):
             call()
+
+
+def test_nan_in_one_trial_names_that_trial_on_the_diagonal_path():
+    H = LATTICES["scalar-open"]
+    values = H.values.copy()
+    values[5] = np.nan
+    broken = HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols, values)
+    engine = Resolvent([H, broken, H], DecaySpec.uniform(GAMMA))
+    with pytest.raises(RuntimeError, match="residual .* in trial 1 "):
+        engine.total_power(np.array([0.3, 1.1]), edge_rows(H))
+
+
+@pytest.mark.parametrize("name, sector, place", [
+    ("scalar-open", 0, "first block"), ("scalar-open", 0, "port block"),
+    ("scalar-periodic", 0, "last block"), ("scalar-periodic", 0, "port block"),
+    ("qsh", 1, "first block"), ("qsh", 1, "port block")])
+def test_a_perturbed_transfer_matrix_fails_the_chain(name, sector, place, monkeypatch):
+    # 1e-8 added to one entry of a solve's solution: the transfer matrix
+    # h_0 of the left sweep's first block or, on the folded odd ring, which
+    # is not mirrored, of the right sweep's first (the last block), or the
+    # port block's solution; in qsh, in the second of its sectors.
+    H = LATTICES[name]
+    rows, grid = edge_rows(H), np.array([-1.2, 0.3])
+    engine = Resolvent(H, DecaySpec.uniform(GAMMA))
+    engine.total_power(grid, rows)
+    assert engine.worst_residual <= 1e-14
+    assert engine.error_bound <= 2 / GAMMA * scattering.RESIDUAL_RTOL
+    per_sector = engine.solves // engine.sectors
+    target = sector * per_sector + (per_sector - 1 if place == "port block" else 0)
+    solve, calls = np.linalg.solve, []
+
+    def perturbed(a, b):
+        x = solve(a, b)
+        if len(calls) == target:
+            x[(-1 if place == "last block" else 0,) + (0,) * (x.ndim - 1)] += 1e-8
+        calls.append(b.shape)
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    with pytest.raises(RuntimeError, match="residual .* in trial 0 "):
+        Resolvent(H, DecaySpec.uniform(GAMMA)).total_power(grid, rows)
+    # The chain is checked once the perturbed sector's port block is solved.
+    assert len(calls) == (sector + 1) * per_sector
+
+
+def test_desk_spectrum_record_names_the_diagonal_path(caplog):
+    desk = build_landau_hofstadter(LatticeSpec(n_x=10, l_min=-50, l_max=50), 3.0 / 10.0)
+    inputs = [SiteIndex(j, 0, 0) for j in range(10)]
+    with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+        total_transmission_spectrum(desk, DecaySpec.uniform(0.1), inputs, default_omega_grid())
+    record, = [r for r in caplog.records if r.name == "oamphoton"]
+    assert record.solver_path == "oam-rgf-diagonal"
+    assert record.solver_reason.startswith(
+        "unweighted total power, so -2 gamma Im G_rr at the port blocks")
+    # The omega mirror leaves 200 frequencies, all in one chunk; each takes
+    # 50 mirrored sweep steps and the port block.
+    assert (record.chunks, record.omega_chunk, record.factorizations) == (1, 200, 200)
+    assert (record.solves, record.block_factorizations) == (51, 51 * 200)
+    assert 0.0 < record.worst_residual <= 1e-13
+    assert 0.0 < record.error_bound <= 2 / 0.1 * scattering.RESIDUAL_RTOL
+    message = record.getMessage()
+    assert message.startswith("resolvent path=oam-rgf-diagonal (")
+    assert "in 1 chunk(s) of up to 200 row(s)" in message
+    assert f"forward error bound {record.error_bound:.3e}" in message
 
 
 def test_trials_per_chunk_follow_the_widest_sector():
@@ -669,7 +776,7 @@ def test_trials_per_chunk_follow_the_widest_sector():
     assert group == scattering._CHUNK_BYTES // (scattering._row_bytes(101, 12, 24) + trial)
     assert group > scattering._CHUNK_BYTES // (scattering._row_bytes(101, 24, 24) + trial)
     engine = Resolvent([H] * group, DecaySpec.uniform(GAMMA))
-    engine.transmitted_power(np.array([-1.6]), rows)
+    engine.transmitted_power(np.array([-1.6]), rows, np.ones(H.dim))
     assert (engine.sectors, engine.block_size) == (2, 12)
     assert (engine.chunks, engine.omega_chunk) == (1, group)
 
@@ -708,16 +815,19 @@ def test_edge_map_memory_grows_with_h_not_dense_slices():
 def test_desk_spectrum_memory_holds_one_work_array_per_chunk(caplog):
     # 10 x 101 sites, 400 frequencies, 10 ports: the dense-block engine took
     # 11.7 MB, and with the columns gathered beside the work array 7.6 MB
-    # in chunks of 14 rows.
+    # in chunks of 14 rows; the column engine reduced in block order peaked
+    # at 6.04 MB in 7 chunks of 29 rows.  The diagonal path keeps two slots
+    # and one transfer matrix per row instead of every slice's: its 200
+    # solved rows fit one chunk, at a peak of 2.83 MB.
     spec = LatticeSpec(n_x=10, l_min=-50, l_max=50)
     inputs = [SiteIndex(j, 0, 0) for j in range(spec.n_x)]
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
         peak = _traced_peak_mb(lambda: total_transmission_spectrum(
             build_landau_hofstadter(spec, 1.0 / 6.0), DecaySpec.uniform(0.1), inputs,
             default_omega_grid()))
-    assert peak <= 7.6
+    assert peak <= 4.4
     record, = [r for r in caplog.records if r.name == "oamphoton"]
-    assert record.omega_chunk >= 28
+    assert (record.chunks, record.omega_chunk) == (1, 200)
 
 
 # ------------------------------------------------------------------ mirror
@@ -877,7 +987,7 @@ def solve_shapes(monkeypatch):
 def test_centred_mirrored_ports_factorize_one_block_per_step(solve_shapes):
     engine = Resolvent(MIRROR_LATTICES["landau-symmetric"], DecaySpec.uniform(GAMMA))
     grid = np.array([-1.2, 0.1, 2.0])
-    engine.transmitted_power(grid, _mirror_ports(engine)["centred"])
+    engine.transmitted_power(grid, _mirror_ports(engine)["centred"], np.ones(engine.dim))
     # Seven slices, ports on the middle one: three steps each factorize
     # their left block alone, then the port block.
     b, w = engine.block_size, grid.size
@@ -928,7 +1038,7 @@ def test_unmirrored_inputs_keep_both_sweeps(name, solve_shapes):
     else:
         assert f"not mirrored: the {why}" in engine.mirror_reason
     grid = np.array([-1.2, 0.1])
-    engine.transmitted_power(grid, rows)
+    engine.transmitted_power(grid, rows, np.ones(engine.dim))
     # Ports on the middle block: each step factorizes both sides' blocks.
     b, w, t, steps = engine.block_size, grid.size, engine.trials, (engine.slices - 1) // 2
     assert solve_shapes == [(2, t, w, b, b)] * steps + [(t, w, b, b)]
@@ -1076,7 +1186,7 @@ def test_bipartite_odd_dirac_ring_solves_one_of_each_omega_pair(caplog):
         with caplog.at_level(logging.DEBUG, logger="oamphoton"):
             power = total_transmission_spectrum(h, decay, inputs, grid)
         record = [r for r in caplog.records if r.name == "oamphoton"][-1]
-        full = Resolvent(h, decay).transmitted_power(grid, rows)
+        full = Resolvent(h, decay).transmitted_power(grid, rows, np.ones(h.dim))
         np.testing.assert_allclose(power, full, rtol=0, atol=1e-13 * full.max())
         assert record.factorizations == computed
     assert "omega mirror: H is chiral" in caplog.records[0].solver_reason

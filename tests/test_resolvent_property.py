@@ -8,16 +8,23 @@ slices, and ports on several slices.  The engine must reproduce the dense
 bipartite zero-flux lattices must have a total spectrum symmetric under
 ``omega -> -omega``, on commensurate tori the Landau and OAM gauges must
 give the same ``|T|``, and a mirror signature put in by a diagonal gauge
-must come back out of the engine.  ``derandomize=True`` and fixed example
-counts keep the runs identical and short.
+must come back out of the engine.  The diagonal path's total power must
+equal the weighted column path's and the dense oracle's within the bounds
+each gives on ``G``, over the same lattices plus ``qsh`` and ``dirac``
+sectors and Monte Carlo trial stacks, and a wrong signature, a wrong sector
+or a dropped coupling must break that agreement.  ``derandomize=True`` and
+fixed example counts keep the runs identical and short.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from oamphoton import scattering
+from oamphoton.disorder import DisorderModel, sample_disordered_hamiltonian
 from oamphoton.hamiltonians import (
     GaugeConfig,
     HamiltonianMatrix,
@@ -26,9 +33,10 @@ from oamphoton.hamiltonians import (
     build_landau_hofstadter,
     build_non_abelian,
     build_oam_gauge_hofstadter,
+    build_qsh,
 )
 from oamphoton.lattice import (
-    Boundary, LatticeSpec, SiteIndex, column_of_index, l_of_index,
+    Boundary, LatticeSpec, SiteIndex, column_of_index, flat_index, l_of_index,
 )
 from oamphoton.scattering import DecaySpec, Resolvent, total_transmission_spectrum
 
@@ -236,3 +244,121 @@ def test_derived_signature_is_the_gauge_put_in(data):
     ref = dense_columns(gauged, decay, omega, rows)
     np.testing.assert_allclose(engine.solve(omega, rows), ref, rtol=0,
                                atol=1e-12 * np.abs(ref).max())
+
+
+@st.composite
+def trial_stacks(draw):
+    """One to three trials on one lattice with their rates: a lattice of
+    :func:`hamiltonians`, or ``qsh`` or ``dirac``, whose polarization
+    sectors are swept apart (``qsh`` mirrors with ``S = +-(-1)^s`` under
+    uniform loss); later trials add per-cavity detuning, and the trials
+    share one rate spec or draw their own."""
+    family = draw(st.sampled_from(["any", "qsh", "dirac"]))
+    if family == "any":
+        H = draw(hamiltonians())
+    else:
+        spec = draw(lattices(spin_dims=(2,)))
+        H = (build_qsh(spec, draw(st.floats(0.0, 0.125)), draw(st.floats(0.0, 1.0)))
+             if family == "qsh" else build_dirac(spec, draw(st.floats(-0.5, 0.5))))
+    count = draw(st.integers(1, 3))
+    model = DisorderModel.cavity_detuning(0.2)
+    Hs = [H] + [sample_disordered_hamiltonian(H, model, seed) for seed in range(1, count)]
+    if draw(st.booleans()):
+        return Hs, [decays(draw, H.dim)] * count
+    return Hs, [decays(draw, H.dim) for _ in Hs]
+
+
+def dense_power(H, decay, omegas, rows):
+    """``sum_r -2 gamma_r Im G_rr`` from dense solves, and the forward bound
+    ``(2/gamma_min) max ||A G e_r - e_r||`` on each solve's ``G``."""
+    rates = decay.rate_vector(H.dim)
+    E = np.zeros((H.dim, len(rows)))
+    E[rows, np.arange(len(rows))] = 1.0
+    power, bound = [], []
+    for omega in omegas:
+        A = omega * np.eye(H.dim) - H.toarray() + 0.5j * np.diag(rates)
+        G = scipy.linalg.solve(A, E)
+        power.append(-2.0 * np.sum(rates[rows] * G[rows, np.arange(len(rows))].imag))
+        bound.append(2.0 / rates.min() * np.linalg.norm(A @ G - E, axis=0).max())
+    return np.array(power), np.array(bound)
+
+
+def assert_total_power_agrees(Hs, decays, omegas, rows, engine=None):
+    """``total_power`` of ``engine`` (by default a fresh one) equals the
+    weighted column path and dense solves, within the bounds each gives on
+    ``G``.  For input ``r``, a bound ``beta`` on ``|G_rr - G^_rr|`` moves the
+    power ``-2 gamma_r Im G_rr`` by at most ``2 gamma_r beta``, and a bound
+    ``beta`` on a column moves ``gamma_r sum_n gamma_n |x_n|^2`` by at most
+    ``gamma_r gamma_max (4/gamma_min + beta) beta``."""
+    engine = engine or Resolvent(Hs, decays)
+    diagonal = engine.total_power(omegas, rows)
+    columns = Resolvent(Hs, decays)
+    column = columns.transmitted_power(omegas, rows, np.ones(Hs[0].dim))
+    for t, (H, decay) in enumerate(zip(Hs, decays)):
+        rates = decay.rate_vector(H.dim)
+        oracle, oracle_bound = dense_power(H, decay, omegas, rows)
+        port_rates = rates[rows].sum()
+        beta = columns.error_bound
+        assert np.all(np.abs(diagonal[t] - oracle)
+                      <= 2.0 * port_rates * (engine.error_bound + oracle_bound)), t
+        assert np.all(np.abs(diagonal[t] - column[t])
+                      <= 2.0 * port_rates * engine.error_bound
+                      + port_rates * rates.max() * (4.0 / rates.min() + beta) * beta), t
+    assert 0.0 < engine.error_bound <= 2.0 / min(d.rate_vector(Hs[0].dim).min() for d in decays) \
+        * scattering.RESIDUAL_RTOL
+
+
+@SETTINGS
+@given(data=st.data())
+def test_total_power_matches_columns_and_dense_oracle(data):
+    Hs, rates = data.draw(trial_stacks())
+    rows = data.draw(st.lists(st.integers(0, Hs[0].dim - 1), min_size=1, max_size=4))
+    omegas = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3)))
+    assert_total_power_agrees(Hs, rates, omegas, rows)
+
+
+# --------------------------------------------- corruptions of the diagonal path
+
+def _qsh_case():
+    """A qsh lattice under uniform loss, whose two sectors each mirror with
+    ``S = +-(-1)^s``, and edge ports on the middle slice in both sectors."""
+    H = build_qsh(LatticeSpec(n_x=4, l_min=-3, l_max=3, spin_dim=2), 0.05, 0.6)
+    rows = [flat_index(H.spec, SiteIndex(j, 0, s)) for j in (0, 3) for s in (0, 1)]
+    return [H], [DecaySpec.uniform(0.2)], np.array([-1.2, 0.3]), rows
+
+
+def test_the_qsh_case_agrees_uncorrupted():
+    Hs, rates, omegas, rows = _qsh_case()
+    engine = Resolvent(Hs, rates)
+    assert engine.sectors == 2 and engine.mirrored
+    assert all(layout.sign is not None for layout in engine._all_layouts())
+    assert_total_power_agrees(Hs, rates, omegas, rows, engine)
+
+
+def test_a_wrong_signature_fails_the_comparison():
+    Hs, rates, omegas, rows = _qsh_case()
+    engine = Resolvent(Hs, rates)
+    for layout in engine._all_layouts():
+        layout.sign = None  # S = 1 where S = +-(-1)^s holds
+    with pytest.raises(AssertionError):
+        assert_total_power_agrees(Hs, rates, omegas, rows, engine)
+
+
+def test_a_wrong_sector_fails_the_comparison(monkeypatch):
+    Hs, rates, omegas, rows = _qsh_case()
+    with monkeypatch.context() as patch:
+        # The polarization splits qsh in two, but not along its sectors.
+        patch.setattr(scattering, "_sectors", lambda dim, rows, cols: np.arange(dim) % 2)
+        engine = Resolvent(Hs, rates)
+    assert engine.sectors == 2
+    with pytest.raises(AssertionError):
+        assert_total_power_agrees(Hs, rates, omegas, rows, engine)
+
+
+def test_a_dropped_coupling_fails_the_comparison():
+    Hs, rates, omegas, rows = _qsh_case()
+    engine = Resolvent(Hs, rates)
+    for layout in engine._all_layouts():
+        layout.outer[0, 3] = 0.0  # L_2 = H[3, 2], into the port block
+    with pytest.raises(AssertionError):
+        assert_total_power_agrees(Hs, rates, omegas, rows, engine)

@@ -258,9 +258,9 @@ def _spectrum_records(caplog, H, decay, inputs, grid):
 
 
 def _full_grid(H, decay, inputs, grid):
-    """The engine on every grid point, with no mirror."""
+    """The engine's total power on every grid point, with no mirror."""
     rows = [flat_index(H.spec, s) for s in inputs]
-    return Resolvent(H, decay).transmitted_power(grid, rows)
+    return Resolvent(H, decay).total_power(grid, rows)
 
 
 _HALF = np.linspace(0.05, 4.5, 20)

@@ -62,13 +62,13 @@ _LANDAU = {"builder": "landau", "phi0": [1, 4]}
 _PROBE = {"lattice": _LATTICE, "model": _LANDAU, "decay": {"gamma": 0.2},
           "omega": {"values": [-2.2]}}
 
-#: Kind -> (a small config, the spans its run must record).  A butterfly
-#: calls no patched name.
+#: Kind -> (a small config, the spans its run must record).
 TRACED_RUNS = {
     "spectrum": (dict(_PROBE, omega={"start": -3.0, "stop": 3.0, "num": 5}),
                  {"hamiltonians.build", "scattering.spectrum"}),
     "butterfly": ({"lattice": _LATTICE, "decay": {"gamma": 0.1},
-                   "omega": {"values": [0.0, 1.0]}, "butterfly": {"q_max": 3}}, set()),
+                   "omega": {"values": [0.0, 1.0]}, "butterfly": {"q_max": 3}},
+                  {"hamiltonians.build", "scattering.spectrum"}),
     "edge-map": (_PROBE, {"hamiltonians.build", "edge.map"}),
     "displacement": (dict(_PROBE, region={"depth": 2}),
                      {"hamiltonians.build", "edge.displacement"}),
