@@ -43,12 +43,13 @@ theorem it is ``sum_r -2 gamma_r Im G_rr``, and ``G``'s block at a port
 slice is ``(A_k - Sigma_L,k - Sigma_R,k)^-1`` (Lake et al., J. Appl.
 Phys. 81, 7845 (1997)), so the same sweep runs to the port slices over
 two slots per side and one solve per port slice ends it, with no
-columns; the residual of every sweep solve bounds its error instead of
-the column check (see :meth:`Resolvent.total_power`).  So the memory is
-the trials' entries plus one chunk.  Each engine call logs one DEBUG
-record to the ``oamphoton`` logger, which explains its path, sectors,
-mirror, solves, chunks, worst residual and error bound (see
-:meth:`Resolvent.log`).
+columns; the residuals of the sweep and port solves bound its error
+instead of the column check (see :meth:`Resolvent.total_power`).  So the
+memory is the trials' entries plus one chunk.  The engine keeps what its
+solves did in one record, ``engine.record`` (:class:`ResolventRecord`),
+and each engine call logs it as one DEBUG record to the ``oamphoton``
+logger, which explains its path, sectors, mirror, solves, chunks, worst
+residual and error bound (see :meth:`Resolvent.log`).
 
 Two exact identities halve a total-power spectrum's work.  Where a +-1
 diagonal ``C`` gives ``C H C = -H`` (every entry joins two sublattices, as
@@ -64,7 +65,7 @@ computes each ``phi <= 1/2`` once.  Mode-resolved maps obey neither.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -75,6 +76,7 @@ from .hamiltonians import HamiltonianMatrix
 __all__ = [
     "DecaySpec",
     "Resolvent",
+    "ResolventRecord",
     "ScatteringResult",
     "default_omega_grid",
     "transmission",
@@ -104,9 +106,9 @@ _LOG = logging.getLogger("oamphoton")
 class DecaySpec:
     """Input/output coupling rates, uniform or per mode (units of the hop).
 
-    Use :meth:`uniform` or :meth:`per_mode`; all rates must be positive and
-    finite.  A rate vector is copied and stored read-only, so the caller's
-    array and the spec never share memory.
+    Use ``DecaySpec(gamma=...)`` or :meth:`per_mode`; all rates must be
+    positive and finite.  A rate vector is copied and stored read-only, so
+    the caller's array and the spec never share memory.
     """
 
     gamma: float | None = None
@@ -123,10 +125,6 @@ class DecaySpec:
                 raise ValueError("per-mode rates must be a vector of positive finite values")
             rates.flags.writeable = False
             object.__setattr__(self, "rates", rates)
-
-    @classmethod
-    def uniform(cls, gamma: float) -> "DecaySpec":
-        return cls(gamma=float(gamma))
 
     @classmethod
     def per_mode(cls, rates: np.ndarray) -> "DecaySpec":
@@ -459,6 +457,7 @@ class _Layout:
         (self.mirror, self.mirror_down, self.sign, self.signature,
          self.mirror_reason) = self._mirror_factors(down_up, (br, bc, pr, pc, coupling))
         self.mirrored = self.mirror is not None
+        self.swept = False  # whether the engine's record holds this sector
 
     def operator(self, t: int, H: HamiltonianMatrix
                  ) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -592,6 +591,44 @@ class _Layout:
         return sign.reshape(-1, b)[fold], ""
 
 
+@dataclass
+class ResolventRecord:
+    """What a :class:`Resolvent`'s solves did, accumulated over them and
+    updated once per sector and chunk: the ``extra`` fields of its DEBUG
+    record, whose message explains each (see :meth:`Resolvent.log`).
+
+    Over the sectors swept, in sector order: ``mirrored`` where every one
+    is, ``signature`` their distinct signatures (``"none"`` where none is),
+    ``block_size`` and ``coupling_block`` their largest, and, until
+    :meth:`Resolvent.log` writes the whole reason, ``solver_reason`` their
+    distinct mirror reasons.  ``omega_chunk`` counts the (trial, frequency)
+    rows of the largest chunk, ``work_bytes`` the bytes of the largest work
+    array and ``chunk_bytes`` of all a chunk keeps live.
+    """
+
+    solver_path: str = "oam-rgf"
+    solver_reason: str = ""
+    factorizations: int = 0
+    block_factorizations: int = 0
+    mirrored: bool = False
+    signature: str = "none"
+    sectors: int = 0
+    sectors_swept: int = 0
+    sites_solved: int = 0
+    dim: int = 0
+    trials: int = 0
+    solves: int = 0
+    worst_residual: float = 0.0
+    error_bound: float = 0.0
+    slices: int = 0
+    block_size: int = 0
+    omega_chunk: int = 0
+    chunks: int = 0
+    coupling_block: int = 0
+    work_bytes: int = 0
+    chunk_bytes: int = 0
+
+
 class Resolvent:
     """The resolvents ``(omega - H_t + i G_t/2)^{-1}`` of a stack of
     ``(H_t, decay_t)`` trials on one lattice.
@@ -650,17 +687,17 @@ class Resolvent:
     at full dimension, is then checked against its own trial's ``H`` in
     block order: ``||(omega - H + i G/2) x - e|| <=``
     :data:`RESIDUAL_RTOL`, so NaN fails too.  :meth:`transmitted_power`
-    reduces OAM-weighted power from the same array; only :meth:`columns`,
-    :meth:`solve` and :meth:`transmission` gather columns into flat order.
+    reduces OAM-weighted power from the same array; only :meth:`columns` and
+    :meth:`transmission` gather columns into flat order.
 
     Diagonal path: unweighted total power needs only ``G_rr`` at the
     ports (the optical theorem), so :meth:`total_power` runs the same
     sweep (:meth:`_schur_sweep`) over two slots per side to the port
     blocks and makes one solve per port block, with no back-substitution
     and no columns; on a mirrored layout the left sweep gives both sides'
-    self-energies.  Its guard is a backward-error chain from the residual
-    of every sweep solve (see :meth:`_port_diagonal`), not the column
-    check.
+    self-energies.  Its guard is an error chain from the residual of
+    every sweep solve and of the port solve (see :meth:`_port_diagonal`),
+    not the column check.
 
     Mirror: with ``J`` the reversal of the block order (each block's sites
     kept in place) and ``S`` a diagonal signature of +-1, where ``M = omega
@@ -677,24 +714,15 @@ class Resolvent:
     ``qsh`` (folded even rings too) and ``S = +-(-1)^j`` for a ``dirac``
     sector on an even number of blocks, under uniform loss, clean or with
     per-cavity detuning; per-mode random loss, coupling disorder and folded
-    odd rings fail (``mirrored``, ``mirror_reason``).  While both sweeps
+    odd rings fail (each layout's ``mirrored`` and ``mirror_reason``).  While both sweeps
     are active, a mirrored layout's steps factorize the left block alone,
     and one product writes the right blocks whole; every other step is
     unchanged.
 
     ``sectors`` counts the components and ``slices`` the sweep blocks (the
-    same in every sector).  ``block_size``, ``coupling_block``,
-    ``mirrored`` and ``mirror_reason`` describe every sector's layout (the
-    largest sizes, whether all are mirrored, each distinct reason), and
-    reading them builds any layout not yet built.  ``factorizations`` (one
-    per trial and frequency), ``block_factorizations`` (slice blocks
-    factorized), ``solves`` (``np.linalg.solve`` calls), ``worst_residual``,
-    ``error_bound`` (the forward bound on ``G`` that the residuals give),
-    ``chunks``, ``omega_chunk`` (the (trial, frequency) rows of the
-    largest chunk), ``work_bytes`` (the largest work array),
-    ``chunk_bytes`` (the largest work array with the partial columns or
-    kept transfer matrices beside it) and the sectors swept accumulate over
-    the object's solves.
+    same in every sector); :meth:`_layout` gives a sector's layout, with
+    its sizes and mirror.  ``record``, a :class:`ResolventRecord`, holds
+    what the engine's solves did, and :meth:`log` reports it.
     """
 
     def __init__(self, H: HamiltonianMatrix | Sequence[HamiltonianMatrix],
@@ -733,17 +761,8 @@ class Resolvent:
         else:
             self._layouts = {}
             self._blocks, self._entries = blocks, (rows, cols, values)
-        self._swept: set[int] = set()
-        self.factorizations = 0
-        self.block_factorizations = 0
-        self.solves = 0
-        self.worst_residual = 0.0
-        self.error_bound = 0.0
-        self._path = "oam-rgf"
-        self.omega_chunk = 0
-        self.chunks = 0
-        self.work_bytes = 0
-        self.chunk_bytes = 0
+        self.record = ResolventRecord(sectors=self.sectors, dim=dim, trials=T,
+                                      slices=self.slices)
 
     def _layout(self, sector: int) -> _Layout:
         """The layout of one sector, built on first use."""
@@ -757,39 +776,33 @@ class Resolvent:
                 (rows[keep], cols[keep], values[:, keep]), self.rates)
         return self._layouts[sector]
 
-    def _all_layouts(self) -> list[_Layout]:
-        return [self._layout(g) for g in range(self.sectors)]
-
-    @property
-    def block_size(self) -> int:
-        """The largest sweep block of any sector."""
-        return max(layout.block_size for layout in self._all_layouts())
-
-    @property
-    def coupling_block(self) -> int:
-        """The largest coupling block of any sector."""
-        return max(layout.coupling_block for layout in self._all_layouts())
-
-    @property
-    def mirrored(self) -> bool:
-        """Whether every sector's right sweep is mirrored from its left one."""
-        return all(layout.mirrored for layout in self._all_layouts())
-
-    @property
-    def mirror_reason(self) -> str:
-        """Why each sector is mirrored or not: its distinct reasons."""
-        return _distinct(layout.mirror_reason for layout in self._all_layouts())
-
-    def _groups(self, rows: np.ndarray) -> list[tuple[int, _Layout, np.ndarray]]:
-        """``(sector, layout, ports)`` for each sector holding a port, with
-        ``ports`` indexing ``rows``."""
+    def _groups(self, rows: np.ndarray) -> list[tuple[_Layout, np.ndarray]]:
+        """``(layout, ports)`` for each sector holding a port, with ``ports``
+        indexing ``rows``."""
         if self.sectors == 1:
-            return [(0, self._layouts[0], np.arange(rows.size))]
+            return [(self._layouts[0], np.arange(rows.size))]
         sector = self._sector[rows]
         # A count, not np.unique: under NumPy 2.4 the first np.unique call
         # keeps about 0.5 MB allocated for the life of the process.
         held = np.flatnonzero(np.bincount(sector, minlength=self.sectors))
-        return [(g, self._layout(g), np.flatnonzero(sector == g)) for g in held.tolist()]
+        return [(self._layout(g), np.flatnonzero(sector == g)) for g in held.tolist()]
+
+    def _enter(self, layout: _Layout) -> None:
+        """Enter a sector's first sweep in the record: the sectors swept,
+        in sector order, with their sites, sizes, mirror and its reason."""
+        if layout.swept:
+            return
+        layout.swept = True
+        swept = [built for _, built in sorted(self._layouts.items()) if built.swept]
+        record = self.record
+        record.sectors_swept = len(swept)
+        record.sites_solved = sum(layout.size for layout in swept)
+        record.mirrored = all(layout.mirrored for layout in swept)
+        record.signature = _distinct(layout.signature for layout in swept
+                                     if layout.mirrored) or "none"
+        record.block_size = max(layout.block_size for layout in swept)
+        record.coupling_block = max(layout.coupling_block for layout in swept)
+        record.solver_reason = _distinct(layout.mirror_reason for layout in swept)
 
     def _port_rows(self, rows: Sequence[int]) -> np.ndarray:
         """``rows`` as a flat index array, each an integer in ``[0, dim)``."""
@@ -843,7 +856,7 @@ class Resolvent:
     def _column_row_bytes(self, rows: np.ndarray) -> int:
         """The column path's bytes per (trial, frequency) row (see
         :func:`_row_bytes`), for the widest sector holding a port."""
-        b = max(layout.block_size for _, layout, _ in self._groups(rows))
+        b = max(layout.block_size for layout, _ in self._groups(rows))
         port_block = self._block_of[rows]
         return _row_bytes(self.slices, b, rows.size, int(port_block.max() - port_block.min()))
 
@@ -864,33 +877,24 @@ class Resolvent:
             per_chunk, chunk = min(self.trials, trials_fit), omegas.size
         else:  # one trial's grid in parts
             per_chunk, chunk = 1, max(1, (_CHUNK_BYTES - trial_bytes) // row_bytes)
-        self.omega_chunk = max(self.omega_chunk, per_chunk * chunk)
+        self.record.omega_chunk = max(self.record.omega_chunk, per_chunk * chunk)
         for first in range(0, self.trials, per_chunk):
             trials = slice(first, min(first + per_chunk, self.trials))
             for start in range(0, omegas.size, chunk):
                 part = slice(start, min(start + chunk, omegas.size))
                 yield trials, part, omegas[part]
 
-    def _at(self, omega: float, rows: Sequence[int]) -> np.ndarray:
-        """Resolvent columns at one frequency, shape ``(dim, trials, len(rows))``."""
-        return np.concatenate([x for _, x in self.columns(np.array([omega]), rows)],
-                              axis=1)
-
-    def solve(self, omega: float, rows: Sequence[int]) -> np.ndarray:
-        """Resolvent columns at one frequency, shape ``(dim, trials,
-        len(rows))``, or ``(dim, len(rows))`` for a single ``H``."""
-        x = self._at(omega, rows)
-        return x[:, 0] if self._single else x
-
     def transmission(self, omega: float, rows: Sequence[int]) -> np.ndarray:
-        """Amplitudes ``T_{n', r} = -i sqrt(gamma_n') G_{n' r} sqrt(gamma_r)``.
+        """Amplitudes ``T_{n', r} = -i sqrt(gamma_n') G_{n' r} sqrt(gamma_r)``
+        at one frequency.
 
-        Shaped as :meth:`solve`: the last axis holds every output for input
-        ``rows[k]``.
+        Shape ``(dim, trials, len(rows))``, ``(dim, len(rows))`` for a single
+        ``H``: the last axis holds every output for input ``rows[k]``.
         """
+        # columns checks the rows before they index the scales.
+        x = np.concatenate([x for _, x in self.columns([omega], rows)], axis=1)
         scale = np.sqrt(self.rates)
-        # _at checks the rows before they index the scales.
-        t = -1j * scale.T[:, :, None] * self._at(omega, rows) * scale[:, np.asarray(rows)]
+        t = -1j * scale.T[:, :, None] * x * scale[:, np.asarray(rows)]
         return t[:, 0] if self._single else t
 
     def transmitted_power(self, omegas: np.ndarray, rows: Sequence[int],
@@ -944,20 +948,22 @@ class Resolvent:
         trial's ``D_k``.  The sum over ``rows`` runs in one fixed order per
         row, so the bits do not depend on the chunking.
 
-        The guard is the backward-error chain of :meth:`_port_diagonal`:
-        the computed ``G`` is the exact one of ``M + Delta M``.  With ``G
-        - G~ = G Delta M G~`` and, from the same identity, ``||G e_r||^2``
-        and ``||e_r^T G||^2 <= 2 |Im G_rr| / gamma_min``, each computed
+        The guard is the error chain of :meth:`_port_diagonal`: the sweep
+        gives ``G^``, the exact resolvent of ``M + Delta M``, and the port
+        solve's ``X`` is within a forward bound ``f`` of ``G^`` at the port
+        blocks.  With ``G - G^ = G Delta M G^`` and, from the same identity,
+        ``||G e_r||^2`` and ``||e_r^T G||^2 <= 2 |Im G_rr| / gamma_min``,
         ``G^_rr`` is within ``(2 ||Delta M|| / gamma_min) |Im G^_rr| / (1 -
         4 ||Delta M|| / gamma_min)`` of the true one: at most ``(2 /
         gamma_min)^2 ||Delta M||`` to first order, where ``|Im G_rr|``
-        reaches ``2/gamma_min``, and far less off resonance.  A trial where
-        that exceeds ``(2/gamma_min)`` :data:`RESIDUAL_RTOL`, the bound the
+        reaches ``2/gamma_min``, and far less off resonance; ``|Im G^_rr|
+        <= |Im X_rr| + f``, and ``f`` adds once more.  A trial where that
+        exceeds ``(2/gamma_min)`` :data:`RESIDUAL_RTOL`, the bound the
         column check gives a column, or is NaN, raises.
         """
         rows = self._port_rows(rows)
         groups = [(layout, self._diagonal_plan(layout, rows[ports]))
-                  for _, layout, ports in self._groups(rows)]
+                  for layout, ports in self._groups(rows)]
         row_bytes = max(_diagonal_row_bytes(layout.block_size, 1 + bool(plan.right),
                                             len(plan.kept), plan.blocks.size)
                         for layout, plan in groups)
@@ -973,28 +979,22 @@ class Resolvent:
                         ) -> np.ndarray:
         """One chunk of the diagonal path: ``G_rr`` of every port, shape
         ``(trials, len(omegas), len(rows))``, one sector at a time, each
-        once its backward-error chain passed (see :meth:`total_power`)."""
+        once its error chain passed (see :meth:`total_power`)."""
         count = trials.stop - trials.start
         G = np.empty((count, omegas.size, rows.size), dtype=complex)
-        scale = 2.0 / self.rates[trials].min(axis=1)
-        limit = scale * RESIDUAL_RTOL
-        self._path = "oam-rgf-diagonal"
-        for g, layout, ports in self._groups(rows):
+        limit = 2.0 / self.rates[trials].min(axis=1) * RESIDUAL_RTOL
+        record = self.record
+        record.solver_path = "oam-rgf-diagonal"
+        for layout, ports in self._groups(rows):
             try:
-                values, delta, residual = self._port_diagonal(layout, trials, omegas, rows[ports])
+                values, bound, residual = self._port_diagonal(layout, trials, omegas, rows[ports])
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(
                     f"solve residual unbounded: singular slice block ({exc}) in "
                     f"trials {trials.start}..{trials.stop - 1} at omega in "
                     f"[{omegas.min()}, {omegas.max()}]"
                 ) from None
-            # |G_rr - G^_rr| <= (2 ||dM|| / gamma) |Im G^_rr| / (1 - 4 ||dM|| / gamma)
-            # (see total_power), unbounded from 4 ||dM|| >= gamma; NaN fails.
-            ratio = scale[:, None] * delta
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bound = (np.where(ratio < 0.5, ratio / (1 - 2 * ratio), np.inf)[..., None]
-                         * np.abs(values.imag))
-            bound[np.isnan(ratio)] = np.nan
+            # NaN fails too.
             failed = np.flatnonzero(~np.all(bound <= limit[:, None, None], axis=(1, 2)))
             if failed.size:
                 i = failed[0]
@@ -1004,12 +1004,12 @@ class Resolvent:
                     f"{trials.start + i} (dim={self.dim}, omega in "
                     f"[{omegas.min()}, {omegas.max()}])"
                 )
-            self.worst_residual = max(self.worst_residual, float(residual.max()))
-            self.error_bound = max(self.error_bound, float(bound.max()))
+            record.worst_residual = max(record.worst_residual, float(residual.max()))
+            record.error_bound = max(record.error_bound, float(bound.max()))
             G[..., ports] = values
-            self._swept.add(g)
-        self.factorizations += count * omegas.size
-        self.chunks += 1
+            self._enter(layout)
+        record.factorizations += count * omegas.size
+        record.chunks += 1
         return G
 
     def _sweep(self, trials: slice, omegas: np.ndarray, rows: np.ndarray
@@ -1020,8 +1020,9 @@ class Resolvent:
         order, shape ``(slices, trials, len(omegas), block_size,
         len(ports))``; the caller drops it before drawing the next sector.
         """
-        self._path = "oam-rgf"
-        for g, layout, ports in self._groups(rows):
+        record = self.record
+        record.solver_path = "oam-rgf"
+        for layout, ports in self._groups(rows):
             try:
                 X = self._block_columns(layout, trials, omegas, rows[ports])
             except np.linalg.LinAlgError as exc:
@@ -1030,22 +1031,24 @@ class Resolvent:
                     f"trials {trials.start}..{trials.stop - 1} at omega in "
                     f"[{omegas.min()}, {omegas.max()}]"
                 ) from None
-            self._check(layout, trials, omegas, rows[ports], X)
+            record.worst_residual = max(record.worst_residual,
+                                        self._check(layout, trials, omegas, rows[ports], X))
             # ||x - x^|| <= ||G|| ||r|| <= (2/gamma_min) ||r||.
-            self.error_bound = max(self.error_bound, 2.0 * self.worst_residual
-                                   / self.rates[trials].min())
-            self._swept.add(g)
+            record.error_bound = max(record.error_bound, 2.0 * record.worst_residual
+                                     / float(self.rates[trials].min()))
+            self._enter(layout)
             yield layout, ports, X
             del X  # before the next sector's work array is built
-        self.factorizations += (trials.stop - trials.start) * omegas.size
-        self.chunks += 1
+        record.factorizations += (trials.stop - trials.start) * omegas.size
+        record.chunks += 1
 
     def _check(self, layout: _Layout, trials: slice, omegas: np.ndarray,
-               rows: np.ndarray, X: np.ndarray) -> None:
-        """Raise unless every column ``x`` in ``X`` (see :meth:`_sweep`) has
-        ``||e - (omega - H + i G/2) x|| <=`` :data:`RESIDUAL_RTOL` against
-        its own trial's ``H`` (see :meth:`_Layout.operator`), so NaN fails
-        too.  Each ``e`` has unit norm, so these are relative residuals.
+               rows: np.ndarray, X: np.ndarray) -> float:
+        """The worst residual of the columns in ``X`` (see :meth:`_sweep`);
+        raise unless every column ``x`` has ``||e - (omega - H + i G/2) x||
+        <=`` :data:`RESIDUAL_RTOL` against its own trial's ``H`` (see
+        :meth:`_Layout.operator`), so NaN fails too.  Each ``e`` has unit
+        norm, so these are relative residuals.
 
         No entry joins two sectors, so off its sector a column's residual
         is exactly 0.  The check runs in flat block order, a row per site
@@ -1061,6 +1064,7 @@ class Resolvent:
         step = max(1, _TILE_BYTES // (16 * w * p * b))
         tile = np.empty((min(step + 2, n) * b, w * p), dtype=complex)
         r, scratch = np.empty((2, min(step, n) * b, w * p), dtype=complex)
+        worst = 0.0
         for i, (t, (offsets, diagonals, constant)) in enumerate(zip(trial, operators)):
             squares = np.zeros(2 * w * p)
             for k in range(0, n, step):
@@ -1085,7 +1089,8 @@ class Resolvent:
                     f"trial {t} (dim={self.dim}, omega in "
                     f"[{omegas.min()}, {omegas.max()}])"
                 )
-            self.worst_residual = max(self.worst_residual, residual)
+            worst = max(worst, residual)
+        return worst
 
     def _block_columns(self, layout: _Layout, trials: slice, omegas: np.ndarray,
                        rows: np.ndarray) -> np.ndarray:
@@ -1124,8 +1129,6 @@ class Resolvent:
         E = np.zeros((n, b, p))
         E[port_block, layout.pos_of[rows], np.arange(p)] = 1.0
         carry = np.empty((k0 - first, count, w, b, p), dtype=complex)
-        self.work_bytes = max(self.work_bytes, work.nbytes)
-        self.chunk_bytes = max(self.chunk_bytes, work.nbytes + carry.nbytes)
 
         def carried(k):
             """E_k plus the ports carried up from below, L_{k-1} X[k-1]."""
@@ -1181,15 +1184,18 @@ class Resolvent:
         self._schur_sweep(layout, trials, square, plan, solved,
                           (lambda s: carried(s) if first <= s < k0 else None)
                           if first < k0 else None)
-        self.block_factorizations += (1 + sum(sides.stop - sides.start for sides, _, _ in plan)
-                                      ) * count * w
         S = square[k0]
         if k0:
             S -= _coupled(down[k0], square[k0 - 1])
         if k0 < n - 1:
             S -= _coupled(up[k0], square[k0 + 1])
         X[k0] = np.linalg.solve(S, carried(k0))
-        self.solves += len(steps) + 1
+        record = self.record
+        record.solves += len(steps) + 1
+        record.block_factorizations += (1 + sum(sides.stop - sides.start
+                                                for sides, _, _ in plan)) * count * w
+        record.work_bytes = max(record.work_bytes, work.nbytes)
+        record.chunk_bytes = max(record.chunk_bytes, work.nbytes + carry.nbytes)
         for s in reversed(range(len(steps))):
             _, blocks, _, ahead = steps[s]
             # X_k = h_k X_{k+-1}, plus the carried part, over h_k in slot k.
@@ -1279,28 +1285,30 @@ class Resolvent:
     def _port_diagonal(self, layout: _Layout, trials: slice, omegas: np.ndarray,
                        rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``G_rr`` of the ports ``rows`` of one sector for one chunk, shape
-        ``(trials, len(omegas), len(rows))``, with the backward error
-        ``||Delta M||`` and the worst solve residual of each (trial,
-        frequency) row.
+        ``(trials, len(omegas), len(rows))``, with the bound on the error of
+        each (see :meth:`total_power`) and the worst solve residual of each
+        (trial, frequency) row.
 
         The sweep (see :meth:`_schur_sweep`) runs over two slots per side,
         building ``A_k`` into a slot as its step comes, and keeps only the
         transfer matrices of :meth:`_diagonal_plan`.  Port block ``k`` then
         makes one solve, ``(A_k - Sigma_L,k - Sigma_R,k) X = I``.
 
-        The backward-error chain: each computed ``h_k`` is exact for the
+        The error chain: each computed ``h_k`` is exact for the
         coupling ``U_k + R_k``, with ``R_k = S_k h_k - U_k`` the recorded
         residual, and each Schur update, ``A_k`` itself and the port
         block's matrix ``P`` are exact for their blocks perturbed by at most
         ``2 (c + 4) eps (|L| |h| + |S|)``, ``c`` the coupling block: the
         a-priori rounding of a product of inner length ``c`` and of the
         sums (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-        ed., ch. 3).  ``X`` is the exact inverse of ``P - (I + R)^-1 R P``,
-        ``R = P X - I``, a further perturbation of at most ``||R|| ||P|| /
-        (1 - ||R||)``.  So the computed ``G_kk`` is exact for ``M + Delta
-        M``, block-tridiagonal, with ``||Delta M|| <=`` the largest diagonal
+        ed., ch. 3).  So ``P^-1`` is exactly ``G_kk`` of ``M + Delta M``,
+        block-tridiagonal, with ``||Delta M|| <=`` the largest diagonal
         perturbation plus the largest residual of each side (the mirror
-        image's are the left side's).  The recorded residuals are taken as
+        image's are the left side's).  The computed inverse ``X`` is bounded
+        in forward form: with ``R = P X - I``, ``X - P^-1 = X (I + R)^-1
+        R``, at most ``||X|| ||R|| / (1 - ||R||)`` (Frobenius norms), which
+        adds to the chain's bound on ``|G_rr - (P^-1)_rr|`` and to ``|Im
+        (P^-1)_rr|`` within it.  The recorded residuals are taken as
         computed, as the column check takes its own.
         """
         n, b, c = self.slices, layout.block_size, layout.coupling_block
@@ -1371,76 +1379,60 @@ class Resolvent:
             elif not layout.mirrored and j:
                 M[i] -= _coupled(up[k], kept[1, k + 1])
                 product[i] += coupling[1, j, :, None] * _frobenius(kept[1, k + 1])
-        # The whole inverse, so that X is exactly the inverse of M + Delta,
-        # Delta = -(I + R)^-1 R M with R = M X - I.
+        np.maximum(worst[0], (rounding * (product + _frobenius(M))).max(axis=0), out=worst[0])
+        delta = worst[0] + worst[1] + worst[1 + (not layout.mirrored)]
+        # The whole inverse, within ||X|| ||R|| / (1 - ||R||) of M^-1, R = M X - I.
         unit = np.broadcast_to(np.eye(b), M.shape)
         X = np.linalg.solve(M, unit)
         residual = np.matmul(M, X)
         residual -= unit
         final = _frobenius(residual)
-        size = _frobenius(M)
+        ratio = 2.0 / self.rates[trials].min(axis=1)[:, None] * delta
         with np.errstate(divide="ignore", invalid="ignore"):
-            inverse = np.where(final < 1, final * size / (1 - final), np.inf)
-        np.maximum(worst[0], (rounding * (product + size) + inverse).max(axis=0), out=worst[0])
-        delta = worst[0] + worst[1] + worst[1 + (not layout.mirrored)]
-        self.solves += len(sweep) + 1
-        self.block_factorizations += (ports + sum(sides.stop - sides.start
-                                                  for sides, _, _ in sweep)) * count * w
-        self.work_bytes = max(self.work_bytes, square.nbytes)
-        self.chunk_bytes = max(self.chunk_bytes, square.nbytes + negative.nbytes + M.nbytes
-                               + X.nbytes + sum(h.nbytes for h in kept.values()))
-        values = X[plan.where, :, :, plan.position, plan.position]
-        return np.moveaxis(values, 0, -1), delta, np.maximum(worst[1:].max(axis=0),
-                                                              final.max(axis=0))
+            forward = np.where(final < 1, _frobenius(X) * final / (1 - final), np.inf)
+            # Unbounded from 4 ||Delta M|| >= gamma_min; NaN stays NaN.
+            chain = np.where(ratio < 0.5, ratio / (1 - 2 * ratio), np.inf)
+        chain[np.isnan(ratio)] = np.nan
+        record = self.record
+        record.solves += len(sweep) + 1
+        record.block_factorizations += (ports + sum(sides.stop - sides.start
+                                                    for sides, _, _ in sweep)) * count * w
+        record.work_bytes = max(record.work_bytes, square.nbytes)
+        record.chunk_bytes = max(record.chunk_bytes, square.nbytes + negative.nbytes + M.nbytes
+                                 + X.nbytes + sum(h.nbytes for h in kept.values()))
+        values = np.moveaxis(X[plan.where, :, :, plan.position, plan.position], 0, -1)
+        forward = np.moveaxis(forward[plan.where], 0, -1)
+        bound = chain[..., None] * (np.abs(values.imag) + forward) + forward
+        return values, bound, np.maximum(worst[1:].max(axis=0), final.max(axis=0))
 
     def log(self, reason: str) -> None:
-        """One DEBUG record for this engine call, on the sectors swept so
-        far: the path (``oam-rgf`` for columns, ``oam-rgf-diagonal`` for
-        :meth:`total_power`) and why, the sectors and sites solved, the
-        mirror and its signature, the factorizations, trials and solve
-        calls, the sizes, the chunks with their rows and bytes, the worst
-        residual (of a column, or of a sweep solve) and the forward error
-        bound on ``G`` it gives, each also an ``extra`` field of the
-        record."""
-        swept = [self._layouts[g] for g in sorted(self._swept)]
-        mirrored = bool(swept) and all(layout.mirrored for layout in swept)
-        signature = _distinct(layout.signature for layout in swept
-                              if layout.mirrored) or "none"
-        sites = sum(layout.size for layout in swept)
-        block_size = max((layout.block_size for layout in swept), default=0)
-        coupling_block = max((layout.coupling_block for layout in swept), default=0)
-        if self._path == "oam-rgf-diagonal":
+        """One DEBUG record for this engine call that formats ``record``,
+        every field of which is an ``extra`` field.  It writes the whole
+        reason into ``record``, so it is called once, after the solves."""
+        record = self.record
+        if record.solver_path == "oam-rgf-diagonal":
             reason = ("unweighted total power, so -2 gamma Im G_rr at the port blocks: "
                       "no columns, no back-substitution; " + reason)
         if self.width > 1:
             reason += (f"; H couples OAM slices {self.width} apart, so each "
                        f"block joins {self.width} slices")
-        reason += (f"; {len(swept)} of {self.sectors} sector(s) swept, {sites} of "
-                   f"{self.dim} sites solved, signature {signature}; "
-                   + _distinct(layout.mirror_reason for layout in swept))
+        record.solver_reason = (
+            f"{reason}; {record.sectors_swept} of {record.sectors} sector(s) swept, "
+            f"{record.sites_solved} of {record.dim} sites solved, signature "
+            f"{record.signature}; {record.solver_reason}")
+        if not _LOG.isEnabledFor(logging.DEBUG):
+            return  # asdict copies the record field by field: only for a record emitted
         _LOG.debug(
             "resolvent path=%s (%s): %d factorization(s) of %d slice "
             "block(s) for %d trial(s) in %d solve call(s) over %d slices of "
             "size %d with %dx%d coupling blocks, in %d chunk(s) of up to %d "
             "row(s), each on a %d-byte work array (%d live bytes), worst "
             "residual %.3e, forward error bound %.3e",
-            self._path, reason, self.factorizations, self.block_factorizations, self.trials,
-            self.solves, self.slices, block_size, coupling_block, coupling_block,
-            self.chunks, self.omega_chunk, self.work_bytes, self.chunk_bytes,
-            self.worst_residual, self.error_bound,
-            extra={"solver_path": self._path, "solver_reason": reason,
-                   "factorizations": self.factorizations,
-                   "block_factorizations": self.block_factorizations,
-                   "mirrored": mirrored, "signature": signature,
-                   "sectors": self.sectors, "sectors_swept": len(swept),
-                   "sites_solved": sites, "dim": self.dim,
-                   "trials": self.trials, "solves": self.solves,
-                   "worst_residual": self.worst_residual,
-                   "error_bound": self.error_bound,
-                   "slices": self.slices, "block_size": block_size,
-                   "omega_chunk": self.omega_chunk, "chunks": self.chunks,
-                   "coupling_block": coupling_block,
-                   "work_bytes": self.work_bytes, "chunk_bytes": self.chunk_bytes},
+            record.solver_path, record.solver_reason, record.factorizations,
+            record.block_factorizations, record.trials, record.solves, record.slices,
+            record.block_size, record.coupling_block, record.coupling_block, record.chunks,
+            record.omega_chunk, record.work_bytes, record.chunk_bytes,
+            record.worst_residual, record.error_bound, extra=asdict(record),
         )
 
 
@@ -1526,7 +1518,7 @@ def total_transmission_spectrum(
     ``sum_in -2 gamma_in Im G_in,in``, which
     :meth:`Resolvent.total_power` takes from the diagonal of ``G`` at the
     ports, all inputs sharing one sweep per frequency, without columns;
-    its backward-error chain guards the result.
+    its error chain guards the result.
 
     Frequency mirror: where every entry of ``H`` joins the two sublattices
     of ``C = (-1)^(j+l)`` (``C H C = -H``, as on every flux lattice with

@@ -420,7 +420,7 @@ def test_edge_map_memory_stays_bounded():
     tracemalloc.start()
     try:
         H = build_landau_hofstadter(spec, 1.0 / 6.0)
-        grid = transmission_map(H, DecaySpec.uniform(0.2), -2.2, SiteIndex(0, 0, 0))
+        grid = transmission_map(H, DecaySpec(gamma=0.2), -2.2, SiteIndex(0, 0, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

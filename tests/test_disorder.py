@@ -114,7 +114,7 @@ def test_sample_takes_only_a_built_matrix(small_lattice):
         with pytest.raises(TypeError, match="HamiltonianMatrix"):
             sample_disordered_hamiltonian(base, model, 0)
         with pytest.raises(TypeError, match="HamiltonianMatrix"):
-            displacement_robustness(base, model, DecaySpec.uniform(0.1), [0.0],
+            displacement_robustness(base, model, DecaySpec(gamma=0.1), [0.0],
                                     EdgeRegion(Side.RIGHT, 1), trials=2)
 
 
@@ -301,7 +301,7 @@ def test_loss_determinism_and_positivity_error():
 
 def test_zero_disorder_summary_reproduces_clean_spectrum(small_lattice):
     _, H = small_lattice
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, depth=3)
     omegas = np.array([-2.2, -1.0])
     summary = displacement_robustness(
@@ -315,7 +315,7 @@ def test_zero_disorder_summary_reproduces_clean_spectrum(small_lattice):
 
 def test_summary_is_bitwise_deterministic(small_lattice):
     _, H = small_lattice
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, depth=3)
     omegas = np.array([-2.2])
     model = DisorderModel.cavity_detuning(0.1)
@@ -329,7 +329,7 @@ def test_summary_is_bitwise_deterministic(small_lattice):
 
 def test_detuning_disorder_spares_midgap_displacement(small_lattice):
     _, H = small_lattice
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, depth=3)
     omegas = np.array([-2.2, -1.5034])
     clean = displacement_spectrum(H, decay, omegas, region)
@@ -350,7 +350,7 @@ def test_detuning_disorder_spares_midgap_displacement(small_lattice):
 
 def test_oam_linked_disorder_spares_midgap_displacement(small_lattice):
     _, H = small_lattice
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, depth=3)
     omega = np.array([-2.2])
     clean = displacement_spectrum(H, decay, omega, region)
@@ -368,7 +368,7 @@ def test_oam_linked_disorder_spares_midgap_displacement(small_lattice):
 
 def test_input_averaging_over_oam_window(small_lattice):
     _, H = small_lattice
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, depth=3)
     omega = np.array([-2.2])
     averaged = displacement_robustness(
@@ -418,7 +418,7 @@ def _per_trial_loop(H0, model, decay, omegas, region, trials, seed, input_l_valu
 def test_summary_equals_the_per_trial_loop_bitwise(small_lattice, monkeypatch,
                                                     model, input_l_values):
     _, H = small_lattice
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, depth=3)
     omegas = np.array([-2.2, -1.5034, 0.4])
     mean, std = _per_trial_loop(H, model, decay, omegas, region, 7, 4, input_l_values)
@@ -455,7 +455,7 @@ MODELS = {"A": DisorderModel.cavity_detuning(0.1),
 @pytest.mark.parametrize("name", MODELS)
 def test_summary_is_the_mean_of_per_oam_spectra(small_lattice, name):
     _, H = small_lattice
-    model, decay = MODELS[name], DecaySpec.uniform(0.2)
+    model, decay = MODELS[name], DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, depth=3)
     omegas = np.array([-2.2, -1.5034, 0.4])
     input_l_values = (-2, 0, 2)
@@ -490,7 +490,7 @@ def test_each_trial_group_makes_one_engine_call(small_lattice, monkeypatch,
     monkeypatch.setattr(disorder, "Resolvent", Counted)
     monkeypatch.setattr(disorder, "_trials_per_chunk",
                         lambda H0, ports, omegas: sized.append(ports) or 2)
-    displacement_robustness(H, DisorderModel.cavity_detuning(0.1), DecaySpec.uniform(0.2),
+    displacement_robustness(H, DisorderModel.cavity_detuning(0.1), DecaySpec(gamma=0.2),
                             np.array([-2.2, 0.4]), region, trials=5, seed=1,
                             input_l_values=input_l_values)
     assert calls == ["engine", "power"] * 3
@@ -499,7 +499,7 @@ def test_each_trial_group_makes_one_engine_call(small_lattice, monkeypatch,
 
 def test_driver_validation_errors(small_lattice):
     _, H = small_lattice
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, depth=3)
     omega = np.array([-2.2])
     with pytest.raises(ValueError, match="trials"):

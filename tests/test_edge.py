@@ -65,13 +65,13 @@ def test_map_requires_edge_input():
     spec = LatticeSpec(n_x=4, l_min=-2, l_max=2)
     H = build_landau_hofstadter(spec, PHI0)
     with pytest.raises(ValueError):
-        transmission_map(H, DecaySpec.uniform(0.1), 0.0, SiteIndex(2, 0, 0))
+        transmission_map(H, DecaySpec(gamma=0.1), 0.0, SiteIndex(2, 0, 0))
 
 
 def test_map_zero_hop_lattice_single_point():
     spec = LatticeSpec(n_x=4, l_min=-2, l_max=2)
     H = HamiltonianMatrix.from_entries(spec, [], [], [])
-    grid = transmission_map(H, DecaySpec.uniform(0.2), 0.0, SiteIndex(0, 1, 0))
+    grid = transmission_map(H, DecaySpec(gamma=0.2), 0.0, SiteIndex(0, 1, 0))
     assert grid.shape == (4, 5)
     mask = np.zeros_like(grid, dtype=bool)
     mask[0, 1 - spec.l_min] = True
@@ -91,7 +91,7 @@ def test_map_solves_through_the_one_transmission_call(monkeypatch, tmp_path):
 
     monkeypatch.setattr(edge, "transmission", counting)
     spec = LatticeSpec(n_x=4, l_min=-4, l_max=4)
-    transmission_map(build_landau_hofstadter(spec, 0.25), DecaySpec.uniform(0.2), -2.2,
+    transmission_map(build_landau_hofstadter(spec, 0.25), DecaySpec(gamma=0.2), -2.2,
                      SiteIndex(0, 0, 0))
     assert len(calls) == 1
     config = cli.ExperimentConfig.from_dict({
@@ -104,7 +104,7 @@ def test_map_solves_through_the_one_transmission_call(monkeypatch, tmp_path):
 
 def test_map_first_gap_boundary_concentration(sixth_flux_cylinder):
     H = sixth_flux_cylinder
-    grid = transmission_map(H, DecaySpec.uniform(0.1), -2.2, SiteIndex(0, 0, 0))
+    grid = transmission_map(H, DecaySpec(gamma=0.1), -2.2, SiteIndex(0, 0, 0))
     total = grid.sum()
     boundary = grid[:2, :].sum() + grid[8:, :].sum()
     assert boundary > 0.8 * total
@@ -112,7 +112,7 @@ def test_map_first_gap_boundary_concentration(sixth_flux_cylinder):
 
 def test_map_second_gap_oscillations_along_edge(sixth_flux_cylinder):
     H = sixth_flux_cylinder
-    grid = transmission_map(H, DecaySpec.uniform(0.1), -1.0, SiteIndex(0, 0, 0))
+    grid = transmission_map(H, DecaySpec(gamma=0.1), -1.0, SiteIndex(0, 0, 0))
     total = grid.sum()
     assert grid[:2, :].sum() + grid[8:, :].sum() > 0.6 * total
     # Two co-propagating branches beat against each other along the edge.
@@ -125,7 +125,7 @@ def test_map_second_gap_oscillations_along_edge(sixth_flux_cylinder):
 
 def test_map_interior_weight_small_in_gap(sixth_flux_cylinder):
     H = sixth_flux_cylinder
-    grid = transmission_map(H, DecaySpec.uniform(0.2), -2.2, SiteIndex(0, 0, 0))
+    grid = transmission_map(H, DecaySpec(gamma=0.2), -2.2, SiteIndex(0, 0, 0))
     interior = grid[4:6, :].sum()  # columns farther than 3 from both edges
     assert interior < 0.05 * grid.sum()
 
@@ -135,12 +135,12 @@ def test_map_interior_weight_small_in_gap(sixth_flux_cylinder):
 def test_displacement_zero_hop_lattice():
     spec = LatticeSpec(n_x=6, l_min=-3, l_max=3)
     H = HamiltonianMatrix.from_entries(spec, [], [], [])
-    assert displacement(H, DecaySpec.uniform(0.2), 0.0, EdgeRegion(Side.RIGHT, 2)) == 0.0
+    assert displacement(H, DecaySpec(gamma=0.2), 0.0, EdgeRegion(Side.RIGHT, 2)) == 0.0
 
 
 def test_displacement_first_and_second_gap_values(sixth_flux_cylinder):
     H = sixth_flux_cylinder
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     assert abs(displacement(H, decay, -2.2, EdgeRegion(Side.RIGHT, 2)) - 1.0) < 0.2
     # The shallower second-gap edge states need a deeper probe region to
     # capture both branches.
@@ -149,7 +149,7 @@ def test_displacement_first_and_second_gap_values(sixth_flux_cylinder):
 
 def test_displacement_left_region_mirrors_sign(sixth_flux_cylinder):
     H = sixth_flux_cylinder
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     left = displacement(H, decay, -2.2, EdgeRegion(Side.LEFT, 2))
     right = displacement(H, decay, -2.2, EdgeRegion(Side.RIGHT, 2))
     np.testing.assert_allclose(left, -right, atol=0.05)
@@ -157,7 +157,7 @@ def test_displacement_left_region_mirrors_sign(sixth_flux_cylinder):
 
 def test_displacement_spectrum_antisymmetric(sixth_flux_cylinder):
     H = sixth_flux_cylinder
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, 2)
     omegas = np.array([-2.2, -1.0, 1.0, 2.2])
     vals = displacement_spectrum(H, decay, omegas, region)
@@ -166,7 +166,7 @@ def test_displacement_spectrum_antisymmetric(sixth_flux_cylinder):
 
 def test_displacement_spectrum_matches_pointwise(sixth_flux_cylinder):
     H = sixth_flux_cylinder
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, 2)
     grid = np.array([-2.3, -2.1])
     vals = displacement_spectrum(H, decay, grid, region)
@@ -177,7 +177,7 @@ def test_displacement_spectrum_matches_pointwise(sixth_flux_cylinder):
 def test_displacement_eig_path_matches_direct_solve():
     spec = LatticeSpec(n_x=6, l_min=-8, l_max=8, bc_y=Boundary.PERIODIC)
     H = build_landau_hofstadter(spec, PHI0)
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, 2)
     fast = displacement(H, decay, -2.2, region)
     # Force the solve path through a per-mode decay with equal rates.
@@ -210,7 +210,7 @@ def test_harper_modes_second_gap():
 
 def test_harper_prediction_matches_direct_displacement(sixth_flux_cylinder):
     H = sixth_flux_cylinder
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     for omega in (-2.2, -1.0):
         modes = harper_edge_modes(PHI0, 10, omega=omega, gamma=0.2)
         for side in (Side.LEFT, Side.RIGHT):
@@ -299,7 +299,7 @@ def test_harper_zero_flux_outside_band_empty():
 
 def test_mid_gap_plateau_flatness(sixth_flux_cylinder):
     H = sixth_flux_cylinder
-    decay = DecaySpec.uniform(0.2)
+    decay = DecaySpec(gamma=0.2)
     region = EdgeRegion(Side.RIGHT, 2)
     # Central halves of the two bulk gaps below the spectrum center.
     for lo, hi in ((-2.45, -1.95), (-1.15, -0.85)):
@@ -328,7 +328,7 @@ def test_analytic_slope_matches_direct_map(sixth_flux_cylinder):
     gamma = 0.1
     modes = harper_edge_modes(PHI0, 10, omega=-2.2, gamma=gamma)
     v = modes.on_side(Side.RIGHT)[0].velocity
-    grid = transmission_map(H, DecaySpec.uniform(gamma), -2.2, SiteIndex(9, 0, 0))
+    grid = transmission_map(H, DecaySpec(gamma=gamma), -2.2, SiteIndex(9, 0, 0))
     sel = np.arange(6, 27)
     direct = grid[9, 50 + sel]
     slope = np.polyfit(sel, np.log(direct), 1)[0]

@@ -1,6 +1,7 @@
 """Resolvent-engine tests: block solves, oracles, identities, call counts, errors,
 storage, bits, Monte Carlo trials and memory."""
 
+import dataclasses
 import hashlib
 import logging
 import re
@@ -86,6 +87,17 @@ def sparse_columns(H, decay, omega, rows):
     return scipy.sparse.linalg.spsolve(A, e)
 
 
+def columns_at(engine, omega, rows):
+    """A one-trial engine's columns at one frequency, shape ``(dim, len(rows))``."""
+    (_, x), = engine.columns([omega], rows)
+    return x[:, 0]
+
+
+def layouts(engine):
+    """Every sector's layout, each built on first use."""
+    return [engine._layout(g) for g in range(engine.sectors)]
+
+
 #: Storage -> the reference columns solved from that export of ``H``.
 REFERENCES = {"dense": dense_columns, "csr": sparse_columns}
 
@@ -108,21 +120,21 @@ def edge_rows(H):
 @pytest.mark.parametrize("rates", ["uniform", "per-mode"])
 def test_block_solve_matches_dense_columns(name, storage, rates):
     H = LATTICES[name]
-    decay = DecaySpec.uniform(GAMMA) if rates == "uniform" else per_mode(H)
+    decay = DecaySpec(gamma=GAMMA) if rates == "uniform" else per_mode(H)
     engine = Resolvent(H, decay)
     rows = edge_rows(H)
     first = None
     for omega in (-2.2, 0.3, 1.7):
-        x = engine.solve(omega, rows)
+        x = columns_at(engine, omega, rows)
         ref = REFERENCES[storage](H, decay, omega, rows)
         assert x.shape == (H.dim, len(rows))
         np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
         if first is None:
             first = x
     # Rewriting the diagonal slots leaves no trace of earlier frequencies.
-    np.testing.assert_array_equal(engine.solve(-2.2, rows), first)
-    assert engine.factorizations == 4
-    assert 0.0 <= engine.worst_residual <= 1e-10
+    np.testing.assert_array_equal(columns_at(engine, -2.2, rows), first)
+    assert engine.record.factorizations == 4
+    assert 0.0 <= engine.record.worst_residual <= 1e-10
 
 
 def test_single_port_functions_use_the_block_engine():
@@ -131,7 +143,7 @@ def test_single_port_functions_use_the_block_engine():
     site = SiteIndex(0, 1, 1)
     r = flat_index(H.spec, site)
     ref = dense_columns(H, decay, -1.6, [r])[:, 0]
-    np.testing.assert_allclose(Resolvent(H, decay).solve(-1.6, [r])[:, 0], ref,
+    np.testing.assert_allclose(columns_at(Resolvent(H, decay), -1.6, [r])[:, 0], ref,
                                rtol=0, atol=1e-12 * np.abs(ref).max())
     rates = decay.rate_vector(H.dim)
     amplitudes = transmission(H, decay, -1.6, site).amplitudes
@@ -157,20 +169,20 @@ def test_displacement_matches_eigenbasis_oracle(name):
     expected = power @ l_out
     # The qsh displacement vanishes by symmetry: scale by the |l|-weighted power.
     scale = np.max(power @ np.abs(l_out))
-    got = displacement_spectrum(H, DecaySpec.uniform(GAMMA), grid, region)
+    got = displacement_spectrum(H, DecaySpec(gamma=GAMMA), grid, region)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
 def test_optical_theorem_on_both_paths(name):
     H = LATTICES[name]
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     grid = np.array([-2.5, -0.7, 0.0, 1.3])
     engine = Resolvent(H, decay)
     for r in edge_rows(H):
         site = site_of(H.spec, r)
         expected = np.array([
-            -2.0 * GAMMA * engine.solve(float(w), [r])[r, 0].imag for w in grid
+            -2.0 * GAMMA * columns_at(engine, float(w), [r])[r, 0].imag for w in grid
         ])
         power = total_transmission_spectrum(H, decay, [site], grid)
         np.testing.assert_allclose(power, expected, rtol=1e-11)
@@ -196,7 +208,7 @@ def test_one_sweep_per_frequency_for_a_region(sweeps):
     H = LATTICES["qsh"]
     region = EdgeRegion(Side.LEFT, 2)
     grid = np.array([-1.6, -1.2, 0.5])
-    displacement_spectrum(H, DecaySpec.uniform(GAMMA), grid, region)
+    displacement_spectrum(H, DecaySpec(gamma=GAMMA), grid, region)
     # Two columns times two polarizations: four ports share every sweep.
     assert sweeps == [(grid.size, 4)]
 
@@ -271,12 +283,12 @@ def test_chunked_diagonal_sweeps_cover_the_grid_once(diagonal_sweeps, monkeypatc
 def test_non_finite_omega_rejected(bad):
     H = LATTICES["scalar-open"]
     site = SiteIndex(0, 0, 0)
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     region = EdgeRegion(Side.RIGHT, 1)
     with pytest.raises(ValueError, match="finite"):
         transmission(H, decay, bad, site)
     with pytest.raises(ValueError, match="finite"):
-        Resolvent(H, decay).solve(bad, [flat_index(H.spec, site)])
+        columns_at(Resolvent(H, decay), bad, [flat_index(H.spec, site)])
     with pytest.raises(ValueError, match="finite"):
         total_transmission_spectrum(H, decay, [site], np.array([0.0, bad]))
     with pytest.raises(ValueError, match="finite"):
@@ -285,7 +297,7 @@ def test_non_finite_omega_rejected(bad):
 
 def test_empty_frequency_grids_rejected():
     H = LATTICES["qsh"]
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     region = EdgeRegion(Side.LEFT, 1)
     with pytest.raises(ValueError, match="nonempty"):
         displacement_spectrum(H, decay, np.array([]), region)
@@ -294,13 +306,13 @@ def test_empty_frequency_grids_rejected():
         engine.transmitted_power(np.array([]), [0], np.ones(H.dim))
     with pytest.raises(ValueError, match="nonempty"):
         next(engine.columns(np.array([]), [0]))
-    assert engine.factorizations == 0
+    assert engine.record.factorizations == 0
 
 
 def test_empty_port_lists_rejected():
     H = LATTICES["qsh"]
     grid = np.array([0.0])
-    for decay in (DecaySpec.uniform(GAMMA), per_mode(H)):
+    for decay in (DecaySpec(gamma=GAMMA), per_mode(H)):
         with pytest.raises(ValueError, match="nonempty"):
             total_transmission_spectrum(H, decay, [], grid)
 
@@ -311,7 +323,7 @@ def test_failed_factorization_raises_instead_of_returning_nan():
     broken = H.toarray()
     broken[3, 3] = np.nan
     with pytest.raises(RuntimeError, match="residual"):
-        transmission(_from_dense(H.spec, broken), DecaySpec.uniform(GAMMA),
+        transmission(_from_dense(H.spec, broken), DecaySpec(gamma=GAMMA),
                      0.0, SiteIndex(0, 0, 0))
 
 
@@ -330,7 +342,7 @@ def test_vanishing_loss_at_an_eigenvalue_raises():
     evals, evecs = spectral_factorization(H)
     row = int(np.argmax(np.abs(evecs[:, 5])))
     with pytest.raises(RuntimeError, match="residual"):
-        Resolvent(H, DecaySpec.uniform(1e-13)).solve(float(evals[5]), [row])
+        columns_at(Resolvent(H, DecaySpec(gamma=1e-13)), float(evals[5]), [row])
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -346,8 +358,8 @@ def test_coupling_that_skips_a_slice_is_kept(storage, caplog):
     rows = edge_rows(H) + [i]
     engine = Resolvent(H2, decay)
     # l and l + 2 coupled: blocks join two slices, so none is dropped.
-    assert (engine.width, engine.slices, engine.block_size) == (2, 4, 8)
-    x = engine.solve(0.7, rows)
+    assert (engine.width, engine.slices, engine._layout(0).block_size) == (2, 4, 8)
+    x = columns_at(engine, 0.7, rows)
     ref = REFERENCES[storage](H2, decay, 0.7, rows)
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
@@ -359,7 +371,7 @@ def test_coupling_that_skips_a_slice_is_kept(storage, caplog):
 
 def test_each_engine_call_logs_one_record(caplog):
     H = LATTICES["scalar-periodic"]
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     inputs = [SiteIndex(0, 0, 0), SiteIndex(3, 1, 0)]
     grid = np.array([-1.0, 0.2, 1.5])
     quiet = total_transmission_spectrum(H, decay, inputs, grid)
@@ -379,7 +391,7 @@ def test_each_engine_call_logs_one_record(caplog):
 
 
 def test_each_engine_record_explains_its_storage(caplog):
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     grid = np.array([-1.0, 0.2, 1.5])
     scalar = LATTICES["scalar-open"]
     skewed = scalar.toarray().copy()
@@ -436,7 +448,7 @@ def test_each_engine_record_counts_trials_and_solves(caplog):
             engine.transmitted_power(grid, edge_rows(H), np.ones(H.dim))
             engine.log("edge ports")
         displacement_robustness(H, DisorderModel.cavity_detuning(0.1),
-                                DecaySpec.uniform(GAMMA), grid, EdgeRegion(Side.LEFT, 2),
+                                DecaySpec(gamma=GAMMA), grid, EdgeRegion(Side.LEFT, 2),
                                 trials=3, seed=1, input_l_values=(0, 1))
     records = [r for r in caplog.records if r.name == "oamphoton"]
     # One factorization per trial and frequency.  Seven OAM slices: ports
@@ -477,17 +489,17 @@ def test_every_engine_solve_stacks_its_right_hand_sides(monkeypatch):
     sites = [SiteIndex(1, 2, 1), SiteIndex(0, 0, 0), SiteIndex(2, 1, 0)]
     rows = [flat_index(H.spec, s) for s in sites]
     engine = Resolvent(H, per_mode(H))
-    x = engine.solve(0.9, rows)
+    x = columns_at(engine, 0.9, rows)
     ref = dense_columns(H, per_mode(H), 0.9, rows)
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     # Ports on blocks 1, 2 and 3 of four, so only the left sweep runs: one
     # solve on block 0, one on each of blocks 1 and 2 for the transfer
     # matrix and the ports carried up together ([U_k | carried(k)]), then
     # one solve on block 3.  Each solve is for one trial and one frequency.
-    b, p = engine.block_size, len(rows)
+    b, p = engine.record.block_size, len(rows)
     assert calls == [(1, 1, 1, b, b), (1, 1, 1, b, b + p), (1, 1, 1, b, b + p),
                      (1, 1, b, p)]
-    assert engine.solves == 4
+    assert engine.record.solves == 4
 
 
 def test_ports_on_one_block_take_one_solve_per_sweep_step(monkeypatch):
@@ -511,11 +523,11 @@ def test_ports_on_one_block_take_one_solve_per_sweep_step(monkeypatch):
     # steps toward it, each step one solve for both sides, then one solve
     # at the port block for every port at once.  The ports sit two in each
     # of qsh's two sectors, which are swept in turn on half-width blocks.
-    b = engine.block_size
+    b = engine.record.block_size
     assert (engine.slices, engine.sectors, b) == (7, 2, H.spec.n_x)
     sector = [(2, 1, omegas.size, b, b)] * 3 + [(1, omegas.size, b, len(rows) // 2)]
     assert calls == sector * 2
-    assert engine.solves == 8
+    assert engine.record.solves == 8
 
 
 # ---------------------------------------------------------------- port rows
@@ -523,15 +535,15 @@ def test_ports_on_one_block_take_one_solve_per_sweep_step(monkeypatch):
 @pytest.mark.parametrize("bad", [[-1], [1.7], [0, 3.0], ["1"], [True]])
 def test_port_rows_must_be_integer_indices(bad):
     H = LATTICES["qsh"]
-    engine = Resolvent(H, DecaySpec.uniform(GAMMA))
-    for call in (lambda: engine.solve(0.3, bad),
+    engine = Resolvent(H, DecaySpec(gamma=GAMMA))
+    for call in (lambda: columns_at(engine, 0.3, bad),
                  lambda: engine.transmission(0.3, bad),
                  lambda: engine.transmitted_power(np.array([0.3]), bad, np.ones(H.dim))):
         with pytest.raises(ValueError, match="port row"):
             call()
     with pytest.raises(ValueError, match="outside"):
-        engine.solve(0.3, [0, H.dim])
-    assert engine.factorizations == 0
+        columns_at(engine, 0.3, [0, H.dim])
+    assert engine.record.factorizations == 0
 
 
 # ------------------------------------------------------------------- bits
@@ -553,9 +565,9 @@ def test_power_bits_do_not_depend_on_the_chunk(name, monkeypatch):
     for budget in (scattering._CHUNK_BYTES, 1):
         monkeypatch.setattr(scattering, "_CHUNK_BYTES", budget)
         runs.append([
-            total_transmission_spectrum(H, DecaySpec.uniform(GAMMA), _spin_sites(H), grid),
+            total_transmission_spectrum(H, DecaySpec(gamma=GAMMA), _spin_sites(H), grid),
             total_transmission_spectrum(H, per_mode(H), _spin_sites(H), grid),
-            displacement_spectrum(H, DecaySpec.uniform(GAMMA), grid, region),
+            displacement_spectrum(H, DecaySpec(gamma=GAMMA), grid, region),
         ])
     for whole, chunked in zip(*runs):
         np.testing.assert_array_equal(chunked, whole)
@@ -578,7 +590,7 @@ def test_one_engine_called_twice_returns_the_same_bits(blocks):
     np.testing.assert_array_equal(again, first)
     ref = dense_columns(H, decay, 0.9, rows)
     np.testing.assert_allclose(first[:, 2], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-    one, two, three = (engine.solve(w, rows) for w in (-2.2, 0.9, -2.2))
+    one, two, three = (columns_at(engine, w, rows) for w in (-2.2, 0.9, -2.2))
     np.testing.assert_array_equal(three, one)
     assert not np.array_equal(two, one)
 
@@ -634,7 +646,7 @@ def test_trial_bits_do_not_depend_on_the_chunk(sweeps, monkeypatch):
     Hs, decays = _trials(H, count=4)
     rows, grid = edge_rows(H), np.linspace(-2.0, 2.0, 3)
     engine = Resolvent(Hs, decays)
-    row_bytes = scattering._row_bytes(engine.slices, engine.block_size, len(rows))
+    row_bytes = scattering._row_bytes(engine.slices, engine._layout(0).block_size, len(rows))
     runs = []
     # The whole batch, two trials per chunk, one trial per chunk, a trial
     # split in two chunks, and one (trial, frequency) row per chunk.
@@ -655,7 +667,7 @@ def test_nan_in_one_trial_names_that_trial():
     values = H.values.copy()
     values[5] = np.nan
     broken = HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols, values)
-    engine = Resolvent([H, broken, H], DecaySpec.uniform(GAMMA))
+    engine = Resolvent([H, broken, H], DecaySpec(gamma=GAMMA))
     with pytest.raises(RuntimeError, match="residual .* in trial 1 "):
         engine.transmitted_power(np.array([0.3, 1.1]), edge_rows(H), np.ones(H.dim))
 
@@ -688,16 +700,16 @@ def test_a_perturbed_column_fails_the_check(name, block, tile, monkeypatch):
         monkeypatch.setattr(scattering, "_TILE_BYTES", 1)
     H = LATTICES[name]
     rows, grid = edge_rows(H), np.array([-1.2, 0.3])
-    engine = Resolvent(H, DecaySpec.uniform(GAMMA))
+    engine = Resolvent(H, DecaySpec(gamma=GAMMA))
     sector = engine.sectors - 1
     engine.transmitted_power(grid, rows, np.ones(H.dim))
-    assert engine.worst_residual <= 1e-14
+    assert engine.record.worst_residual <= 1e-14
     if block == "port":
         block = int(engine._block_of[rows[0]])
     _perturbed_columns(monkeypatch, block, sector)
-    for call in (lambda: Resolvent(H, DecaySpec.uniform(GAMMA)).transmitted_power(
+    for call in (lambda: Resolvent(H, DecaySpec(gamma=GAMMA)).transmitted_power(
                      grid, rows, np.ones(H.dim)),
-                 lambda: Resolvent(H, DecaySpec.uniform(GAMMA)).solve(0.3, rows)):
+                 lambda: columns_at(Resolvent(H, DecaySpec(gamma=GAMMA)), 0.3, rows)):
         with pytest.raises(RuntimeError, match="residual .* in trial 0 "):
             call()
 
@@ -707,7 +719,7 @@ def test_nan_in_one_trial_names_that_trial_on_the_diagonal_path():
     values = H.values.copy()
     values[5] = np.nan
     broken = HamiltonianMatrix.from_entries(H.spec, H.rows, H.cols, values)
-    engine = Resolvent([H, broken, H], DecaySpec.uniform(GAMMA))
+    engine = Resolvent([H, broken, H], DecaySpec(gamma=GAMMA))
     with pytest.raises(RuntimeError, match="residual .* in trial 1 "):
         engine.total_power(np.array([0.3, 1.1]), edge_rows(H))
 
@@ -723,11 +735,11 @@ def test_a_perturbed_transfer_matrix_fails_the_chain(name, sector, place, monkey
     # port block's solution; in qsh, in the second of its sectors.
     H = LATTICES[name]
     rows, grid = edge_rows(H), np.array([-1.2, 0.3])
-    engine = Resolvent(H, DecaySpec.uniform(GAMMA))
+    engine = Resolvent(H, DecaySpec(gamma=GAMMA))
     engine.total_power(grid, rows)
-    assert engine.worst_residual <= 1e-14
-    assert engine.error_bound <= 2 / GAMMA * scattering.RESIDUAL_RTOL
-    per_sector = engine.solves // engine.sectors
+    assert engine.record.worst_residual <= 1e-14
+    assert engine.record.error_bound <= 2 / GAMMA * scattering.RESIDUAL_RTOL
+    per_sector = engine.record.solves // engine.sectors
     target = sector * per_sector + (per_sector - 1 if place == "port block" else 0)
     solve, calls = np.linalg.solve, []
 
@@ -740,7 +752,7 @@ def test_a_perturbed_transfer_matrix_fails_the_chain(name, sector, place, monkey
 
     monkeypatch.setattr(np.linalg, "solve", perturbed)
     with pytest.raises(RuntimeError, match="residual .* in trial 0 "):
-        Resolvent(H, DecaySpec.uniform(GAMMA)).total_power(grid, rows)
+        Resolvent(H, DecaySpec(gamma=GAMMA)).total_power(grid, rows)
     # The chain is checked once the perturbed sector's port block is solved.
     assert len(calls) == (sector + 1) * per_sector
 
@@ -749,7 +761,7 @@ def test_desk_spectrum_record_names_the_diagonal_path(caplog):
     desk = build_landau_hofstadter(LatticeSpec(n_x=10, l_min=-50, l_max=50), 3.0 / 10.0)
     inputs = [SiteIndex(j, 0, 0) for j in range(10)]
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
-        total_transmission_spectrum(desk, DecaySpec.uniform(0.1), inputs, default_omega_grid())
+        total_transmission_spectrum(desk, DecaySpec(gamma=0.1), inputs, default_omega_grid())
     record, = [r for r in caplog.records if r.name == "oamphoton"]
     assert record.solver_path == "oam-rgf-diagonal"
     assert record.solver_reason.startswith(
@@ -766,6 +778,52 @@ def test_desk_spectrum_record_names_the_diagonal_path(caplog):
     assert f"forward error bound {record.error_bound:.3e}" in message
 
 
+def test_small_loss_qsh_spectrum_passes_the_chain():
+    # 24 ports at OAM 0 of the two-sector q12 lattice at gamma = 3e-4: the
+    # port solve's residual, taken as a backward perturbation ||R|| ||P|| /
+    # (1 - ||R||) of the port block, bounded G only to 2.44e-6, beyond the
+    # 6.67e-7 limit, where the column path passes its check.  In forward
+    # form, ||X|| ||R|| / (1 - ||R||), it passes, and the two paths agree
+    # within their bounds (see assert_total_power_agrees in
+    # test_resolvent_property.py).
+    H = build_qsh(LatticeSpec(12, -50, 50, spin_dim=2), 0.0, 0.6)
+    rows = [flat_index(H.spec, SiteIndex(j, 0, s)) for j in range(12) for s in range(2)]
+    gamma, grid = 3e-4, default_omega_grid()[:200]
+    engine = Resolvent(H, DecaySpec(gamma=gamma))
+    diagonal = engine.total_power(grid, rows)
+    bound = engine.record.error_bound
+    assert 0.0 < bound <= 2 / gamma * scattering.RESIDUAL_RTOL
+    columns = Resolvent(H, DecaySpec(gamma=gamma))
+    column = columns.transmitted_power(grid, rows, np.ones(H.dim))
+    beta, port_rates = columns.record.error_bound, gamma * len(rows)
+    assert np.all(np.abs(diagonal - column)
+                  <= 2.0 * port_rates * bound + port_rates * gamma * (4.0 / gamma + beta) * beta)
+
+
+def test_each_debug_record_carries_the_engine_record(caplog):
+    # A column call and a diagonal call on one sector, and both on qsh's
+    # two sectors: the extra fields of each record are the engine's record.
+    standard = set(vars(logging.makeLogRecord({}))) | {"message", "asctime"}
+    for name in ("scalar-open", "qsh"):
+        H = LATTICES[name]
+        for path in ("columns", "diagonal"):
+            engine = Resolvent(H, DecaySpec(gamma=GAMMA))
+            rows, grid = edge_rows(H), np.array([-1.2, 0.3])
+            if path == "columns":
+                engine.transmitted_power(grid, rows, np.ones(H.dim))
+            else:
+                engine.total_power(grid, rows)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="oamphoton"):
+                engine.log(f"{name} {path}")
+            record, = [r for r in caplog.records if r.name == "oamphoton"]
+            extra = {k: v for k, v in vars(record).items() if k not in standard}
+            assert extra == dataclasses.asdict(engine.record)
+            assert record.sectors_swept == engine.sectors
+            assert record.getMessage().startswith(
+                f"resolvent path={record.solver_path} ({record.solver_reason}): ")
+
+
 def test_trials_per_chunk_follow_the_widest_sector():
     # qsh sweeps sectors of 12 sites per slice, not the 24 of a slice, and
     # trials grouped by that count fill one engine chunk.
@@ -775,15 +833,15 @@ def test_trials_per_chunk_follow_the_widest_sector():
     group = scattering._trials_per_chunk(H, len(rows), 1)
     assert group == scattering._CHUNK_BYTES // (scattering._row_bytes(101, 12, 24) + trial)
     assert group > scattering._CHUNK_BYTES // (scattering._row_bytes(101, 24, 24) + trial)
-    engine = Resolvent([H] * group, DecaySpec.uniform(GAMMA))
+    engine = Resolvent([H] * group, DecaySpec(gamma=GAMMA))
     engine.transmitted_power(np.array([-1.6]), rows, np.ones(H.dim))
-    assert (engine.sectors, engine.block_size) == (2, 12)
-    assert (engine.chunks, engine.omega_chunk) == (1, group)
+    assert (engine.sectors, engine.record.block_size) == (2, 12)
+    assert (engine.record.chunks, engine.record.omega_chunk) == (1, group)
 
 
 def test_a_stack_of_hamiltonians_is_checked():
     H, other = LATTICES["scalar-open"], LATTICES["scalar-periodic"]
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     with pytest.raises(ValueError, match="at least one"):
         Resolvent([], decay)
     with pytest.raises(ValueError, match="one lattice"):
@@ -806,7 +864,7 @@ def _traced_peak_mb(call):
 def test_edge_map_memory_grows_with_h_not_dense_slices():
     # 30 x 301 sites: dense (slices, b, b) copies of H's blocks took 22.8 MB.
     spec = LatticeSpec(n_x=30, l_min=-150, l_max=150)
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     peak = _traced_peak_mb(lambda: transmission_map(
         build_landau_hofstadter(spec, 1.0 / 6.0), decay, -2.2, SiteIndex(0, 0, 0)))
     assert peak <= 10.0
@@ -823,7 +881,7 @@ def test_desk_spectrum_memory_holds_one_work_array_per_chunk(caplog):
     inputs = [SiteIndex(j, 0, 0) for j in range(spec.n_x)]
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
         peak = _traced_peak_mb(lambda: total_transmission_spectrum(
-            build_landau_hofstadter(spec, 1.0 / 6.0), DecaySpec.uniform(0.1), inputs,
+            build_landau_hofstadter(spec, 1.0 / 6.0), DecaySpec(gamma=0.1), inputs,
             default_omega_grid()))
     assert peak <= 4.4
     record, = [r for r in caplog.records if r.name == "oamphoton"]
@@ -887,9 +945,9 @@ def test_mirrored_engine_matches_dense_columns(name):
               for seed in range(3)]
     else:
         Hs = [MIRROR_LATTICES[name]]
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     engine = Resolvent(Hs, decay)
-    assert engine.mirrored, engine.mirror_reason
+    assert all(layout.mirrored for layout in layouts(engine))
     grid = np.array([-1.7, 0.4])
     for label, rows in _mirror_ports(engine).items():
         (_, x), = engine.columns(grid, rows)
@@ -898,13 +956,13 @@ def test_mirrored_engine_matches_dense_columns(name):
                 ref = dense_columns(h, decay, omega, rows)
                 np.testing.assert_allclose(x[:, t * grid.size + i], ref, rtol=0,
                                            atol=1e-12 * np.abs(ref).max(), err_msg=label)
-    assert 0.0 <= engine.worst_residual <= 1e-10
+    assert 0.0 <= engine.record.worst_residual <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(MIRROR_LATTICES))
 def test_mirrored_resolvent_obeys_the_mirror_identity(name):
     # J M J = M^T gives G[J c, J r] = G[r, c], J reversing the sweep blocks.
-    engine = Resolvent(MIRROR_LATTICES[name], DecaySpec.uniform(GAMMA))
+    engine = Resolvent(MIRROR_LATTICES[name], DecaySpec(gamma=GAMMA))
     n = engine.slices
     # Ports off the end blocks, so that the engine mirrors a step.
     blocks = sorted({k for k in (1, (n - 1) // 2) for k in (k, n - 1 - k)})
@@ -912,7 +970,7 @@ def test_mirrored_resolvent_obeys_the_mirror_identity(name):
     image = np.concatenate([_block_rows(engine, n - 1 - k) for k in blocks])
     port = {int(r): a for a, r in enumerate(rows)}
     J = np.array([port[int(r)] for r in image])  # port J[a] is the image of port a
-    G = engine.solve(0.7, rows)[rows]  # G[a, b] = G[rows[a], rows[b]]
+    G = columns_at(engine, 0.7, rows)[rows]  # G[a, b] = G[rows[a], rows[b]]
     np.testing.assert_allclose(G[np.ix_(J, J)], G.T, rtol=0, atol=1e-13 * np.abs(G).max())
 
 
@@ -927,7 +985,7 @@ def _zero_hop_cavity(H, j=1):
 def _named_entry(engine):
     """The sites ``(a, b)`` of the entry ``H[a, b]`` that a one-sector
     engine's ``mirror_reason`` names, and whether it is a coupling."""
-    a, b = map(int, re.search(r"H\[(\d+), (\d+)\]", engine.mirror_reason).groups())
+    a, b = map(int, re.search(r"H\[(\d+), (\d+)\]", engine._layout(0).mirror_reason).groups())
     return a, b, engine._block_of[a] != engine._block_of[b]
 
 
@@ -945,29 +1003,29 @@ def _unmatched(engine, Hs, a, b):
 
 def test_mirror_needs_symmetric_slice_blocks_and_invertible_couplings():
     H = MIRROR_LATTICES["landau-symmetric"]
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     shifted = Resolvent(build_oam_gauge_hofstadter(LatticeSpec(n_x=4, l_min=-2, l_max=4),
                                                    2.0 / 7.0), decay)
-    assert not shifted.mirrored
+    assert not shifted._layout(0).mirrored
     # The reason names an entry of a slice block D_k that is not +- its image.
     a, b, coupling = _named_entry(shifted)
-    assert "is not +- its mirror image" in shifted.mirror_reason
+    assert "is not +- its mirror image" in shifted._layout(0).mirror_reason
     assert not coupling and _unmatched(shifted, shifted._Hs, a, b)
     # A Hermitian pair on the first slice whose image on the last is empty.
     a, b = (flat_index(H.spec, SiteIndex(j, -3, 0)) for j in (0, 2))
     unpaired = HamiltonianMatrix.from_entries(H.spec, np.r_[H.rows, a, b],
                                               np.r_[H.cols, b, a], np.r_[H.values, 0.3, 0.3])
     engine = Resolvent(unpaired, decay)
-    assert not engine.mirrored
-    assert engine.mirror_reason == f"not mirrored: H[{a}, {b}] is not +- its mirror image"
+    assert not engine._layout(0).mirrored
+    assert engine._layout(0).mirror_reason == f"not mirrored: H[{a}, {b}] is not +- its mirror image"
     singular = Resolvent(_zero_hop_cavity(H), decay)
-    assert not singular.mirrored
-    assert "singular" in singular.mirror_reason
+    assert not singular._layout(0).mirrored
+    assert "singular" in singular._layout(0).mirror_reason
     # Both take the unmirrored steps and stay exact.
     for engine, h in ((shifted, shifted._Hs[0]), (singular, _zero_hop_cavity(H))):
         rows = _mirror_ports(engine)["centred"]
         ref = dense_columns(h, decay, 0.3, rows)
-        np.testing.assert_allclose(engine.solve(0.3, rows), ref, rtol=0,
+        np.testing.assert_allclose(columns_at(engine, 0.3, rows), ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
 
 
@@ -985,21 +1043,21 @@ def solve_shapes(monkeypatch):
 
 
 def test_centred_mirrored_ports_factorize_one_block_per_step(solve_shapes):
-    engine = Resolvent(MIRROR_LATTICES["landau-symmetric"], DecaySpec.uniform(GAMMA))
+    engine = Resolvent(MIRROR_LATTICES["landau-symmetric"], DecaySpec(gamma=GAMMA))
     grid = np.array([-1.2, 0.1, 2.0])
     engine.transmitted_power(grid, _mirror_ports(engine)["centred"], np.ones(engine.dim))
     # Seven slices, ports on the middle one: three steps each factorize
     # their left block alone, then the port block.
-    b, w = engine.block_size, grid.size
+    b, w = engine.record.block_size, grid.size
     assert solve_shapes == [(1, 1, w, b, b)] * 3 + [(1, w, b, b)]
-    assert engine.block_factorizations == 4 * w
+    assert engine.record.block_factorizations == 4 * w
 
 
 def _unmirrored_case(name):
     """``(Hamiltonians, decay, ports, why the mirror fails)``: the pads, the
     decay rates, or a coupling that is not +- its mirror image."""
     H = MIRROR_LATTICES["landau-symmetric"]
-    centred = _mirror_ports(Resolvent(H, DecaySpec.uniform(GAMMA)))["centred"]
+    centred = _mirror_ports(Resolvent(H, DecaySpec(gamma=GAMMA)))["centred"]
     if name == "per-mode rates":
         return H, per_mode(H), centred, "decay rates"
     if name.startswith("model B"):
@@ -1008,7 +1066,7 @@ def _unmirrored_case(name):
         model = DisorderModel.oam_link_errors(sigma_mag=0.05, sigma_loss=0.02, width=2.0)
         Hs = [sample_disordered_hamiltonian(H, model, seed) for seed in range(3)]
         if name == "model B couplings":
-            return Hs, DecaySpec.uniform(GAMMA), centred, "coupling"
+            return Hs, DecaySpec(gamma=GAMMA), centred, "coupling"
         return (Hs, [loss_perturbed_decay(GAMMA, H.spec, model, seed) for seed in range(3)],
                 centred, "decay rates")
     if name == "qsh":
@@ -1021,7 +1079,7 @@ def _unmirrored_case(name):
     # Nine OAM slices on a ring fold into five blocks; OAM -2 lies on block 2.
     # The middle slice fills half of the last block, whose image is block 0.
     ring = LATTICES["scalar-periodic"]
-    return (ring, DecaySpec.uniform(GAMMA),
+    return (ring, DecaySpec(gamma=GAMMA),
             [flat_index(ring.spec, SiteIndex(j, -2, 0)) for j in range(4)], "pad sites")
 
 
@@ -1030,19 +1088,19 @@ def _unmirrored_case(name):
 def test_unmirrored_inputs_keep_both_sweeps(name, solve_shapes):
     Hs, decay, rows, why = _unmirrored_case(name)
     engine = Resolvent(Hs, decay)
-    assert not engine.mirrored
-    if why == "coupling":
-        a, b, coupling = _named_entry(engine)
-        assert "is not +- its mirror image" in engine.mirror_reason
-        assert coupling and _unmatched(engine, engine._Hs, a, b)
-    else:
-        assert f"not mirrored: the {why}" in engine.mirror_reason
     grid = np.array([-1.2, 0.1])
     engine.transmitted_power(grid, rows, np.ones(engine.dim))
+    assert not engine.record.mirrored
+    if why == "coupling":
+        a, b, coupling = _named_entry(engine)
+        assert "is not +- its mirror image" in engine.record.solver_reason
+        assert coupling and _unmatched(engine, engine._Hs, a, b)
+    else:
+        assert f"not mirrored: the {why}" in engine.record.solver_reason
     # Ports on the middle block: each step factorizes both sides' blocks.
-    b, w, t, steps = engine.block_size, grid.size, engine.trials, (engine.slices - 1) // 2
+    b, w, t, steps = engine.record.block_size, grid.size, engine.trials, (engine.slices - 1) // 2
     assert solve_shapes == [(2, t, w, b, b)] * steps + [(t, w, b, b)]
-    assert engine.block_factorizations == (2 * steps + 1) * t * w
+    assert engine.record.block_factorizations == (2 * steps + 1) * t * w
 
 
 def test_mirrored_left_sweep_is_bitwise_the_unmirrored_one(monkeypatch):
@@ -1059,10 +1117,10 @@ def test_mirrored_left_sweep_is_bitwise_the_unmirrored_one(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", recorded)
     columns = []
     for mirrored in (True, False):
-        engine = Resolvent(H, DecaySpec.uniform(GAMMA))
-        assert engine.mirrored
-        for g in range(engine.sectors):
-            engine._layout(g).mirrored = mirrored
+        engine = Resolvent(H, DecaySpec(gamma=GAMMA))
+        for layout in layouts(engine):
+            assert layout.mirrored
+            layout.mirrored = mirrored
         results.append([])
         # Ports on several blocks, the middle one last in both of dirac's
         # sectors, so that every sweep step has a left block.
@@ -1083,9 +1141,8 @@ def test_mirrored_left_sweep_is_bitwise_the_unmirrored_one(monkeypatch):
 def _assert_signature(engine, parity):
     """Every sector mirrors with a derived ``S = +-(-1)^parity`` on its
     sites, one sign per sector."""
-    assert engine.mirrored
-    for g in range(engine.sectors):
-        layout = engine._layout(g)
+    for layout in layouts(engine):
+        assert layout.mirrored
         real = layout.blocks >= 0
         expected = 1 - 2 * (parity[layout.blocks[real]] % 2)
         assert layout.signature == f"S = -1 on {np.count_nonzero(layout.sign < 0)} of " \
@@ -1103,9 +1160,9 @@ def test_engine_record_reports_the_mirror(caplog):
     grid = np.array([-2.0, 0.3, 1.1])
     inputs = [SiteIndex(j, 0, 0) for j in range(10)]
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
-        total_transmission_spectrum(desk, DecaySpec.uniform(0.1), inputs, grid)
+        total_transmission_spectrum(desk, DecaySpec(gamma=0.1), inputs, grid)
         total_transmission_spectrum(desk, per_mode(desk), inputs, grid)
-        total_transmission_spectrum(LATTICES["qsh"], DecaySpec.uniform(GAMMA),
+        total_transmission_spectrum(LATTICES["qsh"], DecaySpec(gamma=GAMMA),
                                     [SiteIndex(0, 0, 0)], grid)
     records = [r for r in caplog.records if r.name == "oamphoton"]
     # 101 slices, ports on the middle one: 50 steps and the port block,
@@ -1113,7 +1170,7 @@ def test_engine_record_reports_the_mirror(caplog):
     # sector with the polarization signature: 3 steps and the port block.
     assert [r.mirrored for r in records] == [True, False, True]
     assert [r.block_factorizations for r in records] == [51 * 3, 101 * 3, 4 * 3]
-    qsh = Resolvent(LATTICES["qsh"], DecaySpec.uniform(GAMMA))
+    qsh = Resolvent(LATTICES["qsh"], DecaySpec(gamma=GAMMA))
     _assert_signature(qsh, _polarization(LATTICES["qsh"]))
     swept = qsh._layout(int(qsh._sector[flat_index(qsh._Hs[0].spec, SiteIndex(0, 0, 0))]))
     assert [r.signature for r in records] == ["S = 1", "none", swept.signature]
@@ -1133,13 +1190,13 @@ def test_dirac_on_an_even_number_of_blocks_mirrors_with_the_cavity_parity(
     # Neither S = 1 nor S = (-1)^s fits a dirac sector of an even window;
     # the derived signature is the cavity parity, S = +-(-1)^j.
     H = build_dirac(LatticeSpec(*window, spin_dim=2, bc_y=bc_y), 1.0 / 6.0)
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     engine = Resolvent(H, decay)
     _assert_signature(engine, np.arange(H.dim) // (H.spec.n_l * H.spec.spin_dim))
     rows = _mirror_ports(engine)["centred"]
-    x = engine.solve(0.3, rows)
+    x = columns_at(engine, 0.3, rows)
     # Ports on the middle block: each step factorizes its left block alone.
-    assert engine.block_factorizations == factorizations[bc_y is Boundary.PERIODIC]
+    assert engine.record.block_factorizations == factorizations[bc_y is Boundary.PERIODIC]
     A = 0.3 * np.eye(H.dim) - H.toarray() + 0.5j * GAMMA * np.eye(H.dim)
     ref = scipy.linalg.solve(A, np.eye(H.dim)[:, rows])
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
@@ -1159,16 +1216,16 @@ def _frustrated():
 
 def test_a_frustrated_mirror_is_refused_by_name():
     frustrated, a, b = _frustrated()
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     engine = Resolvent(frustrated, decay)
-    assert not engine.mirrored
-    assert engine.mirror_reason.startswith("not mirrored: no signature fits every entry")
+    assert not engine._layout(0).mirrored
+    assert engine._layout(0).mirror_reason.startswith("not mirrored: no signature fits every entry")
     # The signature derived along the OAM hops from slice -3 breaks the
     # negated pair itself.
     assert _named_entry(engine)[:2] == (a, b)
     rows = _mirror_ports(engine)["centred"]
     ref = dense_columns(frustrated, decay, 0.3, rows)
-    np.testing.assert_allclose(engine.solve(0.3, rows), ref, rtol=0,
+    np.testing.assert_allclose(columns_at(engine, 0.3, rows), ref, rtol=0,
                                atol=1e-12 * np.abs(ref).max())
 
 
@@ -1211,9 +1268,9 @@ def _signature_cases():
 def _signatures(H):
     """Per sector: the signature's name (why there is none, if so), and a
     digest of the places where it is -1 (None for S = 1 or none)."""
-    engine = Resolvent(H, DecaySpec.uniform(GAMMA))
+    engine = Resolvent(H, DecaySpec(gamma=GAMMA))
     found = []
-    for layout in engine._all_layouts():
+    for layout in layouts(engine):
         minus = None if layout.sign is None else np.flatnonzero(layout.sign.ravel() < 0)
         found.append((layout.signature or layout.mirror_reason, None if minus is None else
                       hashlib.sha256(str(minus.tolist()).encode()).hexdigest()[:16]))
@@ -1299,8 +1356,8 @@ def test_each_mirror_relation_goes_in_once_each_way(monkeypatch):
 
     monkeypatch.setattr(scattering, "_signing", counted)
     H = build_qsh(LatticeSpec(12, -50, 50, 2), 0.0, 0.6)
-    engine = Resolvent(H, DecaySpec.uniform(GAMMA))
-    assert all(engine._layout(g).mirrored for g in range(engine.sectors))
+    engine = Resolvent(H, DecaySpec(gamma=GAMMA))
+    assert all(layout.mirrored for layout in layouts(engine))
     entries, middle = (
         [np.count_nonzero(inside & (engine._sector[H.rows] == g)) for g in range(engine.sectors)]
         for inside in (True, (engine._block_of[H.rows] == engine.slices // 2)
@@ -1355,19 +1412,20 @@ def _assert_sector_columns(engine, Hs, decays, grid, rows):
 @pytest.mark.parametrize("ports", ["sector 0", "sector 1", "both"])
 def test_sector_columns_match_dense_columns(name, ports):
     H = SECTOR_LATTICES[name]
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     engine = Resolvent(H, decay)
     # Two sectors of equal size, each holding half of every block.
     assert engine.sectors == 2
     assert np.bincount(engine._sector).tolist() == [H.dim // 2] * 2
-    assert engine.block_size == H.spec.n_x * H.spec.spin_dim * (
-        2 if "ring" in name else 1) // 2
+    assert [layout.block_size for layout in layouts(engine)] == [H.spec.n_x * H.spec.spin_dim * (
+        2 if "ring" in name else 1) // 2] * 2
     if name.startswith("qsh"):
         _assert_signature(engine, _polarization(H))
     elif name == "dirac even ring":  # S = (-1)^j, the cavity parity
         _assert_signature(engine, np.arange(H.dim) // (H.spec.n_l * H.spec.spin_dim))
     else:  # an odd number of blocks
-        assert engine.mirrored and engine.mirror_reason.startswith("mirrored: J M J = M^T")
+        assert all(layout.mirrored and layout.mirror_reason.startswith("mirrored: J M J = M^T")
+                   for layout in layouts(engine))
     _assert_sector_columns(engine, [H], [decay], np.array([-1.7, 0.4]),
                            _sector_ports(engine, ports))
 
@@ -1379,13 +1437,13 @@ def test_sectors_on_a_monte_carlo_trial_stack():
     Hs = [sample_disordered_hamiltonian(H, model, seed) for seed in range(3)]
     decays = [loss_perturbed_decay(GAMMA, H.spec, model, seed) for seed in range(3)]
     engine = Resolvent(Hs, decays)
-    assert engine.sectors == 2 and not engine.mirrored
+    assert engine.sectors == 2 and not any(layout.mirrored for layout in layouts(engine))
     _assert_sector_columns(engine, Hs, decays, np.array([-1.6, 0.3]),
                            _sector_ports(engine, "both"))
 
 
 def test_engine_record_reports_its_sectors(caplog):
-    decay = DecaySpec.uniform(GAMMA)
+    decay = DecaySpec(gamma=GAMMA)
     q12 = build_qsh(LatticeSpec(n_x=12, l_min=-50, l_max=50, spin_dim=2), 0.0, 0.6)
     with caplog.at_level(logging.DEBUG, logger="oamphoton"):
         transmission_map(LATTICES["scalar-open"], decay, -2.2, SiteIndex(0, 0, 0))

@@ -97,7 +97,7 @@ def hamiltonians(draw):
 
 def decays(draw, dim):
     if draw(st.booleans()):
-        return DecaySpec.uniform(draw(st.floats(0.05, 1.0)))
+        return DecaySpec(gamma=draw(st.floats(0.05, 1.0)))
     rates = draw(st.lists(st.floats(0.05, 1.0), min_size=dim, max_size=dim))
     return DecaySpec.per_mode(np.array(rates))
 
@@ -107,6 +107,11 @@ def dense_columns(H, decay, omega, rows):
     rhs = np.zeros((H.dim, len(rows)), dtype=complex)
     rhs[rows, np.arange(len(rows))] = 1.0
     return scipy.linalg.solve(A, rhs)
+
+
+def layouts(engine):
+    """Every sector's layout, each built on first use."""
+    return [engine._layout(g) for g in range(engine.sectors)]
 
 
 @SETTINGS
@@ -122,8 +127,8 @@ def test_engine_matches_dense_oracle(data):
             ref = dense_columns(H, decay, omega, rows)
             np.testing.assert_allclose(x[:, i], ref, rtol=0,
                                        atol=1e-12 * np.abs(ref).max())
-    assert engine.factorizations == omegas.size
-    assert 0.0 <= engine.worst_residual <= 1e-10
+    assert engine.record.factorizations == omegas.size
+    assert 0.0 <= engine.record.worst_residual <= 1e-10
 
 
 @SETTINGS
@@ -213,9 +218,10 @@ def test_derived_signature_is_the_gauge_put_in(data):
     phi = data.draw(st.floats(-0.5, 0.5))
     H = {"landau": build_landau_hofstadter, "oam-gauge": build_oam_gauge_hofstadter,
          "dirac": build_dirac}[builder](spec, phi)
-    decay = DecaySpec.uniform(data.draw(st.floats(0.05, 1.0)))
+    decay = DecaySpec(gamma=data.draw(st.floats(0.05, 1.0)))
     base = Resolvent(H, decay)
-    assert base.mirrored and base.mirror_reason.startswith("mirrored: J M J = M^T")
+    assert all(layout.mirrored and layout.mirror_reason.startswith("mirrored: J M J = M^T")
+               for layout in layouts(base))
     D = np.ones(H.dim)
     for g in range(base.sectors):
         blocks = base._layout(g).blocks
@@ -227,14 +233,15 @@ def test_derived_signature_is_the_gauge_put_in(data):
         D[blocks[blocks >= 0]] = orbit[blocks >= 0]
     real = HamiltonianMatrix.from_entries(spec, H.rows, H.cols,
                                           D[H.rows] * H.values * D[H.cols])
-    assert Resolvent(real, decay).mirror_reason.startswith("mirrored: J M J = M^T")
+    assert all(layout.mirror_reason.startswith("mirrored: J M J = M^T")
+               for layout in layouts(Resolvent(real, decay)))
     E = np.where(D < 0, 1j, 1.0)
     gauged = HamiltonianMatrix.from_entries(spec, H.rows, H.cols,
                                             E[H.rows] * H.values * E[H.cols].conj())
     engine = Resolvent(gauged, decay)
-    assert engine.mirrored and engine.sectors == base.sectors
-    for g in range(engine.sectors):
-        layout = engine._layout(g)
+    assert engine.sectors == base.sectors
+    for layout in layouts(engine):
+        assert layout.mirrored
         sites = layout.blocks[layout.blocks >= 0]
         sign = (np.ones(sites.size) if layout.sign is None
                 else layout.sign[layout.blocks >= 0])
@@ -242,7 +249,8 @@ def test_derived_signature_is_the_gauge_put_in(data):
     rows = data.draw(st.lists(st.integers(0, H.dim - 1), min_size=1, max_size=3))
     omega = data.draw(st.floats(-4.0, 4.0))
     ref = dense_columns(gauged, decay, omega, rows)
-    np.testing.assert_allclose(engine.solve(omega, rows), ref, rtol=0,
+    (_, x), = engine.columns([omega], rows)
+    np.testing.assert_allclose(x[:, 0], ref, rtol=0,
                                atol=1e-12 * np.abs(ref).max())
 
 
@@ -298,13 +306,13 @@ def assert_total_power_agrees(Hs, decays, omegas, rows, engine=None):
         rates = decay.rate_vector(H.dim)
         oracle, oracle_bound = dense_power(H, decay, omegas, rows)
         port_rates = rates[rows].sum()
-        beta = columns.error_bound
+        beta = columns.record.error_bound
         assert np.all(np.abs(diagonal[t] - oracle)
-                      <= 2.0 * port_rates * (engine.error_bound + oracle_bound)), t
+                      <= 2.0 * port_rates * (engine.record.error_bound + oracle_bound)), t
         assert np.all(np.abs(diagonal[t] - column[t])
-                      <= 2.0 * port_rates * engine.error_bound
+                      <= 2.0 * port_rates * engine.record.error_bound
                       + port_rates * rates.max() * (4.0 / rates.min() + beta) * beta), t
-    assert 0.0 < engine.error_bound <= 2.0 / min(d.rate_vector(Hs[0].dim).min() for d in decays) \
+    assert 0.0 < engine.record.error_bound <= 2.0 / min(d.rate_vector(Hs[0].dim).min() for d in decays) \
         * scattering.RESIDUAL_RTOL
 
 
@@ -324,21 +332,21 @@ def _qsh_case():
     ``S = +-(-1)^s``, and edge ports on the middle slice in both sectors."""
     H = build_qsh(LatticeSpec(n_x=4, l_min=-3, l_max=3, spin_dim=2), 0.05, 0.6)
     rows = [flat_index(H.spec, SiteIndex(j, 0, s)) for j in (0, 3) for s in (0, 1)]
-    return [H], [DecaySpec.uniform(0.2)], np.array([-1.2, 0.3]), rows
+    return [H], [DecaySpec(gamma=0.2)], np.array([-1.2, 0.3]), rows
 
 
 def test_the_qsh_case_agrees_uncorrupted():
     Hs, rates, omegas, rows = _qsh_case()
     engine = Resolvent(Hs, rates)
-    assert engine.sectors == 2 and engine.mirrored
-    assert all(layout.sign is not None for layout in engine._all_layouts())
+    assert engine.sectors == 2
+    assert all(layout.mirrored and layout.sign is not None for layout in layouts(engine))
     assert_total_power_agrees(Hs, rates, omegas, rows, engine)
 
 
 def test_a_wrong_signature_fails_the_comparison():
     Hs, rates, omegas, rows = _qsh_case()
     engine = Resolvent(Hs, rates)
-    for layout in engine._all_layouts():
+    for layout in layouts(engine):
         layout.sign = None  # S = 1 where S = +-(-1)^s holds
     with pytest.raises(AssertionError):
         assert_total_power_agrees(Hs, rates, omegas, rows, engine)
@@ -358,7 +366,7 @@ def test_a_wrong_sector_fails_the_comparison(monkeypatch):
 def test_a_dropped_coupling_fails_the_comparison():
     Hs, rates, omegas, rows = _qsh_case()
     engine = Resolvent(Hs, rates)
-    for layout in engine._all_layouts():
+    for layout in layouts(engine):
         layout.outer[0, 3] = 0.0  # L_2 = H[3, 2], into the port block
     with pytest.raises(AssertionError):
         assert_total_power_agrees(Hs, rates, omegas, rows, engine)

@@ -47,7 +47,8 @@ def butterfly_row(spec, phi0, grid, decay):
 
 def column(H, decay, omega, site):
     """The resolvent column ``(omega - H + i G/2)^{-1} e_site``."""
-    return Resolvent(H, decay).solve(omega, [flat_index(H.spec, site)])[:, 0]
+    (_, x), = Resolvent(H, decay).columns([omega], [flat_index(H.spec, site)])
+    return x[:, 0, 0]
 
 
 def s_row(H, decay, omega, site):
@@ -61,14 +62,14 @@ def s_row(H, decay, omega, site):
 
 def test_decay_spec_validation():
     with pytest.raises(ValueError):
-        DecaySpec.uniform(0.0)
+        DecaySpec(gamma=0.0)
     with pytest.raises(ValueError):
-        DecaySpec.uniform(-0.1)
+        DecaySpec(gamma=-0.1)
     with pytest.raises(ValueError):
         DecaySpec.per_mode(np.array([0.1, 0.0]))
     with pytest.raises(ValueError):
         DecaySpec(gamma=0.1, rates=np.array([0.1]))
-    assert DecaySpec.uniform(0.2).rate_vector(3).tolist() == [0.2, 0.2, 0.2]
+    assert DecaySpec(gamma=0.2).rate_vector(3).tolist() == [0.2, 0.2, 0.2]
     with pytest.raises(ValueError):
         DecaySpec.per_mode(np.array([0.1, 0.2])).rate_vector(3)
 
@@ -87,7 +88,7 @@ def test_decay_spec_copies_the_rate_vector():
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_decay_spec_rejects_non_finite_rates(bad):
     with pytest.raises(ValueError, match="finite"):
-        DecaySpec.uniform(bad)
+        DecaySpec(gamma=bad)
     with pytest.raises(ValueError, match="finite"):
         DecaySpec.per_mode(np.array([0.1, bad]))
 
@@ -98,7 +99,7 @@ def test_greens_single_site_scalar_inverse():
     H = single_site()
     gamma = 0.3
     for omega in (-1.0, 0.0, 0.7):
-        x = column(H, DecaySpec.uniform(gamma), omega, SiteIndex(0, 0, 0))
+        x = column(H, DecaySpec(gamma=gamma), omega, SiteIndex(0, 0, 0))
         np.testing.assert_allclose(x[0], 1.0 / (omega + 0.5j * gamma), rtol=1e-12)
 
 
@@ -106,7 +107,7 @@ def test_greens_far_detuned_neumann_limit():
     spec = LatticeSpec(n_x=3, l_min=0, l_max=2)
     H = build_landau_hofstadter(spec, 1.0 / 6.0)
     omega = 1e6
-    x = column(H, DecaySpec.uniform(0.1), omega, SiteIndex(1, 1, 0))
+    x = column(H, DecaySpec(gamma=0.1), omega, SiteIndex(1, 1, 0))
     expected = np.zeros(H.dim, dtype=complex)
     expected[flat_index(spec, SiteIndex(1, 1, 0))] = 1.0 / omega
     np.testing.assert_allclose(x, expected, atol=1e-11)
@@ -119,7 +120,7 @@ def test_greens_two_site_hand_inverse():
     # its first column of the inverse is [i*g/2, -1] / (-(g/2)^2 - 1).
     det = -((gamma / 2.0) ** 2) - 1.0
     expected = np.array([0.5j * gamma, -1.0]) / det
-    x = column(H, DecaySpec.uniform(gamma), 0.0, SiteIndex(0, 0, 0))
+    x = column(H, DecaySpec(gamma=gamma), 0.0, SiteIndex(0, 0, 0))
     np.testing.assert_allclose(x, expected, rtol=1e-12)
 
 
@@ -139,9 +140,9 @@ def test_greens_residual_contract_on_random_instances():
 def test_single_site_resonant_transmission():
     H = single_site()
     gamma = 0.25
-    result = transmission(H, DecaySpec.uniform(gamma), 0.0, SiteIndex(0, 0, 0))
+    result = transmission(H, DecaySpec(gamma=gamma), 0.0, SiteIndex(0, 0, 0))
     np.testing.assert_allclose(result.amplitudes[0], -2.0, rtol=1e-12)
-    row = s_row(H, DecaySpec.uniform(gamma), 0.0, SiteIndex(0, 0, 0))
+    row = s_row(H, DecaySpec(gamma=gamma), 0.0, SiteIndex(0, 0, 0))
     np.testing.assert_allclose(row[0], -1.0, rtol=1e-12)
 
 
@@ -149,7 +150,7 @@ def test_single_site_lorentzian_lineshape():
     H = single_site()
     gamma = 0.3
     for omega in np.linspace(-1, 1, 7):
-        result = transmission(H, DecaySpec.uniform(gamma), float(omega), SiteIndex(0, 0, 0))
+        result = transmission(H, DecaySpec(gamma=gamma), float(omega), SiteIndex(0, 0, 0))
         np.testing.assert_allclose(
             np.abs(result.amplitudes[0]) ** 2,
             gamma**2 / (omega**2 + gamma**2 / 4.0),
@@ -166,7 +167,7 @@ def test_decoupled_lattice_per_site_lorentzians():
     for omega in (-0.3, 0.0, 0.4):
         for n in range(spec.dim):
             site = SiteIndex(n // 2, n % 2, 0)
-            result = transmission(H, DecaySpec.uniform(gamma), omega, site)
+            result = transmission(H, DecaySpec(gamma=gamma), omega, site)
             expected = np.zeros(spec.dim)
             expected[n] = gamma**2 / ((omega - detunings[n]) ** 2 + gamma**2 / 4)
             np.testing.assert_allclose(
@@ -177,7 +178,7 @@ def test_decoupled_lattice_per_site_lorentzians():
 def test_edge_input_concentrates_on_boundary_in_gap():
     spec = LatticeSpec(n_x=10, l_min=-50, l_max=50, bc_y=Boundary.PERIODIC)
     H = build_landau_hofstadter(spec, 1.0 / 6.0)
-    result = transmission(H, DecaySpec.uniform(0.1), -2.2, SiteIndex(0, 0, 0))
+    result = transmission(H, DecaySpec(gamma=0.1), -2.2, SiteIndex(0, 0, 0))
     power = np.abs(result.amplitudes) ** 2
     cols = np.repeat(np.arange(10), spec.n_l)
     boundary = (cols <= 1) | (cols >= 8)
@@ -187,7 +188,7 @@ def test_edge_input_concentrates_on_boundary_in_gap():
 def test_reciprocity_for_real_hop_lattice():
     spec = LatticeSpec(n_x=3, l_min=0, l_max=2)
     H = build_landau_hofstadter(spec, 0.0)
-    decay = DecaySpec.uniform(0.15)
+    decay = DecaySpec(gamma=0.15)
     a, b = SiteIndex(0, 0, 0), SiteIndex(2, 2, 0)
     for omega in (-1.3, 0.2, 2.4):
         t_ab = transmission(H, decay, omega, a).amplitudes[flat_index(spec, b)]
@@ -207,7 +208,7 @@ def _identity_lattice(name, bc_y):
     spec = LatticeSpec(n_x=6, l_min=-15, l_max=16, spin_dim=spin_dim, bc_y=bc_y)
     inputs = [SiteIndex(j, l, s) for j in (0, 2, 5) for l in (0, 3) for s in range(spin_dim)]
     rng = np.random.default_rng(11)
-    decays = (DecaySpec.uniform(0.2),
+    decays = (DecaySpec(gamma=0.2),
               DecaySpec.per_mode(0.2 * (1.0 + 0.3 * rng.random(spec.dim))))
     return build, spec, inputs, decays
 
@@ -304,8 +305,8 @@ def test_non_chiral_spectrum_solves_every_point(name, caplog):
     H = _non_chiral(name)
     inputs = [SiteIndex(0, 0, 0), SiteIndex(1, 1, 0)]
     grid = np.linspace(-3.0, 3.0, 12)
-    power, record = _spectrum_records(caplog, H, DecaySpec.uniform(0.2), inputs, grid)
-    np.testing.assert_array_equal(power, _full_grid(H, DecaySpec.uniform(0.2), inputs, grid))
+    power, record = _spectrum_records(caplog, H, DecaySpec(gamma=0.2), inputs, grid)
+    np.testing.assert_array_equal(power, _full_grid(H, DecaySpec(gamma=0.2), inputs, grid))
     assert record.factorizations == grid.size
     assert "no omega mirror: H joins two sites of one sublattice" in record.solver_reason
 
@@ -352,7 +353,7 @@ def test_pairing_edge_cases_match_the_full_grid(caplog):
 def test_desk_spectrum_factorizes_half_its_grid(caplog):
     H = build_landau_hofstadter(LatticeSpec(n_x=10, l_min=-50, l_max=50), 0.3)
     inputs = [SiteIndex(j, 0, 0) for j in range(10)]
-    _, record = _spectrum_records(caplog, H, DecaySpec.uniform(0.1), inputs,
+    _, record = _spectrum_records(caplog, H, DecaySpec(gamma=0.1), inputs,
                                   default_omega_grid())
     assert record.factorizations == 200
     assert "200 row(s) computed, 200 copied" in record.solver_reason
@@ -370,13 +371,13 @@ def test_s_row_unitarity_random_instances():
         omega = float(rng.uniform(-4, 4))
         gamma = float(rng.uniform(0.05, 0.6))
         site = SiteIndex(int(rng.integers(n_x)), int(rng.integers(n_l)), 0)
-        row = s_row(H, DecaySpec.uniform(gamma), omega, site)
+        row = s_row(H, DecaySpec(gamma=gamma), omega, site)
         np.testing.assert_allclose(np.linalg.norm(row), 1.0, atol=1e-9)
 
 
 def test_s_row_far_detuned_is_delta():
     H = two_site_chain()
-    row = s_row(H, DecaySpec.uniform(0.2), 1e8, SiteIndex(0, 0, 0))
+    row = s_row(H, DecaySpec(gamma=0.2), 1e8, SiteIndex(0, 0, 0))
     np.testing.assert_allclose(row, [1.0, 0.0], atol=1e-7)
 
 
@@ -393,7 +394,7 @@ def test_s_row_per_mode_computed_without_unitarity():
 def test_single_site_total_transmission_resonance():
     H = single_site()
     spectrum = total_transmission_spectrum(
-        H, DecaySpec.uniform(0.2), [SiteIndex(0, 0, 0)], np.array([0.0])
+        H, DecaySpec(gamma=0.2), [SiteIndex(0, 0, 0)], np.array([0.0])
     )
     np.testing.assert_allclose(spectrum[0], 4.0, rtol=1e-12)
 
@@ -401,7 +402,7 @@ def test_single_site_total_transmission_resonance():
 def test_eig_fast_path_matches_direct_solves():
     spec = LatticeSpec(n_x=4, l_min=-3, l_max=3)
     H = build_landau_hofstadter(spec, 1.0 / 6.0)
-    decay = DecaySpec.uniform(0.17)
+    decay = DecaySpec(gamma=0.17)
     inputs = [SiteIndex(0, 0, 0), SiteIndex(2, -2, 0)]
     grid = np.linspace(-4, 4, 9)
     fast = total_transmission_spectrum(H, decay, inputs, grid)
@@ -420,7 +421,7 @@ def test_eig_transmission_vector_matches_direct():
     evals, evecs = spectral_factorization(H)
     site = SiteIndex(1, 0, 0)
     fast = eig_transmission_vector(evals, evecs, gamma, omega, flat_index(spec, site))
-    slow = transmission(H, DecaySpec.uniform(gamma), omega, site).amplitudes
+    slow = transmission(H, DecaySpec(gamma=gamma), omega, site).amplitudes
     np.testing.assert_allclose(fast, slow, atol=1e-11)
 
 
@@ -431,7 +432,7 @@ def test_spectrum_peaks_near_eigenvalues():
     evals = np.linalg.eigvalsh(H.toarray())
     grid = np.linspace(-4.5, 4.5, 1200)
     spectrum = total_transmission_spectrum(
-        H, DecaySpec.uniform(gamma),
+        H, DecaySpec(gamma=gamma),
         [SiteIndex(j, 0, 0) for j in range(4)], grid,
     )
     interior = slice(1, -1)
@@ -447,14 +448,14 @@ def test_empty_probe_grid_rejected():
     H = single_site()
     with pytest.raises(ValueError):
         total_transmission_spectrum(
-            H, DecaySpec.uniform(0.1), [SiteIndex(0, 0, 0)], np.array([])
+            H, DecaySpec(gamma=0.1), [SiteIndex(0, 0, 0)], np.array([])
         )
 
 
 def test_butterfly_zero_flux_row_support():
     spec = LatticeSpec(n_x=8, l_min=-8, l_max=8)
     grid = default_omega_grid(200)
-    row = butterfly_row(spec, 0.0, grid, DecaySpec.uniform(0.1))
+    row = butterfly_row(spec, 0.0, grid, DecaySpec(gamma=0.1))
     # Band edges of the finite open lattice sit near +/-3.85; the support at
     # a 3% threshold should hug them within a few linewidths either way.
     support = grid[row > 3e-2 * row.max()]
@@ -465,7 +466,7 @@ def test_butterfly_zero_flux_row_support():
 def test_butterfly_half_flux_gapless_and_symmetric():
     spec = LatticeSpec(n_x=8, l_min=-8, l_max=8)
     grid = np.linspace(-4.5, 4.5, 301)
-    decay = DecaySpec.uniform(0.1)
+    decay = DecaySpec(gamma=0.1)
     row = butterfly_row(spec, 0.5, grid, decay)
     # The reference: the omega < 0 and omega > 0 halves in two calls, each
     # grid without +-omega partners, so every point of both is solved.
@@ -482,7 +483,7 @@ def test_krylov_path_above_direct_limit():
     spec = LatticeSpec(n_x=61, l_min=-50, l_max=50, bc_y=Boundary.PERIODIC)
     H = build_landau_hofstadter(spec, 1.0 / 6.0)
     assert H.dim > 6000 and not H.is_dense
-    result = transmission(H, DecaySpec.uniform(0.2), -2.2, SiteIndex(0, 0, 0))
+    result = transmission(H, DecaySpec(gamma=0.2), -2.2, SiteIndex(0, 0, 0))
     power = np.abs(result.amplitudes) ** 2
     cols = np.repeat(np.arange(61), spec.n_l)
     assert power[cols <= 1].sum() > 0.8 * power.sum()
@@ -494,7 +495,7 @@ def test_dirac_total_spectrum_dip_and_peaks():
     H = build_dirac(spec, 0.0)
     inputs = [SiteIndex(j, 0, s) for j in range(10) for s in (0, 1)]
     grid = np.linspace(-3.0, 3.0, 121)
-    spectrum = total_transmission_spectrum(H, DecaySpec.uniform(0.2), inputs, grid)
+    spectrum = total_transmission_spectrum(H, DecaySpec(gamma=0.2), inputs, grid)
     center = np.argmin(np.abs(grid))
     assert spectrum[center] < spectrum[np.abs(grid + 2.0) < 0.3].max()
     assert spectrum[center] < spectrum[np.abs(grid - 2.0) < 0.3].max()
