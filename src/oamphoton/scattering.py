@@ -15,10 +15,12 @@ Every builder couples OAM ``l`` only to ``l +- 1``, so over OAM slices
 block-tridiagonal; a periodic OAM axis is folded into the same form.  The
 engine solves it by recursive Green's functions (Thouless & Kirkpatrick,
 J. Phys. C 14, 235 (1981); Lewenkopf & Mucciolo, J. Comput. Electron. 12,
-203 (2013)): Schur-complement sweeps from both ends toward the last port
-slice, run as one loop over a side axis, the left one carrying the ports
-below it; one solve there, then back-substitution outward for full
-resolvent columns.  Three exact reductions are one problem, a +-1 signing
+203 (2013)): Schur-complement sweeps from both ends toward the port
+slices, run as one loop over a side axis, and one of two closings.  The
+column closing makes one solve at the last port slice, the left sweep
+having carried the ports below it, then back-substitutes outward for full
+resolvent columns; the diagonal closing inverts the block of ``G`` at each
+port slice.  Three exact reductions are one problem, a +-1 signing
 of a signed graph, which one pass decides (:func:`_signing`).  The engine
 labels the connected components of ``H``'s entries once and sweeps only
 the sectors that hold a port, each over its own blocks, writing exact
@@ -32,17 +34,18 @@ right sweep follows from the left one, and only the left blocks are
 factorized.  Each solve is batched over (trial, frequency) pairs:
 one ``H`` over a chunk of frequencies, or a stack of Monte Carlo trials
 on one lattice, each with its own decay rates, over their frequencies.
-The cost is linear in the number of slices and exact.  The column path
-(edge maps, displacement, disorder) keeps one work array per chunk that
-holds ``A_k``, then the transfer matrices, then the columns, each over
-the last; OAM-weighted power and the residual check of every column
+The cost is linear in the number of slices and exact.  Each path is the
+one sweep with its own closing and guard.  The column path (edge maps,
+displacement, disorder) keeps one work array per chunk that holds
+``A_k``, then the transfer matrices, then the columns, each over the
+last; OAM-weighted power and the residual check of every column
 against its own trial's ``H`` are reduced from it in block order, and
 only callers that need columns gather them into flat order.  Total power,
 the spectra and the butterfly, takes the diagonal path: by the optical
 theorem it is ``sum_r -2 gamma_r Im G_rr``, and ``G``'s block at a port
 slice is ``(A_k - Sigma_L,k - Sigma_R,k)^-1`` (Lake et al., J. Appl.
-Phys. 81, 7845 (1997)), so the same sweep runs to the port slices over
-two slots per side and one solve per port slice ends it, with no
+Phys. 81, 7845 (1997)), so the sweep runs only to the port slices, over
+two slots per side, and one solve of the port blocks ends it, with no
 columns; the residuals of the sweep and port solves bound its error
 instead of the column check (see :meth:`Resolvent.total_power`).  So the
 memory is the trials' entries plus one chunk.  The engine keeps what its
@@ -216,20 +219,24 @@ def _coupling_block(b: int, pr: np.ndarray, pc: np.ndarray) -> int:
                 if b % c == 0 and np.array_equal(pr // c, pc // c))
 
 
-def _row_bytes(slices: int, block_size: int, ports: int, carried: int = 0) -> int:
-    """Working memory of one (trial, frequency) row of a chunk: per block a
-    work array slot, the copy of fewer columns than it holds and two power
-    sums; and the partial columns of ``carried`` blocks below ``k0``."""
-    columns = block_size + ports if ports < block_size else ports
-    return 16 * block_size * (slices * (columns + 1) + carried * ports)
+def _row_bytes(slices: int, b: int, ports: int, carried: int = 0,
+               plan: _DiagonalPlan | None = None) -> tuple[int, int]:
+    """Working memory of a chunk on one sector's blocks of size ``b``: per
+    (trial, frequency) row, and per trial.
 
-
-def _diagonal_row_bytes(block_size: int, sides: int, kept: int, port_blocks: int) -> int:
-    """Working memory of one (trial, frequency) row of a diagonal-path chunk:
-    per side sweeping two slots, a step's solution, Schur product and
-    residual; the ``kept`` transfer matrices; and each port block's matrix,
-    its inverse and their residual."""
-    return 16 * block_size**2 * (5 * sides + kept + 3 * port_blocks)
+    The column path keeps per block a work array slot, the copy of fewer
+    columns than it holds and two power sums, and the partial columns of
+    ``carried`` blocks below ``k0``.  The diagonal path, with its sector's
+    ``plan``, keeps per side sweeping two slots, a step's solution, Schur
+    product and residual; the kept transfer matrices; and each port block's
+    matrix, its inverse and their residual; and each trial is charged one
+    dense block per slice.
+    """
+    if plan is not None:
+        kept = len(plan.kept) + 3 * plan.blocks.size
+        return 16 * b * b * (5 * (1 + bool(plan.right)) + kept), 16 * slices * b * b
+    columns = b + ports if ports < b else ports
+    return 16 * b * (slices * (columns + 1) + carried * ports), 0
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -253,22 +260,32 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", v, v))
 
 
-def _sides(left: int, right: int) -> list[slice]:
-    """The sides sweeping at each step, as a slice of the side axis: side 0
-    eliminates blocks ``0 .. left - 1`` upward, side 1 the last ``right``
-    blocks downward."""
-    return [slice(0 if s < left else 1, 2 if s < right else 1) for s in range(max(left, right))]
+def _plan(left: int, right: int, zero: Sequence[int], one: Sequence[int]
+          ) -> list[tuple[slice, slice, slice, slice]]:
+    """The steps of the sweeps toward the port blocks: side 0 eliminates
+    blocks ``0 .. left - 1`` upward, side 1 the last ``right`` blocks
+    downward, and ``zero[s + 1]`` and ``one[s + 1]`` are the slots of their
+    blocks at step ``s`` (from step -1).  Per step: the sides sweeping, as a
+    slice of the side axis, and as slices over the slots (one slot where
+    one side sweeps, or where both sides' blocks share it) the slots of
+    their blocks, of the blocks they come from and of the blocks toward the
+    pivot."""
+    both, steps = min(left, right), []
+    # Both sides sweep the first `both` steps, then the longer one alone.
+    for sides, first, stop in ((slice(0, 2), 0, both), (slice(0, 1), both, left),
+                               (slice(1, 2), both, right)):
+        a, z = ((zero, one)[side][first: stop + 2] for side in (sides.start, sides.stop - 1))
+        span = [slice(p, q + 1, q - p or 1) for p, q in zip(a, z)]
+        steps += [(sides, span[i + 1], span[i], span[i + 2]) for i in range(stop - first)]
+    return steps
 
 
 class _DiagonalPlan(NamedTuple):
     """The diagonal path's plan for the ports of one sector: the port
-    blocks, each port's index among them and position in its block, the
-    steps of each side and the transfer matrices ``(side, block)`` kept for
-    the self-energies of the port blocks."""
+    blocks, how many blocks each side sweeps and the transfer matrices
+    ``(side, block)`` kept for the self-energies of the port blocks."""
 
     blocks: np.ndarray
-    where: np.ndarray
-    position: np.ndarray
     left: int
     right: int
     kept: frozenset
@@ -288,7 +305,7 @@ def _trials_per_chunk(H: HamiltonianMatrix, ports: int, omegas: int) -> int:
     sector = _sectors(H.dim, H.rows, H.cols)
     b = max(_sector_blocks(blocks, sector == g).shape[1] for g in range(sector.max() + 1))
     trial = 3 * (H.rows.nbytes + H.cols.nbytes + H.values.nbytes)
-    return max(1, _CHUNK_BYTES // (omegas * _row_bytes(blocks.shape[0], b, ports) + trial))
+    return max(1, _CHUNK_BYTES // (omegas * _row_bytes(blocks.shape[0], b, ports)[0] + trial))
 
 
 def _shared_pattern(Hs: Sequence[HamiltonianMatrix]
@@ -400,7 +417,8 @@ def _diagonal_product(y: np.ndarray, x: np.ndarray, offsets: Sequence[int],
 
 class _Layout:
     """One sector's sweep: its blocks, its trials' entries on them, and its
-    mirror.
+    mirror; both paths build ``A_k`` (:meth:`build`) and close a port block
+    (:meth:`port_block`) through it.
 
     ``blocks`` (see :func:`_oam_blocks`) holds the sector's flat indices,
     ``-1`` on pad sites, and ``positions`` is ``(block_of, pos_of)`` for
@@ -431,7 +449,10 @@ class _Layout:
         pr, pc = self.pos_of[rows], self.pos_of[cols]
         inside = np.flatnonzero(br == bc)
         off = np.flatnonzero(br != bc)
-        # A chunk scatters -D_k, so the values are negated once here.
+        # The entries of D_k in block order, (block, row, col) ascending, so
+        # that each block's are one run; a chunk scatters -D_k, so the values
+        # are negated once here.
+        inside = inside[np.argsort((br[inside] * b + pr[inside]) * b + pc[inside], kind="stable")]
         self.diagonal = br[inside], pr[inside], pc[inside], -values[:, inside]
         br, bc, pr, pc = br[off], bc[off], pr[off], pc[off]
         self.coupling_block = c = _coupling_block(b, pr, pc)
@@ -447,9 +468,9 @@ class _Layout:
         down, up = down_up.reshape(2, n, -1, m, c, c)
         # Side 0 is the left sweep at block s, side 1 the right sweep at
         # block n - 1 - s: outer[side, s] couples that block to the one its
-        # sweep comes from, inner[side, s] to the one toward the pivot.
+        # sweep comes from, and outer[1 - side, n - 1 - s] to the one toward
+        # the pivot.
         self.outer = np.stack([down, up[::-1]])
-        self.inner = np.stack([up, down[::-1]])
         # A_k(omega) = omega * mask + shift - D_k; a pad site solves 1 * x = 0.
         self.mask = real.astype(float)
         self.shift = np.where(real[:, None], 0.5j * np.moveaxis(
@@ -458,6 +479,47 @@ class _Layout:
          self.mirror_reason) = self._mirror_factors(down_up, (br, bc, pr, pc, coupling))
         self.mirrored = self.mirror is not None
         self.swept = False  # whether the engine's record holds this sector
+
+    def build(self, into: np.ndarray, blocks: slice, trials: slice, omegas: np.ndarray
+              ) -> None:
+        """``A_k = omega + i G/2 - D_k`` of a chunk's trials and frequencies
+        on the consecutive ``blocks``, one per slot of ``into``: the entries
+        of ``D_k``, scattered at the first frequency and copied to the
+        others, then the diagonal through a strided view; a pad site solves
+        ``1 * x = 0``.  The residual check never reads it: it builds its
+        operator from each trial's own ``H`` (see :meth:`operator`)."""
+        block, row, col, value = self.diagonal
+        e = slice(*np.searchsorted(block, (blocks.start, blocks.stop)))
+        first = into[:, :, :1]
+        first[...] = 0
+        first[block[e] - blocks.start, :, 0, row[e], col[e]] = value[trials, e].T
+        into[:, :, 1:] = first
+        _diagonal(into)[...] += (omegas[:, None] * self.mask[blocks, None, None]
+                                 + self.shift[blocks, trials, None])
+
+    def self_energies(self, k: int, mirrored: bool
+                      ) -> list[tuple[int, int, tuple[int, int], bool]]:
+        """The self-energies of port block ``k``: ``Sigma_L,k = L_{k-1}
+        h_left[k-1]``, and ``Sigma_R,k = U_k h_right[k+1]`` or, where
+        ``mirrored``, ``S Sigma_L,n-1-k^T S`` from ``h_left[n-2-k]``.  Each
+        as its coupling ``outer[side, step]``, the transfer matrix ``(side,
+        block)`` it takes and whether it is the mirror image."""
+        j = self.blocks.shape[0] - 1 - k
+        right = (0, j, (0, j - 1), True) if mirrored else (1, j, (1, k + 1), False)
+        return [(0, k, (0, k - 1), False)] * bool(k) + [right] * bool(j)
+
+    def port_block(self, P: np.ndarray, k: int, trials: slice,
+                   transfer: Callable[..., np.ndarray], mirrored: bool) -> None:
+        """``P = A_k - Sigma_L,k - Sigma_R,k`` in place (see
+        :meth:`self_energies`), ``P`` holding port block ``k``'s ``A_k`` for
+        a chunk's trials and ``transfer(side, block)`` giving ``h``."""
+        for side, step, key, mirror in self.self_energies(k, mirrored):
+            sigma = _coupled(self.outer[side, step, trials, None], transfer(*key))
+            if mirror:
+                sigma = sigma.swapaxes(-1, -2)
+                if self.sign is not None:
+                    sigma = sigma * np.outer(self.sign[step], self.sign[step])
+            P -= sigma
 
     def operator(self, t: int, H: HamiltonianMatrix
                  ) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -556,23 +618,24 @@ class _Layout:
             same, bad = compare(coupling, image.T)
             if bad is not None:
                 return None, unmatched(br[bad], pr[bad], bc[bad], pc[bad])
-        block, row, col, value = self.diagonal
+        block, row, col, value = self.diagonal  # in key order
         key, image_key = (block * b + row) * b + col, ((n - 1 - block) * b + col) * b + row
-        # Both come in sorted runs, which a stable sort merges quickly.
-        order, image_order = np.argsort(key, kind="stable"), np.argsort(image_key, kind="stable")
-        if not np.array_equal(key[order], image_key[image_order]):
-            e = np.flatnonzero(~np.isin(image_key, key))[0]  # its image holds no entry
+        # The images come in sorted runs, which a stable sort merges quickly.
+        image_order = np.argsort(image_key, kind="stable")
+        if not np.array_equal(key, image_key[image_order]):
+            # The first entry of H, row-major, whose image holds no entry.
+            e = np.flatnonzero(~np.isin(image_key, key))
+            e = e[np.lexsort((self.blocks[block[e], col[e]], self.blocks[block[e], row[e]]))[0]]
             return None, unmatched(block[e], row[e], block[e], col[e])
-        inside, bad = compare(value[:, order], value[:, image_order])
+        inside, bad = compare(value, value[:, image_order])
         if bad is not None:
-            e = order[bad]
-            return None, unmatched(block[e], row[e], block[e], col[e])
+            return None, unmatched(block[bad], row[bad], block[bad], col[bad])
         if same.all() and inside.all():
             return None, ""
         # One node per orbit: blocks k and n - 1 - k share the lower one's.
         fold = np.minimum(np.arange(n), np.arange(n)[::-1])
-        rb, rp, cb, cp = (np.concatenate(pair) for pair in
-                          ((br, block[order]), (pr, row[order]), (bc, block[order]), (pc, col[order])))
+        rb, rp, cb, cp = (np.concatenate(pair)
+                          for pair in ((br, block), (pr, row), (bc, block), (pc, col)))
         negative = ~np.concatenate([same, inside])
         rows, cols = fold[rb] * b + rp, fold[cb] * b + cp
         # An entry and its image H[Jc, Jr] give one relation, the other way
@@ -669,35 +732,48 @@ class Resolvent:
     odd ring or widened blocks make ``c`` the ``block_size``, one dense
     block per slice.
 
-    The batch is cut into chunks of whole trials (or of one trial's
-    frequencies, where its grid alone overflows a chunk), sized by
-    :func:`_row_bytes`.  Each sector swept holds one work array at a time,
-    of shape ``(slices, trials, frequencies, block_size, max(block_size,
-    ports))``, whose slot ``k`` first holds ``A_k = omega + i G/2 - D_k``.
-    With ``k0`` the last block holding a port, Schur-complement sweeps from
-    block 0 and from the last block toward ``k0`` overwrite slot ``k`` with
-    its transfer matrix, so that back-substitution costs one matmul per
-    block and writes the columns ``X_k`` over it.  The two sweeps run as
-    one loop over a side axis: while both have blocks left, each step makes
-    one solve, one Schur matmul and, on the way back, one
-    back-substitution matmul for both.  From the first port block on, the
-    left sweep also carries the unit columns of the ports below ``k0``,
-    stacked beside its coupling in the same solve, and keeps their partial
-    columns aside.  One solve at ``k0`` serves every port.  Every column,
-    at full dimension, is then checked against its own trial's ``H`` in
-    block order: ``||(omega - H + i G/2) x - e|| <=``
-    :data:`RESIDUAL_RTOL`, so NaN fails too.  :meth:`transmitted_power`
-    reduces OAM-weighted power from the same array; only :meth:`columns` and
-    :meth:`transmission` gather columns into flat order.
+    One sweep, two closings.  The batch is cut into chunks of whole trials
+    (or of one trial's frequencies, where its grid alone overflows a
+    chunk), sized for either path by one memory model, :func:`_row_bytes`.
+    One driver, :meth:`_sweep`, takes a chunk through each sector that
+    holds a port, one sector at a time, and hands it to the path's closing.
+    Both closings run the same sweep: :meth:`_Layout.build` writes ``A_k =
+    omega + i G/2 - D_k`` into a slot, and Schur-complement sweeps from
+    block 0 and from the last block toward the port blocks
+    (:meth:`_schur_sweep`, on the steps of :func:`_plan`) overwrite each
+    slot with its transfer matrix ``h_k``.  The two sweeps run as one loop
+    over a side axis: while both have blocks left, each step makes one
+    solve and one Schur matmul for both.  :meth:`_Layout.port_block` turns
+    a port block's ``A_k`` into ``A_k - Sigma_L,k - Sigma_R,k``.  The rest
+    is the path's own, and so is the guard that ends it:
 
-    Diagonal path: unweighted total power needs only ``G_rr`` at the
-    ports (the optical theorem), so :meth:`total_power` runs the same
-    sweep (:meth:`_schur_sweep`) over two slots per side to the port
-    blocks and makes one solve per port block, with no back-substitution
-    and no columns; on a mirrored layout the left sweep gives both sides'
-    self-energies.  Its guard is an error chain from the residual of
-    every sweep solve and of the port solve (see :meth:`_port_diagonal`),
-    not the column check.
+    - Columns (:meth:`_block_columns`, for :meth:`columns`,
+      :meth:`transmission` and :meth:`transmitted_power`).  Each sector
+      holds one work array at a time, of shape ``(slices, trials,
+      frequencies, block_size, max(block_size, ports))``, whose slot ``k``
+      holds ``A_k``, then ``h_k``, then the columns ``X_k``.  With ``k0``
+      the last block holding a port, the sweeps run toward ``k0``; from the
+      first port block on, the left sweep also carries the unit columns of
+      the ports below ``k0``, stacked beside its coupling in the same solve,
+      and keeps their partial columns aside.  One solve at ``k0`` serves
+      every port, and back-substitution writes ``X_k`` over ``h_k``, one
+      matmul per block.  The guard, :meth:`_check`, tests every column at
+      full dimension against its own trial's ``H`` in block order:
+      ``||(omega - H + i G/2) x - e|| <=`` :data:`RESIDUAL_RTOL`, so NaN
+      fails too.  It builds that operator from ``H``'s entries, never from
+      the ``A_k`` the sweep built, so it also catches an error of the
+      shared builder.  :meth:`transmitted_power` reduces OAM-weighted power
+      from the same array; only :meth:`columns` and :meth:`transmission`
+      gather columns into flat order.
+    - Diagonal (:meth:`_port_diagonal`, for :meth:`total_power`).
+      Unweighted total power needs only ``G_rr`` at the ports (the optical
+      theorem), so the sweep runs only to the port blocks, over two slots
+      per side, and keeps just the transfer matrices their self-energies
+      take; one solve then inverts every port block, with no
+      back-substitution and no columns.  On a mirrored layout the left
+      sweep alone gives both sides' self-energies.  The guard is an error
+      chain from the residual of every sweep solve and of the port solve
+      (see :meth:`_port_diagonal`).
 
     Mirror: with ``J`` the reversal of the block order (each block's sites
     kept in place) and ``S`` a diagonal signature of +-1, where ``M = omega
@@ -714,10 +790,10 @@ class Resolvent:
     ``qsh`` (folded even rings too) and ``S = +-(-1)^j`` for a ``dirac``
     sector on an even number of blocks, under uniform loss, clean or with
     per-cavity detuning; per-mode random loss, coupling disorder and folded
-    odd rings fail (each layout's ``mirrored`` and ``mirror_reason``).  While both sweeps
-    are active, a mirrored layout's steps factorize the left block alone,
-    and one product writes the right blocks whole; every other step is
-    unchanged.
+    odd rings fail (each layout's ``mirrored`` and ``mirror_reason``).  On
+    the column path, while both sweeps are active, a mirrored layout's
+    steps factorize the left block alone, and one product writes the right
+    blocks whole; every other step is unchanged.
 
     ``sectors`` counts the components and ``slices`` the sweep blocks (the
     same in every sector); :meth:`_layout` gives a sector's layout, with
@@ -779,8 +855,6 @@ class Resolvent:
     def _groups(self, rows: np.ndarray) -> list[tuple[_Layout, np.ndarray]]:
         """``(layout, ports)`` for each sector holding a port, with ``ports``
         indexing ``rows``."""
-        if self.sectors == 1:
-            return [(self._layouts[0], np.arange(rows.size))]
         sector = self._sector[rows]
         # A count, not np.unique: under NumPy 2.4 the first np.unique call
         # keeps about 0.5 MB allocated for the life of the process.
@@ -833,9 +907,9 @@ class Resolvent:
         size = np.size(omegas)
         return ((slice(trials.start * size + part.start,
                        (trials.stop - 1) * size + part.stop),
-                 self._gather(self._sweep(trials, chunk, rows),
+                 self._gather(self._sweep(trials, chunk, rows, self._block_columns),
                               (trials.stop - trials.start) * chunk.size, rows.size))
-                for trials, part, chunk in self._chunks(omegas, self._column_row_bytes(rows)))
+                for trials, part, chunk in self._chunks(omegas, rows))
 
     def _gather(self, sectors: Iterator[tuple[_Layout, np.ndarray, np.ndarray]],
                 batch: int, ports: int) -> np.ndarray:
@@ -853,19 +927,19 @@ class Resolvent:
                 x[layout.sites[:, None, None], np.arange(batch)[:, None], group] = part
         return x
 
-    def _column_row_bytes(self, rows: np.ndarray) -> int:
-        """The column path's bytes per (trial, frequency) row (see
-        :func:`_row_bytes`), for the widest sector holding a port."""
-        b = max(layout.block_size for layout, _ in self._groups(rows))
-        port_block = self._block_of[rows]
-        return _row_bytes(self.slices, b, rows.size, int(port_block.max() - port_block.min()))
-
-    def _chunks(self, omegas: np.ndarray, row_bytes: int, trial_bytes: int = 0
+    def _chunks(self, omegas: np.ndarray, rows: np.ndarray, diagonal: bool = False
                 ) -> Iterator[tuple[slice, slice, np.ndarray]]:
-        """``(trials, part, omegas[part])`` per chunk: whole trials, each
-        taking ``row_bytes`` per frequency and ``trial_bytes`` of its own,
+        """``(trials, part, omegas[part])`` per chunk of either path: whole
+        trials, each taking per frequency and of its own what
+        :func:`_row_bytes` gives for the widest sector holding a port,
         while their grids fit :data:`_CHUNK_BYTES`, else one trial's grid in
         parts.  The frequencies are checked when the first chunk is drawn."""
+        port_block = self._block_of[rows]
+        row_bytes, trial_bytes = map(max, zip(*(
+            _row_bytes(self.slices, layout.block_size, rows.size,
+                       int(port_block.max() - port_block.min()),
+                       self._diagonal_plan(layout, rows[ports]) if diagonal else None)
+            for layout, ports in self._groups(rows))))
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
         if omegas.size == 0:
             raise ValueError("frequency grid must be nonempty")
@@ -913,10 +987,10 @@ class Resolvent:
         # |T|^2 = gamma_n' gamma_r (Re^2 + Im^2) of the column entries.
         in_weight = np.repeat(self.rates[:, rows], 2, axis=1).reshape(self.trials, -1, 2)
         power = np.empty((self.trials, np.size(omegas)))
-        for trials, part, chunk in self._chunks(omegas, self._column_row_bytes(rows)):
+        for trials, part, chunk in self._chunks(omegas, rows):
             count = trials.stop - trials.start
             sums = []
-            for layout, ports, X in self._sweep(trials, chunk, rows):
+            for layout, ports, X in self._sweep(trials, chunk, rows, self._block_columns):
                 parts = X.view(float)
                 np.multiply(parts, parts, out=parts)
                 # Each sum runs along a contiguous last axis, over the ports
@@ -940,13 +1014,13 @@ class Resolvent:
         any positive rates, turns the total power of input ``r`` into one
         entry of ``G``, and in recursive Green's functions the block of
         ``G`` at port block ``k`` is ``(A_k - Sigma_L,k - Sigma_R,k)^-1``
-        (Lake et al., J. Appl. Phys. 81, 7845 (1997)).  So each sector's
-        sweep runs only to its port blocks, on the same steps as the column
-        path, and each port block makes one solve: no back-substitution, no
-        columns and no column check.  A chunk keeps ``O(block_size^2)`` per
-        (trial, frequency) row (see :func:`_diagonal_row_bytes`) and each
-        trial's ``D_k``.  The sum over ``rows`` runs in one fixed order per
-        row, so the bits do not depend on the chunking.
+        (Lake et al., J. Appl. Phys. 81, 7845 (1997)).  So the engine's one
+        sweep runs only to each sector's port blocks, and the diagonal
+        closing, :meth:`_port_diagonal`, inverts them: no back-substitution,
+        no columns and no column check.  A chunk keeps ``O(block_size^2)``
+        per (trial, frequency) row (see :func:`_row_bytes`).  The sum over
+        ``rows`` runs in one fixed order per row, so the bits do not depend
+        on the chunking.
 
         The guard is the error chain of :meth:`_port_diagonal`: the sweep
         gives ``G^``, the exact resolvent of ``M + Delta M``, and the port
@@ -962,93 +1036,58 @@ class Resolvent:
         column check gives a column, or is NaN, raises.
         """
         rows = self._port_rows(rows)
-        groups = [(layout, self._diagonal_plan(layout, rows[ports]))
-                  for layout, ports in self._groups(rows)]
-        row_bytes = max(_diagonal_row_bytes(layout.block_size, 1 + bool(plan.right),
-                                            len(plan.kept), plan.blocks.size)
-                        for layout, plan in groups)
-        trial_bytes = max(16 * self.slices * layout.block_size**2 for layout, _ in groups)
         weight = -2.0 * self.rates[:, rows]
         power = np.empty((self.trials, np.size(omegas)))
-        for trials, part, chunk in self._chunks(omegas, row_bytes, trial_bytes):
-            G = self._diagonal_sweep(trials, chunk, rows)
+        for trials, part, chunk in self._chunks(omegas, rows, diagonal=True):
+            G = np.empty((trials.stop - trials.start, chunk.size, rows.size), dtype=complex)
+            for _, ports, values in self._sweep(trials, chunk, rows, self._port_diagonal):
+                G[..., ports] = values
             power[trials, part] = (G.imag * weight[trials, None]).sum(axis=-1)
         return power[0] if self._single else power
 
-    def _diagonal_sweep(self, trials: slice, omegas: np.ndarray, rows: np.ndarray
-                        ) -> np.ndarray:
-        """One chunk of the diagonal path: ``G_rr`` of every port, shape
-        ``(trials, len(omegas), len(rows))``, one sector at a time, each
-        once its error chain passed (see :meth:`total_power`)."""
-        count = trials.stop - trials.start
-        G = np.empty((count, omegas.size, rows.size), dtype=complex)
-        limit = 2.0 / self.rates[trials].min(axis=1) * RESIDUAL_RTOL
-        record = self.record
-        record.solver_path = "oam-rgf-diagonal"
-        for layout, ports in self._groups(rows):
-            try:
-                values, bound, residual = self._port_diagonal(layout, trials, omegas, rows[ports])
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(
-                    f"solve residual unbounded: singular slice block ({exc}) in "
-                    f"trials {trials.start}..{trials.stop - 1} at omega in "
-                    f"[{omegas.min()}, {omegas.max()}]"
-                ) from None
-            # NaN fails too.
-            failed = np.flatnonzero(~np.all(bound <= limit[:, None, None], axis=(1, 2)))
-            if failed.size:
-                i = failed[0]
-                raise RuntimeError(
-                    f"solve residual {np.max(residual[i]):.3e} bounds G only to "
-                    f"{np.max(bound[i]):.3e}, beyond {limit[i]:.3e}, in trial "
-                    f"{trials.start + i} (dim={self.dim}, omega in "
-                    f"[{omegas.min()}, {omegas.max()}])"
-                )
-            record.worst_residual = max(record.worst_residual, float(residual.max()))
-            record.error_bound = max(record.error_bound, float(bound.max()))
-            G[..., ports] = values
-            self._enter(layout)
-        record.factorizations += count * omegas.size
-        record.chunks += 1
-        return G
-
-    def _sweep(self, trials: slice, omegas: np.ndarray, rows: np.ndarray
+    def _sweep(self, trials: slice, omegas: np.ndarray, rows: np.ndarray, close: Callable
                ) -> Iterator[tuple[_Layout, np.ndarray, np.ndarray]]:
-        """One chunk, one sector at a time: yields ``(layout, ports, X)`` for
-        each sector holding a port, once its columns passed the check.
-        ``ports`` indexes ``rows``, and ``X`` holds their columns in block
-        order, shape ``(slices, trials, len(omegas), block_size,
-        len(ports))``; the caller drops it before drawing the next sector.
-        """
-        record = self.record
-        record.solver_path = "oam-rgf"
+        """One chunk of either path, one sector at a time: yields ``(layout,
+        ports, close(layout, trials, omegas, rows[ports]))`` for each sector
+        holding a port, ``ports`` indexing ``rows``.  The closing,
+        :meth:`_block_columns` or :meth:`_port_diagonal`, ends in its guard;
+        the caller drops what it returned before drawing the next sector."""
         for layout, ports in self._groups(rows):
             try:
-                X = self._block_columns(layout, trials, omegas, rows[ports])
+                out = close(layout, trials, omegas, rows[ports])
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(
                     f"solve residual unbounded: singular slice block ({exc}) in "
                     f"trials {trials.start}..{trials.stop - 1} at omega in "
                     f"[{omegas.min()}, {omegas.max()}]"
                 ) from None
-            record.worst_residual = max(record.worst_residual,
-                                        self._check(layout, trials, omegas, rows[ports], X))
-            # ||x - x^|| <= ||G|| ||r|| <= (2/gamma_min) ||r||.
-            record.error_bound = max(record.error_bound, 2.0 * record.worst_residual
-                                     / float(self.rates[trials].min()))
             self._enter(layout)
-            yield layout, ports, X
-            del X  # before the next sector's work array is built
-        record.factorizations += (trials.stop - trials.start) * omegas.size
-        record.chunks += 1
+            yield layout, ports, out
+            del out  # before the next sector's work array is built
+        self.record.factorizations += (trials.stop - trials.start) * omegas.size
+        self.record.chunks += 1
+
+    def _tally(self, sweep: list[tuple[slice, ...]], port_blocks: int, rows: int,
+               work: np.ndarray, *live: np.ndarray) -> None:
+        """Enter one sector's chunk in the record: its solve calls, one per
+        step of ``sweep`` and one for the port blocks, their block
+        factorizations over ``rows`` (trial, frequency) rows, and the bytes
+        of its work array and of all it keeps live."""
+        record = self.record
+        record.solves += len(sweep) + 1
+        record.block_factorizations += (port_blocks + sum(sides.stop - sides.start
+                                                          for sides, *_ in sweep)) * rows
+        record.work_bytes = max(record.work_bytes, work.nbytes)
+        record.chunk_bytes = max(record.chunk_bytes, sum(a.nbytes for a in (work, *live)))
 
     def _check(self, layout: _Layout, trials: slice, omegas: np.ndarray,
-               rows: np.ndarray, X: np.ndarray) -> float:
-        """The worst residual of the columns in ``X`` (see :meth:`_sweep`);
-        raise unless every column ``x`` has ``||e - (omega - H + i G/2) x||
-        <=`` :data:`RESIDUAL_RTOL` against its own trial's ``H`` (see
-        :meth:`_Layout.operator`), so NaN fails too.  Each ``e`` has unit
-        norm, so these are relative residuals.
+               rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The column path's guard: the columns ``X`` of
+        :meth:`_block_columns`, once every column ``x`` has ``||e - (omega -
+        H + i G/2) x|| <=`` :data:`RESIDUAL_RTOL` against its own trial's
+        ``H`` (see :meth:`_Layout.operator`), so NaN fails too; the worst
+        residual enters the record.  Each ``e`` has unit norm, so these are
+        relative residuals.
 
         No entry joins two sectors, so off its sector a column's residual
         is exactly 0.  The check runs in flat block order, a row per site
@@ -1090,41 +1129,37 @@ class Resolvent:
                     f"[{omegas.min()}, {omegas.max()}])"
                 )
             worst = max(worst, residual)
-        return worst
+        record = self.record
+        record.worst_residual = max(record.worst_residual, worst)
+        # ||x - x^|| <= ||G|| ||r|| <= (2/gamma_min) ||r||.
+        record.error_bound = max(record.error_bound, 2.0 * record.worst_residual
+                                 / float(self.rates[trials].min()))
+        return X
 
     def _block_columns(self, layout: _Layout, trials: slice, omegas: np.ndarray,
                        rows: np.ndarray) -> np.ndarray:
-        """The columns of one chunk on one sector's ``layout``, block by
-        block, shape ``(slices, trials, len(omegas), block_size,
-        len(rows))``: a view of the work array, whose slot ``k`` holds
-        ``A_k``, then the transfer matrix ``h_k``, then the columns ``X_k``,
-        each over the last, or a copy of fewer columns than a block.  The
-        sweep is :meth:`_schur_sweep`; the port solve and the
-        back-substitution follow here."""
+        """The column closing: the columns of one chunk on one sector's
+        ``layout``, block by block, shape ``(slices, trials, len(omegas),
+        block_size, len(rows))``, once its guard, :meth:`_check`, passed.
+        They are a view of the work array, whose slot ``k`` holds ``A_k``,
+        then the transfer matrix ``h_k``, then the columns ``X_k``, each
+        over the last, or a copy of fewer columns than a block.  The sweep
+        is :meth:`_schur_sweep`; the port solve at ``k0`` (its matrix from
+        :meth:`_Layout.port_block`) and the back-substitution follow here.
+        """
+        self.record.solver_path = "oam-rgf"
         n, b, p = self.slices, layout.block_size, rows.size
         count, w, c = trials.stop - trials.start, omegas.size, layout.coupling_block
-        m = b // c
         port_block = self._block_of[rows]
         first, k0 = int(port_block.min()), int(port_block.max())
         # How many steps mirror their right block instead of factorizing
         # it: all those on which both sweeps are active.
         pairs = min(k0, n - 1 - k0) if layout.mirrored else 0
-        # The first b columns of slot k: A_k = omega + i G/2 - D_k for every
-        # trial and frequency (its diagonal through a strided view), on each
-        # block but the mirrored ones, which are written whole.
-        built = n - pairs
-        work = np.zeros((n, count, w, b, max(b, p)), dtype=complex)
+        # The first b columns of slot k: A_k on each block but the mirrored
+        # ones, which are written whole.
+        work = np.empty((n, count, w, b, max(b, p)), dtype=complex)
         square, X = work[..., :b], work[..., :p]
-        block, row, col, value = layout.diagonal
-        value = value[trials]
-        if pairs:
-            keep = np.flatnonzero(block < built)
-            block, row, col, value = block[keep], row[keep], col[keep], value[:, keep]
-        square[block, :, :, row, col] = value.T[:, :, None]
-        _diagonal(square[:built])[...] += (omegas[:, None] * layout.mask[:built, None, None]
-                                          + layout.shift[:built, trials, None])
-        outer = layout.outer[:, :, trials, None]
-        down, up = outer[0], layout.inner[0, :, trials, None]  # H[k, k-1] and H[k, k+1]
+        layout.build(square[: n - pairs], slice(0, n - pairs), trials, omegas)
         # E[k] holds the unit columns of the ports on block k.
         E = np.zeros((n, b, p))
         E[port_block, layout.pos_of[rows], np.arange(p)] = 1.0
@@ -1134,7 +1169,7 @@ class Resolvent:
             """E_k plus the ports carried up from below, L_{k-1} X[k-1]."""
             if k == first:
                 return np.broadcast_to(E[k], (count, w, b, p))
-            return E[k] + _coupled(down[k], carry[k - 1 - first])
+            return E[k] + _coupled(layout.outer[0, k, trials, None], carry[k - 1 - first])
 
         # The sweeps eliminate toward k0, the last port block, and overwrite
         # slot k with its transfer matrix: h_left[k] = S_k^-1 U_k carries
@@ -1145,57 +1180,32 @@ class Resolvent:
         # block k drive, from the same solve (the right side's columns
         # there are zero); back-substitution adds h_left[k] X_{k+1} to it.
         # Step s eliminates block s of the left sweep and block n - 1 - s of
-        # the right one, each while it lies before k0.  Per step: the sides
-        # still sweeping, their blocks, the blocks they come from and the
-        # blocks toward k0, as slices over the block axis (one block where
-        # a side has finished, or where both sides' next block is k0).
-        steps = []
-        for s, sides in enumerate(_sides(k0, n - 1 - k0)):
-            if sides.stop - sides.start == 2:
-                gap = n - 1 - 2 * s
-                steps.append((sides, slice(s, n - s, gap), slice(s - 1, n - s + 1, gap + 2),
-                              slice(s + 1, n - 1 - s, max(gap - 2, 1))))
-            elif sides.start == 0:
-                steps.append((sides, slice(s, s + 1), slice(s - 1, s), slice(s + 1, s + 2)))
-            else:
-                k = n - 1 - s
-                steps.append((sides, slice(k, k + 1), slice(k + 1, k + 2), slice(k - 1, k)))
-        # The first `pairs` steps eliminate their left block alone; the last
-        # of them writes the right sweep's blocks from theirs.
-        plan = [(slice(0, 1), slice(s, s + 1), slice(s - 1, s)) if s < pairs else step[:3]
-                for s, step in enumerate(steps)]
+        # the right one, each while it lies before k0; the slots are the
+        # blocks.  The first `pairs` steps eliminate their left block alone;
+        # the last of them writes the right sweep's blocks from theirs.
+        steps = _plan(k0, n - 1 - k0, range(-1, n), range(n, -1, -1))
+        sweep = _plan(pairs, 0, range(-1, n), range(n, -1, -1)) + steps[pairs:]
 
         def solved(s, sides, blocks, rhs, x):
+            square[blocks] = x[..., :b]
             if x.shape[-1] > b:
-                square[blocks], carry[s - first] = x[..., :b], x[0, ..., b:]
-            else:
-                square[blocks] = x
+                carry[s - first] = x[0, ..., b:]
             if s == pairs - 1:
                 # h_right[n-1-s] = S_s (L_{s+1} h_left[s] U_s^-1)^T S_{s+1}
                 # for every s < pairs, by c x c blocks: entry [g a, h b] is
                 # the sum over z, y of (S_s (U_s^-1)^T)[g]_{a z} h_left[s][h
                 # y, g z] (S_{s+1} L_{s+1})[h]_{b y}.
-                shape = (pairs, count, w, m, c, m, c)
+                shape = (pairs, count, w, b // c, c, b // c, c)
                 np.einsum("stgaz,stwhygz,sthby->stwgahb",
                           layout.mirror[s::-1, trials], square[s::-1].reshape(shape),
                           layout.mirror_down[s::-1, trials],
                           out=square[n - pairs:].reshape(shape))
 
-        self._schur_sweep(layout, trials, square, plan, solved,
-                          (lambda s: carried(s) if first <= s < k0 else None)
-                          if first < k0 else None)
-        S = square[k0]
-        if k0:
-            S -= _coupled(down[k0], square[k0 - 1])
-        if k0 < n - 1:
-            S -= _coupled(up[k0], square[k0 + 1])
-        X[k0] = np.linalg.solve(S, carried(k0))
-        record = self.record
-        record.solves += len(steps) + 1
-        record.block_factorizations += (1 + sum(sides.stop - sides.start
-                                                for sides, _, _ in plan)) * count * w
-        record.work_bytes = max(record.work_bytes, work.nbytes)
-        record.chunk_bytes = max(record.chunk_bytes, work.nbytes + carry.nbytes)
+        self._schur_sweep(layout, trials, square, sweep, solved,
+                          lambda s: carried(s) if first <= s < k0 else None)
+        layout.port_block(square[k0], k0, trials, lambda side, k: square[k], False)
+        X[k0] = np.linalg.solve(square[k0], carried(k0))
+        self._tally(sweep, 1, count * w, work, carry)
         for s in reversed(range(len(steps))):
             _, blocks, _, ahead = steps[s]
             # X_k = h_k X_{k+-1}, plus the carried part, over h_k in slot k.
@@ -1203,28 +1213,33 @@ class Resolvent:
             if first <= s < k0:
                 product[0] += carry[s - first]
             X[blocks] = product
-        return X.copy() if p < b else X  # a copy leaves the spent h_k behind
+        if p < b:  # a copy of fewer columns: the work array goes before the check
+            X, work, square = X.copy(), None, None
+        return self._check(layout, trials, omegas, rows, X)
 
     @staticmethod
     def _schur_sweep(layout: _Layout, trials: slice, square: np.ndarray,
-                     plan: list[tuple[slice, slice, slice]],
+                     plan: list[tuple[slice, ...]],
                      solved: Callable[[int, slice, slice, np.ndarray, np.ndarray], None],
-                     carried: Callable[[int], np.ndarray | None] | None = None) -> None:
+                     carried: Callable[[int], np.ndarray | None] = lambda s: None,
+                     build: Callable[[int, slice, slice], None] = lambda s, sides, slots: None
+                     ) -> None:
         """The Schur-complement sweeps of one chunk toward the port blocks,
         both sides in one loop.
 
         ``square`` holds a block per slot, shape ``(slots, trials,
-        frequencies, block_size, block_size)``, and ``plan`` names for each
-        step ``s`` the sides sweeping (side 0 at block ``s``, side 1 at
-        block ``slices - 1 - s``), as a slice of the side axis, their slots
-        and the slots of the blocks they come from.  A step subtracts
-        ``outer @ h`` from its slots (on the first step there is none) and
-        solves them against the coupling toward the pivot, one dense
-        right-hand side per side and trial; with ``carried(s)`` not None,
-        the left side's extra columns are stacked beside it in the same
-        solve.  ``solved(s, sides, blocks, rhs, x)`` then receives the
-        right-hand side and solution while the slots still hold the Schur
-        complements, and stores ``x``.
+        frequencies, block_size, block_size)``, and ``plan`` (see
+        :func:`_plan`) names for each step ``s`` the sides sweeping (side 0
+        at block ``s``, side 1 at block ``slices - 1 - s``), as a slice of
+        the side axis, their slots and the slots of the blocks they come
+        from.  A step calls ``build(s, sides, slots)``, which may write the
+        step's ``A_k`` into its slots, subtracts ``outer @ h`` from them (on
+        the first step there is none) and solves them against the coupling
+        toward the pivot, one dense right-hand side per side and trial;
+        where ``carried(s)`` is not None, the left side's extra columns are
+        stacked beside it in the same solve.  ``solved(s, sides, blocks,
+        rhs, x)`` then receives the right-hand side and solution while the
+        slots still hold the Schur complements, and stores ``x``.
         """
         count, w, b = square.shape[1], square.shape[2], layout.block_size
         c = layout.coupling_block
@@ -1233,7 +1248,7 @@ class Resolvent:
         # matmul over its c x c blocks, coupling @ grouped[k].
         grouped = square.reshape(square.shape[0], count, w, m, c, b)
         outer = layout.outer[:, :, trials, None]
-        inner = layout.inner[:, :, trials, None]
+        inner = layout.outer[::-1, ::-1, trials, None]  # toward the pivot
         # One dense right-hand side per side and trial: the coupling is
         # written into its diagonal c x c blocks, the rest stays zero.
         # Broadcast explicitly: NumPy 1.x solve reads a right-hand side of
@@ -1243,17 +1258,15 @@ class Resolvent:
             rhs, shape=(2, count, 1, m, c, c),
             strides=rhs.strides[:3] + ((b + 1) * c * 16, b * 16, 16))
         rhs_stack = np.broadcast_to(rhs, (2, count, w, b, b))
-        for s, (sides, blocks, behind) in enumerate(plan):
+        for s, (sides, blocks, behind, _) in enumerate(plan):
+            build(s, sides, blocks)
             if s:
                 grouped[blocks] -= np.matmul(outer[sides, s], grouped[behind])
             rhs_blocks[sides] = inner[sides, s]
-            extra = carried(s) if carried else None
-            if extra is None:
-                right = rhs_stack[sides]
-            else:
-                right = np.zeros(rhs_stack[sides].shape[:-1] + (b + extra.shape[-1],),
-                                 dtype=complex)
-                right[..., :b] = rhs_stack[sides]
+            right, extra = rhs_stack[sides], carried(s)
+            if extra is not None:
+                right = np.concatenate([right, np.zeros(right.shape[:-1] + extra.shape[-1:])],
+                                       axis=-1)
                 right[0, ..., b:] = extra
             solved(s, sides, blocks, right, np.linalg.solve(square[blocks], right))
 
@@ -1267,32 +1280,26 @@ class Resolvent:
         the left side alone sweeps to ``max(k0, n - 1 - first)``.
         """
         n = self.slices
-        port_block = self._block_of[rows]
         # A count, not np.unique (see _groups).
-        blocks = np.flatnonzero(np.bincount(port_block, minlength=n))
+        blocks = np.flatnonzero(np.bincount(self._block_of[rows], minlength=n))
         first, k0 = int(blocks[0]), int(blocks[-1])
-        ks = blocks.tolist()
-        below = {(0, k - 1) for k in ks if k}
-        if layout.mirrored:
-            left, right = max(k0, n - 1 - first), 0
-            kept = below | {(0, n - 2 - k) for k in ks if k < n - 1}
-        else:
-            left, right = k0, n - 1 - first
-            kept = below | {(1, k + 1) for k in ks if k < n - 1}
-        return _DiagonalPlan(blocks, np.searchsorted(blocks, port_block), layout.pos_of[rows],
-                             left, right, frozenset(kept))
+        left, right = (max(k0, n - 1 - first), 0) if layout.mirrored else (k0, n - 1 - first)
+        terms = (layout.self_energies(k, layout.mirrored) for k in blocks.tolist())
+        return _DiagonalPlan(blocks, left, right, frozenset(e[2] for t in terms for e in t))
 
     def _port_diagonal(self, layout: _Layout, trials: slice, omegas: np.ndarray,
-                       rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``G_rr`` of the ports ``rows`` of one sector for one chunk, shape
-        ``(trials, len(omegas), len(rows))``, with the bound on the error of
-        each (see :meth:`total_power`) and the worst solve residual of each
-        (trial, frequency) row.
+                       rows: np.ndarray) -> np.ndarray:
+        """The diagonal closing: ``G_rr`` of the ports ``rows`` of one
+        sector for one chunk, shape ``(trials, len(omegas), len(rows))``,
+        once its guard, the error chain below, bounds each within
+        ``(2/gamma_min)`` :data:`RESIDUAL_RTOL` (see :meth:`total_power`).
 
-        The sweep (see :meth:`_schur_sweep`) runs over two slots per side,
-        building ``A_k`` into a slot as its step comes, and keeps only the
-        transfer matrices of :meth:`_diagonal_plan`.  Port block ``k`` then
-        makes one solve, ``(A_k - Sigma_L,k - Sigma_R,k) X = I``.
+        The engine's sweep (see :meth:`_schur_sweep`) runs over two slots
+        per side, :meth:`_Layout.build` writing ``A_k`` into a slot as its
+        step comes, and keeps only the transfer matrices of
+        :meth:`_diagonal_plan`.  Each port block's matrix is then
+        :meth:`_Layout.port_block`'s ``A_k - Sigma_L,k - Sigma_R,k``, and
+        one solve ``P X = I`` inverts them all.
 
         The error chain: each computed ``h_k`` is exact for the
         coupling ``U_k + R_k``, with ``R_k = S_k h_k - U_k`` the recorded
@@ -1311,32 +1318,26 @@ class Resolvent:
         (P^-1)_rr|`` within it.  The recorded residuals are taken as
         computed, as the column check takes its own.
         """
+        self.record.solver_path = "oam-rgf-diagonal"
         n, b, c = self.slices, layout.block_size, layout.coupling_block
         count, w = trials.stop - trials.start, omegas.size
         plan = self._diagonal_plan(layout, rows)
-        block, row, col, value = layout.diagonal
-        negative = np.zeros((n, count, b, b), dtype=complex)  # -D_k of each trial
-        negative[block, :, row, col] = value[trials].T
-
-        def build(into, ks):
-            """A_k = omega + i G/2 - D_k on the blocks ks, into their slots."""
-            into[...] = negative[ks][:, :, None]
-            _diagonal(into)[...] += (omegas[:, None] * layout.mask[ks, None, None]
-                                     + layout.shift[ks, trials, None])
-
         rounding = 2 * (c + 4) * np.finfo(float).eps
         # |L| of each step's coupling, (side, step, trial): its largest c x c block.
         coupling = _frobenius(layout.outer[:, :, trials]).max(axis=-1)
         h_norm = np.zeros((2, count, w))  # ||h|| of each side's last step
         worst = np.zeros((3, count, w))  # the largest diagonal perturbation, R of each side
         kept = {}
+        # Side `side` of step s sweeps in slot pitch * (s % 2) + side.
         pitch = 2 if plan.right else 1
-        sweep = []
-        for s, sides in enumerate(_sides(plan.left, plan.right)):
-            slots = [slice(pitch * (t % 2) + sides.start, pitch * (t % 2) + sides.stop)
-                     for t in (s, s - 1)]
-            sweep.append((sides, *slots))
+        sweep = _plan(plan.left, plan.right, [pitch, 0] * n, [pitch + 1, 1] * n)
         square = np.empty((2 * pitch, count, w, b, b), dtype=complex)
+
+        def build(s, sides, slots):
+            """A_k of the blocks step s sweeps, into their slots."""
+            for slot, side in enumerate(range(sides.start, sides.stop), slots.start):
+                k = (s, n - 1 - s)[side]
+                layout.build(square[slot: slot + 1], slice(k, k + 1), trials, omegas)
 
         def solved(s, sides, blocks, rhs, x):
             S = square[blocks]
@@ -1352,33 +1353,17 @@ class Resolvent:
                 if key in plan.kept:
                     kept[key] = x[i].copy()
             square[blocks] = x
-            if s + 1 < len(sweep):
-                after, slots, _ = sweep[s + 1]
-                build(square[slots], [s + 1, n - 2 - s][after])
 
-        if sweep:
-            build(square[sweep[0][1]], [0, n - 1][sweep[0][0]])
-        self._schur_sweep(layout, trials, square, sweep, solved)
+        self._schur_sweep(layout, trials, square, sweep, solved, build=build)
         # Each port block's matrix, with its self-energies from both sides.
-        down, up = layout.outer[0, :, trials, None], layout.inner[0, :, trials, None]
         ports = plan.blocks.size
         M = np.empty((ports, count, w, b, b), dtype=complex)
-        build(M, plan.blocks)
         product = np.zeros((ports, count, w))  # |L| ||h|| of the self-energies
         for i, k in enumerate(plan.blocks.tolist()):
-            if k:
-                M[i] -= _coupled(down[k], kept[0, k - 1])
-                product[i] += coupling[0, k, :, None] * _frobenius(kept[0, k - 1])
-            j = n - 1 - k
-            if layout.mirrored and j:
-                sigma = _coupled(down[j], kept[0, j - 1]).swapaxes(-1, -2)
-                if layout.sign is not None:
-                    sigma = sigma * np.outer(layout.sign[j], layout.sign[j])
-                M[i] -= sigma
-                product[i] += coupling[0, j, :, None] * _frobenius(kept[0, j - 1])
-            elif not layout.mirrored and j:
-                M[i] -= _coupled(up[k], kept[1, k + 1])
-                product[i] += coupling[1, j, :, None] * _frobenius(kept[1, k + 1])
+            layout.build(M[i: i + 1], slice(k, k + 1), trials, omegas)
+            layout.port_block(M[i], k, trials, lambda *key: kept[key], layout.mirrored)
+            for side, step, key, _ in layout.self_energies(k, layout.mirrored):
+                product[i] += coupling[side, step, :, None] * _frobenius(kept[key])
         np.maximum(worst[0], (rounding * (product + _frobenius(M))).max(axis=0), out=worst[0])
         delta = worst[0] + worst[1] + worst[1 + (not layout.mirrored)]
         # The whole inverse, within ||X|| ||R|| / (1 - ||R||) of M^-1, R = M X - I.
@@ -1387,23 +1372,35 @@ class Resolvent:
         residual = np.matmul(M, X)
         residual -= unit
         final = _frobenius(residual)
-        ratio = 2.0 / self.rates[trials].min(axis=1)[:, None] * delta
+        scale = 2.0 / self.rates[trials].min(axis=1)  # 2 / gamma_min of each trial
+        ratio = scale[:, None] * delta
         with np.errstate(divide="ignore", invalid="ignore"):
             forward = np.where(final < 1, _frobenius(X) * final / (1 - final), np.inf)
             # Unbounded from 4 ||Delta M|| >= gamma_min; NaN stays NaN.
             chain = np.where(ratio < 0.5, ratio / (1 - 2 * ratio), np.inf)
         chain[np.isnan(ratio)] = np.nan
-        record = self.record
-        record.solves += len(sweep) + 1
-        record.block_factorizations += (ports + sum(sides.stop - sides.start
-                                                    for sides, _, _ in sweep)) * count * w
-        record.work_bytes = max(record.work_bytes, square.nbytes)
-        record.chunk_bytes = max(record.chunk_bytes, square.nbytes + negative.nbytes + M.nbytes
-                                 + X.nbytes + sum(h.nbytes for h in kept.values()))
-        values = np.moveaxis(X[plan.where, :, :, plan.position, plan.position], 0, -1)
-        forward = np.moveaxis(forward[plan.where], 0, -1)
+        self._tally(sweep, ports, count * w, square, M, X, *kept.values())
+        where, position = np.searchsorted(plan.blocks, self._block_of[rows]), layout.pos_of[rows]
+        values = np.moveaxis(X[where, :, :, position, position], 0, -1)
+        forward = np.moveaxis(forward[where], 0, -1)
         bound = chain[..., None] * (np.abs(values.imag) + forward) + forward
-        return values, bound, np.maximum(worst[1:].max(axis=0), final.max(axis=0))
+        residual = np.maximum(worst[1:].max(axis=0), final.max(axis=0))
+        # The guard: a trial whose bound exceeds (2/gamma_min) RESIDUAL_RTOL,
+        # the bound the column check gives a column, or is NaN, raises.
+        limit = scale * RESIDUAL_RTOL
+        failed = np.flatnonzero(~np.all(bound <= limit[:, None, None], axis=(1, 2)))
+        if failed.size:
+            i = failed[0]
+            raise RuntimeError(
+                f"solve residual {np.max(residual[i]):.3e} bounds G only to "
+                f"{np.max(bound[i]):.3e}, beyond {limit[i]:.3e}, in trial "
+                f"{trials.start + i} (dim={self.dim}, omega in "
+                f"[{omegas.min()}, {omegas.max()}])"
+            )
+        record = self.record
+        record.worst_residual = max(record.worst_residual, float(residual.max()))
+        record.error_bound = max(record.error_bound, float(bound.max()))
+        return values
 
     def log(self, reason: str) -> None:
         """One DEBUG record for this engine call that formats ``record``,

@@ -192,13 +192,16 @@ def test_optical_theorem_on_both_paths(name):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Every chunk sweep of the engine, as ``(frequencies, ports)``."""
-    calls = []
+    """Every chunk sweep of the engine's one driver, as ``(frequencies,
+    ports)``, by path: ``"columns"`` closes with back-substitution,
+    ``"diagonal"`` with the port-block inverse."""
+    calls = {"columns": [], "diagonal": []}
+    path = {"_block_columns": "columns", "_port_diagonal": "diagonal"}
     original = Resolvent._sweep
 
-    def counting(self, trials, omegas, rows):
-        calls.append((omegas.size, rows.size))
-        return original(self, trials, omegas, rows)
+    def counting(self, trials, omegas, rows, close):
+        calls[path[close.__name__]].append((omegas.size, rows.size))
+        return original(self, trials, omegas, rows, close)
 
     monkeypatch.setattr(Resolvent, "_sweep", counting)
     return calls
@@ -210,21 +213,7 @@ def test_one_sweep_per_frequency_for_a_region(sweeps):
     grid = np.array([-1.6, -1.2, 0.5])
     displacement_spectrum(H, DecaySpec(gamma=GAMMA), grid, region)
     # Two columns times two polarizations: four ports share every sweep.
-    assert sweeps == [(grid.size, 4)]
-
-
-@pytest.fixture
-def diagonal_sweeps(monkeypatch):
-    """Every chunk sweep of the diagonal path, as ``(frequencies, ports)``."""
-    calls = []
-    original = Resolvent._diagonal_sweep
-
-    def counting(self, trials, omegas, rows):
-        calls.append((omegas.size, rows.size))
-        return original(self, trials, omegas, rows)
-
-    monkeypatch.setattr(Resolvent, "_diagonal_sweep", counting)
-    return calls
+    assert sweeps == {"columns": [(grid.size, 4)], "diagonal": []}
 
 
 def test_one_sweep_per_frequency_for_a_spectrum(sweeps):
@@ -233,10 +222,10 @@ def test_one_sweep_per_frequency_for_a_spectrum(sweeps):
     grid = np.linspace(-3.0, 3.0, 5)
     Resolvent(H, per_mode(H)).transmitted_power(grid, rows, np.ones(H.dim))
     # Every port shares each frequency's sweep.
-    assert sweeps == [(grid.size, len(rows))]
+    assert sweeps == {"columns": [(grid.size, len(rows))], "diagonal": []}
 
 
-def test_one_diagonal_sweep_per_frequency_for_a_spectrum(sweeps, diagonal_sweeps):
+def test_one_diagonal_sweep_per_frequency_for_a_spectrum(sweeps):
     H = LATTICES["scalar-open"]
     inputs = [SiteIndex(j, 0, 0) for j in range(H.spec.n_x)]
     grid = np.linspace(-3.0, 3.0, 5)
@@ -244,8 +233,7 @@ def test_one_diagonal_sweep_per_frequency_for_a_spectrum(sweeps, diagonal_sweeps
     # The chiral lattice's omega mirror solves -3, -1.5 and 0 and copies
     # the other two; every port shares each of those sweeps, which take
     # the diagonal path alone.
-    assert diagonal_sweeps == [(3, len(inputs))]
-    assert sweeps == []
+    assert sweeps == {"columns": [], "diagonal": [(3, len(inputs))]}
 
 
 def test_chunked_sweeps_cover_the_grid_once(sweeps, monkeypatch):
@@ -258,11 +246,12 @@ def test_chunked_sweeps_cover_the_grid_once(sweeps, monkeypatch):
     monkeypatch.setattr(scattering, "_CHUNK_BYTES", 1)
     chunked = Resolvent(H, per_mode(H)).transmitted_power(grid, rows, np.ones(H.dim))
     np.testing.assert_array_equal(chunked, whole)
-    assert sweeps[0] == (grid.size, len(rows))
-    assert sweeps[1:] == [(1, len(rows))] * grid.size
+    assert sweeps["columns"][0] == (grid.size, len(rows))
+    assert sweeps["columns"][1:] == [(1, len(rows))] * grid.size
+    assert sweeps["diagonal"] == []
 
 
-def test_chunked_diagonal_sweeps_cover_the_grid_once(diagonal_sweeps, monkeypatch):
+def test_chunked_diagonal_sweeps_cover_the_grid_once(sweeps, monkeypatch):
     H = LATTICES["dirac"]
     inputs = [SiteIndex(0, 0, 1), SiteIndex(2, -2, 0), SiteIndex(1, 3, 1)]
     grid = np.linspace(-3.0, 3.0, 11)
@@ -273,8 +262,9 @@ def test_chunked_diagonal_sweeps_cover_the_grid_once(diagonal_sweeps, monkeypatc
     np.testing.assert_array_equal(chunked, whole)
     # Every hop of dirac flips the polarization, so the odd ring is chiral
     # and the omega mirror solves the 6 points at and below 0.
-    assert diagonal_sweeps[0] == (6, len(inputs))
-    assert diagonal_sweeps[1:] == [(1, len(inputs))] * 6
+    assert sweeps["diagonal"][0] == (6, len(inputs))
+    assert sweeps["diagonal"][1:] == [(1, len(inputs))] * 6
+    assert sweeps["columns"] == []
 
 
 # ---------------------------------------------------------- loud failures
@@ -646,16 +636,16 @@ def test_trial_bits_do_not_depend_on_the_chunk(sweeps, monkeypatch):
     Hs, decays = _trials(H, count=4)
     rows, grid = edge_rows(H), np.linspace(-2.0, 2.0, 3)
     engine = Resolvent(Hs, decays)
-    row_bytes = scattering._row_bytes(engine.slices, engine._layout(0).block_size, len(rows))
+    row_bytes, _ = scattering._row_bytes(engine.slices, engine._layout(0).block_size, len(rows))
     runs = []
     # The whole batch, two trials per chunk, one trial per chunk, a trial
     # split in two chunks, and one (trial, frequency) row per chunk.
     for budget in (scattering._CHUNK_BYTES, 7 * row_bytes, 5 * row_bytes,
                    2 * row_bytes, 1):
         monkeypatch.setattr(scattering, "_CHUNK_BYTES", budget)
-        sweeps.clear()
+        sweeps["columns"].clear()
         runs.append((Resolvent(Hs, decays).transmitted_power(grid, rows, np.ones(H.dim)),
-                     list(sweeps)))
+                     list(sweeps["columns"])))
     for power, _ in runs[1:]:
         np.testing.assert_array_equal(power, runs[0][0])
     assert [calls for _, calls in runs] == [
@@ -674,17 +664,17 @@ def test_nan_in_one_trial_names_that_trial():
 
 def _perturbed_columns(monkeypatch, block, sector=0):
     """Let the engine add 1e-8 to the first column, at the first site of
-    ``block`` in ``sector``'s layout, after back-substitution."""
-    original = Resolvent._block_columns
+    ``block`` in ``sector``'s layout, after back-substitution: to the
+    columns the closing hands its guard."""
+    original = Resolvent._check
 
-    def perturbed(self, layout, trials, omegas, rows):
-        X = original(self, layout, trials, omegas, rows)
+    def perturbed(self, layout, trials, omegas, rows, X):
         if layout is self._layout(sector):
             real = np.flatnonzero(layout.blocks[block] >= 0)
             X[block, 0, 0, real[0], 0] += 1e-8
-        return X
+        return original(self, layout, trials, omegas, rows, X)
 
-    monkeypatch.setattr(Resolvent, "_block_columns", perturbed)
+    monkeypatch.setattr(Resolvent, "_check", perturbed)
 
 
 @pytest.mark.parametrize("tile", ["default", "one block"])
@@ -831,8 +821,8 @@ def test_trials_per_chunk_follow_the_widest_sector():
     rows = [flat_index(H.spec, SiteIndex(j, 0, s)) for j in range(12) for s in range(2)]
     trial = 3 * (H.rows.nbytes + H.cols.nbytes + H.values.nbytes)
     group = scattering._trials_per_chunk(H, len(rows), 1)
-    assert group == scattering._CHUNK_BYTES // (scattering._row_bytes(101, 12, 24) + trial)
-    assert group > scattering._CHUNK_BYTES // (scattering._row_bytes(101, 24, 24) + trial)
+    assert group == scattering._CHUNK_BYTES // (scattering._row_bytes(101, 12, 24)[0] + trial)
+    assert group > scattering._CHUNK_BYTES // (scattering._row_bytes(101, 24, 24)[0] + trial)
     engine = Resolvent([H] * group, DecaySpec(gamma=GAMMA))
     engine.transmitted_power(np.array([-1.6]), rows, np.ones(H.dim))
     assert (engine.sectors, engine.record.block_size) == (2, 12)

@@ -11,9 +11,11 @@ give the same ``|T|``, and a mirror signature put in by a diagonal gauge
 must come back out of the engine.  The diagonal path's total power must
 equal the weighted column path's and the dense oracle's within the bounds
 each gives on ``G``, over the same lattices plus ``qsh`` and ``dirac``
-sectors and Monte Carlo trial stacks, and a wrong signature, a wrong sector
-or a dropped coupling must break that agreement.  ``derandomize=True`` and
-fixed example counts keep the runs identical and short.
+sectors and Monte Carlo trial stacks, and a wrong signature, a wrong sector,
+a dropped coupling or a ``D_k`` entry the shared ``A_k`` builder leaves out
+must break that agreement; the column check must catch that last one.
+``derandomize=True`` and fixed example counts keep the runs identical and
+short.
 """
 
 import dataclasses
@@ -370,3 +372,34 @@ def test_a_dropped_coupling_fails_the_comparison():
         layout.outer[0, 3] = 0.0  # L_2 = H[3, 2], into the port block
     with pytest.raises(AssertionError):
         assert_total_power_agrees(Hs, rates, omegas, rows, engine)
+
+
+def _drop_a_d_k_entry(monkeypatch, *engines):
+    """Let the shared ``A_k`` builder leave out one entry of ``D_k`` in
+    every layout of ``engines``: the first hop within an OAM slice, which
+    ``H`` itself still holds."""
+    original = scattering._Layout.build
+    corrupted = [layout for engine in engines for layout in layouts(engine)]
+
+    def dropped(layout, into, blocks, trials, omegas):
+        original(layout, into, blocks, trials, omegas)
+        block, row, col, value = layout.diagonal
+        e = np.flatnonzero(row != col)[0]
+        if any(layout is c for c in corrupted) and blocks.start <= block[e] < blocks.stop:
+            into[block[e] - blocks.start, :, :, row[e], col[e]] -= value[trials, e][:, None]
+
+    monkeypatch.setattr(scattering._Layout, "build", dropped)
+
+
+def test_a_dropped_d_k_entry_fails_the_check_and_the_oracle(monkeypatch):
+    # The column check builds omega - H + i G/2 from each trial's own H, so
+    # it catches the builder's error at run time; the diagonal path's chain
+    # sees a consistent sweep, and only the dense oracle catches it.
+    Hs, rates, omegas, rows = _qsh_case()
+    columns, diagonal = Resolvent(Hs, rates), Resolvent(Hs, rates)
+    _drop_a_d_k_entry(monkeypatch, columns, diagonal)
+    with pytest.raises(RuntimeError, match="residual .* in trial 0 "):
+        columns.transmitted_power(omegas, rows, np.ones(Hs[0].dim))
+    with pytest.raises(AssertionError) as failure:
+        assert_total_power_agrees(Hs, rates, omegas, rows, diagonal)
+    assert "oracle" in str(failure.traceback[-1].statement)
